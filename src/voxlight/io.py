@@ -45,14 +45,15 @@ def write_pfm(path, data: np.ndarray) -> None:
 
 
 def read_pfm(path) -> np.ndarray:
-    """Read a PFM file into float64 (H, W) or (H, W, 3)."""
+    """Read a PFM file into float64 (H, W) or (H, W, 3). A malformed or
+    truncated file raises ValueError naming it."""
     with open(path, "rb") as f:
         def line():
             out = b""
             while True:
                 ch = f.read(1)
                 if not ch:
-                    raise ValueError("unexpected end of PFM header")
+                    raise ValueError(f"{path}: unexpected end of PFM header")
                 if ch == b"\n":
                     return out.decode("ascii").strip()
                 out += ch
@@ -62,12 +63,28 @@ def read_pfm(path) -> np.ndarray:
         elif magic == "Pf":
             channels = 1
         else:
-            raise ValueError(f"not a PFM file (magic {magic!r})")
-        w, h = (int(x) for x in line().split())
-        scale = float(line())
+            raise ValueError(f"{path}: not a PFM file (magic {magic!r})")
+        size = line()
+        try:
+            w, h = (int(x) for x in size.split())
+        except ValueError:
+            raise ValueError(f"{path}: malformed PFM size line {size!r}") from None
+        if w <= 0 or h <= 0:
+            raise ValueError(f"{path}: PFM width and height must be positive, "
+                             f"got {w} x {h}")
+        scale_line = line()
+        try:
+            scale = float(scale_line)
+        except ValueError:
+            raise ValueError(f"{path}: malformed PFM scale {scale_line!r}") from None
         dtype = "<f4" if scale < 0.0 else ">f4"
-        raw = np.frombuffer(f.read(4 * w * h * channels), dtype=dtype)
-    data = raw.reshape(h, w, channels)[::-1].astype(np.float64)
+        need = 4 * w * h * channels
+        payload = f.read(need)
+    if len(payload) < need:
+        raise ValueError(f"{path}: truncated PFM payload, {len(payload)} of "
+                         f"{need} bytes")
+    data = np.frombuffer(payload, dtype=dtype).reshape(h, w, channels)
+    data = data[::-1].astype(np.float64)
     return data[..., 0] if channels == 1 else data
 
 

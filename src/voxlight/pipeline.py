@@ -56,13 +56,13 @@ class StageError(RuntimeError):
 
 @contextmanager
 def _stage(name: str, timings: dict):
-    start = time.time()
+    start = time.perf_counter()
     try:
         yield
     except Exception as exc:
         raise StageError(f"pipeline stage '{name}' failed: {exc}") from exc
     finally:
-        timings[name] = time.time() - start
+        timings[name] = time.perf_counter() - start
 
 
 @dataclass

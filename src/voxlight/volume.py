@@ -6,6 +6,11 @@ Voxels live on a center-aligned lattice inside an axis-aligned box; samples
 are read by trilinear interpolation (the axis by normalized linear
 interpolation of unit vectors). A ray composites front to back:
 radiance = sum_n prod_{m<n}(1 - alpha_m) alpha_n G(-l; sample_n).
+
+Rendering and fitting share one core: ``_stencil`` (a base voxel index, 8
+constant corner offsets and 8 weights per sample) and ``_trilinear`` (one
+gather per corner from a channel-major table). ``composite_rays`` marches
+sample-major chunks of ~16k samples, bitwise equal to marching rays alone.
 """
 
 from __future__ import annotations
@@ -21,6 +26,13 @@ from .sg import EnvMapGrid, Frame, _as_unit, texel_directions
 ENV_EPS_FACTOR = 1e-3  # surface offset, in units of mean voxel size
 
 CHANNEL_ORDER = ("alpha", "theta", "phi", "sharpness", "r", "g", "b")
+
+# composite_rays marches rays in chunks of about this many samples (256 rays
+# at 64 samples), so the per-chunk arrays stay cache-sized
+_CHUNK_SAMPLES = 16384
+
+# trilinear corners (dx, dy, dz) in x-major order
+_CORNERS = np.array([(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)])
 
 
 @dataclass(frozen=True)
@@ -139,73 +151,94 @@ class RaySamples:
 def clip_ray(bounds: Bounds, origin: np.ndarray, direction: np.ndarray,
              t_max: float) -> tuple[float, float] | None:
     """Parametric [enter, exit) of the ray inside ``bounds``, or None."""
-    t_near, t_far = 0.0, t_max
-    for axis in range(3):
-        d = direction[axis]
-        if abs(d) < 1e-300:
-            if not (bounds.lo[axis] <= origin[axis] <= bounds.hi[axis]):
-                return None
-            continue
-        t0 = (bounds.lo[axis] - origin[axis]) / d
-        t1 = (bounds.hi[axis] - origin[axis]) / d
-        if t0 > t1:
-            t0, t1 = t1, t0
-        t_near = max(t_near, t0)
-        t_far = min(t_far, t1)
-    if t_far <= t_near:
-        return None
-    return t_near, t_far
+    t_near, t_far, hit = _clip_rays(bounds, np.reshape(origin, (1, 3)),
+                                    np.reshape(direction, (1, 3)), t_max)
+    return (float(t_near[0]), float(t_far[0])) if hit[0] else None
 
 
-def _interp_corners(volume: VSGVolume, points: np.ndarray):
-    """Trilinear corner indices (..., 8) into the flattened grid and weights."""
-    dims = np.asarray(volume.dims)
-    grid = (points - volume.bounds.lo) / volume.cell_size - 0.5
+def _clip_rays(bounds: Bounds, origins: np.ndarray, directions: np.ndarray,
+               t_max: float):
+    """Parametric [t_near, t_far) of rays (R, 3) inside ``bounds`` and a hit
+    mask (R,); a ray that misses gets the span [0, 1)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv = np.where(np.abs(directions) > 1e-300, 1.0 / directions, np.inf)
+    t0, t1 = (bounds.lo - origins) * inv, (bounds.hi - origins) * inv
+    lo, hi = np.minimum(t0, t1), np.maximum(t0, t1)
+    # degenerate axes: inside -> (-inf, inf), outside -> empty
+    par = np.abs(directions) <= 1e-300
+    inside = (origins >= bounds.lo) & (origins <= bounds.hi)
+    lo = np.where(par, np.where(inside, -np.inf, np.inf), lo)
+    hi = np.where(par, np.where(inside, np.inf, -np.inf), hi)
+    t_near = np.maximum(lo.max(axis=-1), 0.0)
+    t_far = np.minimum(hi.min(axis=-1), t_max)
+    hit = t_far > t_near
+    return np.where(hit, t_near, 0.0), np.where(hit, t_far, 1.0), hit
+
+
+def _sample_ts(t_near: np.ndarray, t_far: np.ndarray, n_samples: int) -> np.ndarray:
+    """Stratified midpoints of ``n_samples`` equal spans of each ray's
+    [t_near, t_far), sample-major (N, R)."""
+    frac = (np.arange(n_samples) + 0.5) / n_samples
+    return t_near + frac[:, None] * (t_far - t_near)
+
+
+def _stencil(volume: VSGVolume, points: np.ndarray):
+    """Trilinear stencil at world points given as coordinate rows (3, P): the
+    flat index of each point's lowest corner (P,), the 8 corner offsets (8,)
+    and the corner weights (8, P). An axis of size 1 has stride 0."""
+    dims = np.asarray(volume.dims)[:, None]
+    grid = (points - volume.bounds.lo[:, None]) / volume.cell_size[:, None] - 0.5
     grid = np.clip(grid, 0.0, dims - 1.0)
     i0 = np.minimum(np.floor(grid).astype(np.int64), np.maximum(dims - 2, 0))
     frac = np.where(dims > 1, grid - i0, 0.0)
-    i1 = np.minimum(i0 + 1, dims - 1)
-
-    _, y, z = (int(d) for d in dims)
-    shape = points.shape[:-1]
-    ix = np.stack([i0[..., 0], i1[..., 0]], axis=-1)
-    iy = np.stack([i0[..., 1], i1[..., 1]], axis=-1)
-    iz = np.stack([i0[..., 2], i1[..., 2]], axis=-1)
-    corners = ((ix[..., :, None, None] * y + iy[..., None, :, None]) * z
-               + iz[..., None, None, :]).reshape(shape + (8,))
-    wx = np.stack([1.0 - frac[..., 0], frac[..., 0]], axis=-1)
-    wy = np.stack([1.0 - frac[..., 1], frac[..., 1]], axis=-1)
-    wz = np.stack([1.0 - frac[..., 2], frac[..., 2]], axis=-1)
-    weights = (wx[..., :, None, None] * wy[..., None, :, None]
-               * wz[..., None, None, :]).reshape(shape + (8,))
-    return corners, weights
+    _, y, z = volume.dims
+    base = (i0[0] * y + i0[1]) * z + i0[2]
+    offsets = _CORNERS @ (np.array([y * z, z, 1]) * (dims[:, 0] > 1))
+    wx, wy, wz = ((1.0 - f, f) for f in frac)
+    weights = np.empty((8, points.shape[1]))
+    for k, (a, b, c) in enumerate(_CORNERS):
+        np.multiply(wx[a], wy[b], out=weights[k])
+        weights[k] *= wz[c]
+    return base, offsets, weights
 
 
-def _gather(field: np.ndarray, idx: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Weighted gather of ``field`` (V,) or (V, C) at corner indices."""
-    if field.ndim == 1:
-        return np.sum(field[idx] * w, axis=-1)
-    return np.sum(field[idx] * w[..., None], axis=-2)
+def _trilinear(table: np.ndarray, stencil) -> np.ndarray:
+    """Voxel table (C, V) interpolated at a stencil's points, (C, P): the sum
+    of w_k * table[:, base + off_k] over corners k = 0..7 from zero. Indices
+    are in range by construction; mode="clip" lets take write into corner."""
+    base, offsets, weights = stencil
+    out = np.zeros((table.shape[0], base.shape[0]))
+    corner = np.empty_like(out)
+    for off, w in zip(offsets, weights):
+        table.take(base + off, axis=1, out=corner, mode="clip")
+        corner *= w
+        out += corner
+    return out
 
 
-def _interpolate_channels(volume: VSGVolume, points: np.ndarray):
-    """(alpha, unit axis, sharpness, intensity) at world points (..., 3)."""
-    idx, w = _interp_corners(volume, points)
-    flat = volume.voxels.reshape(-1, 7)
-    axis_flat = volume.axis_vectors().reshape(-1, 3)
-    alpha = np.clip(_gather(flat[:, 0], idx, w), 0.0, 1.0)
-    u = _gather(axis_flat, idx, w)
-    norm = np.linalg.norm(u, axis=-1, keepdims=True)
-    axis = np.where(norm > 1e-12, u / np.where(norm > 0.0, norm, 1.0),
-                    np.array([0.0, 0.0, 1.0]))
-    sharp = np.maximum(_gather(flat[:, 3], idx, w), 0.0)
-    eta = np.maximum(_gather(flat[:, 4:7], idx, w), 0.0)
-    return alpha, axis, sharp, eta
+def _channel_table(volume: VSGVolume) -> np.ndarray:
+    """Per-voxel rows (8, V): alpha, unit axis xyz, sharpness, RGB intensity."""
+    return np.concatenate([volume.voxels[..., 0].reshape(1, -1),
+                           volume.axis_vectors().reshape(-1, 3).T,
+                           volume.voxels[..., 3:7].reshape(-1, 4).T])
 
 
-def _sample_ts(t_near: float, t_far: float, n_samples: int) -> np.ndarray:
-    """Stratified midpoints of ``n_samples`` equal spans of [t_near, t_far]."""
-    return t_near + (np.arange(n_samples) + 0.5) * ((t_far - t_near) / n_samples)
+def _march(volume: VSGVolume, table: np.ndarray, origins: np.ndarray,
+           directions: np.ndarray, t_max: float, n_samples: int):
+    """Channels at the stratified samples of rays (R, 3), samples x rays:
+    (t, hit mask (R,), alpha, unit axis (3, N, R), sharpness, intensity
+    (3, N, R)), each clamped to its valid range."""
+    t_near, t_far, hit = _clip_rays(volume.bounds, origins, directions, t_max)
+    ts = _sample_ts(t_near, t_far, n_samples)
+    points = origins.T[:, None, :] + ts * directions.T[:, None, :]
+    interp = _trilinear(table, _stencil(volume, points.reshape(3, -1)))
+    interp = interp.reshape(8, n_samples, -1)
+    ux, uy, uz = interp[1:4]
+    norm = np.sqrt((ux * ux + uy * uy) + uz * uz)
+    safe = np.where(norm > 0.0, norm, 1.0)
+    axis = np.where(norm > 1e-12, interp[1:4] / safe, np.array([0.0, 0.0, 1.0])[:, None, None])
+    return (ts, hit, np.clip(interp[0], 0.0, 1.0), axis,
+            np.maximum(interp[4], 0.0), np.maximum(interp[5:8], 0.0))
 
 
 def sample_ray(volume: VSGVolume, ray: Ray, n_samples: int) -> RaySamples:
@@ -214,91 +247,60 @@ def sample_ray(volume: VSGVolume, ray: Ray, n_samples: int) -> RaySamples:
     yields an empty record (its radiance is zero)."""
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    span = clip_ray(volume.bounds, ray.origin, ray.direction, ray.t_max)
-    if span is None:
+    ts, hit, alpha, axis, sharp, eta = _march(
+        volume, _channel_table(volume), ray.origin[None], ray.direction[None],
+        ray.t_max, n_samples)
+    if not hit[0]:
         return RaySamples.empty()
-    ts = _sample_ts(span[0], span[1], n_samples)
-    points = ray.origin + ts[:, None] * ray.direction
-    alpha, axis, sharp, eta = _interpolate_channels(volume, points)
-    return RaySamples(t=ts, alpha=alpha, axis=axis, sharpness=sharp, intensity=eta)
+    return RaySamples(t=ts[:, 0], alpha=alpha[:, 0], axis=axis[..., 0].T,
+                      sharpness=sharp[:, 0], intensity=eta[..., 0].T)
 
 
 def compositing_weights(alpha: np.ndarray) -> np.ndarray:
-    """Front-to-back weights w_n = prod_{m<n}(1 - alpha_m) * alpha_n."""
+    """Front-to-back weights w_n = prod_{m<n}(1 - alpha_m) * alpha_n, with
+    the samples n along the first axis of ``alpha``."""
     alpha = np.asarray(alpha, dtype=np.float64)
-    trans = np.cumprod(1.0 - alpha, axis=-1)
-    ones = np.ones(alpha.shape[:-1] + (1,))
-    exclusive = np.concatenate([ones, trans[..., :-1]], axis=-1)
-    return exclusive * alpha
+    trans = np.cumprod(1.0 - alpha, axis=0)
+    return np.concatenate([np.ones((1,) + alpha.shape[1:]), trans[:-1]]) * alpha
 
 
 def composite_ray(volume: VSGVolume, ray: Ray, n_samples: int) -> np.ndarray:
-    """Alpha-composited RGB radiance arriving at the ray origin.
-
-    Each sample emits its SG evaluated in the direction opposite to travel,
-    G(-l), weighted by prod_{m<n}(1 - alpha_m) * alpha_n. Delegates to the
-    batched evaluator so scalar and batched results agree exactly.
-    """
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
+    """Alpha-composited RGB radiance arriving at the ray origin: each sample
+    emits its SG in the direction opposite to travel, G(-l), weighted by
+    prod_{m<n}(1 - alpha_m) * alpha_n. A batch of one ``composite_rays``."""
     return composite_rays(volume, ray.origin[None, :], ray.direction[None, :],
                           ray.t_max, n_samples)[0]
 
 
 def composite_rays(volume: VSGVolume, origins: np.ndarray, directions: np.ndarray,
-                   t_max: float, n_samples: int,
-                   chunk: int = 8192) -> np.ndarray:
+                   t_max: float, n_samples: int) -> np.ndarray:
     """Vectorized ``composite_ray`` over (R, 3) origins and unit directions."""
     origins = np.asarray(origins, dtype=np.float64)
     directions = np.asarray(directions, dtype=np.float64)
+    if origins.ndim != 2 or origins.shape[1] != 3 or directions.shape != origins.shape:
+        raise ValueError(f"origins and directions must be (R, 3): {origins.shape}, "
+                         f"{directions.shape}")
+    if not (np.all(np.isfinite(origins)) and np.all(np.isfinite(directions))):
+        raise ValueError("ray origins and directions must be finite")
+    if np.any(np.abs(np.linalg.norm(directions, axis=-1) - 1.0) > 1e-6):
+        raise ValueError("ray directions must have unit length")
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
     out = np.zeros((origins.shape[0], 3))
-    fields = np.concatenate([volume.voxels[..., 0].reshape(-1, 1),
-                             volume.axis_vectors().reshape(-1, 3),
-                             volume.voxels[..., 3:7].reshape(-1, 4)], axis=-1)
+    table = _channel_table(volume)
+    chunk = max(1, _CHUNK_SAMPLES // n_samples)
     for start in range(0, origins.shape[0], chunk):
-        sl = slice(start, min(start + chunk, origins.shape[0]))
-        o, d = origins[sl], directions[sl]
-        ts, valid = _clip_ray_batch(volume.bounds, o, d, t_max, n_samples)
-        points = o[:, None, :] + ts[..., None] * d[:, None, :]
-        idx, w = _interp_corners(volume, points)
-        w = w * valid[:, None, None]
-        interp = np.einsum("rnk,rnkc->rnc", w, fields[idx])
-        alpha = np.clip(interp[..., 0], 0.0, 1.0)
-        u = interp[..., 1:4]
-        norm = np.linalg.norm(u, axis=-1, keepdims=True)
-        axis = np.where(norm > 1e-12, u / np.where(norm > 0.0, norm, 1.0),
-                        np.array([0.0, 0.0, 1.0]))
-        sharp = np.maximum(interp[..., 4], 0.0)
-        eta = np.maximum(interp[..., 5:8], 0.0)
-        dots = -np.sum(axis * d[:, None, :], axis=-1)
-        emit = eta * np.exp(sharp * (dots - 1.0))[..., None]
-        weights = compositing_weights(alpha)
-        out[sl] = np.sum(weights[..., None] * emit, axis=1)
+        sl = slice(start, start + chunk)
+        d = directions[sl]
+        _, hit, alpha, axis, sharp, eta = _march(volume, table, origins[sl], d,
+                                                 t_max, n_samples)
+        dots = -((axis[0] * d[:, 0] + axis[1] * d[:, 1]) + axis[2] * d[:, 2])
+        emit = eta * np.exp(sharp * (dots - 1.0))
+        # a running sum adds the samples in order for any chunk shape, so a
+        # lone ray and the same ray in a batch agree bitwise
+        radiance = np.cumsum(compositing_weights(alpha) * emit, axis=1)[:, -1].T
+        out[sl] = np.where(hit[:, None], radiance, 0.0)  # missed rays are black
     return np.maximum(out, 0.0)
-
-
-def _clip_ray_batch(bounds: Bounds, origins: np.ndarray, directions: np.ndarray,
-                    t_max: float, n_samples: int):
-    """Sample parameters (R, N) and a validity mask for a batch of rays."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv = np.where(np.abs(directions) > 1e-300, 1.0 / directions, np.inf)
-    t0 = (bounds.lo - origins) * inv
-    t1 = (bounds.hi - origins) * inv
-    lo = np.minimum(t0, t1)
-    hi = np.maximum(t0, t1)
-    # degenerate axes: inside -> (-inf, inf), outside -> empty
-    par = np.abs(directions) <= 1e-300
-    inside = (origins >= bounds.lo) & (origins <= bounds.hi)
-    lo = np.where(par, np.where(inside, -np.inf, np.inf), lo)
-    hi = np.where(par, np.where(inside, np.inf, -np.inf), hi)
-    t_near = np.maximum(lo.max(axis=-1), 0.0)
-    t_far = np.minimum(hi.min(axis=-1), t_max)
-    valid = t_far > t_near
-    t_near = np.where(valid, t_near, 0.0)
-    t_far = np.where(valid, t_far, 1.0)
-    frac = (np.arange(n_samples) + 0.5) / n_samples
-    ts = t_near[:, None] + frac[None, :] * (t_far - t_near)[:, None]
-    return ts, valid.astype(np.float64)
 
 
 def env_offset(volume: VSGVolume) -> float:
@@ -396,13 +398,18 @@ class VSGFitProblem:
         origins = np.concatenate(origin_list)
         self.directions = np.concatenate(dir_list)
         n = options.n_samples
-        ts, valid = _clip_ray_batch(bounds, origins, self.directions, diag, n)
-        points = origins[:, None, :] + ts[..., None] * self.directions[:, None, :]
-        self.idx, w = _interp_corners(template, points)
-        self.weights = w * valid[:, None, None]
+        t_near, t_far, hit = _clip_rays(bounds, origins, self.directions, diag)
+        ts = _sample_ts(t_near, t_far, n).T
+        points = origins.T[..., None] + ts * self.directions.T[..., None]
+        base, offsets, weights = _stencil(template, points.reshape(3, -1))
+        weights *= np.repeat(hit, n)
+        self.stencil = (base, offsets, weights)   # ray-major samples
+        self.weights = np.ascontiguousarray(weights.T).reshape(-1, n, 8)
         self.neg_dirs = -self.directions
-        # scatter keys are fixed: voxel index * 8 + gradient field index
-        self.scatter_keys = (self.idx[..., None] * 8 + np.arange(8)).ravel()
+        # scatter keys are fixed: voxel index * 8 + gradient field index, in
+        # (ray, sample, corner, field) order
+        self.scatter_keys = ((base[:, None] + offsets)[..., None] * 8
+                             + np.arange(8)).ravel()
 
 
 def _split_params(params: np.ndarray, n_voxels: int):
@@ -459,16 +466,14 @@ def _vsg_objective_impl(params: np.ndarray, problem: VSGFitProblem):
     opts = problem.options
     nvox = problem.n_voxels
     p, alpha_v, axis_v, sharp_v, eta_v, trig = _split_params(params, nvox)
-    idx, w = problem.idx, problem.weights
+    w = problem.weights
 
     # one gather for all 8 interpolated fields: alpha, axis xyz, sharp, eta
-    fields = np.concatenate([alpha_v[:, None], axis_v, sharp_v[:, None], eta_v],
-                            axis=-1)                               # (V, 8)
-    interp = np.einsum("rnk,rnkc->rnc", w, fields[idx])            # (R, N, 8)
-    alpha = interp[..., 0]
-    u = interp[..., 1:4]
-    sharp = interp[..., 4]
-    eta = interp[..., 5:8]
+    table = np.concatenate([alpha_v[None], axis_v.T, sharp_v[None], eta_v.T])
+    interp = np.ascontiguousarray(
+        _trilinear(table, problem.stencil).T).reshape(w.shape)   # (R, N, 8)
+    alpha, u, sharp, eta = (interp[..., 0], interp[..., 1:4], interp[..., 4],
+                            interp[..., 5:8])
     norm = np.linalg.norm(u, axis=-1, keepdims=True)
     safe = np.where(norm > 1e-12, norm, 1.0)
     axis = u / safe
@@ -565,8 +570,7 @@ _LOG_PARAM_LIMIT = 30.0
 
 
 def _params_to_volume(params: np.ndarray, problem: VSGFitProblem) -> VSGVolume:
-    _, alpha, _, _, _, _ = _split_params(params, problem.n_voxels)
-    p = params.reshape(problem.n_voxels, 7)
+    p, alpha, *_ = _split_params(params, problem.n_voxels)
     theta = np.mod(p[:, 1], 2.0 * math.pi)
     phi = p[:, 2].copy()
     over = theta > math.pi
@@ -595,13 +599,8 @@ def vsg_fit(targets, dims, bounds: Bounds,
     options = options or VSGFitOptions()
     problem = VSGFitProblem(targets, dims, bounds, options)
     result = minimize_monotone(
-        lambda p: vsg_fit_objective(p, problem),
-        _initial_params(problem),
-        max_iters=options.max_iters,
-        step=options.step,
-        grow=options.grow,
-        shrink=options.shrink,
-        objective_tol=options.objective_tol,
-    )
+        lambda p: vsg_fit_objective(p, problem), _initial_params(problem),
+        max_iters=options.max_iters, step=options.step, grow=options.grow,
+        shrink=options.shrink, objective_tol=options.objective_tol)
     return VSGFitResult(volume=_params_to_volume(result.x, problem),
                         report=result.report)

@@ -33,6 +33,29 @@ class TestPfm:
         raw = path.read_bytes()
         assert raw.startswith(b"PF\n3 2\n-1.0\n")
 
+    def test_truncated_payload_names_the_file(self, tmp_path):
+        path = tmp_path / "cut.pfm"
+        vio.write_pfm(path, np.ones((4, 5, 3)))
+        path.write_bytes(path.read_bytes()[:-7])
+        with pytest.raises(ValueError, match="cut.pfm.*truncated"):
+            vio.read_pfm(path)
+
+    @pytest.mark.parametrize("size", [b"0 4", b"3 0", b"-2 4"])
+    def test_non_positive_dimensions_rejected(self, tmp_path, size):
+        path = tmp_path / "empty.pfm"
+        path.write_bytes(b"PF\n" + size + b"\n-1.0\n")
+        with pytest.raises(ValueError, match="empty.pfm.*positive"):
+            vio.read_pfm(path)
+
+    @pytest.mark.parametrize("header, what", [
+        (b"3\n-1.0", "size line"), (b"3 4 5\n-1.0", "size line"),
+        (b"three 4\n-1.0", "size line"), (b"3 4\nbig", "scale")])
+    def test_malformed_header_rejected(self, tmp_path, header, what):
+        path = tmp_path / "bad.pfm"
+        path.write_bytes(b"Pf\n" + header + b"\n" + bytes(48))
+        with pytest.raises(ValueError, match=f"bad.pfm.*{what}"):
+            vio.read_pfm(path)
+
     def test_rejects_bad_shape(self, tmp_path):
         with pytest.raises(ValueError):
             vio.write_pfm(tmp_path / "x.pfm", np.zeros((2, 2, 4)))

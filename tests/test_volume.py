@@ -1,12 +1,17 @@
+import copy
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from voxlight import volume as volume_module
 from voxlight.sg import EnvMapGrid, Frame
-from voxlight.volume import (Bounds, EnvTarget, Ray, VSGFitOptions,
-                             VSGFitProblem, VSGVolume, _initial_params,
-                             composite_ray, composite_rays, compositing_weights,
+from voxlight.volume import (_CHUNK_SAMPLES, Bounds, EnvTarget, Ray,
+                             VSGFitOptions, VSGFitProblem, VSGVolume,
+                             _initial_params, _stencil, composite_ray,
+                             composite_rays, compositing_weights, env_offset,
                              extract_env_map, sample_ray, vsg_fit,
                              vsg_fit_objective)
 
@@ -289,3 +294,202 @@ class TestFit:
         assert np.all(v[..., 3] >= 0.0)
         assert np.all(v[..., 4:7] >= 0.0)
         assert np.all(np.isfinite(v))
+
+
+# ---------------------------------------------------------------------------
+# Frozen reference: the interpolation path the corner-major core replaced
+# (per-sample (8,) corner indices, an (R, N, 8, C) gather and einsum). The
+# core must reproduce it bitwise.
+# ---------------------------------------------------------------------------
+
+
+def _reference_samples(bounds, origins, directions, t_max, n_samples):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv = np.where(np.abs(directions) > 1e-300, 1.0 / directions, np.inf)
+    t0 = (bounds.lo - origins) * inv
+    t1 = (bounds.hi - origins) * inv
+    lo = np.minimum(t0, t1)
+    hi = np.maximum(t0, t1)
+    par = np.abs(directions) <= 1e-300
+    inside = (origins >= bounds.lo) & (origins <= bounds.hi)
+    lo = np.where(par, np.where(inside, -np.inf, np.inf), lo)
+    hi = np.where(par, np.where(inside, np.inf, -np.inf), hi)
+    t_near = np.maximum(lo.max(axis=-1), 0.0)
+    t_far = np.minimum(hi.min(axis=-1), t_max)
+    valid = t_far > t_near
+    t_near = np.where(valid, t_near, 0.0)
+    t_far = np.where(valid, t_far, 1.0)
+    frac = (np.arange(n_samples) + 0.5) / n_samples
+    ts = t_near[:, None] + frac[None, :] * (t_far - t_near)[:, None]
+    points = origins[:, None, :] + ts[..., None] * directions[:, None, :]
+    return points, valid.astype(np.float64)
+
+
+def _reference_corners(volume, points):
+    dims = np.asarray(volume.dims)
+    grid = (points - volume.bounds.lo) / volume.cell_size - 0.5
+    grid = np.clip(grid, 0.0, dims - 1.0)
+    i0 = np.minimum(np.floor(grid).astype(np.int64), np.maximum(dims - 2, 0))
+    frac = np.where(dims > 1, grid - i0, 0.0)
+    i1 = np.minimum(i0 + 1, dims - 1)
+    _, y, z = (int(d) for d in dims)
+    shape = points.shape[:-1]
+    ix = np.stack([i0[..., 0], i1[..., 0]], axis=-1)
+    iy = np.stack([i0[..., 1], i1[..., 1]], axis=-1)
+    iz = np.stack([i0[..., 2], i1[..., 2]], axis=-1)
+    corners = ((ix[..., :, None, None] * y + iy[..., None, :, None]) * z
+               + iz[..., None, None, :]).reshape(shape + (8,))
+    wx = np.stack([1.0 - frac[..., 0], frac[..., 0]], axis=-1)
+    wy = np.stack([1.0 - frac[..., 1], frac[..., 1]], axis=-1)
+    wz = np.stack([1.0 - frac[..., 2], frac[..., 2]], axis=-1)
+    weights = (wx[..., :, None, None] * wy[..., None, :, None]
+               * wz[..., None, None, :]).reshape(shape + (8,))
+    return corners, weights
+
+
+def _reference_composite(volume, origins, directions, t_max, n_samples):
+    fields = np.concatenate([volume.voxels[..., 0].reshape(-1, 1),
+                             volume.axis_vectors().reshape(-1, 3),
+                             volume.voxels[..., 3:7].reshape(-1, 4)], axis=-1)
+    points, valid = _reference_samples(volume.bounds, origins, directions,
+                                       t_max, n_samples)
+    idx, w = _reference_corners(volume, points)
+    interp = np.einsum("rnk,rnkc->rnc", w * valid[:, None, None], fields[idx])
+    alpha = np.clip(interp[..., 0], 0.0, 1.0)
+    u = interp[..., 1:4]
+    norm = np.linalg.norm(u, axis=-1, keepdims=True)
+    axis = np.where(norm > 1e-12, u / np.where(norm > 0.0, norm, 1.0),
+                    np.array([0.0, 0.0, 1.0]))
+    sharp = np.maximum(interp[..., 4], 0.0)
+    eta = np.maximum(interp[..., 5:8], 0.0)
+    dots = -np.sum(axis * directions[:, None, :], axis=-1)
+    emit = eta * np.exp(sharp * (dots - 1.0))[..., None]
+    trans = np.cumprod(1.0 - alpha, axis=-1)
+    excl = np.concatenate([np.ones((alpha.shape[0], 1)), trans[:, :-1]], axis=-1)
+    return np.maximum(np.sum((excl * alpha)[..., None] * emit, axis=1), 0.0)
+
+
+def _reference_objective(params, problem, origins, monkeypatch):
+    """The fit objective with the reference stencil, gather and scatter keys
+    in place of the corner-major ones."""
+    template = VSGVolume.uniform(problem.dims, problem.bounds)
+    points, valid = _reference_samples(problem.bounds, origins, problem.directions,
+                                       problem.bounds.diagonal,
+                                       problem.options.n_samples)
+    idx, w = _reference_corners(template, points)
+    reference = copy.copy(problem)
+    reference.weights = w * valid[:, None, None]
+    reference.scatter_keys = (idx[..., None] * 8 + np.arange(8)).ravel()
+    with monkeypatch.context() as patch:
+        patch.setattr(volume_module, "_trilinear", lambda table, stencil: np.einsum(
+            "rnk,rnkc->rnc", reference.weights, table.T[idx]).reshape(-1, 8).T)
+        return vsg_fit_objective(params, reference)
+
+
+ORACLE_DIMS = [(6, 5, 4), (1, 5, 3), (4, 1, 1), (2, 2, 2), (1, 1, 1), (3, 1, 7)]
+ORACLE_BOUNDS = Bounds(lo=np.array([-0.5, 0.0, 0.2]), hi=np.array([1.5, 1.0, 2.5]))
+
+
+def unit_rows(rng, count):
+    d = rng.normal(size=(count, 3))
+    return d / np.linalg.norm(d, axis=-1, keepdims=True)
+
+
+class TestCornerMajorCore:
+    @pytest.mark.parametrize("dims", ORACLE_DIMS)
+    def test_composite_rays_bitwise_equal_to_reference(self, dims):
+        rng = np.random.default_rng(sum(dims))
+        vol = random_volume(rng, dims)
+        vol = VSGVolume(bounds=ORACLE_BOUNDS, voxels=vol.voxels)
+        origins = rng.uniform(-1.5, 3.0, (400, 3))   # many start outside the box
+        dirs = unit_rows(rng, 400)
+        dirs[:40] = np.eye(3)[rng.integers(0, 3, 40)] * rng.choice([-1.0, 1.0], (40, 1))
+        for n in (1, 7, 64):
+            got = composite_rays(vol, origins, dirs, 5.0, n)
+            want = _reference_composite(vol, origins, dirs, 5.0, n)
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dims", [(4, 4, 4), (1, 3, 5), (2, 1, 1)])
+    def test_vsg_objective_bitwise_equal_to_reference(self, dims, monkeypatch):
+        rng = np.random.default_rng(40)
+        problem = TestFitObjective().build_problem(rng, dims=dims, n_samples=12)
+        frames = [FRAME, Frame.from_normal(np.array([0.3, 0.2, 0.93])
+                                           / np.linalg.norm([0.3, 0.2, 0.93]))]
+        eps = env_offset(VSGVolume.uniform(dims, BOUNDS))
+        origins = np.concatenate([
+            np.broadcast_to(np.array([0.7 + 0.3 * i, 0.9, 0.3]) + eps * f.normal, (32, 3))
+            for i, f in enumerate(frames)])
+        for _ in range(3):
+            params = _initial_params(problem) + rng.normal(0.0, 0.5, problem.n_voxels * 7)
+            value, grad = vsg_fit_objective(params, problem)
+            ref_value, ref_grad = _reference_objective(params, problem, origins,
+                                                       monkeypatch)
+            assert value == ref_value
+            assert grad.tobytes() == ref_grad.tobytes()
+
+    def test_batch_over_several_chunks_matches_single_rays(self):
+        rng = np.random.default_rng(41)
+        vol = random_volume(rng, (5, 4, 6))
+        n = 64
+        count = _CHUNK_SAMPLES // n + 37                    # two chunks
+        origins = rng.uniform(0.0, 2.0, (count, 3))
+        dirs = unit_rows(rng, count)
+        batch = composite_rays(vol, origins, dirs, 5.0, n)
+        for i in range(count):
+            single = composite_ray(vol, Ray(origin=origins[i], direction=dirs[i],
+                                            t_max=5.0), n)
+            assert batch[i].tobytes() == single.tobytes()
+
+
+class TestCompositeRaysValidation:
+    vol = VSGVolume.uniform((2, 2, 2), BOUNDS, alpha=0.5)
+
+    def test_rejects_mismatched_shapes(self):
+        with pytest.raises(ValueError, match=r"\(R, 3\)"):
+            composite_rays(self.vol, np.zeros((3, 3)), unit_rows(np.random.default_rng(0), 2),
+                           5.0, 8)
+        with pytest.raises(ValueError, match=r"\(R, 3\)"):
+            composite_rays(self.vol, np.zeros(3), np.array([1.0, 0.0, 0.0]), 5.0, 8)
+
+    def test_rejects_non_finite_rays(self):
+        d = np.array([[1.0, 0.0, 0.0]])
+        with pytest.raises(ValueError, match="finite"):
+            composite_rays(self.vol, np.array([[np.nan, 0.0, 0.0]]), d, 5.0, 8)
+        with pytest.raises(ValueError, match="finite"):
+            composite_rays(self.vol, np.zeros((1, 3)), np.array([[np.inf, 0.0, 0.0]]),
+                           5.0, 8)
+
+    def test_rejects_non_unit_directions(self):
+        with pytest.raises(ValueError, match="unit"):
+            composite_rays(self.vol, np.zeros((1, 3)), np.array([[1.0 + 2e-6, 0.0, 0.0]]),
+                           5.0, 8)
+
+
+dims_strategy = st.tuples(*[st.integers(1, 6)] * 3)
+points_strategy = st.lists(st.tuples(*[st.floats(-1.0, 3.0)] * 3), min_size=1,
+                           max_size=20)
+
+
+class TestStencilProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(dims=dims_strategy, points=points_strategy)
+    def test_weights_nonnegative_and_sum_to_one(self, dims, points):
+        vol = VSGVolume.uniform(dims, BOUNDS)
+        _, _, weights = _stencil(vol, np.array(points).T)
+        assert np.all(weights >= 0.0)
+        assert np.all(np.abs(weights.sum(axis=0) - 1.0) <= 1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(dims=dims_strategy, points=points_strategy)
+    def test_corner_indices_stay_in_grid(self, dims, points):
+        vol = VSGVolume.uniform(dims, BOUNDS)
+        base, offsets, _ = _stencil(vol, np.array(points).T)
+        corners = base[None, :] + offsets[:, None]
+        assert np.all(corners >= 0) and np.all(corners < np.prod(dims))
+
+    @settings(max_examples=60, deadline=None)
+    @given(alpha=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=64))
+    def test_compositing_weights_sum_at_most_one(self, alpha):
+        w = compositing_weights(np.array(alpha))
+        assert np.all(w >= 0.0)
+        assert w.sum() <= 1.0 + 1e-12
