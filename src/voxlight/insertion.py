@@ -17,7 +17,8 @@ import numpy as np
 
 from .brdf import MaterialSample, render_specular, rerender_pixel
 from .geometry import View, depth_to_normal
-from .sg import EnvMapGrid, Frame, texel_directions, texel_solid_angles
+from .sg import (EnvMapGrid, Frame, hemisphere_frames, texel_directions,
+                 texel_local_directions, texel_solid_angles)
 from .volume import Ray, VSGVolume, composite_rays, env_offset
 
 DEFAULT_ENV_RES = (16, 32)   # (height, width), matching test-time env maps
@@ -126,27 +127,13 @@ def shade_sphere_pixel(hit: SphereHit, material: SphereMaterial, volume: VSGVolu
     return diffuse * (1.0 - spec_albedo) + specular
 
 
-def _hemisphere_frames(normals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic tangent/bitangent for a batch of unit normals (P, 3)."""
-    ref = np.where(np.abs(normals[:, 2:3]) < 0.9, np.array([0.0, 0.0, 1.0]),
-                   np.array([1.0, 0.0, 0.0]))
-    t = np.cross(ref, normals)
-    t /= np.linalg.norm(t, axis=-1, keepdims=True)
-    return t, np.cross(normals, t)
-
-
 def _shadow_ratios(points: np.ndarray, normals: np.ndarray, volume: VSGVolume,
                    sphere: InsertedSphere, n_dirs: tuple[int, int],
                    n_samples: int) -> np.ndarray:
     """Batched shadow ratio at surface points (P, 3) with unit normals."""
     height, width = n_dirs
-    theta = (np.arange(height) + 0.5) * (0.5 * math.pi / height)
-    phi = -math.pi + (np.arange(width) + 0.5) * (2.0 * math.pi / width)
-    ct, st = np.cos(theta), np.sin(theta)
-    cp, sp = np.cos(phi), np.sin(phi)
-    local = np.stack([np.outer(st, cp).ravel(), np.outer(st, sp).ravel(),
-                      np.repeat(ct, width)], axis=-1)          # (D, 3) in frame
-    tangent, bitangent = _hemisphere_frames(normals)
+    local = texel_local_directions(height, width)              # (D, 3) in frame
+    tangent, bitangent = hemisphere_frames(normals)
     dirs = (local[None, :, 0:1] * tangent[:, None, :]
             + local[None, :, 1:2] * bitangent[:, None, :]
             + local[None, :, 2:3] * normals[:, None, :])        # (P, D, 3)
@@ -168,7 +155,7 @@ def _shadow_ratios(points: np.ndarray, normals: np.ndarray, volume: VSGVolume,
     radiance = composite_rays(volume, flat_o, flat_d, volume.bounds.diagonal,
                               n_samples).reshape(active.size, -1, 3)
     omega = np.repeat(texel_solid_angles(height, width), width)
-    weight = (np.repeat(ct, width) * omega)[None, :, None]      # cos * dOmega
+    weight = (local[:, 2] * omega)[None, :, None]               # cos * dOmega
     energy = radiance * weight
     total = energy.sum(axis=(1, 2))
     occluded = np.sum(energy * blocked[active][..., None], axis=(1, 2))

@@ -9,6 +9,7 @@ stored bottom to top. HDR data stays linear; PNG previews apply gamma 2.2.
 from __future__ import annotations
 
 import json
+import math
 import struct
 import zlib
 from pathlib import Path
@@ -169,36 +170,57 @@ def load_sg_env(path) -> SGEnvironment:
 # (x slowest, channel fastest; matches a C-ordered (X, Y, Z, C) array).
 # ---------------------------------------------------------------------------
 
-def save_volume(path, volume: VSGVolume) -> None:
+def _save_sidecar_volume(path, data: np.ndarray, bounds: Bounds,
+                         channel_order) -> None:
     path = Path(path)
     binary = path.with_suffix(".bin")
+    if np.any(np.abs(data) > 3.0e38):
+        raise ValueError("volume channels do not fit in float32")
     header = {
-        "dims": list(volume.dims),
-        "bounds": {"lo": volume.bounds.lo.tolist(), "hi": volume.bounds.hi.tolist()},
-        "channel_order": list(CHANNEL_ORDER),
+        "dims": list(data.shape[:3]),
+        "bounds": {"lo": bounds.lo.tolist(), "hi": bounds.hi.tolist()},
+        "channel_order": list(channel_order),
         "dtype": "f32",
         "layout": "x-major",
         "data": binary.name,
     }
-    if np.any(np.abs(volume.voxels) > 3.0e38):
-        raise ValueError("volume channels do not fit in float32")
     path.write_text(json.dumps(header, indent=2))
-    binary.write_bytes(
-        np.ascontiguousarray(volume.voxels, dtype="<f4").tobytes())
+    binary.write_bytes(np.ascontiguousarray(data, dtype="<f4").tobytes())
+
+
+def save_volume(path, volume: VSGVolume) -> None:
+    _save_sidecar_volume(path, volume.voxels, volume.bounds, CHANNEL_ORDER)
+
+
+def _load_sidecar_volume(path: Path, channel_order) -> tuple[np.ndarray, Bounds]:
+    """Channels (X, Y, Z, C) and bounds of a header + raw-sidecar volume.
+    A bad header, a sidecar outside the header's directory or one whose size
+    disagrees with ``dims`` raises ValueError naming the file."""
+    header = json.loads(path.read_text())
+    if header.get("dtype") != "f32" or header.get("layout") != "x-major":
+        raise ValueError(f"{path}: unsupported volume encoding")
+    if list(header["channel_order"]) != list(channel_order):
+        raise ValueError(f"{path}: unexpected channel order "
+                         f"{header['channel_order']}")
+    dims = tuple(int(d) for d in header["dims"])
+    base = path.parent.resolve()
+    binary = (base / header["data"]).resolve()
+    if Path(header["data"]).is_absolute() or not binary.is_relative_to(base):
+        raise ValueError(f"{path}: sidecar {header['data']!r} lies outside "
+                         f"the header's directory")
+    payload = binary.read_bytes()
+    need = 4 * math.prod(dims) * len(channel_order)
+    if len(payload) != need:
+        raise ValueError(f"{path}: sidecar {binary.name} holds {len(payload)} "
+                         f"bytes, dims {list(dims)} need {need}")
+    data = np.frombuffer(payload, dtype="<f4").reshape(dims + (len(channel_order),))
+    bounds = Bounds(lo=np.asarray(header["bounds"]["lo"], dtype=np.float64),
+                    hi=np.asarray(header["bounds"]["hi"], dtype=np.float64))
+    return data.astype(np.float64), bounds
 
 
 def load_volume(path) -> VSGVolume:
-    path = Path(path)
-    header = json.loads(path.read_text())
-    if header.get("dtype") != "f32" or header.get("layout") != "x-major":
-        raise ValueError("unsupported volume encoding")
-    if list(header["channel_order"]) != list(CHANNEL_ORDER):
-        raise ValueError(f"unexpected channel order {header['channel_order']}")
-    dims = tuple(int(d) for d in header["dims"])
-    raw = np.frombuffer((path.parent / header["data"]).read_bytes(), dtype="<f4")
-    voxels = raw.reshape(dims + (7,)).astype(np.float64)
-    bounds = Bounds(lo=np.asarray(header["bounds"]["lo"], dtype=np.float64),
-                    hi=np.asarray(header["bounds"]["hi"], dtype=np.float64))
+    voxels, bounds = _load_sidecar_volume(Path(path), CHANNEL_ORDER)
     return VSGVolume(bounds=bounds, voxels=voxels)
 
 
@@ -209,35 +231,12 @@ SURFACE_CHANNEL_ORDER = ("rho_ir", "rho_ig", "rho_ib", "rho_nx", "rho_ny",
 
 
 def save_surface_volume(path, volume) -> None:
-    path = Path(path)
-    binary = path.with_suffix(".bin")
-    if np.any(np.abs(volume.data) > 3.0e38):
-        raise ValueError("surface volume channels do not fit in float32")
-    header = {
-        "dims": list(volume.dims),
-        "bounds": {"lo": volume.bounds.lo.tolist(), "hi": volume.bounds.hi.tolist()},
-        "channel_order": list(SURFACE_CHANNEL_ORDER),
-        "dtype": "f32",
-        "layout": "x-major",
-        "data": binary.name,
-    }
-    path.write_text(json.dumps(header, indent=2))
-    binary.write_bytes(np.ascontiguousarray(volume.data, dtype="<f4").tobytes())
+    _save_sidecar_volume(path, volume.data, volume.bounds, SURFACE_CHANNEL_ORDER)
 
 
 def load_surface_volume(path):
     from .surface import SurfaceVolume
-    path = Path(path)
-    header = json.loads(path.read_text())
-    if header.get("dtype") != "f32" or header.get("layout") != "x-major":
-        raise ValueError("unsupported volume encoding")
-    if list(header["channel_order"]) != list(SURFACE_CHANNEL_ORDER):
-        raise ValueError(f"unexpected channel order {header['channel_order']}")
-    dims = tuple(int(d) for d in header["dims"])
-    raw = np.frombuffer((path.parent / header["data"]).read_bytes(), dtype="<f4")
-    data = raw.reshape(dims + (10,)).astype(np.float64)
-    bounds = Bounds(lo=np.asarray(header["bounds"]["lo"], dtype=np.float64),
-                    hi=np.asarray(header["bounds"]["hi"], dtype=np.float64))
+    data, bounds = _load_sidecar_volume(Path(path), SURFACE_CHANNEL_ORDER)
     # rho is recoverable: the stored normal block is rho * (unit normal)
     rho = np.linalg.norm(data[..., 3:6], axis=-1)
     return SurfaceVolume(bounds=bounds, data=data, rho=rho)

@@ -24,8 +24,7 @@ from .geometry import (bilinear_sample, depth_to_normal, multiview_weights,
 from .insertion import InsertedSphere, MirrorMaterial, insert_object
 from .metrics import (StageLossBundle, masked_l1_angular, si_log_mse, si_mse,
                       stage_losses)
-from .scene import (GeneratedScene, SceneSpec, generate_scene,
-                    per_pixel_env_maps)
+from .scene import GeneratedScene, SceneSpec, generate_scene
 from .sg import EnvMapGrid, Frame, SGFitOptions, sg_fit
 from .surface import build_surface_volume
 from .volume import Bounds, EnvTarget, VSGFitOptions, extract_env_map, vsg_fit
@@ -183,9 +182,17 @@ def _multiview_probe(scene: GeneratedScene, envs_by_cluster, config: DemoConfig)
     return weight_sum / max(count, 1), digest.hexdigest()
 
 
-def _fit_volume(scene: GeneratedScene, config: DemoConfig):
-    """Fit the spatially-varying lighting volume against env maps probed at
-    a small grid of surface points."""
+def _vsg_pixels(scene: GeneratedScene, config: DemoConfig) -> list:
+    """Target-view pixels (i, j) of the VSG supervision grid."""
+    h, w = scene.spec.image_height, scene.spec.image_width
+    g = config.vsg_grid
+    return [(int((a + 0.5) * h / g), int((b + 0.5) * w / g))
+            for a in range(g) for b in range(g)]
+
+
+def _fit_volume(scene: GeneratedScene, config: DemoConfig, pixels: list):
+    """Fit the spatially-varying lighting volume against the ground-truth
+    env maps at the target-view ``pixels``."""
     spec = scene.spec
     pts = scene.surface_points.reshape(-1, 3)
     lo = pts.min(axis=0)
@@ -195,21 +202,13 @@ def _fit_volume(scene: GeneratedScene, config: DemoConfig):
     hi = np.maximum(hi, box_hi) + 0.2
     bounds = Bounds(lo=lo, hi=hi)
 
-    h, w = spec.image_height, spec.image_width
-    g = config.vsg_grid
     targets = []
-    for a in range(g):
-        for b in range(g):
-            i = int((a + 0.5) * h / g)
-            j = int((b + 0.5) * w / g)
-            point = scene.surface_points[i, j]
-            normal = scene.surface_normals[i, j]
-            envs = per_pixel_env_maps(spec, point.reshape(1, 1, 3),
-                                      normal.reshape(1, 1, 3))
-            frame = Frame.from_normal(normal)
-            grid = EnvMapGrid(width=spec.env_width, height=spec.env_height,
-                              frame=frame, texels=envs[0, 0])
-            targets.append(EnvTarget(point=point, frame=frame, grid=grid))
+    for i, j in pixels:
+        point = scene.surface_points[i, j]
+        frame = Frame.from_normal(scene.surface_normals[i, j])
+        grid = EnvMapGrid(width=spec.env_width, height=spec.env_height,
+                          frame=frame, texels=scene.gt_env[i, j])
+        targets.append(EnvTarget(point=point, frame=frame, grid=grid))
     options = VSGFitOptions(max_iters=config.vsg_iters,
                             n_samples=config.vsg_samples)
     result = vsg_fit(targets, config.vsg_dims, bounds, options)
@@ -249,7 +248,8 @@ def pipeline_demo(config: DemoConfig | None = None) -> PipelineReport:
         rerender_g3 = si_mse(target.image, rerendered, scene.mask)
 
     with _stage("vsg_fit", timings):
-        vol_result, vsg_targets, bounds = _fit_volume(scene, config)
+        svl_pixels = _vsg_pixels(scene, config)
+        vol_result, vsg_targets, bounds = _fit_volume(scene, config, svl_pixels)
 
     with _stage("surface_volume", timings):
         surf = build_surface_volume(target.image, scene.gt_normal[0],
@@ -269,10 +269,6 @@ def pipeline_demo(config: DemoConfig | None = None) -> PipelineReport:
                                  n_samples=config.insert_samples)
 
     with _stage("metrics", timings):
-        svl_pixels = [(int((a + 0.5) * h / config.vsg_grid),
-                       int((b + 0.5) * w / config.vsg_grid))
-                      for a in range(config.vsg_grid)
-                      for b in range(config.vsg_grid)]
         env_svl_pred = np.stack([
             extract_env_map(vol_result.volume, t.point, t.frame,
                             config.scene.env_height, config.scene.env_width,

@@ -85,6 +85,16 @@ class Frame:
         return Frame(normal=n, tangent=t, bitangent=b)
 
 
+def hemisphere_frames(normals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Tangents and bitangents (P, 3) for a batch of unit normals (P, 3),
+    built like ``Frame.from_normal``."""
+    ref = np.where(np.abs(normals[:, 2:3]) < 0.9, np.array([0.0, 0.0, 1.0]),
+                   np.array([1.0, 0.0, 0.0]))
+    t = np.cross(ref, normals)
+    t /= np.linalg.norm(t, axis=-1, keepdims=True)
+    return t, np.cross(normals, t)
+
+
 @dataclass(frozen=True)
 class SGLobe:
     """One spherical-Gaussian radiance lobe."""
@@ -188,6 +198,16 @@ def texel_directions(height: int, width: int, frame: Frame) -> np.ndarray:
              + np.sin(phi)[None, :, None] * frame.bitangent)
     dirs = st[..., None] * local + np.cos(theta)[:, None, None] * frame.normal
     return dirs
+
+
+def texel_local_directions(height: int, width: int) -> np.ndarray:
+    """Texel-centre unit directions (height * width, 3), row-major, in the
+    (tangent, bitangent, normal) frame."""
+    theta, phi = texel_angles(height, width)
+    st = np.sin(theta)
+    return np.stack([np.outer(st, np.cos(phi)).ravel(),
+                     np.outer(st, np.sin(phi)).ravel(),
+                     np.repeat(np.cos(theta), width)], axis=-1)
 
 
 def texel_solid_angles(height: int, width: int) -> np.ndarray:

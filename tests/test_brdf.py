@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from voxlight.brdf import (F0_DEFAULT, MaterialSample, fresnel_schlick, ggx_ndf,
                            half_vector, lobe_mask, render_diffuse,
@@ -335,3 +337,27 @@ class TestLobeMask:
         assert lobe_mask((1.0, 0.0, 0.0), -0.5) == 0
         assert lobe_mask((1.0, 0.0, 0.0), 0.0) == 0
         assert lobe_mask((1.0, 0.0, 0.0), 0.5) == 1
+
+
+unit_vectors = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
+    lambda v: np.linalg.norm(v) > 1e-2).map(unit)
+
+
+class TestSpecularBatchProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(v=unit_vectors, l=unit_vectors, n=unit_vectors,
+           roughness=st.floats(0.05, 1.0))
+    def test_batch_paths_agree_with_scalar(self, v, l, n, roughness):
+        from voxlight.brdf import _specular_batch, _specular_batch_many
+        # within 1e-9 of the horizon the paths are undefined: the scalar one
+        # raises (v + l ~ 0, or 4 (n.l)(n.v) underflows) and the batch ones
+        # return 0 or nan
+        assume(all(c <= 0.0 or c >= 1e-9 for c in (n @ v, n @ l)))
+        scalar = specular_brdf(v, l, n, roughness)
+        batch = _specular_batch(v, l[None], n, roughness, F0_DEFAULT)[0]
+        many = _specular_batch_many(v[None], l[None, None], n[None],
+                                    np.array([roughness]), F0_DEFAULT)[0, 0]
+        assert batch >= 0.0 and many >= 0.0
+        tol = 1e-9 * scalar + 1e-12
+        assert abs(batch - scalar) <= tol
+        assert abs(many - scalar) <= tol

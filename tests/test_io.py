@@ -158,6 +158,47 @@ class TestSurfaceVolume:
         np.testing.assert_allclose(back.rho, sv.rho, atol=1e-6)
 
 
+def _saved_volume(kind, path):
+    """Write a small VSG (``kind`` "vsg") or surface volume to ``path``."""
+    from voxlight.surface import SurfaceVolume
+    bounds = Bounds(lo=np.zeros(3), hi=np.ones(3))
+    if kind == "vsg":
+        vio.save_volume(path, VSGVolume(bounds=bounds, voxels=np.zeros((2, 3, 1, 7))))
+        return vio.load_volume
+    data = np.zeros((2, 3, 1, 10))
+    vio.save_surface_volume(path, SurfaceVolume(bounds=bounds, data=data,
+                                                rho=np.zeros((2, 3, 1))))
+    return vio.load_surface_volume
+
+
+@pytest.mark.parametrize("kind", ["vsg", "surface"])
+class TestSidecarChecks:
+    @pytest.mark.parametrize("delta", [-4, 4])
+    def test_sidecar_size_must_match_dims(self, tmp_path, kind, delta):
+        path = tmp_path / "v.json"
+        load = _saved_volume(kind, path)
+        binary = tmp_path / "v.bin"
+        payload = binary.read_bytes()
+        binary.write_bytes(payload[:delta] if delta < 0 else payload + b"\0" * delta)
+        with pytest.raises(ValueError, match=r"v\.json.*bytes"):
+            load(path)
+
+    @pytest.mark.parametrize("where", ["absolute", "parent"])
+    def test_sidecar_must_stay_in_header_directory(self, tmp_path, kind, where):
+        sub = tmp_path / "sub"
+        sub.mkdir()
+        path = sub / "v.json"
+        load = _saved_volume(kind, path)
+        # a well-formed sidecar outside the header's directory
+        outside = tmp_path / "v.bin"
+        (sub / "v.bin").rename(outside)
+        header = json.loads(path.read_text())
+        header["data"] = str(outside) if where == "absolute" else "../v.bin"
+        path.write_text(json.dumps(header))
+        with pytest.raises(ValueError, match=r"v\.json.*outside"):
+            load(path)
+
+
 class TestEnvTiling:
     def test_tile_untile_roundtrip(self):
         rng = np.random.default_rng(4)

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from voxlight.brdf import MaterialSample, rerender_pixel
-from voxlight.scene import SceneSpec, generate_scene, make_cameras
+from voxlight.scene import (SceneSpec, _scene_intersect, generate_scene,
+                            make_cameras, per_pixel_env_maps)
 from voxlight.sg import EnvMapGrid, Frame
 
 
@@ -131,3 +134,161 @@ class TestGenerateScene:
     def test_degenerate_spec_rejected(self):
         with pytest.raises(ValueError):
             generate_scene(small_spec(num_views=1, camera_pitch_deg=0.0))
+
+
+# ---------------------------------------------------------------------------
+# Frozen full-scan per_pixel_env_maps: every sub-ray of every texel of every
+# pixel, in pixel-row chunks. The culled version must equal it bitwise.
+# ---------------------------------------------------------------------------
+
+def _full_scan_box_t(origins, dirs, lo, hi):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv = np.where(np.abs(dirs) > 1e-300, 1.0 / dirs, np.inf)
+    t0 = (lo - origins) * inv
+    t1 = (hi - origins) * inv
+    t0, t1 = np.minimum(t0, t1), np.maximum(t0, t1)
+    near = np.max(t0, axis=-1)
+    far = np.min(t1, axis=-1)
+    hit = (far >= np.maximum(near, 0.0))
+    return np.where(hit, np.maximum(near, 0.0), np.inf)
+
+
+def full_scan_env_maps(spec, points, normals, chunk_rows=8):
+    h, w = points.shape[:2]
+    ha, wa = spec.env_height, spec.env_width
+    s = spec.env_supersample
+    lo = np.asarray(spec.light_center) - np.asarray(spec.light_size) / 2.0
+    hi = np.asarray(spec.light_center) + np.asarray(spec.light_size) / 2.0
+    radiance = np.asarray(spec.light_radiance)
+    dth = 0.5 * math.pi / ha
+    dph = 2.0 * math.pi / wa
+    sub = (np.arange(s) + 0.5) / s
+    edges = np.cos(np.arange(ha + 1) * dth)
+    cth = edges[:-1, None] + sub[None, :] * (edges[1:, None] - edges[:-1, None])
+    sth = np.sqrt(np.maximum(1.0 - cth * cth, 0.0))
+    ph = -math.pi + (np.arange(wa)[:, None] + sub[None, :]) * dph
+    sph, cph = np.sin(ph), np.cos(ph)
+    local = np.stack([
+        np.einsum("is,jt->ijst", sth, cph).reshape(ha, wa, s * s),
+        np.einsum("is,jt->ijst", sth, sph).reshape(ha, wa, s * s),
+        np.broadcast_to(cth[:, None, :, None], (ha, wa, s, s)).reshape(ha, wa, s * s),
+    ], axis=-1)
+    flat_p = points.reshape(-1, 3)
+    flat_n = normals.reshape(-1, 3)
+    ref = np.where(np.abs(flat_n[:, 2:3]) < 0.9, np.array([0.0, 0.0, 1.0]),
+                   np.array([1.0, 0.0, 0.0]))
+    tang = np.cross(ref, flat_n)
+    tang /= np.linalg.norm(tang, axis=-1, keepdims=True)
+    bit = np.cross(flat_n, tang)
+    out = np.empty((h * w, ha, wa, 3))
+    step = max(chunk_rows * w, 1)
+    eps = 1e-5
+    for start in range(0, h * w, step):
+        sl = slice(start, min(start + step, h * w))
+        dirs = (local[None, ..., 0, None] * tang[sl, None, None, None, :]
+                + local[None, ..., 1, None] * bit[sl, None, None, None, :]
+                + local[None, ..., 2, None] * flat_n[sl, None, None, None, :])
+        origins = flat_p[sl][:, None, None, None, :] + eps * flat_n[sl][:, None, None, None, :]
+        origins = np.broadcast_to(origins, dirs.shape)
+        t_light = _full_scan_box_t(origins, dirs, lo, hi)
+        t_occ, _ = _scene_intersect(spec, origins, dirs)
+        visible = np.isfinite(t_light) & (t_light < t_occ)
+        out[sl] = visible.mean(axis=-1)[..., None] * radiance
+    return out.reshape(h, w, ha, wa, 3)
+
+
+def view_surface(spec):
+    """World points and normals seen by the first camera of ``spec``."""
+    cam = make_cameras(spec, mean_depth=2.5)[0]
+    dirs = cam.pixel_directions(spec.image_height, spec.image_width)
+    origins = np.broadcast_to(cam.center, dirs.shape)
+    t, which = _scene_intersect(spec, origins, dirs)
+    assert np.all(np.isfinite(t))
+    normals = np.where(which[..., None] == 0, np.array([0.0, 0.0, 1.0]),
+                       np.array([0.0, -1.0, 0.0]))
+    return origins + t[..., None] * dirs, normals
+
+
+def assert_matches_full_scan(spec, points, normals):
+    got = per_pixel_env_maps(spec, points, normals)
+    want = full_scan_env_maps(spec, points, normals)
+    np.testing.assert_array_equal(got, want)
+    assert got.tobytes() == want.tobytes()
+    return got
+
+
+class TestEnvMapCull:
+    def test_default_spec_bitwise(self):
+        spec = SceneSpec()
+        got = assert_matches_full_scan(spec, *view_surface(spec))
+        # lit texels exist, and most of the texels are dark
+        lit = np.any(got > 0.0, axis=-1).sum(axis=(2, 3))
+        assert lit.min() >= 1 and lit.mean() < 0.1 * spec.env_height * spec.env_width
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(wall_offset=4.5), dict(wall_offset=1.5, camera_pitch_deg=25.0),
+        dict(env_supersample=1), dict(env_supersample=4),
+        dict(env_height=4, env_width=8), dict(env_height=16, env_width=32)])
+    def test_spec_variants_bitwise(self, kwargs):
+        spec = small_spec(**kwargs)
+        assert_matches_full_scan(spec, *view_surface(spec))
+
+    def test_tilted_normals_bitwise(self):
+        spec = small_spec(wall_offset=4.5)
+        points, normals = view_surface(spec)
+        rng = np.random.default_rng(7)
+        tilted = normals + rng.normal(scale=0.6, size=normals.shape)
+        tilted /= np.linalg.norm(tilted, axis=-1, keepdims=True)
+        assert_matches_full_scan(spec, points, tilted)
+
+    def test_points_near_and_inside_the_light(self):
+        spec = SceneSpec()
+        c = np.asarray(spec.light_center)
+        r = 0.5 * float(np.linalg.norm(spec.light_size))
+        offsets = np.array([[0.0, 0.0, 0.0], [0.3, 0.2, -0.1],   # inside the box
+                            [0.0, 0.0, -0.26], [0.5, 0.0, 0.0],  # inside the sphere
+                            [0.0, 0.0, -0.99 * r], [0.0, -1.01 * r, 0.0],
+                            [0.0, 0.0, -2.0 * r]])
+        points = (c + offsets)[None]
+        normals = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [0.0, 0.0, 1.0],
+                            [-1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0],
+                            [0.0, 0.0, 1.0]])[None]
+        got = assert_matches_full_scan(spec, points, normals)
+        # from inside the box every sub-ray sees the light
+        np.testing.assert_array_equal(got[0, 0], np.broadcast_to(
+            spec.light_radiance, got[0, 0].shape))
+
+    def test_origin_at_the_light_centre(self):
+        spec = SceneSpec()
+        normal = np.array([0.0, 0.0, 1.0])
+        point = np.asarray(spec.light_center) - 1e-5 * normal
+        assert np.array_equal(point + 1e-5 * normal, spec.light_center)
+        got = assert_matches_full_scan(spec, point[None, None], normal[None, None])
+        assert np.all(got > 0.0)
+
+    def test_points_around_the_light(self):
+        # shells at 1.02r-3r around the light: the light covers a wide cone
+        spec = SceneSpec()
+        c = np.asarray(spec.light_center)
+        r = 0.5 * float(np.linalg.norm(spec.light_size))
+        rng = np.random.default_rng(11)
+        dirs = rng.normal(size=(40, 3))
+        dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
+        radii = np.array([1.02, 1.1, 1.3, 1.7, 2.2, 3.0])[:, None, None] * r
+        points = c + radii * dirs                          # (6, 40, 3)
+        normals = -dirs + rng.normal(scale=0.5, size=points.shape)
+        normals /= np.linalg.norm(normals, axis=-1, keepdims=True)
+        assert_matches_full_scan(spec, points, normals)
+
+    @settings(max_examples=40, deadline=None)
+    @given(points=st.lists(st.tuples(st.floats(-2.0, 3.0), st.floats(-2.5, 4.0),
+                                      st.floats(0.0, 3.5)), min_size=1, max_size=6),
+           normals=st.lists(st.tuples(*[st.floats(-1.0, 1.0)] * 3),
+                            min_size=6, max_size=6),
+           wall=st.sampled_from([None, 1.5, 4.5]))
+    def test_random_points_and_normals_bitwise(self, points, normals, wall):
+        spec = SceneSpec(wall_offset=wall)
+        n = np.array(normals[:len(points)])
+        length = np.linalg.norm(n, axis=-1, keepdims=True)
+        n = np.where(length > 1e-3, n / np.maximum(length, 1e-3), [0.0, 0.0, 1.0])
+        assert_matches_full_scan(spec, np.array(points)[None], n[None])
