@@ -26,17 +26,17 @@ from .volume import Bounds, EnvTarget, VSGFitOptions, extract_env_map, vsg_fit
 
 
 def _load_config(path, cls):
-    doc = json.loads(Path(path).read_text()) if path else {}
+    return _build_config(json.loads(Path(path).read_text()) if path else {}, cls)
+
+
+def _build_config(doc, cls):
     fields = {f.name for f in dataclasses.fields(cls)}
     unknown = set(doc) - fields
     if unknown:
         raise SystemExit(f"unknown config fields for {cls.__name__}: {sorted(unknown)}")
-    for key, value in doc.items():
-        if isinstance(value, list):
-            doc[key] = tuple(value)
+    doc = {k: tuple(v) if isinstance(v, list) else v for k, v in doc.items()}
     if cls is DemoConfig and "scene" in doc:
-        doc["scene"] = SceneSpec(**{k: tuple(v) if isinstance(v, list) else v
-                                    for k, v in doc["scene"].items()})
+        doc["scene"] = _build_config(doc["scene"], SceneSpec)
     return cls(**doc)
 
 

@@ -30,6 +30,7 @@ class FitReport:
     final_objective: float
     objective_trace: list[float] = field(repr=False)
     message: str = ""
+    stop_reason: str = ""  # "max_iters", "objective_tol" or "stalled"
 
 
 @dataclass
@@ -73,6 +74,7 @@ def minimize_monotone(
     accepted = 0
     accepted_since_restart = 1  # allow one restart before declaring failure
     iterations = 0
+    stop_reason = "max_iters"
     for iterations in range(1, max_iters + 1):
         # Momentum damps coordinates whose gradient alternates sign near
         # their optimum, so persistent directions keep marching while the
@@ -90,13 +92,15 @@ def minimize_monotone(
             accepted_since_restart += 1
             trace.append(value)
             if objective_tol > 0.0 and value <= objective_tol:
+                stop_reason = "objective_tol"
                 break
         else:
             first_moment *= 0.5  # fade stale momentum on rejection
             step *= shrink
             if step < min_step:
                 if accepted_since_restart == 0:
-                    break  # a fresh restart also stalled; truly stuck
+                    stop_reason = "stalled"  # a fresh restart also stalled
+                    break
                 # deterministic warm restart: drop stale curvature/momentum
                 first_moment[:] = 0.0
                 second_moment = grad * grad
@@ -115,5 +119,6 @@ def minimize_monotone(
         final_objective=float(value),
         objective_trace=trace,
         message=message,
+        stop_reason=stop_reason,
     )
     return MinimizeResult(x=x, objective=float(value), gradient=grad, report=report)

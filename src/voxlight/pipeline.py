@@ -45,8 +45,6 @@ class DemoConfig:
     shadow_dirs: tuple[int, int] = (8, 16)
     insert_samples: int = 32
     feature_stride: int = 16      # pixel stride for the aggregation probe
-    seed: int = 0                 # reserved; every stage is deterministic
-    threads: int = 1              # bitwise determinism is claimed for 1
 
 
 class StageError(RuntimeError):

@@ -49,7 +49,6 @@ class SceneSpec:
     light_size: tuple[float, float, float] = (0.9, 0.9, 0.5)
     light_radiance: tuple[float, float, float] = (14.0, 12.5, 11.0)
     env_supersample: int = 3
-    seed: int = 0  # reserved; generation is fully deterministic
 
     def __post_init__(self):
         if not (1 <= self.num_views <= 9):

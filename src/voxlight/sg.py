@@ -308,23 +308,23 @@ def _env_to_params(env: SGEnvironment, floor_sharp: float, floor_int: float) -> 
 _LOG_PARAM_LIMIT = 30.0
 
 
+def export_lobe_params(theta, phi, log_params):
+    """Fitted lobe parameters in export form, elementwise: theta folded into
+    [0, pi] (turning phi by pi where it folds), phi wrapped into [-pi, pi),
+    and exp of the log parameters clipped to +-_LOG_PARAM_LIMIT."""
+    theta = np.mod(theta, 2.0 * math.pi)
+    over = theta > math.pi
+    theta = np.where(over, 2.0 * math.pi - theta, theta)
+    phi = np.mod(np.where(over, phi + math.pi, phi) + math.pi, 2.0 * math.pi) - math.pi
+    return theta, phi, np.exp(np.clip(log_params, -_LOG_PARAM_LIMIT, _LOG_PARAM_LIMIT))
+
+
 def _params_to_env(params: np.ndarray) -> SGEnvironment:
-    lobes = []
-    for s in range(params.shape[0]):
-        theta = float(params[s, 0]) % (2.0 * math.pi)
-        phi = float(params[s, 1])
-        if theta > math.pi:  # fold theta back into [0, pi], rotating phi
-            theta = 2.0 * math.pi - theta
-            phi += math.pi
-        phi = (phi + math.pi) % (2.0 * math.pi) - math.pi
-        logs = np.clip(params[s, 2:6], -_LOG_PARAM_LIMIT, _LOG_PARAM_LIMIT)
-        lobes.append(SGLobe(
-            axis_theta=theta,
-            axis_phi=phi,
-            sharpness=float(np.exp(logs[0])),
-            intensity=tuple(np.exp(logs[1:4])),
-        ))
-    return SGEnvironment(lobes=tuple(lobes))
+    theta, phi, values = export_lobe_params(params[:, 0], params[:, 1], params[:, 2:6])
+    return SGEnvironment(lobes=tuple(
+        SGLobe(axis_theta=float(t), axis_phi=float(f), sharpness=float(v[0]),
+               intensity=tuple(v[1:4]))
+        for t, f, v in zip(theta, phi, values)))
 
 
 def _lobe_batch(params: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

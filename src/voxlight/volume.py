@@ -11,6 +11,10 @@ Rendering and fitting share one core: ``_stencil`` (a base voxel index, 8
 constant corner offsets and 8 weights per sample) and ``_trilinear`` (one
 gather per corner from a channel-major table). ``composite_rays`` marches
 sample-major chunks of ~16k samples, bitwise equal to marching rays alone.
+The fit objective keeps every per-sample array channel-major (C, R, N) over
+ray-major samples and scatters its gradient with one ``bincount`` per field
+over (sample, corner) keys, so each voxel adds the same terms in the same
+(ray, sample, corner) order as a single scatter over all fields would.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .optim import FitReport, minimize_monotone
-from .sg import EnvMapGrid, Frame, _as_unit, texel_directions
+from .sg import EnvMapGrid, Frame, _as_unit, export_lobe_params, texel_directions
 
 ENV_EPS_FACTOR = 1e-3  # surface offset, in units of mean voxel size
 
@@ -360,8 +364,10 @@ class VSGFitResult:
 
 
 class VSGFitProblem:
-    """Precomputed geometry for the fit objective: per-target texel rays,
-    interpolation stencils, and flattened target radiance."""
+    """Precomputed geometry for the fit objective: per-target texel rays, the
+    ray-major stencil of their samples (weights zeroed on rays that miss the
+    box), the voxel key of every (sample, corner) pair for the per-field
+    gradient scatter, and flattened target radiance."""
 
     def __init__(self, targets, dims, bounds: Bounds, options: VSGFitOptions):
         if len(targets) == 0:
@@ -404,12 +410,9 @@ class VSGFitProblem:
         base, offsets, weights = _stencil(template, points.reshape(3, -1))
         weights *= np.repeat(hit, n)
         self.stencil = (base, offsets, weights)   # ray-major samples
-        self.weights = np.ascontiguousarray(weights.T).reshape(-1, n, 8)
-        self.neg_dirs = -self.directions
-        # scatter keys are fixed: voxel index * 8 + gradient field index, in
-        # (ray, sample, corner, field) order
-        self.scatter_keys = ((base[:, None] + offsets)[..., None] * 8
-                             + np.arange(8)).ravel()
+        self.neg_dirs = -self.directions.T[..., None]   # (3, R, 1)
+        # voxel index of every (sample, corner) pair, in that order
+        self.corner_keys = (base[:, None] + offsets).ravel()
 
 
 def _split_params(params: np.ndarray, n_voxels: int):
@@ -466,26 +469,29 @@ def _vsg_objective_impl(params: np.ndarray, problem: VSGFitProblem):
     opts = problem.options
     nvox = problem.n_voxels
     p, alpha_v, axis_v, sharp_v, eta_v, trig = _split_params(params, nvox)
-    w = problem.weights
+    n_rays = problem.directions.shape[0]
 
-    # one gather for all 8 interpolated fields: alpha, axis xyz, sharp, eta
+    # one gather for all 8 interpolated fields: alpha, axis xyz, sharp, eta,
+    # each channel-major (R, N) over the ray-major samples
     table = np.concatenate([alpha_v[None], axis_v.T, sharp_v[None], eta_v.T])
-    interp = np.ascontiguousarray(
-        _trilinear(table, problem.stencil).T).reshape(w.shape)   # (R, N, 8)
-    alpha, u, sharp, eta = (interp[..., 0], interp[..., 1:4], interp[..., 4],
-                            interp[..., 5:8])
-    norm = np.linalg.norm(u, axis=-1, keepdims=True)
+    interp = _trilinear(table, problem.stencil).reshape(8, n_rays, -1)
+    alpha, u, sharp, eta = interp[0], interp[1:4], interp[4], interp[5:8]
+    nd = problem.neg_dirs                                    # (3, R, 1)
+    # 3-term sums over xyz or rgb add (x0 + x1) + x2, as np.sum does over a
+    # trailing axis of length 3
+    norm = np.sqrt((u[0] * u[0] + u[1] * u[1]) + u[2] * u[2])
     safe = np.where(norm > 1e-12, norm, 1.0)
     axis = u / safe
-
-    dots = np.sum(axis * problem.neg_dirs[:, None, :], axis=-1)
+    dots = (axis[0] * nd[0] + axis[1] * nd[1]) + axis[2] * nd[2]
     expo = np.exp(sharp * (dots - 1.0))
-    emit = eta * expo[..., None]
+    emit = eta * expo
     trans = np.cumprod(1.0 - alpha, axis=-1)
-    excl = np.concatenate([np.ones((alpha.shape[0], 1)), trans[:, :-1]], axis=-1)
+    excl = np.concatenate([np.ones((n_rays, 1)), trans[:, :-1]], axis=-1)
     wgt = excl * alpha
-    contrib = wgt[..., None] * emit
-    rendered = np.sum(contrib, axis=1)
+    contrib = wgt * emit
+    # a running sum adds the samples in order; np.sum over the contiguous
+    # sample axis would add them pairwise
+    rendered = np.ascontiguousarray(np.cumsum(contrib, axis=-1)[..., -1].T)
 
     value = 0.0
     d_rendered = np.empty_like(rendered)
@@ -502,33 +508,38 @@ def _vsg_objective_impl(params: np.ndarray, problem: VSGFitProblem):
         tiny, -np.log(np.where(tiny, alpha_v, 1.0)) - 1.0, 0.0)
 
     # tail_n = radiance composited from samples > n, non-recursive suffix form
-    suffix = np.cumsum(contrib[:, ::-1], axis=1)[:, ::-1]
-    tail_next = np.concatenate(
-        [suffix[:, 1:], np.zeros((alpha.shape[0], 1, 3))], axis=1)
+    suffix = np.cumsum(contrib[..., ::-1], axis=-1)[..., ::-1]
+    tail_next = np.concatenate([suffix[..., 1:], np.zeros((3, n_rays, 1))], axis=-1)
     tsafe = np.where(trans > 1e-290, trans, 1.0)
-    tail = np.where(trans[..., None] > 1e-290, tail_next / tsafe[..., None], 0.0)
-    d_emit = wgt[..., None] * d_rendered[:, None, :]
-    d_alpha = np.sum(d_rendered[:, None, :] * excl[..., None] * (emit - tail),
-                     axis=-1)
+    tail = np.where(trans > 1e-290, tail_next / tsafe, 0.0)
+    d_r = d_rendered.T[..., None]                            # (3, R, 1)
+    d_emit = wgt * d_r
+    q = d_r * excl * (emit - tail)
+    d_alpha = (q[0] + q[1]) + q[2]
 
-    d_expo = np.sum(d_emit * eta, axis=-1)
-    d_eta = d_emit * expo[..., None]
+    q = d_emit * eta
+    d_expo = (q[0] + q[1]) + q[2]
+    d_eta = d_emit * expo
     d_sharp = d_expo * expo * (dots - 1.0)
     d_dots = d_expo * expo * sharp
-    d_axis = d_dots[..., None] * problem.neg_dirs[:, None, :]
-    d_u = (d_axis - axis * np.sum(axis * d_axis, axis=-1, keepdims=True)) / safe
+    d_axis = d_dots * nd
+    q = axis * d_axis
+    d_u = (d_axis - axis * ((q[0] + q[1]) + q[2])) / safe
     d_u = np.where(norm > 1e-12, d_u, 0.0)
 
-    # one scatter for all 8 per-sample gradients, keyed by voxel * 8 + field
-    sample_grads = np.concatenate(
-        [d_alpha[..., None], d_u, d_sharp[..., None], d_eta], axis=-1)  # (R, N, 8)
-    weighted = w[..., None] * sample_grads[..., None, :]                # (R, N, 8, 8)
-    accum = np.bincount(problem.scatter_keys, weights=weighted.ravel(),
-                        minlength=nvox * 8).reshape(nvox, 8)
-    d_alpha_vox = d_alpha_reg + accum[:, 0]
-    d_axis_vox = accum[:, 1:4]
-    d_sharp_vox = accum[:, 4]
-    d_eta_vox = accum[:, 5:8]
+    # one scatter per field over the (sample, corner) keys, so each voxel's
+    # bin adds its terms in (ray, sample, corner) order
+    weights = problem.stencil[2].T                           # (P, 8)
+    weighted = np.empty(weights.shape)
+    accum = np.empty((8, nvox))
+    for f, g in enumerate((d_alpha, *d_u, d_sharp, *d_eta)):
+        np.multiply(weights, g.reshape(-1, 1), out=weighted)
+        accum[f] = np.bincount(problem.corner_keys, weights=weighted.ravel(),
+                               minlength=nvox)
+    d_alpha_vox = d_alpha_reg + accum[0]
+    d_axis_vox = accum[1:4].T
+    d_sharp_vox = accum[4]
+    d_eta_vox = accum[5:8].T
 
     st, ct, sp, cp = trig
     grad = np.empty_like(p)
@@ -564,23 +575,10 @@ def _initial_params(problem: VSGFitProblem) -> np.ndarray:
     return p.ravel()
 
 
-# export range for log parameters, as in the SG fitter: drifting
-# zero-influence coordinates must stay finite in float32 volume files
-_LOG_PARAM_LIMIT = 30.0
-
-
 def _params_to_volume(params: np.ndarray, problem: VSGFitProblem) -> VSGVolume:
     p, alpha, *_ = _split_params(params, problem.n_voxels)
-    theta = np.mod(p[:, 1], 2.0 * math.pi)
-    phi = p[:, 2].copy()
-    over = theta > math.pi
-    theta[over] = 2.0 * math.pi - theta[over]
-    phi[over] += math.pi
-    phi = np.mod(phi + math.pi, 2.0 * math.pi) - math.pi
-    sharp = np.exp(np.clip(p[:, 3], -_LOG_PARAM_LIMIT, _LOG_PARAM_LIMIT))
-    eta = np.exp(np.clip(p[:, 4:7], -_LOG_PARAM_LIMIT, _LOG_PARAM_LIMIT))
-    voxels = np.stack([np.clip(alpha, 0.0, 1.0), theta, phi, sharp,
-                       eta[:, 0], eta[:, 1], eta[:, 2]], axis=-1)
+    theta, phi, values = export_lobe_params(p[:, 1], p[:, 2], p[:, 3:7])
+    voxels = np.column_stack([np.clip(alpha, 0.0, 1.0), theta, phi, values])
     return VSGVolume(bounds=problem.bounds,
                      voxels=voxels.reshape(problem.dims + (7,)))
 

@@ -35,6 +35,16 @@ class TestGenScene:
                   str(tmp_path / "x")])
 
 
+    @pytest.mark.parametrize("command, doc", [("gen-scene", {"seed": 0}),
+                                              ("demo", {"seed": 0}),
+                                              ("demo", {"scene": {"seed": 0}})])
+    def test_rejects_removed_seed_field(self, command, doc, tmp_path):
+        config = tmp_path / "seeded.json"
+        config.write_text(json.dumps(doc))
+        with pytest.raises(SystemExit, match="unknown config fields.*'seed'"):
+            main([command, "--config", str(config), "--out", str(tmp_path / "x")])
+
+
 class TestFitSg(object):
     def test_fit_and_save(self, scene_dir, tmp_path):
         # fit the env map observed at one pixel of the generated scene

@@ -45,3 +45,25 @@ def test_rejects_non_finite_proposals():
 
     result = minimize_monotone(touchy, np.array([1.4]), max_iters=200, step=5.0)
     assert result.objective < 1e-6
+
+
+class TestStopReason:
+    def test_max_iters(self):
+        result = minimize_monotone(quadratic, np.array([3.0, -2.0]), max_iters=5)
+        assert result.report.iterations == 5
+        assert result.report.stop_reason == "max_iters"
+
+    def test_objective_tol(self):
+        result = minimize_monotone(quadratic, np.array([3.0, -2.0]), max_iters=500,
+                                   step=0.5, objective_tol=1e-3)
+        assert result.report.iterations < 500
+        assert result.report.final_objective <= 1e-3
+        assert result.report.stop_reason == "objective_tol"
+
+    def test_stalled(self):
+        # nothing improves, so the step underflows twice: before and after
+        # the warm restart
+        result = minimize_monotone(lambda x: (1.0, np.zeros_like(x)), np.ones(3),
+                                   max_iters=500)
+        assert result.report.iterations < 500
+        assert result.report.stop_reason == "stalled"

@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 from voxlight.sg import (EnvMapGrid, Frame, SGEnvironment, SGFitOptions, SGLobe,
-                         default_sg_init, eval_env, eval_sg, fibonacci_hemisphere,
-                         rasterize_env, sg_fit, sg_fit_objective,
-                         texel_directions, texel_solid_angles)
+                         _params_to_env, default_sg_init, eval_env, eval_sg,
+                         export_lobe_params, fibonacci_hemisphere, rasterize_env,
+                         sg_fit, sg_fit_objective, texel_directions,
+                         texel_solid_angles)
+from voxlight.volume import (Bounds, EnvTarget, VSGFitOptions, VSGFitProblem,
+                             _params_to_volume)
 
 FRAME = Frame.from_normal([0.0, 0.0, 1.0])
 
@@ -243,3 +246,77 @@ class TestFit:
         a = default_sg_init(grid, 3)
         b = default_sg_init(grid, 3)
         assert a == b
+
+
+# Frozen copies of the two export paths that export_lobe_params replaced: the
+# per-lobe scalar fold of the SG fitter and the vectorized fold of the VSG
+# fitter, each with its own copy of the +-30 log-parameter clip.
+
+
+def _reference_sg_export(params):
+    out = []
+    for s in range(params.shape[0]):
+        theta = float(params[s, 0]) % (2.0 * math.pi)
+        phi = float(params[s, 1])
+        if theta > math.pi:
+            theta = 2.0 * math.pi - theta
+            phi += math.pi
+        phi = (phi + math.pi) % (2.0 * math.pi) - math.pi
+        logs = np.clip(params[s, 2:6], -30.0, 30.0)
+        out.append((theta, phi, float(np.exp(logs[0])), tuple(np.exp(logs[1:4]))))
+    return out
+
+
+def _reference_volume_export(p):
+    theta = np.mod(p[:, 1], 2.0 * math.pi)
+    phi = p[:, 2].copy()
+    over = theta > math.pi
+    theta[over] = 2.0 * math.pi - theta[over]
+    phi[over] += math.pi
+    phi = np.mod(phi + math.pi, 2.0 * math.pi) - math.pi
+    sharp = np.exp(np.clip(p[:, 3], -30.0, 30.0))
+    eta = np.exp(np.clip(p[:, 4:7], -30.0, 30.0))
+    return np.stack([theta, phi, sharp, eta[:, 0], eta[:, 1], eta[:, 2]], axis=-1)
+
+
+def wrapped_angles(rng, count):
+    """Angles up to seven turns out on both sides, with exact multiples of pi
+    and of 2 pi among them."""
+    turns = rng.integers(-7, 8, count) * 2.0 * math.pi
+    angles = turns + rng.uniform(-2.0 * math.pi, 2.0 * math.pi, count)
+    angles[:30] = np.arange(-15, 15) * math.pi
+    return rng.permutation(angles)
+
+
+class TestExportLobeParams:
+    def params(self, seed, count=600):
+        rng = np.random.default_rng(seed)
+        logs = rng.uniform(-80.0, 80.0, (count, 4))
+        logs[:8].flat[:32] = np.tile([30.0, -30.0, 30.0000001, -30.0000001,
+                                      29.9999999, -29.9999999, 0.0, -0.0], 4)
+        return np.column_stack([wrapped_angles(rng, count), wrapped_angles(rng, count),
+                                rng.permutation(logs)])
+
+    def test_sg_export_bitwise_equal_to_scalar_fold(self):
+        params = self.params(0)
+        env = _params_to_env(params)
+        for lobe, (theta, phi, sharp, eta) in zip(env.lobes, _reference_sg_export(params)):
+            got = np.array([lobe.axis_theta, lobe.axis_phi, lobe.sharpness, *lobe.intensity])
+            assert got.tobytes() == np.array([theta, phi, sharp, *eta]).tobytes()
+
+    def test_volume_export_bitwise_equal_to_vectorized_fold(self):
+        params = self.params(1, count=7 * 5 * 3)
+        raw = np.column_stack([np.zeros(len(params)), params]).ravel()
+        grid = EnvMapGrid(width=2, height=1, frame=FRAME, texels=np.ones((1, 2, 3)))
+        problem = VSGFitProblem([EnvTarget(np.full(3, 0.5), FRAME, grid)], (7, 5, 3),
+                                Bounds(lo=np.zeros(3), hi=np.ones(3)), VSGFitOptions())
+        voxels = _params_to_volume(raw, problem).voxels.reshape(-1, 7)
+        want = _reference_volume_export(raw.reshape(-1, 7))
+        assert np.ascontiguousarray(voxels[:, 1:]).tobytes() == want.tobytes()
+
+    def test_folded_ranges(self):
+        params = self.params(2)
+        theta, phi, values = export_lobe_params(params[:, 0], params[:, 1], params[:, 2:6])
+        assert np.all((theta >= 0.0) & (theta <= math.pi))
+        assert np.all((phi >= -math.pi) & (phi < math.pi))
+        assert np.all((values >= math.exp(-30.0)) & (values <= math.exp(30.0)))

@@ -1,4 +1,3 @@
-import copy
 import math
 
 import numpy as np
@@ -6,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from voxlight import volume as volume_module
-from voxlight.sg import EnvMapGrid, Frame
+from voxlight.optim import minimize_monotone
+from voxlight.sg import EnvMapGrid, Frame, texel_directions
 from voxlight.volume import (_CHUNK_SAMPLES, Bounds, EnvTarget, Ray,
                              VSGFitOptions, VSGFitProblem, VSGVolume,
-                             _initial_params, _stencil, composite_ray,
+                             _initial_params, _params_to_volume, _stencil,
+                             composite_ray,
                              composite_rays, compositing_weights, env_offset,
                              extract_env_map, sample_ray, vsg_fit,
                              vsg_fit_objective)
@@ -202,17 +202,31 @@ class TestExtractEnvMap:
                                               composite_ray(vol, ray, 24))
 
 
+TILTED = Frame.from_normal(np.array([0.3, 0.2, 0.93]) / np.linalg.norm([0.3, 0.2, 0.93]))
+
+
+def env_targets(rng, points, frames, height=4, width=8):
+    return [EnvTarget(point=np.asarray(point, dtype=np.float64), frame=frame,
+                      grid=EnvMapGrid(width=width, height=height, frame=frame,
+                                      texels=rng.uniform(0.0, 3.0, (height, width, 3))))
+            for point, frame in zip(points, frames)]
+
+
+def fit_targets(rng):
+    return env_targets(rng, [(0.7, 0.9, 0.3), (1.0, 0.9, 0.3)], [FRAME, TILTED])
+
+
+def outside_targets(rng):
+    """Three targets, two of them outside the box, so some texel rays miss it."""
+    return env_targets(rng, [(1.0, 1.0, -0.4), (-0.5, 1.2, 1.0), (1.3, 0.6, 0.5)],
+                       [FRAME, Frame.from_normal([1.0, 0.0, 0.0]), TILTED],
+                       height=3, width=6)
+
+
 class TestFitObjective:
     def build_problem(self, rng, dims=(4, 4, 4), n_samples=8):
-        frames = [FRAME, Frame.from_normal(np.array([0.3, 0.2, 0.93])
-                                           / np.linalg.norm([0.3, 0.2, 0.93]))]
-        targets = []
-        for i, frame in enumerate(frames):
-            texels = rng.uniform(0.0, 3.0, (4, 8, 3))
-            targets.append(EnvTarget(
-                point=np.array([0.7 + 0.3 * i, 0.9, 0.3]), frame=frame,
-                grid=EnvMapGrid(width=8, height=4, frame=frame, texels=texels)))
-        return VSGFitProblem(targets, dims, BOUNDS, VSGFitOptions(n_samples=n_samples))
+        return VSGFitProblem(fit_targets(rng), dims, BOUNDS,
+                             VSGFitOptions(n_samples=n_samples))
 
     def test_gradient_matches_central_differences(self):
         rng = np.random.default_rng(12)
@@ -369,21 +383,129 @@ def _reference_composite(volume, origins, directions, t_max, n_samples):
     return np.maximum(np.sum((excl * alpha)[..., None] * emit, axis=1), 0.0)
 
 
-def _reference_objective(params, problem, origins, monkeypatch):
-    """The fit objective with the reference stencil, gather and scatter keys
-    in place of the corner-major ones."""
-    template = VSGVolume.uniform(problem.dims, problem.bounds)
-    points, valid = _reference_samples(problem.bounds, origins, problem.directions,
-                                       problem.bounds.diagonal,
-                                       problem.options.n_samples)
-    idx, w = _reference_corners(template, points)
-    reference = copy.copy(problem)
-    reference.weights = w * valid[:, None, None]
-    reference.scatter_keys = (idx[..., None] * 8 + np.arange(8)).ravel()
-    with monkeypatch.context() as patch:
-        patch.setattr(volume_module, "_trilinear", lambda table, stencil: np.einsum(
-            "rnk,rnkc->rnc", reference.weights, table.T[idx]).reshape(-1, 8).T)
-        return vsg_fit_objective(params, reference)
+# Frozen reference objective: the ray-major (R, N, C) objective whose
+# backward builds the (R, N, 8, 8) product of corner weights and per-sample
+# gradients and scatters it with one bincount over 64 keys per sample (voxel
+# * 8 + field, in (ray, sample, corner, field) order). The channel-major
+# objective must reproduce it bitwise.
+
+
+def _reference_rays(targets, dims, bounds):
+    eps = env_offset(VSGVolume.uniform(dims, bounds))
+    origins, dirs = [], []
+    for t in targets:
+        d = texel_directions(t.grid.height, t.grid.width, t.frame).reshape(-1, 3)
+        origins.append(np.broadcast_to(t.point + eps * t.frame.normal, d.shape))
+        dirs.append(d)
+    return np.concatenate(origins), np.concatenate(dirs)
+
+
+def _reference_g4(target, rendered):
+    with np.errstate(over="ignore"):
+        sbb = float(np.sum(rendered * rendered))
+    if not math.isfinite(sbb):
+        return math.inf, np.zeros_like(rendered)
+    if sbb < 1e-300:
+        log_a = np.log1p(target)
+        return float(np.mean(log_a * log_a)), np.zeros_like(rendered)
+    sab = float(np.sum(target * rendered))
+    tau = sab / sbb
+    scaled = tau * rendered + 1.0
+    diff = np.log1p(target) - np.log(scaled)
+    n = diff.size
+    value = float(np.mean(diff * diff))
+    base = (-2.0 / n) * diff / scaled
+    grad = base * tau
+    dtau = float(np.sum(base * rendered))
+    grad = grad + dtau * (target - 2.0 * tau * rendered) / sbb
+    return value, grad
+
+
+def _reference_objective_impl(params, targets, dims, bounds, opts):
+    nvox = int(np.prod(dims))
+    p = params.reshape(nvox, 7)
+    alpha_v = 1.0 / (1.0 + np.exp(-p[:, 0]))
+    st, ct = np.sin(p[:, 1]), np.cos(p[:, 1])
+    sp, cp = np.sin(p[:, 2]), np.cos(p[:, 2])
+    axis_v = np.stack([st * cp, st * sp, ct], axis=-1)
+    sharp_v, eta_v = np.exp(p[:, 3]), np.exp(p[:, 4:7])
+
+    origins, directions = _reference_rays(targets, dims, bounds)
+    points, valid = _reference_samples(bounds, origins, directions,
+                                       bounds.diagonal, opts.n_samples)
+    idx, w = _reference_corners(VSGVolume.uniform(dims, bounds), points)
+    w = w * valid[:, None, None]
+    fields = np.concatenate([alpha_v[:, None], axis_v, sharp_v[:, None], eta_v], axis=-1)
+    interp = np.einsum("rnk,rnkc->rnc", w, fields[idx])
+    alpha, u, sharp, eta = (interp[..., 0], interp[..., 1:4], interp[..., 4],
+                            interp[..., 5:8])
+    norm = np.linalg.norm(u, axis=-1, keepdims=True)
+    safe = np.where(norm > 1e-12, norm, 1.0)
+    axis = u / safe
+    dots = np.sum(axis * -directions[:, None, :], axis=-1)
+    expo = np.exp(sharp * (dots - 1.0))
+    emit = eta * expo[..., None]
+    trans = np.cumprod(1.0 - alpha, axis=-1)
+    excl = np.concatenate([np.ones((alpha.shape[0], 1)), trans[:, :-1]], axis=-1)
+    wgt = excl * alpha
+    contrib = wgt[..., None] * emit
+    rendered = np.sum(contrib, axis=1)
+
+    value = 0.0
+    d_rendered = np.empty_like(rendered)
+    start = 0
+    for t in targets:
+        sl = slice(start, start + t.grid.height * t.grid.width)
+        start = sl.stop
+        v, g = _reference_g4(t.grid.texels.reshape(-1, 3), rendered[sl])
+        value += opts.beta_fit * v
+        d_rendered[sl] = opts.beta_fit * g
+    tiny = alpha_v > 1e-290
+    ent = np.where(tiny, -alpha_v * np.log(np.where(tiny, alpha_v, 1.0)), 0.0)
+    value += opts.beta_entropy * float(np.mean(ent))
+    d_alpha_reg = opts.beta_entropy / nvox * np.where(
+        tiny, -np.log(np.where(tiny, alpha_v, 1.0)) - 1.0, 0.0)
+
+    suffix = np.cumsum(contrib[:, ::-1], axis=1)[:, ::-1]
+    tail_next = np.concatenate(
+        [suffix[:, 1:], np.zeros((alpha.shape[0], 1, 3))], axis=1)
+    tsafe = np.where(trans > 1e-290, trans, 1.0)
+    tail = np.where(trans[..., None] > 1e-290, tail_next / tsafe[..., None], 0.0)
+    d_emit = wgt[..., None] * d_rendered[:, None, :]
+    d_alpha = np.sum(d_rendered[:, None, :] * excl[..., None] * (emit - tail),
+                     axis=-1)
+    d_expo = np.sum(d_emit * eta, axis=-1)
+    d_eta = d_emit * expo[..., None]
+    d_sharp = d_expo * expo * (dots - 1.0)
+    d_dots = d_expo * expo * sharp
+    d_axis = d_dots[..., None] * -directions[:, None, :]
+    d_u = (d_axis - axis * np.sum(axis * d_axis, axis=-1, keepdims=True)) / safe
+    d_u = np.where(norm > 1e-12, d_u, 0.0)
+
+    sample_grads = np.concatenate(
+        [d_alpha[..., None], d_u, d_sharp[..., None], d_eta], axis=-1)
+    weighted = w[..., None] * sample_grads[..., None, :]
+    keys = (idx[..., None] * 8 + np.arange(8)).ravel()
+    accum = np.bincount(keys, weights=weighted.ravel(),
+                        minlength=nvox * 8).reshape(nvox, 8)
+    d_alpha_vox = d_alpha_reg + accum[:, 0]
+    d_axis_vox = accum[:, 1:4]
+    grad = np.empty_like(p)
+    grad[:, 0] = d_alpha_vox * alpha_v * (1.0 - alpha_v)
+    grad[:, 1] = (d_axis_vox[:, 0] * ct * cp + d_axis_vox[:, 1] * ct * sp
+                  - d_axis_vox[:, 2] * st)
+    grad[:, 2] = -d_axis_vox[:, 0] * st * sp + d_axis_vox[:, 1] * st * cp
+    grad[:, 3] = accum[:, 4] * sharp_v
+    grad[:, 4:7] = accum[:, 5:8] * eta_v
+    return value, grad.ravel()
+
+
+def _reference_objective(params, targets, dims, bounds, opts):
+    with np.errstate(over="ignore", invalid="ignore"):
+        value, grad = _reference_objective_impl(params, targets, dims, bounds, opts)
+    if not math.isfinite(value) or not np.all(np.isfinite(grad)):
+        return math.inf, np.zeros_like(params)
+    return value, grad
 
 
 ORACLE_DIMS = [(6, 5, 4), (1, 5, 3), (4, 1, 1), (2, 2, 2), (1, 1, 1), (3, 1, 7)]
@@ -410,22 +532,46 @@ class TestCornerMajorCore:
             assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("dims", [(4, 4, 4), (1, 3, 5), (2, 1, 1)])
-    def test_vsg_objective_bitwise_equal_to_reference(self, dims, monkeypatch):
+    def test_vsg_objective_bitwise_equal_to_reference(self, dims):
         rng = np.random.default_rng(40)
-        problem = TestFitObjective().build_problem(rng, dims=dims, n_samples=12)
-        frames = [FRAME, Frame.from_normal(np.array([0.3, 0.2, 0.93])
-                                           / np.linalg.norm([0.3, 0.2, 0.93]))]
-        eps = env_offset(VSGVolume.uniform(dims, BOUNDS))
-        origins = np.concatenate([
-            np.broadcast_to(np.array([0.7 + 0.3 * i, 0.9, 0.3]) + eps * f.normal, (32, 3))
-            for i, f in enumerate(frames)])
+        targets = fit_targets(rng)
+        opts = VSGFitOptions(n_samples=12)
+        problem = VSGFitProblem(targets, dims, BOUNDS, opts)
         for _ in range(3):
             params = _initial_params(problem) + rng.normal(0.0, 0.5, problem.n_voxels * 7)
             value, grad = vsg_fit_objective(params, problem)
-            ref_value, ref_grad = _reference_objective(params, problem, origins,
-                                                       monkeypatch)
+            ref_value, ref_grad = _reference_objective(params, targets, dims, BOUNDS, opts)
             assert value == ref_value
             assert grad.tobytes() == ref_grad.tobytes()
+
+    def test_vsg_objective_with_missed_rays_bitwise_equal_to_reference(self):
+        rng = np.random.default_rng(43)
+        targets = outside_targets(rng)
+        dims, opts = (3, 4, 2), VSGFitOptions(n_samples=9)
+        origins, dirs = _reference_rays(targets, dims, BOUNDS)
+        _, valid = _reference_samples(BOUNDS, origins, dirs, BOUNDS.diagonal, 9)
+        assert 0.0 < valid.mean() < 1.0
+        problem = VSGFitProblem(targets, dims, BOUNDS, opts)
+        for _ in range(4):
+            params = _initial_params(problem) + rng.normal(0.0, 0.5, problem.n_voxels * 7)
+            value, grad = vsg_fit_objective(params, problem)
+            ref_value, ref_grad = _reference_objective(params, targets, dims, BOUNDS, opts)
+            assert value == ref_value
+            assert grad.tobytes() == ref_grad.tobytes()
+
+    def test_vsg_fit_bitwise_equal_to_reference_run(self):
+        targets = outside_targets(np.random.default_rng(44))
+        dims, opts = (3, 4, 2), VSGFitOptions(max_iters=25, n_samples=9)
+        result = vsg_fit(targets, dims, BOUNDS, opts)
+        problem = VSGFitProblem(targets, dims, BOUNDS, opts)
+        ref = minimize_monotone(
+            lambda p: _reference_objective(p, targets, dims, BOUNDS, opts),
+            _initial_params(problem), max_iters=opts.max_iters, step=opts.step,
+            grow=opts.grow, shrink=opts.shrink, objective_tol=opts.objective_tol)
+        assert result.report.accepted_steps > 0
+        assert result.report.objective_trace == ref.report.objective_trace
+        assert (result.volume.voxels.tobytes()
+                == _params_to_volume(ref.x, problem).voxels.tobytes())
 
     def test_batch_over_several_chunks_matches_single_rays(self):
         rng = np.random.default_rng(41)
