@@ -72,25 +72,27 @@ def half_vector(v, l) -> np.ndarray:
     return s / norm
 
 
+def schlick(cos_vh, f0: float = F0_DEFAULT):
+    """Schlick Fresnel f0 + (1 - f0) (1 - max(v.h, 0))^5, elementwise."""
+    return f0 + (1.0 - f0) * (1.0 - np.maximum(cos_vh, 0.0)) ** 5
+
+
 def fresnel_schlick(v, h, f0: float = F0_DEFAULT) -> float:
-    """Schlick Fresnel f0 + (1 - f0) (1 - max(v.h, 0))^5."""
-    v = _as_unit(v)
-    h = _as_unit(h)
-    c = max(float(np.dot(v, h)), 0.0)
-    return f0 + (1.0 - f0) * (1.0 - c) ** 5
+    """Schlick Fresnel for unit vectors ``v`` and ``h``."""
+    return float(schlick(np.dot(_as_unit(v), _as_unit(h)), f0))
 
 
 def ggx_ndf(ndoth, roughness):
-    """GGX normal distribution with alpha_g = roughness^2."""
-    a2 = float(roughness) ** 4
+    """GGX normal distribution with alpha_g = roughness^2, elementwise."""
+    a2 = np.asarray(roughness, dtype=np.float64) ** 4
     nh2 = np.square(np.maximum(ndoth, 0.0))
     denom = nh2 * (a2 - 1.0) + 1.0
     return a2 / (math.pi * denom * denom)
 
 
 def smith_g(ndotv, ndotl, roughness):
-    """Smith height-correlated masking-shadowing term for GGX."""
-    a2 = float(roughness) ** 4
+    """Smith height-correlated masking-shadowing term for GGX, elementwise."""
+    a2 = np.asarray(roughness, dtype=np.float64) ** 4
     nv = np.maximum(ndotv, 0.0)
     nl = np.maximum(ndotl, 0.0)
     lv = nl * np.sqrt(a2 + (1.0 - a2) * nv * nv)
@@ -99,72 +101,37 @@ def smith_g(ndotv, ndotl, roughness):
     return np.where(denom > 0.0, 2.0 * nl * nv / np.where(denom > 0.0, denom, 1.0), 0.0)
 
 
-def specular_brdf(v, l, n, roughness: float, f0: float = F0_DEFAULT) -> float:
-    """Scalar microfacet specular BRDF D * F * G / (4 (n.l)(n.v)).
-
-    Returns 0 when the light or view direction is below the surface.
-    """
-    if not (0.0 < roughness <= 1.0):
-        raise ValueError("roughness must lie in (0, 1]")
-    v = _as_unit(v)
-    l = _as_unit(l)
-    n = _as_unit(n)
-    ndotl = float(np.dot(n, l))
-    ndotv = float(np.dot(n, v))
-    if ndotl <= 0.0 or ndotv <= 0.0:
-        return 0.0
-    h = half_vector(v, l)
-    d = float(ggx_ndf(float(np.dot(n, h)), roughness))
-    f = fresnel_schlick(v, h, f0)
-    g = float(smith_g(ndotv, ndotl, roughness))
-    return d * f * g / (4.0 * ndotl * ndotv)
-
-
-def _specular_batch(v: np.ndarray, dirs: np.ndarray, n: np.ndarray,
-                    roughness: float, f0: float) -> np.ndarray:
-    """specular_brdf for one (v, n) against many light directions (T, 3)."""
-    ndotl = dirs @ n
-    ndotv = float(np.dot(n, v))
-    if ndotv <= 0.0:
-        return np.zeros(dirs.shape[0])
-    s = dirs + v
-    s_norm = np.linalg.norm(s, axis=-1)
-    ok = (ndotl > 0.0) & (s_norm > 1e-9)
-    h = s / np.where(s_norm > 1e-9, s_norm, 1.0)[:, None]
-    d = ggx_ndf(h @ n, roughness)
-    f = f0 + (1.0 - f0) * (1.0 - np.maximum(h @ v, 0.0)) ** 5
-    g = smith_g(ndotv, ndotl, roughness)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        brdf = d * f * g / (4.0 * ndotl * ndotv)
-    return np.where(ok, brdf, 0.0)
-
-
-def _specular_batch_many(v: np.ndarray, dirs: np.ndarray, n: np.ndarray,
-                         roughness: np.ndarray, f0: float) -> np.ndarray:
-    """specular_brdf over pixels and light directions at once.
+def ggx_specular(v: np.ndarray, dirs: np.ndarray, n: np.ndarray,
+                 roughness, f0: float = F0_DEFAULT) -> np.ndarray:
+    """Microfacet specular BRDF D * F * G / (4 (n.l)(n.v)) over pixels and
+    light directions at once.
 
     ``v``/``n`` are (P, 3) unit vectors, ``dirs`` (P, T, 3), ``roughness``
-    (P,). Returns the (P, T) BRDF values with below-horizon terms zeroed.
+    (P,). Returns the (P, T) BRDF values; a term is 0 where the light or
+    view is below the surface, where v + l vanishes, or where 4 (n.l)(n.v)
+    underflows to 0.
     """
     ndotl = np.sum(dirs * n[:, None, :], axis=-1)
     ndotv = np.sum(n * v, axis=-1)[:, None]
     s = dirs + v[:, None, :]
     s_norm = np.linalg.norm(s, axis=-1)
-    ok = (ndotl > 0.0) & (ndotv > 0.0) & (s_norm > 1e-9)
     h = s / np.where(s_norm > 1e-9, s_norm, 1.0)[..., None]
-    ndoth = np.sum(h * n[:, None, :], axis=-1)
-    a2 = (roughness ** 4)[:, None]
-    denom = np.square(np.maximum(ndoth, 0.0)) * (a2 - 1.0) + 1.0
-    d = a2 / (math.pi * denom * denom)
-    f = f0 + (1.0 - f0) * (1.0 - np.maximum(np.sum(h * v[:, None, :], axis=-1),
-                                            0.0)) ** 5
-    nl = np.maximum(ndotl, 0.0)
-    nv = np.maximum(ndotv, 0.0)
-    gd = (nl * np.sqrt(a2 + (1.0 - a2) * nv * nv)
-          + nv * np.sqrt(a2 + (1.0 - a2) * nl * nl))
+    r = np.asarray(roughness)[:, None]
+    d = ggx_ndf(np.sum(h * n[:, None, :], axis=-1), r)
+    f = schlick(np.sum(h * v[:, None, :], axis=-1), f0)
+    g = smith_g(ndotv, ndotl, r)
+    denom = 4.0 * ndotl * ndotv
+    ok = (ndotl > 0.0) & (ndotv > 0.0) & (s_norm > 1e-9) & (denom > 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        brdf = d * f * (2.0 * nl * nv / gd) / (4.0 * ndotl * ndotv)
-    return np.where(ok & (gd > 0.0), brdf, 0.0)
+        return np.where(ok, d * f * g / denom, 0.0)
+
+
+def specular_brdf(v, l, n, roughness: float, f0: float = F0_DEFAULT) -> float:
+    """Scalar microfacet specular BRDF: a batch of one ``ggx_specular``."""
+    if not (0.0 < roughness <= 1.0):
+        raise ValueError("roughness must lie in (0, 1]")
+    return float(ggx_specular(_as_unit(v)[None], _as_unit(l)[None, None],
+                              _as_unit(n)[None], np.array([roughness]), f0)[0, 0])
 
 
 def render_diffuse(albedo, env: EnvMapGrid) -> np.ndarray:
@@ -178,9 +145,9 @@ def render_diffuse(albedo, env: EnvMapGrid) -> np.ndarray:
 
 def render_specular(material: MaterialSample, env: EnvMapGrid, v) -> np.ndarray:
     """Specular radiance sum L B_s(v, l, n, r) (n.l)+ dOmega over texels."""
-    v = _as_unit(v)
     dirs = env.directions().reshape(-1, 3)
-    brdf = _specular_batch(v, dirs, material.normal, material.roughness, F0_DEFAULT)
+    brdf = ggx_specular(_as_unit(v)[None], dirs[None], material.normal[None],
+                        np.array([material.roughness]))[0]
     cos = np.maximum(dirs @ material.normal, 0.0)
     omega = np.broadcast_to(texel_solid_angles(env.height, env.width)[:, None],
                             (env.height, env.width)).reshape(-1)

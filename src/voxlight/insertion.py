@@ -17,8 +17,8 @@ import numpy as np
 
 from .brdf import MaterialSample, render_specular, rerender_pixel
 from .geometry import View, depth_to_normal
-from .sg import (EnvMapGrid, Frame, hemisphere_frames, texel_directions,
-                 texel_local_directions, texel_solid_angles)
+from .sg import (EnvMapGrid, Frame, hemisphere_frames, texel_local_directions,
+                 texel_solid_angles)
 from .volume import Ray, VSGVolume, composite_rays, env_offset
 
 DEFAULT_ENV_RES = (16, 32)   # (height, width), matching test-time env maps
@@ -127,13 +127,13 @@ def shade_sphere_pixel(hit: SphereHit, material: SphereMaterial, volume: VSGVolu
     return diffuse * (1.0 - spec_albedo) + specular
 
 
-def _shadow_ratios(points: np.ndarray, normals: np.ndarray, volume: VSGVolume,
-                   sphere: InsertedSphere, n_dirs: tuple[int, int],
-                   n_samples: int) -> np.ndarray:
-    """Batched shadow ratio at surface points (P, 3) with unit normals."""
+def _shadow_ratios(points: np.ndarray, normals: np.ndarray, tangent: np.ndarray,
+                   bitangent: np.ndarray, volume: VSGVolume, sphere: InsertedSphere,
+                   n_dirs: tuple[int, int], n_samples: int) -> np.ndarray:
+    """``shadow_ratio`` at surface points (P, 3) with hemisphere frames given
+    by unit normals, tangents and bitangents (P, 3)."""
     height, width = n_dirs
     local = texel_local_directions(height, width)              # (D, 3) in frame
-    tangent, bitangent = hemisphere_frames(normals)
     dirs = (local[None, :, 0:1] * tangent[:, None, :]
             + local[None, :, 1:2] * bitangent[:, None, :]
             + local[None, :, 2:3] * normals[:, None, :])        # (P, D, 3)
@@ -173,24 +173,12 @@ def shadow_ratio(point, frame: Frame, volume: VSGVolume, sphere: InsertedSphere,
     Both irradiance sums use the same texel-direction sampling as the
     environment extraction; directions whose ray hits the sphere contribute
     nothing to the numerator. With zero unoccluded irradiance the ratio is 1
-    (no light casts no visible shadow).
+    (no light casts no visible shadow). A batch of one ``_shadow_ratios``.
     """
-    point = np.asarray(point, dtype=np.float64)
-    height, width = n_dirs
-    origin = point + env_offset(volume) * frame.normal
-    dirs = texel_directions(height, width, frame).reshape(-1, 3)
-    origins = np.broadcast_to(origin, dirs.shape)
-    radiance = composite_rays(volume, origins, dirs, volume.bounds.diagonal,
-                              n_samples)
-    cos = np.maximum(dirs @ frame.normal, 0.0)
-    omega = np.repeat(texel_solid_angles(height, width), width)
-    weight = (cos * omega)[:, None]
-    total = float(np.sum(radiance * weight))
-    if total <= 0.0:
-        return 1.0
-    blocked = np.isfinite(_ray_sphere_t(origins, dirs, sphere.center, sphere.radius))
-    occluded = float(np.sum(radiance[blocked] * weight[blocked]))
-    return max(0.0, min(1.0, (total - occluded) / total))
+    point = np.asarray(point, dtype=np.float64)[None]
+    return float(_shadow_ratios(point, frame.normal[None], frame.tangent[None],
+                                frame.bitangent[None], volume, sphere, n_dirs,
+                                n_samples)[0])
 
 
 def insert_object(view: View, volume: VSGVolume, sphere: InsertedSphere,
@@ -227,8 +215,10 @@ def insert_object(view: View, volume: VSGVolume, sphere: InsertedSphere,
     out = view.image.reshape(-1, 3).copy()
     shadowed = ~on_sphere
     if np.any(shadowed):
-        ratios = _shadow_ratios(surface[shadowed], normals_world[shadowed],
-                                volume, sphere, shadow_dirs, n_samples)
+        normals = normals_world[shadowed]
+        ratios = _shadow_ratios(surface[shadowed], normals,
+                                *hemisphere_frames(normals), volume, sphere,
+                                shadow_dirs, n_samples)
         out[shadowed] *= ratios[:, None]
 
     sphere_idx = np.flatnonzero(on_sphere)

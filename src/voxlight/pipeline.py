@@ -24,8 +24,8 @@ from .geometry import (bilinear_sample, depth_to_normal, multiview_weights,
 from .insertion import InsertedSphere, MirrorMaterial, insert_object
 from .metrics import (StageLossBundle, masked_l1_angular, si_log_mse, si_mse,
                       stage_losses)
-from .scene import GeneratedScene, SceneSpec, generate_scene
-from .sg import EnvMapGrid, Frame, SGFitOptions, sg_fit
+from .scene import GeneratedScene, SceneSpec, generate_scene, render_images
+from .sg import EnvMapGrid, Frame, SGFitOptions, rasterize_env, sg_fit
 from .surface import build_surface_volume
 from .volume import Bounds, EnvTarget, VSGFitOptions, extract_env_map, vsg_fit
 
@@ -106,29 +106,9 @@ def _cluster_env_fit(scene: GeneratedScene, config: DemoConfig):
                             SGFitOptions(max_iters=config.sg_iters))
             env = result.environment
             envs[(i0, j0)] = env
-            raster = _rasterize_fast(env, ha, wa, frame)
-            fitted[i0:i0 + size, j0:j0 + size] = raster
+            fitted[i0:i0 + size, j0:j0 + size] = rasterize_env(env, ha, wa,
+                                                               frame).texels
     return fitted, envs
-
-
-def _rasterize_fast(env, height, width, frame: Frame) -> np.ndarray:
-    """Vectorized SG evaluation over the texel grid (fit-internal math)."""
-    from .sg import texel_directions
-    dirs = texel_directions(height, width, frame).reshape(-1, 3)
-    axes = env.axes()
-    rad = (np.asarray(env.visibility)
-           * np.exp(env.sharpness()[None, :] * (dirs @ axes.T - 1.0)))
-    return (rad @ env.intensities()).reshape(height, width, 3)
-
-
-def _render_from_envs(scene: GeneratedScene, envs: np.ndarray,
-                      cam_center: np.ndarray):
-    """Diffuse and specular target-view renders from per-pixel env maps,
-    ground-truth materials and normals."""
-    from .scene import render_images
-    return render_images(scene.spec, scene.surface_points,
-                         scene.surface_normals, scene.gt_albedo[0],
-                         scene.gt_rough[0], envs, cam_center)
 
 
 def _multiview_probe(scene: GeneratedScene, envs_by_cluster, config: DemoConfig):
@@ -240,8 +220,10 @@ def pipeline_demo(config: DemoConfig | None = None) -> PipelineReport:
                                                         config)
 
     with _stage("rerender", timings):
-        diffuse, specular = _render_from_envs(scene, fitted_envs,
-                                              target.camera.center)
+        render_args = (scene.spec, scene.surface_points,
+                       scene.surface_normals, scene.gt_albedo[0],
+                       scene.gt_rough[0], fitted_envs)
+        diffuse, specular = render_images(*render_args, target.camera.center)
         rerendered = diffuse + specular
         rerender_g3 = si_mse(target.image, rerendered, scene.mask)
 
@@ -275,9 +257,10 @@ def pipeline_demo(config: DemoConfig | None = None) -> PipelineReport:
 
         images_k = np.stack([_resample_view(scene, view)
                              for view in bundle.views])
-        spec_k = np.stack([_specular_from_view(scene, fitted_envs,
-                                               view.camera.center)
-                           for view in bundle.views])
+        # the target view's specular is the rerender stage's
+        spec_k = np.stack([specular if k == bundle.target_index
+                           else render_images(*render_args, view.camera.center)[1]
+                           for k, view in enumerate(bundle.views)])
         loss_bundle = StageLossBundle(
             mask_light=scene.mask, mask_object=scene.mask,
             normal_ref=scene.gt_normal[0], normal_pred=normal_map,
@@ -324,13 +307,3 @@ def _resample_view(scene: GeneratedScene, view) -> np.ndarray:
     sampled[~ok] = 0.0
     return sampled.reshape(scene.surface_points.shape[:2] + (3,))
 
-
-def _specular_from_view(scene: GeneratedScene, envs: np.ndarray,
-                        cam_center: np.ndarray) -> np.ndarray:
-    """Specular render of the target surface with view vectors toward
-    ``cam_center``."""
-    from .scene import render_images
-    _, specular = render_images(scene.spec, scene.surface_points,
-                                scene.surface_normals, scene.gt_albedo[0],
-                                scene.gt_rough[0], envs, cam_center)
-    return specular

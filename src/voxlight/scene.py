@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .brdf import _specular_batch_many, F0_DEFAULT
+from .brdf import ggx_specular
 from .geometry import Camera, View, ViewBundle
 from .sg import (hemisphere_frames, texel_angles, texel_local_directions,
                  texel_solid_angles)
@@ -263,8 +263,7 @@ def render_images(spec: SceneSpec, points: np.ndarray, normals: np.ndarray,
         dirs = (lx[None, :, None] * tang[sl, None, :]
                 + ly[None, :, None] * bit[sl, None, :]
                 + lz[None, :, None] * flat_n[sl, None, :])
-        brdf = _specular_batch_many(v[sl], dirs, flat_n[sl], flat_r[sl],
-                                    F0_DEFAULT)
+        brdf = ggx_specular(v[sl], dirs, flat_n[sl], flat_r[sl])
         wgt = brdf * (lz * omega_flat)[None, :]                   # n.l = local z
         specular[sl] = np.einsum("pt,ptc->pc", wgt,
                                  flat_env[sl].reshape(-1, ha * wa, 3))

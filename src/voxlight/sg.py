@@ -217,52 +217,58 @@ def texel_solid_angles(height: int, width: int) -> np.ndarray:
 
 
 def eval_sg(lobe: SGLobe, direction) -> np.ndarray:
-    """Lobe radiance eta * exp(sharpness * (dot(direction, axis) - 1)).
+    """Lobe radiance eta * exp(sharpness * (dot(direction, axis) - 1)): a
+    one-lobe ``eval_env``."""
+    return eval_env(SGEnvironment((lobe,)), direction)
+
+
+def eval_env(env: SGEnvironment, directions) -> np.ndarray:
+    """Visibility-scaled sum of all lobe radiances at unit ``directions``
+    (..., 3); returns (..., 3).
 
     The exponent uses dot - 1 = -|direction - axis|^2 / 2 (exact for unit
     vectors), which avoids cancellation near the axis and returns eta
-    bitwise when ``direction`` equals the axis.
+    bitwise when a direction equals the axis. Every step is elementwise and
+    the lobes are summed in a fixed order, so a direction gets the same
+    bits alone or inside any batch.
     """
-    d = _as_unit(direction)
-    delta = d - lobe.unit_axis()
-    dot_minus_one = -0.5 * float(delta @ delta)
-    return np.asarray(lobe.intensity) * math.exp(lobe.sharpness * dot_minus_one)
-
-
-def eval_env(env: SGEnvironment, direction) -> np.ndarray:
-    """Visibility-scaled sum of all lobe radiances in ``direction``."""
-    d = _as_unit(direction)
-    delta = env.axes() - d
-    dots_minus_one = -0.5 * np.sum(delta * delta, axis=-1)
-    weights = np.asarray(env.visibility) * np.exp(env.sharpness() * dots_minus_one)
-    return weights @ env.intensities()
+    d = np.asarray(directions, dtype=np.float64)
+    if d.ndim == 0 or d.shape[-1] != 3:
+        raise ValueError(f"expected directions of shape (..., 3), got {d.shape}")
+    if np.any(np.abs(np.linalg.norm(d, axis=-1) - 1.0) > UNIT_NORM_TOL):
+        raise ValueError("every direction must have unit norm")
+    out = np.zeros(d.shape)
+    for axis, sharp, vis, eta in zip(env.axes(), env.sharpness(), env.visibility,
+                                     env.intensities()):
+        delta = d - axis
+        sq = (delta[..., 0] * delta[..., 0] + delta[..., 1] * delta[..., 1]
+              + delta[..., 2] * delta[..., 2])
+        out += (vis * np.exp(sharp * (-0.5 * sq)))[..., None] * eta
+    return out
 
 
 def rasterize_env(env: SGEnvironment, height: int, width: int, frame: Frame) -> EnvMapGrid:
-    """Evaluate ``env`` at every texel-center direction of the hemisphere grid.
-
-    Texels are produced by per-texel ``eval_env`` calls, so the grid agrees
-    with direct evaluation exactly (same code path).
-    """
+    """Evaluate ``env`` at every texel-center direction of the hemisphere grid
+    with one ``eval_env`` call, so the grid agrees with direct evaluation
+    exactly."""
     if height < 1 or width < 1:
         raise ValueError("resolution must be at least 1x1")
-    dirs = texel_directions(height, width, frame)
-    texels = np.empty((height, width, 3))
-    for i in range(height):
-        for j in range(width):
-            texels[i, j] = eval_env(env, dirs[i, j])
+    texels = eval_env(env, texel_directions(height, width, frame))
     return EnvMapGrid(width=width, height=height, frame=frame, texels=texels)
+
+
+def golden_spiral(z: np.ndarray) -> np.ndarray:
+    """Unit directions at heights ``z`` with golden-angle azimuths k * (3 -
+    sqrt 5) pi for k = 0, 1, ..."""
+    phi = np.arange(z.shape[0]) * (math.pi * (3.0 - math.sqrt(5.0)))
+    r = np.sqrt(np.maximum(1.0 - z * z, 0.0))
+    return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=-1)
 
 
 def fibonacci_hemisphere(count: int) -> np.ndarray:
     """``count`` deterministic, roughly uniform directions with z > 0."""
-    k = np.arange(count)
-    # z in (0, 1), golden-angle azimuth; offsets keep points off the pole
-    z = (k + 0.5) / count
-    golden = math.pi * (3.0 - math.sqrt(5.0))
-    phi = k * golden
-    r = np.sqrt(1.0 - z * z)
-    return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=-1)
+    # z in (0, 1); the half offsets keep points off the pole
+    return golden_spiral((np.arange(count) + 0.5) / count)
 
 
 # ---------------------------------------------------------------------------
@@ -333,13 +339,6 @@ def _lobe_batch(params: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     st, ct = np.sin(theta), np.cos(theta)
     axes = np.stack([st * np.cos(phi), st * np.sin(phi), ct], axis=-1)
     return axes, np.exp(params[:, 2]), np.exp(params[:, 3:6])
-
-
-def eval_lobes_batch(params: np.ndarray, dirs: np.ndarray) -> np.ndarray:
-    """Radiance of the parameterized lobes summed at each of ``dirs`` (T, 3)."""
-    axes, sharp, eta = _lobe_batch(params)
-    expo = np.exp(sharp[None, :] * (dirs @ axes.T - 1.0))
-    return expo @ eta
 
 
 def sg_fit_objective(params: np.ndarray, target: np.ndarray,

@@ -25,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .optim import FitReport, minimize_monotone
-from .sg import EnvMapGrid, Frame, _as_unit, export_lobe_params, texel_directions
+from .sg import (EnvMapGrid, Frame, _as_unit, export_lobe_params, golden_spiral,
+                 texel_directions)
 
 ENV_EPS_FACTOR = 1e-3  # surface offset, in units of mean voxel size
 
@@ -552,20 +553,11 @@ def _vsg_objective_impl(params: np.ndarray, problem: VSGFitProblem):
     return value, grad.ravel()
 
 
-def _fibonacci_sphere(count: int) -> np.ndarray:
-    k = np.arange(count)
-    z = 1.0 - (2.0 * k + 1.0) / count
-    golden = math.pi * (3.0 - math.sqrt(5.0))
-    phi = k * golden
-    r = np.sqrt(np.maximum(1.0 - z * z, 0.0))
-    return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=-1)
-
-
 def _initial_params(problem: VSGFitProblem) -> np.ndarray:
     opts = problem.options
     nvox = problem.n_voxels
     mean = np.concatenate(problem.target_flat).mean(axis=0)
-    axes = _fibonacci_sphere(nvox)
+    axes = golden_spiral(1.0 - (2.0 * np.arange(nvox) + 1.0) / nvox)  # whole sphere
     p = np.empty((nvox, 7))
     p[:, 0] = math.log(opts.init_alpha / (1.0 - opts.init_alpha))
     p[:, 1] = np.arccos(np.clip(axes[:, 2], -1.0, 1.0))

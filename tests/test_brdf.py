@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import voxlight.scene
 from voxlight.brdf import (F0_DEFAULT, MaterialSample, fresnel_schlick, ggx_ndf,
-                           half_vector, lobe_mask, render_diffuse,
+                           ggx_specular, half_vector, lobe_mask, render_diffuse,
                            render_specular, rerender_pixel, sg_render_specular,
                            smith_g, spec_feature_inputs, specular_brdf)
+from voxlight.scene import SceneSpec, generate_scene
 from voxlight.sg import EnvMapGrid, Frame, SGEnvironment, SGLobe, rasterize_env
 
 FRAME = Frame.from_normal([0.0, 0.0, 1.0])
@@ -101,8 +103,8 @@ class TestSpecularBrdf:
         r = np.sqrt(1.0 - z * z)
         dirs = np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=-1)
         v = unit([0.4, 0.0, 0.9])
-        from voxlight.brdf import _specular_batch
-        brdf = _specular_batch(v, dirs, NORMAL, roughness, F0_DEFAULT)
+        brdf = ggx_specular(v[None], dirs[None], NORMAL[None],
+                            np.array([roughness]), F0_DEFAULT)[0]
         integral = float(np.mean(brdf * z) * 2 * math.pi)  # uniform pdf 1/(2 pi)
         assert integral <= 1.0
 
@@ -192,8 +194,8 @@ class TestRenderSpecular:
         phi = rng.uniform(0.0, 2 * math.pi, n)
         r = np.sqrt(1.0 - z * z)
         dirs = np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=-1)
-        from voxlight.brdf import _specular_batch
-        brdf = _specular_batch(v, dirs, NORMAL, 1.0, F0_DEFAULT)
+        brdf = ggx_specular(v[None], dirs[None], NORMAL[None], np.array([1.0]),
+                            F0_DEFAULT)[0]
         mc = float(np.mean(brdf * z) * 2 * math.pi)
         assert abs(quad[0] - mc) / mc <= 0.03
 
@@ -343,21 +345,123 @@ unit_vectors = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
     lambda v: np.linalg.norm(v) > 1e-2).map(unit)
 
 
+def old_specular_brdf(v, l, n, roughness, f0=F0_DEFAULT):
+    """Frozen copy of the scalar GGX formula before it became a batch of one
+    (it raised at the horizon where 4 (n.l)(n.v) underflows)."""
+    ndotl, ndotv = float(n @ l), float(n @ v)
+    if ndotl <= 0.0 or ndotv <= 0.0:
+        return 0.0
+    h = (v + l) / np.linalg.norm(v + l)
+    a2 = float(roughness) ** 4
+    ndoth = max(float(n @ h), 0.0)
+    denom = ndoth * ndoth * (a2 - 1.0) + 1.0
+    d = a2 / (math.pi * denom * denom)
+    f = f0 + (1.0 - f0) * (1.0 - max(float(v @ h), 0.0)) ** 5
+    g = 2.0 * ndotl * ndotv / (ndotl * math.sqrt(a2 + (1.0 - a2) * ndotv * ndotv)
+                               + ndotv * math.sqrt(a2 + (1.0 - a2) * ndotl * ndotl))
+    return d * f * g / (4.0 * ndotl * ndotv)
+
+
+def old_specular_batch_many(v, dirs, n, roughness, f0):
+    """Frozen copy of the batched GGX path that ``ggx_specular`` replaced."""
+    ndotl = np.sum(dirs * n[:, None, :], axis=-1)
+    ndotv = np.sum(n * v, axis=-1)[:, None]
+    s = dirs + v[:, None, :]
+    s_norm = np.linalg.norm(s, axis=-1)
+    ok = (ndotl > 0.0) & (ndotv > 0.0) & (s_norm > 1e-9)
+    h = s / np.where(s_norm > 1e-9, s_norm, 1.0)[..., None]
+    ndoth = np.sum(h * n[:, None, :], axis=-1)
+    a2 = (roughness ** 4)[:, None]
+    denom = np.square(np.maximum(ndoth, 0.0)) * (a2 - 1.0) + 1.0
+    d = a2 / (math.pi * denom * denom)
+    f = f0 + (1.0 - f0) * (1.0 - np.maximum(np.sum(h * v[:, None, :], axis=-1),
+                                            0.0)) ** 5
+    nl = np.maximum(ndotl, 0.0)
+    nv = np.maximum(ndotv, 0.0)
+    gd = (nl * np.sqrt(a2 + (1.0 - a2) * nv * nv)
+          + nv * np.sqrt(a2 + (1.0 - a2) * nl * nl))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        brdf = d * f * (2.0 * nl * nv / gd) / (4.0 * ndotl * ndotv)
+    return np.where(ok & (gd > 0.0), brdf, 0.0)
+
+
+def random_units(rng, shape):
+    x = rng.normal(size=shape + (3,))
+    return x / np.linalg.norm(x, axis=-1, keepdims=True)
+
+
+class TestGGXCore:
+    def test_bitwise_equal_to_frozen_batch_path(self):
+        rng = np.random.default_rng(11)
+        for p, t in ((500, 128), (7, 1), (1, 300)):
+            v = random_units(rng, (p,))
+            n = random_units(rng, (p,))
+            dirs = random_units(rng, (p, t))
+            rough = rng.uniform(0.02, 1.0, p)
+            want = old_specular_batch_many(v, dirs, n, rough, F0_DEFAULT)
+            got = ggx_specular(v, dirs, n, rough, F0_DEFAULT)
+            assert got.tobytes() == want.tobytes()
+
+    def test_render_images_bitwise_with_frozen_path(self, monkeypatch):
+        spec = SceneSpec(image_width=12, image_height=9, env_width=8,
+                         env_height=4, num_views=2, wall_offset=2.5)
+        images = [v.image for v in generate_scene(spec).bundle.views]
+        monkeypatch.setattr(voxlight.scene, "ggx_specular",
+                            lambda v, d, n, r: old_specular_batch_many(
+                                v, d, n, r, F0_DEFAULT))
+        frozen = [v.image for v in generate_scene(spec).bundle.views]
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(images, frozen))
+
+    def test_horizon_cases_return_zero(self):
+        # 4 (n.l)(n.v) underflows; v + l vanishes (both used to raise)
+        v = unit([0.0, 1.0, 2e-206])
+        assert specular_brdf(v, v, NORMAL, 0.5) == 0.0
+        assert specular_brdf(v, unit([0.0, -1.0, 2e-206]), NORMAL, 0.5) == 0.0
+
+    def test_render_specular_is_a_batch_of_one(self):
+        rng = np.random.default_rng(12)
+        env = EnvMapGrid(width=16, height=8, frame=FRAME,
+                         texels=rng.uniform(0.0, 2.0, (8, 16, 3)))
+        mat = MaterialSample((1.0, 1.0, 1.0), 0.35, NORMAL)
+        v = unit([0.2, -0.3, 0.9])
+        dirs = env.directions().reshape(-1, 3)
+        brdf = np.array([specular_brdf(v, l, NORMAL, 0.35) for l in dirs])
+        omega = np.repeat(env.solid_angles(), 16)
+        want = (brdf * np.maximum(dirs @ NORMAL, 0.0) * omega) @ env.texels.reshape(-1, 3)
+        np.testing.assert_array_equal(render_specular(mat, env, v), want)
+
+
+unit_vectors = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
+    lambda v: np.linalg.norm(v) > 1e-2).map(unit)
+# unit vectors within 1e-8 of the horizon of n = +z, down to subnormal heights
+horizon_vectors = st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0),
+                            st.floats(-1e-8, 1e-8)).filter(
+    lambda v: math.hypot(v[0], v[1]) > 1e-2).map(unit)
+
+
+def check_against_frozen(v, l, n, roughness):
+    """Both entry points are finite and >= 0; away from the horizon they
+    match the frozen scalar formula to 1e-9 relative."""
+    scalar = specular_brdf(v, l, n, roughness)
+    many = ggx_specular(v[None], l[None, None], n[None], np.array([roughness]))[0, 0]
+    assert many == scalar
+    assert math.isfinite(scalar) and scalar >= 0.0
+    if all(c <= 0.0 or c >= 1e-9 for c in (n @ v, n @ l)):
+        want = old_specular_brdf(v, l, n, roughness)
+        assert abs(scalar - want) <= 1e-9 * want + 1e-300
+    if n @ v <= 0.0 or n @ l <= 0.0:
+        assert scalar == 0.0
+
+
 class TestSpecularBatchProperties:
     @settings(max_examples=200, deadline=None)
     @given(v=unit_vectors, l=unit_vectors, n=unit_vectors,
            roughness=st.floats(0.05, 1.0))
     def test_batch_paths_agree_with_scalar(self, v, l, n, roughness):
-        from voxlight.brdf import _specular_batch, _specular_batch_many
-        # within 1e-9 of the horizon the paths are undefined: the scalar one
-        # raises (v + l ~ 0, or 4 (n.l)(n.v) underflows) and the batch ones
-        # return 0 or nan
-        assume(all(c <= 0.0 or c >= 1e-9 for c in (n @ v, n @ l)))
-        scalar = specular_brdf(v, l, n, roughness)
-        batch = _specular_batch(v, l[None], n, roughness, F0_DEFAULT)[0]
-        many = _specular_batch_many(v[None], l[None, None], n[None],
-                                    np.array([roughness]), F0_DEFAULT)[0, 0]
-        assert batch >= 0.0 and many >= 0.0
-        tol = 1e-9 * scalar + 1e-12
-        assert abs(batch - scalar) <= tol
-        assert abs(many - scalar) <= tol
+        check_against_frozen(v, l, n, roughness)
+
+    @settings(max_examples=200, deadline=None)
+    @given(v=horizon_vectors, l=st.one_of(horizon_vectors, unit_vectors),
+           roughness=st.floats(0.05, 1.0))
+    def test_finite_and_nonnegative_at_the_horizon(self, v, l, roughness):
+        check_against_frozen(v, l, NORMAL, roughness)

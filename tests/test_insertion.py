@@ -161,6 +161,49 @@ class TestShadowRatio:
         assert all(0.0 <= r <= 1.0 for r in ratios)
         assert all(b <= a + 1e-12 for a, b in zip(ratios, ratios[1:]))
 
+    def test_any_frame_matches_the_frozen_scalar_path(self):
+        # frozen copy of the scalar body that became a batch of one: world
+        # texel directions of the frame, cos from dirs . n, Python-float clamp
+        def frozen(point, frame, vol, sphere, n_dirs, n_samples):
+            from voxlight.insertion import _ray_sphere_t
+            from voxlight.volume import composite_rays, env_offset
+            height, width = n_dirs
+            origin = point + env_offset(vol) * frame.normal
+            dirs = texel_directions(height, width, frame).reshape(-1, 3)
+            origins = np.broadcast_to(origin, dirs.shape)
+            radiance = composite_rays(vol, origins, dirs, vol.bounds.diagonal,
+                                      n_samples)
+            cos = np.maximum(dirs @ frame.normal, 0.0)
+            weight = (cos * np.repeat(texel_solid_angles(height, width), width))[:, None]
+            total = float(np.sum(radiance * weight))
+            if total <= 0.0:
+                return 1.0
+            blocked = np.isfinite(_ray_sphere_t(origins, dirs, sphere.center,
+                                                sphere.radius))
+            occluded = float(np.sum(radiance[blocked] * weight[blocked]))
+            return max(0.0, min(1.0, (total - occluded) / total))
+
+        vol = single_emitter_volume()
+        point = np.array([0.9, 0.8, 0.1])
+        sphere = InsertedSphere(center=np.array([1.0, 1.0, 0.7]), radius=0.25,
+                                material=MirrorMaterial())
+        base = Frame.from_normal(unit_vector([0.1, -0.2, 1.0]))
+        for turn in (0.0, 0.7, 2.5):
+            c, s_ = math.cos(turn), math.sin(turn)
+            frame = Frame(normal=base.normal,
+                          tangent=c * base.tangent + s_ * base.bitangent,
+                          bitangent=-s_ * base.tangent + c * base.bitangent)
+            ratio = shadow_ratio(point, frame, vol, sphere, n_dirs=(8, 16),
+                                 n_samples=32)
+            want = frozen(point, frame, vol, sphere, (8, 16), 32)
+            assert 0.0 < ratio < 1.0
+            assert abs(ratio - want) <= 1e-12
+
+
+def unit_vector(v):
+    v = np.asarray(v, dtype=np.float64)
+    return v / np.linalg.norm(v)
+
 
 def overhead_view(h=36, w=48, height=1.6):
     # camera above the box, looking straight down at the z = 0 plane

@@ -9,7 +9,7 @@ from voxlight.sg import (EnvMapGrid, Frame, SGEnvironment, SGFitOptions, SGLobe,
                          sg_fit, sg_fit_objective, texel_directions,
                          texel_solid_angles)
 from voxlight.volume import (Bounds, EnvTarget, VSGFitOptions, VSGFitProblem,
-                             _params_to_volume)
+                             _initial_params, _params_to_volume)
 
 FRAME = Frame.from_normal([0.0, 0.0, 1.0])
 
@@ -117,6 +117,30 @@ class TestEvalEnv:
         d /= np.linalg.norm(d)
         np.testing.assert_allclose(eval_env(env, d), eval_sg(lobe, d), rtol=1e-15)
 
+    def test_batch_bitwise_equal_to_per_row_calls(self):
+        rng = np.random.default_rng(8)
+        for lobes in (1, 2, 5):
+            env = SGEnvironment(random_env(rng, lobes).lobes,
+                                visibility=tuple(rng.uniform(0.0, 1.0, lobes)))
+            dirs = rng.normal(size=(6, 7, 3))
+            dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
+            dirs[0, 0] = env.lobes[0].unit_axis()
+            batch = eval_env(env, dirs)
+            assert batch.shape == (6, 7, 3)
+            rows = np.stack([eval_env(env, d) for d in dirs.reshape(-1, 3)])
+            assert batch.reshape(-1, 3).tobytes() == rows.tobytes()
+            assert eval_env(env, dirs[2]).tobytes() == batch[2].tobytes()
+
+    def test_batch_rejects_a_non_unit_row(self):
+        env = SGEnvironment((SGLobe(0.5, 0.0, 1.0, (1, 1, 1)),))
+        dirs = np.tile([0.0, 0.0, 1.0], (5, 1))
+        eval_env(env, dirs)
+        dirs[3] *= 1.0 + 2e-6
+        with pytest.raises(ValueError):
+            eval_env(env, dirs)
+        with pytest.raises(ValueError):
+            eval_env(env, np.zeros((4, 2)))
+
     def test_two_flat_lobes_visibility_sum(self):
         env = SGEnvironment((SGLobe(0.5, 0.0, 0.0, (1, 0, 0)),
                              SGLobe(1.0, 1.0, 0.0, (0, 2, 0))),
@@ -146,6 +170,27 @@ class TestRasterize:
                 np.testing.assert_array_equal(grid.texels[i, j],
                                               eval_env(env, dirs[i, j]))
 
+    def test_fitted_envs_match_the_dot_minus_one_form(self):
+        # the demo's cluster rasterizer evaluated dot - 1 through a matrix
+        # product; the |d - axis|^2 / 2 form agrees with it to 1e-12 relative
+        def frozen_rasterize_fast(env, height, width, frame):
+            dirs = texel_directions(height, width, frame).reshape(-1, 3)
+            rad = (np.asarray(env.visibility)
+                   * np.exp(env.sharpness()[None, :] * (dirs @ env.axes().T - 1.0)))
+            return (rad @ env.intensities()).reshape(height, width, 3)
+
+        rng = np.random.default_rng(9)
+        worst = 0.0
+        for _ in range(4):
+            frame = Frame.from_normal(rng.normal(size=3))
+            target = rasterize_env(random_env(rng, 3), 8, 16, frame)
+            env = sg_fit(target, 3, SGFitOptions(max_iters=200)).environment
+            want = frozen_rasterize_fast(env, 8, 16, frame)
+            got = rasterize_env(env, 8, 16, frame).texels
+            assert np.all(want > 0.0)
+            worst = max(worst, float(np.max(np.abs(got - want) / want)))
+        assert worst <= 1e-12
+
     def test_solid_angles_tile_hemisphere(self):
         omega = texel_solid_angles(8, 16)
         assert abs(float(omega.sum() * 16) - 2.0 * math.pi) < 1e-12
@@ -162,6 +207,35 @@ class TestFibonacci:
         assert pts.shape == (7, 3)
         np.testing.assert_allclose(np.linalg.norm(pts, axis=-1), 1.0, atol=1e-12)
         assert np.all(pts[:, 2] > 0.0)
+
+    def test_shared_spiral_keeps_both_point_sets(self):
+        # frozen copies of the two golden-angle builders the helper replaced
+        golden = math.pi * (3.0 - math.sqrt(5.0))
+
+        def hemisphere(count):
+            k = np.arange(count)
+            z = (k + 0.5) / count
+            r = np.sqrt(1.0 - z * z)
+            return np.stack([r * np.cos(k * golden), r * np.sin(k * golden), z], axis=-1)
+
+        def sphere(count):
+            k = np.arange(count)
+            z = 1.0 - (2.0 * k + 1.0) / count
+            r = np.sqrt(np.maximum(1.0 - z * z, 0.0))
+            return np.stack([r * np.cos(k * golden), r * np.sin(k * golden), z], axis=-1)
+
+        for count in (1, 3, 7, 64, 513):
+            assert fibonacci_hemisphere(count).tobytes() == hemisphere(count).tobytes()
+        grid = rasterize_env(SGEnvironment((SGLobe(0.4, 0.1, 3.0, (1, 1, 1)),)),
+                             4, 8, FRAME)
+        target = EnvTarget(point=np.full(3, 0.5), frame=FRAME, grid=grid)
+        bounds = Bounds(lo=np.zeros(3), hi=np.ones(3))
+        for dims in ((1, 1, 1), (2, 3, 4), (8, 8, 8)):
+            problem = VSGFitProblem([target], dims, bounds, VSGFitOptions(n_samples=4))
+            p = _initial_params(problem).reshape(-1, 7)
+            axes = sphere(int(np.prod(dims)))
+            assert p[:, 1].tobytes() == np.arccos(np.clip(axes[:, 2], -1.0, 1.0)).tobytes()
+            assert p[:, 2].tobytes() == np.arctan2(axes[:, 1], axes[:, 0]).tobytes()
 
 
 class TestGradient:
