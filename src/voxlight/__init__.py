@@ -9,11 +9,9 @@ gradient-based fitters for the lighting representations.
 from .aggregation import Encoder, FeatureSet, aggregate, identity_encoder, weighted_moments
 from .brdf import (F0_DEFAULT, MaterialSample, SpecFeatureInput, fresnel_schlick,
                    half_vector, lobe_mask, render_diffuse, render_specular,
-                   rerender_pixel, sg_render_specular, spec_feature_inputs,
-                   specular_brdf)
-from .geometry import (Camera, GeometryMaps, Reprojection, View, ViewBundle,
-                       bilinear_sample, depth_gradient, depth_to_normal,
-                       derive_geometry, multiview_weights, projection_error,
+                   rerender_pixel, spec_feature_inputs, specular_brdf)
+from .geometry import (Camera, Reprojection, View, ViewBundle, bilinear_sample,
+                       depth_to_normal, multiview_weights, projection_error,
                        reproject)
 from .insertion import (DiffuseMaterial, InsertedSphere, MirrorMaterial,
                         SphereHit, insert_object, ray_sphere, shade_sphere_pixel,

@@ -1,10 +1,13 @@
-"""Microfacet rendering layer: diffuse and specular shading against discrete
-or SG lighting, specular reparameterization features, and lobe masking.
+"""Microfacet rendering layer: diffuse and specular shading against
+environment-map grids, per-lobe specular reparameterization features of an
+SG environment, and lobe masking.
 
 The specular model is GGX (alpha_g = roughness^2) with the Smith
 height-correlated masking term and Schlick Fresnel at a fixed dielectric
 f0 = 0.05. Diffuse is Lambertian albedo / pi. Hemisphere integrals use the
-exact per-texel solid angles of the environment grid.
+exact per-texel solid angles of the environment grid. One batched
+evaluator, ``ggx_specular``, serves the scalar ``specular_brdf``,
+``render_specular`` and scene rendering.
 """
 
 from __future__ import annotations
@@ -101,6 +104,12 @@ def smith_g(ndotv, ndotl, roughness):
     return np.where(denom > 0.0, 2.0 * nl * nv / np.where(denom > 0.0, denom, 1.0), 0.0)
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot product over the last axis as (a0 b0 + a1 b1) + a2 b2: the bits of
+    ``np.sum(a * b, axis=-1)`` without a length-3 reduction per element."""
+    return (a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]) + a[..., 2] * b[..., 2]
+
+
 def ggx_specular(v: np.ndarray, dirs: np.ndarray, n: np.ndarray,
                  roughness, f0: float = F0_DEFAULT) -> np.ndarray:
     """Microfacet specular BRDF D * F * G / (4 (n.l)(n.v)) over pixels and
@@ -111,14 +120,15 @@ def ggx_specular(v: np.ndarray, dirs: np.ndarray, n: np.ndarray,
     view is below the surface, where v + l vanishes, or where 4 (n.l)(n.v)
     underflows to 0.
     """
-    ndotl = np.sum(dirs * n[:, None, :], axis=-1)
-    ndotv = np.sum(n * v, axis=-1)[:, None]
-    s = dirs + v[:, None, :]
-    s_norm = np.linalg.norm(s, axis=-1)
+    n_row, v_row = n[:, None, :], v[:, None, :]
+    ndotl = _dot(dirs, n_row)
+    ndotv = _dot(n, v)[:, None]
+    s = dirs + v_row
+    s_norm = np.sqrt(_dot(s, s))
     h = s / np.where(s_norm > 1e-9, s_norm, 1.0)[..., None]
     r = np.asarray(roughness)[:, None]
-    d = ggx_ndf(np.sum(h * n[:, None, :], axis=-1), r)
-    f = schlick(np.sum(h * v[:, None, :], axis=-1), f0)
+    d = ggx_ndf(_dot(h, n_row), r)
+    f = schlick(_dot(h, v_row), f0)
     g = smith_g(ndotv, ndotl, r)
     denom = 4.0 * ndotl * ndotv
     ok = (ndotl > 0.0) & (ndotv > 0.0) & (s_norm > 1e-9) & (denom > 0.0)
@@ -199,114 +209,3 @@ def spec_feature_inputs(env: SGEnvironment, n, v,
             mask=lobe_mask(lobe.intensity, ndotxi),
         ))
     return features
-
-
-# Clamped-cosine approximated as mu * SG(lambda) - alpha; constants from the
-# SG-lighting literature, used only inside sg_render_specular.
-_MU_COS = 32.7080
-_LAMBDA_COS = 0.0315
-_ALPHA_COS = 31.7003
-
-
-def sg_ndf_sharpness(roughness: float) -> float:
-    """SG proxy sharpness for the GGX lobe at ``roughness``.
-
-    Chosen so the proxy (amplitude = GGX peak) reproduces GGX's exact
-    cosine-weighted normalization: ((lam - 1) + exp(-lam)) / lam^2 = r^4 / 2,
-    solved by Newton. Asymptotically lam ~ 2 / r^4 for small roughness and
-    lam -> 0 at roughness 1, where GGX is the uniform distribution.
-    """
-    u = float(roughness) ** 4 / 2.0
-    lam = max(2.0 / roughness ** 4 - 2.0, 1e-6)
-    for _ in range(40):
-        f = (lam - 1.0 + math.exp(-lam)) - u * lam * lam
-        df = 1.0 - math.exp(-lam) - 2.0 * u * lam
-        if abs(df) < 1e-14:
-            break
-        delta = f / df
-        lam = max(lam - delta, 1e-9)
-        if abs(delta) <= 1e-12 * max(lam, 1.0):
-            break
-    return lam
-
-
-def _sg_hemisphere_integral(sharpness: float, cos_beta: float) -> float:
-    """Integral of a unit-amplitude SG over the hemisphere whose pole makes
-    angle arccos(cos_beta) with the lobe axis (smooth-step interpolation
-    between the fully inside and fully outside closed forms)."""
-    lam = sharpness + 1e-9
-    inv = 1.0 / lam
-    t = math.sqrt(lam) * (1.6988 + 10.8438 * inv) / (
-        1.0 + 6.2201 * inv + 10.2415 * inv * inv)
-    inv_a = math.exp(-t)
-    if cos_beta >= 0.0:
-        inv_b = math.exp(-t * cos_beta)
-        s = (1.0 - inv_a * inv_b) / (1.0 - inv_a + inv_b - inv_a * inv_b)
-    else:
-        b = math.exp(t * cos_beta)
-        s = (b - inv_a) / ((1.0 - inv_a) * (b + 1.0))
-    full_below = 2.0 * math.pi / lam * (math.exp(-lam) - math.exp(-2.0 * lam))
-    full_above = 2.0 * math.pi / lam * (1.0 - math.exp(-lam))
-    return full_below * (1.0 - s) + full_above * s
-
-
-def _sg_product(axis1: np.ndarray, sharp1: float, axis2: np.ndarray,
-                sharp2: float) -> tuple[np.ndarray, float, float]:
-    """Product of two unit-amplitude SGs as (axis, sharpness, log-amplitude).
-
-    Stable for sharp1 << sharp2 (pass the smaller sharpness first).
-    """
-    ratio = sharp1 / sharp2
-    dot = float(np.dot(axis1, axis2))
-    tmp = min(math.sqrt(ratio * ratio + 1.0 + 2.0 * ratio * dot), ratio + 1.0)
-    axis = (ratio / tmp) * axis1 + (1.0 / tmp) * axis2
-    norm = float(np.linalg.norm(axis))
-    axis = axis / norm if norm > 0.0 else axis2
-    return axis, sharp2 * tmp, sharp2 * (tmp - ratio - 1.0)
-
-
-def sg_render_specular(material: MaterialSample, env: SGEnvironment, v) -> np.ndarray:
-    """Closed-form per-lobe specular shading against an SG environment.
-
-    The GGX lobe is replaced by a spherical Gaussian about the reflection of
-    v (energy-matched sharpness, amplitude the GGX peak, warped by
-    1 / (4 |h.v|)); each light lobe is multiplied with it analytically and
-    integrated against a clamped-cosine SG over the hemisphere, with Fresnel
-    and the Smith term frozen at the product-lobe axis. Masked lobes
-    contribute nothing and the output is exactly linear in lobe intensity.
-
-    Agreement with quadrature (``render_specular``) is ~15% for smooth
-    configurations (roughness in [0.4, 0.8], lighting sharpness up to a few,
-    viewing angles within ~50 degrees); it degrades toward grazing views and
-    mirror-like roughness.
-    """
-    v = _as_unit(v)
-    n = material.normal
-    r = material.roughness
-    if not (0.0 < r <= 1.0):
-        raise ValueError("roughness must lie in (0, 1]")
-    ndotv = float(np.dot(n, v))
-    if ndotv <= 0.0:
-        return np.zeros(3)
-    refl = 2.0 * ndotv * n - v
-    # h at the warped-lobe center (l = refl) is n, so |h.v| = n.v
-    warp_sharp = sg_ndf_sharpness(r) / (4.0 * max(ndotv, 1e-4))
-    peak = 1.0 / (math.pi * r ** 4)
-    fres = fresnel_schlick(v, n, F0_DEFAULT)
-
-    total = np.zeros(3)
-    for lobe, visibility in zip(env.lobes, env.visibility):
-        xi = lobe.unit_axis()
-        ndotxi = float(np.dot(n, xi))
-        if np.linalg.norm(v + xi) < 1e-9 or lobe_mask(lobe.intensity, ndotxi) == 0:
-            continue
-        axis_p, sharp_p, log_amp = _sg_product(xi, lobe.sharpness, refl, warp_sharp)
-        ndotl = max(float(np.dot(n, axis_p)), 1e-4)
-        moment = fres * float(smith_g(ndotv, ndotl, r)) / (4.0 * ndotl * ndotv)
-        amp = visibility * peak * moment * math.exp(log_amp) * np.asarray(lobe.intensity)
-        axis_c, sharp_c, log_amp_c = _sg_product(n, _LAMBDA_COS, axis_p, sharp_p)
-        upper = (_MU_COS * math.exp(log_amp_c)
-                 * _sg_hemisphere_integral(sharp_c, float(np.dot(axis_c, n))))
-        lower = _ALPHA_COS * _sg_hemisphere_integral(sharp_p, float(np.dot(axis_p, n)))
-        total += np.maximum(amp * (upper - lower), 0.0)
-    return total

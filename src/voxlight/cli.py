@@ -17,10 +17,11 @@ import numpy as np
 
 from . import io as vio
 from .insertion import DiffuseMaterial, InsertedSphere, MirrorMaterial, insert_object
-from .metrics import (entropy_reg, masked_l1_angular, masked_mse, si_log_mse,
-                      si_mse)
+from .metrics import (_STAGE_FIELDS, StageLossBundle, entropy_reg, ls_scale,
+                      masked_l1_angular, masked_mse, si_log_mse, si_mse,
+                      stage_losses)
 from .pipeline import DemoConfig, pipeline_demo
-from .scene import SceneSpec, generate_scene
+from .scene import SceneSpec, generate_scene, render_images
 from .sg import EnvMapGrid, Frame, SGFitOptions, sg_fit
 from .volume import Bounds, EnvTarget, VSGFitOptions, extract_env_map, vsg_fit
 
@@ -58,6 +59,18 @@ def _save_image(path, image):
         vio.write_pfm(path, image)
 
 
+def _target_surface(bundle, gt) -> tuple[np.ndarray, np.ndarray]:
+    """World points and world unit normals (H, W, 3) of the target view,
+    from its depth map and the ground-truth camera-frame normals."""
+    target = bundle.target
+    h, w = target.depth.shape
+    cam = target.camera
+    jj, ii = np.meshgrid(np.arange(w), np.arange(h))
+    points = cam.backproject(jj, ii, target.depth)
+    normals = gt["normal"][bundle.target_index].reshape(-1, 3) @ cam.rotation.T
+    return points, normals.reshape(h, w, 3)
+
+
 def cmd_gen_scene(args):
     spec = _load_config(args.config, SceneSpec)
     scene = generate_scene(spec)
@@ -82,13 +95,8 @@ def cmd_fit_vsg(args):
     bundle, gt = vio.load_scene(args.scene)
     if "env" not in gt or "normal" not in gt:
         raise SystemExit("scene directory lacks gt env maps / normals")
-    target = bundle.target
-    h, w = target.depth.shape
-    cam = target.camera
-    jj, ii = np.meshgrid(np.arange(w), np.arange(h))
-    points = cam.backproject(jj, ii, target.depth)
-    normals_world = gt["normal"][bundle.target_index].reshape(-1, 3) @ cam.rotation.T
-    normals_world = normals_world.reshape(h, w, 3)
+    points, normals_world = _target_surface(bundle, gt)
+    h, w = points.shape[:2]
     lo = points.reshape(-1, 3).min(axis=0) - 0.2
     hi = points.reshape(-1, 3).max(axis=0) + 0.2
     hi[2] = max(hi[2], lo[2] + 3.0)  # leave head room for lights above
@@ -122,20 +130,14 @@ def cmd_rerender(args):
     bundle, gt = vio.load_scene(args.scene)
     if not {"env", "albedo", "rough", "normal"} <= set(gt):
         raise SystemExit("scene directory lacks ground truth maps")
-    from .scene import render_images
-    target = bundle.target
-    h, w = target.depth.shape
-    cam = target.camera
-    jj, ii = np.meshgrid(np.arange(w), np.arange(h))
-    points = cam.backproject(jj, ii, target.depth)
-    normals_world = (gt["normal"][bundle.target_index].reshape(-1, 3)
-                     @ cam.rotation.T).reshape(h, w, 3)
+    points, normals_world = _target_surface(bundle, gt)
+    h, w = points.shape[:2]
     spec = SceneSpec(image_width=w, image_height=h,
                      env_width=gt["env"].shape[3], env_height=gt["env"].shape[2])
     diffuse, specular = render_images(spec, points, normals_world,
                                       gt["albedo"][bundle.target_index],
                                       gt["rough"][bundle.target_index],
-                                      gt["env"], cam.center)
+                                      gt["env"], bundle.target.camera.center)
     _save_image(args.out, diffuse + specular)
     print(f"wrote {args.out}")
 
@@ -156,54 +158,49 @@ def cmd_insert(args):
 
 
 def cmd_metrics(args):
-    from .metrics import DEFAULT_BETAS, ls_scale
     bundle, gt = vio.load_scene(args.scene)
-    pred_dir = Path(args.pred)
     t = bundle.target_index
+
+    def read(name, gt_key=None):
+        path = Path(args.pred) / name
+        found = path.exists() and (gt_key is None or gt_key in gt)
+        return vio.read_pfm(path) if found else None
+
+    mask = read("mask.pfm")
+    mask = np.ones(bundle.target.depth.shape) if mask is None else mask
+    losses = StageLossBundle(mask_light=mask, mask_object=mask)
     report = {}
-    mask = None
-    mask_file = pred_dir / "mask.pfm"
-    if mask_file.exists():
-        mask = vio.read_pfm(mask_file)
-    normal_file = pred_dir / f"normal_{t}.pfm"
-    if normal_file.exists() and "normal" in gt:
-        pred = vio.read_pfm(normal_file)
-        report["g1_normal"] = masked_l1_angular(gt["normal"][t], pred, mask)
-        report["g2_normal"] = masked_mse(gt["normal"][t], pred, mask)
-        b = DEFAULT_BETAS["normal"]
-        report["L_normal"] = (b[0] * report["g1_normal"]
-                              + b[1] * report["g2_normal"])
-    albedo_file = pred_dir / f"albedo_{t}.pfm"
-    if albedo_file.exists() and "albedo" in gt:
-        pred = vio.read_pfm(albedo_file)
-        report["g3_albedo"] = si_mse(gt["albedo"][t], pred, mask)
-        report["tau_albedo"] = ls_scale(gt["albedo"][t], pred, mask).tau
-    rough_file = pred_dir / f"rough_{t}.pfm"
-    if rough_file.exists() and "rough" in gt:
-        report["g2_rough"] = masked_mse(gt["rough"][t], vio.read_pfm(rough_file),
-                                        mask)
-    if "g3_albedo" in report and "g2_rough" in report:
-        b = DEFAULT_BETAS["brdf"]
-        report["L_BRDF"] = b[0] * report["g3_albedo"] + b[1] * report["g2_rough"]
-    env_file = pred_dir / "env_target.pfm"
-    if env_file.exists() and "env" in gt:
+    normal = read(f"normal_{t}.pfm", "normal")
+    if normal is not None:
+        losses.normal_ref, losses.normal_pred = gt["normal"][t], normal
+        report["g1_normal"] = masked_l1_angular(gt["normal"][t], normal, mask)
+        report["g2_normal"] = masked_mse(gt["normal"][t], normal, mask)
+    albedo = read(f"albedo_{t}.pfm", "albedo")
+    if albedo is not None:
+        losses.albedo_ref, losses.albedo_pred = gt["albedo"][t], albedo
+        report["g3_albedo"] = si_mse(gt["albedo"][t], albedo, mask)
+        report["tau_albedo"] = ls_scale(gt["albedo"][t], albedo, mask).tau
+    rough = read(f"rough_{t}.pfm", "rough")
+    if rough is not None:
+        losses.rough_ref, losses.rough_pred = gt["rough"][t], rough
+        report["g2_rough"] = masked_mse(gt["rough"][t], rough, mask)
+    env = read("env_target.pfm", "env")
+    if env is not None:
         ha, wa = gt["env"].shape[2:4]
-        pred = vio.untile_env_maps(vio.read_pfm(env_file), ha, wa)
-        report["g4_lighting"] = si_log_mse(gt["env"], pred, mask)
-        report["tau_lighting"] = ls_scale(gt["env"], pred, mask).tau
-        report["L_InDL"] = DEFAULT_BETAS["in_dl"][0] * report["g4_lighting"]
-    alpha_file = pred_dir / "alpha.pfm"
-    if alpha_file.exists():
-        report["g5_alpha"] = entropy_reg(vio.read_pfm(alpha_file))
-        if "g4_lighting" in report:
-            b = DEFAULT_BETAS["svl"]
-            report["L_SVL"] = b[0] * report["g4_lighting"]
-            report["L_SVL_reg"] = b[1] * report["g5_alpha"]
-    image_file = pred_dir / f"rerender_{t}.pfm"
-    if image_file.exists():
-        pred = vio.read_pfm(image_file)
-        report["g3_rerender"] = si_mse(bundle.target.image, pred, mask)
-        report["tau_rerender"] = ls_scale(bundle.target.image, pred, mask).tau
+        env = vio.untile_env_maps(env, ha, wa)
+        report["g4_lighting"] = si_log_mse(gt["env"], env, mask)
+        report["tau_lighting"] = ls_scale(gt["env"], env, mask).tau
+    alpha = read("alpha.pfm")
+    if alpha is not None:
+        report["g5_alpha"] = entropy_reg(alpha)
+    image = read(f"rerender_{t}.pfm")
+    if image is not None:
+        report["g3_rerender"] = si_mse(bundle.target.image, image, mask)
+        report["tau_rerender"] = ls_scale(bundle.target.image, image, mask).tau
+    # the stage losses whose every input the files supplied
+    stages = [stage for stage, fields in _STAGE_FIELDS.items()
+              if all(getattr(losses, f) is not None for f in fields)]
+    report.update(stage_losses(losses, stages=stages))
     print(json.dumps(report, indent=2))
     if args.out:
         Path(args.out).write_text(json.dumps(report, indent=2))

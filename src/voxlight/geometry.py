@@ -10,7 +10,7 @@ Normals are reported in the frame of the camera that observed them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -128,16 +128,6 @@ class ViewBundle:
         return len(self.views)
 
 
-@dataclass
-class GeometryMaps:
-    """Depth-derived products: camera-frame unit normals and the magnitude
-    of the spatial depth gradient."""
-
-    normal: np.ndarray          # (H, W, 3)
-    depth_gradient: np.ndarray  # (H, W)
-    degenerate: np.ndarray = field(default=None)  # (H, W) bool diagnostic
-
-
 def bilinear_sample(grid: np.ndarray, u, v) -> np.ndarray:
     """Sample ``grid`` (H, W[, C]) at continuous (u, v), clamping at borders."""
     h, w = grid.shape[:2]
@@ -185,18 +175,6 @@ def depth_to_normal(depth: np.ndarray, camera: Camera) -> tuple[np.ndarray, np.n
     flip = np.sum(normals * positions, axis=-1) > 0.0
     normals[flip] *= -1.0
     return normals, degenerate
-
-
-def depth_gradient(depth: np.ndarray) -> np.ndarray:
-    """Magnitude of the central-difference spatial gradient of ``depth``."""
-    d_dv, d_du = np.gradient(np.asarray(depth, dtype=np.float64))
-    return np.hypot(d_du, d_dv)
-
-
-def derive_geometry(depth: np.ndarray, camera: Camera) -> GeometryMaps:
-    normals, degenerate = depth_to_normal(depth, camera)
-    return GeometryMaps(normal=normals, depth_gradient=depth_gradient(depth),
-                        degenerate=degenerate)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from .brdf import MaterialSample, render_specular, rerender_pixel
 from .geometry import View, depth_to_normal
 from .sg import (EnvMapGrid, Frame, hemisphere_frames, texel_local_directions,
                  texel_solid_angles)
-from .volume import Ray, VSGVolume, composite_rays, env_offset
+from .volume import Ray, VSGVolume, composite_rays, env_offset, extract_env_map
 
 DEFAULT_ENV_RES = (16, 32)   # (height, width), matching test-time env maps
 
@@ -95,27 +95,34 @@ def _ray_sphere_t(origins: np.ndarray, directions: np.ndarray, center: np.ndarra
     return np.where(ok, t, np.inf)
 
 
+def _mirror_radiance(volume: VSGVolume, points: np.ndarray, view_dirs: np.ndarray,
+                     normals: np.ndarray, n_samples: int) -> np.ndarray:
+    """Radiance (P, 3) a mirror reflects toward the viewer: the volume
+    composited from hit points (P, 3) along the reflections of the unit
+    camera-to-surface directions (P, 3) about the unit normals (P, 3)."""
+    refl = view_dirs - 2.0 * np.sum(view_dirs * normals, axis=-1, keepdims=True) * normals
+    refl /= np.linalg.norm(refl, axis=-1, keepdims=True)
+    return composite_rays(volume, points, refl, volume.bounds.diagonal, n_samples)
+
+
 def shade_sphere_pixel(hit: SphereHit, material: SphereMaterial, volume: VSGVolume,
                        view_dir, env_res: tuple[int, int] = DEFAULT_ENV_RES,
                        n_samples: int = 64) -> np.ndarray:
     """Radiance leaving the sphere toward the viewer at one hit point.
 
     ``view_dir`` is the unit camera-to-surface ray direction. Mirrors
-    composite the volume along the reflected ray. Diffuse materials shade a
-    per-hit environment map; the diffuse term is scaled by one minus the
-    specular directional albedo so a unit-albedo sphere under constant
+    composite the volume along the reflected ray (a batch of one of what
+    ``insert_object`` does for all its mirror pixels). Diffuse materials
+    shade a per-hit environment map; the diffuse term is scaled by one minus
+    the specular directional albedo so a unit-albedo sphere under constant
     lighting returns that lighting (energy-compensated compositing).
     """
     d = np.asarray(view_dir, dtype=np.float64)
     n = hit.normal
     if isinstance(material, MirrorMaterial):
-        refl = d - 2.0 * float(np.dot(d, n)) * n
-        refl /= np.linalg.norm(refl)
-        return composite_rays(volume, hit.point[None, :], refl[None, :],
-                              volume.bounds.diagonal, n_samples)[0]
+        return _mirror_radiance(volume, hit.point[None], d[None], n[None], n_samples)[0]
     height, width = env_res
     frame = Frame.from_normal(n)
-    from .volume import extract_env_map
     env = extract_env_map(volume, hit.point, frame, height, width, n_samples)
     sample = MaterialSample(albedo=material.albedo, roughness=material.roughness,
                             normal=n)
@@ -222,17 +229,14 @@ def insert_object(view: View, volume: VSGVolume, sphere: InsertedSphere,
         out[shadowed] *= ratios[:, None]
 
     sphere_idx = np.flatnonzero(on_sphere)
+    hits = hit_points[sphere_idx]
+    hit_normals = (hits - sphere.center) / sphere.radius
     if sphere_idx.size and isinstance(sphere.material, MirrorMaterial):
-        d = dirs[sphere_idx]
-        n = (hit_points[sphere_idx] - sphere.center) / sphere.radius
-        refl = d - 2.0 * np.sum(d * n, axis=-1, keepdims=True) * n
-        refl /= np.linalg.norm(refl, axis=-1, keepdims=True)
-        out[sphere_idx] = composite_rays(volume, hit_points[sphere_idx], refl,
-                                         volume.bounds.diagonal, n_samples)
+        out[sphere_idx] = _mirror_radiance(volume, hits, dirs[sphere_idx],
+                                           hit_normals, n_samples)
     else:
-        for flat in sphere_idx:
-            hit = SphereHit(t=float(t_hit[flat]), point=hit_points[flat],
-                            normal=(hit_points[flat] - sphere.center) / sphere.radius)
+        for k, flat in enumerate(sphere_idx):
+            hit = SphereHit(t=float(t_hit[flat]), point=hits[k], normal=hit_normals[k])
             out[flat] = shade_sphere_pixel(hit, sphere.material, volume,
                                            dirs[flat], env_res, n_samples)
     return np.maximum(out.reshape(h, w, 3), 0.0)

@@ -11,6 +11,8 @@ self-consistent by construction.
 Env maps trace only the texels whose angular cell can meet the light box's
 bounding sphere (a few percent of them on the default scene); the other
 texels are exact zeros, so the maps equal a scan of every texel bitwise.
+Sub-rays meet the light box through ``volume._clip_rays``, the ray/box
+clip the volume renderer uses.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from .brdf import ggx_specular
 from .geometry import Camera, View, ViewBundle
 from .sg import (hemisphere_frames, texel_angles, texel_local_directions,
                  texel_solid_angles)
+from .volume import Bounds, _clip_rays
 
 GRID_OFFSETS = (  # target first, then the eight neighbors
     (0, 0), (0, 1), (1, 1), (1, 0), (1, -1), (0, -1), (-1, -1), (-1, 0), (-1, 1))
@@ -119,25 +122,6 @@ def _plane_t(origins: np.ndarray, dirs: np.ndarray, axis: int, offset: float,
     return np.where(ok, t, np.inf)
 
 
-def _box_t(origins: np.ndarray, dirs: np.ndarray, lo: np.ndarray,
-           hi: np.ndarray) -> np.ndarray:
-    """Slab-test entry parameter for an AABB; inf where missed. The slabs
-    are taken one axis at a time, so component-major ``dirs`` (a view whose
-    ``dirs[..., a]`` is contiguous) are read without striding."""
-    near = far = None
-    for a in range(3):
-        d, o = dirs[..., a], origins[..., a]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            inv = np.where(np.abs(d) > 1e-300, 1.0 / d, np.inf)
-        t0 = (lo[a] - o) * inv
-        t1 = (hi[a] - o) * inv
-        t_in, t_out = np.minimum(t0, t1), np.maximum(t0, t1)
-        near = t_in if near is None else np.maximum(near, t_in)
-        far = t_out if far is None else np.minimum(far, t_out)
-    near = np.maximum(near, 0.0)
-    return np.where(far >= near, near, np.inf)
-
-
 def _scene_intersect(spec: SceneSpec, origins: np.ndarray, dirs: np.ndarray):
     """Nearest ground/wall hit: (t, which) with which 0 ground, 1 wall."""
     t_ground = _plane_t(origins, dirs, axis=2, offset=0.0, sign=1.0)
@@ -149,8 +133,8 @@ def _scene_intersect(spec: SceneSpec, origins: np.ndarray, dirs: np.ndarray):
     return np.minimum(t_ground, t_wall), which
 
 
-# Sub-rays traced per chunk of kept (pixel, texel) pairs; each per-axis
-# temporary of a chunk (256 kB) stays in cache.
+# Sub-rays traced per chunk of kept (pixel, texel) pairs; a chunk's array of
+# one float per sub-ray is 256 kB.
 _CHUNK_SUB_RAYS = 32768
 
 
@@ -169,7 +153,7 @@ def per_pixel_env_maps(spec: SceneSpec, points: np.ndarray,
     s = spec.env_supersample
     center = np.asarray(spec.light_center)
     half = np.asarray(spec.light_size) / 2.0
-    lo, hi = center - half, center + half
+    light = Bounds(center - half, center + half)
     radiance = np.asarray(spec.light_radiance)
 
     # sub-texel local directions, three (ha * wa, s*s) components along
@@ -221,9 +205,9 @@ def per_pixel_env_maps(spec: SceneSpec, points: np.ndarray,
             dirs[a] = gx * ta[:, None] + gy * ba[:, None] + gz * na[:, None]
         dirs = np.moveaxis(dirs, 0, -1)
         o = origins[p, None, :]
-        t_light = _box_t(o, dirs, lo, hi)
+        t_light, _, hit = _clip_rays(light, o, dirs, np.inf)
         t_occ, _ = _scene_intersect(spec, o, dirs)
-        visible = np.isfinite(t_light) & (t_light < t_occ)
+        visible = hit & (t_light < t_occ)
         coverage[p, t] = visible.mean(axis=-1)
     return (coverage[..., None] * radiance).reshape(h, w, ha, wa, 3)
 

@@ -77,17 +77,17 @@ class Frame:
 
     @staticmethod
     def from_normal(normal) -> "Frame":
-        """Build a deterministic frame around ``normal``."""
+        """Build a deterministic frame around ``normal``: a batch of one
+        ``hemisphere_frames``."""
         n = normalize(normal)
-        ref = np.array([0.0, 0.0, 1.0]) if abs(n[2]) < 0.9 else np.array([1.0, 0.0, 0.0])
-        t = normalize(np.cross(ref, n))
-        b = np.cross(n, t)
-        return Frame(normal=n, tangent=t, bitangent=b)
+        t, b = hemisphere_frames(n.reshape(1, 3))
+        return Frame(normal=n, tangent=t[0], bitangent=b[0])
 
 
 def hemisphere_frames(normals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Tangents and bitangents (P, 3) for a batch of unit normals (P, 3),
-    built like ``Frame.from_normal``."""
+    """Tangents and bitangents (P, 3) for a batch of unit normals (P, 3): the
+    tangent is ref x n normalized, with ref = +z unless |n_z| >= 0.9 and +x
+    then, and the bitangent is n x tangent."""
     ref = np.where(np.abs(normals[:, 2:3]) < 0.9, np.array([0.0, 0.0, 1.0]),
                    np.array([1.0, 0.0, 0.0]))
     t = np.cross(ref, normals)

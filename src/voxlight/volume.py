@@ -112,13 +112,6 @@ class VSGVolume:
     def cell_size(self) -> np.ndarray:
         return self.bounds.extent / np.asarray(self.dims)
 
-    def voxel_centers(self) -> np.ndarray:
-        """World-space voxel centers, shape (X, Y, Z, 3)."""
-        axes = [self.bounds.lo[a] + (np.arange(self.dims[a]) + 0.5) * self.cell_size[a]
-                for a in range(3)]
-        gx, gy, gz = np.meshgrid(*axes, indexing="ij")
-        return np.stack([gx, gy, gz], axis=-1)
-
     def axis_vectors(self) -> np.ndarray:
         theta = self.voxels[..., 1]
         phi = self.voxels[..., 2]
@@ -153,18 +146,11 @@ class RaySamples:
                           sharpness=np.empty(0), intensity=np.empty((0, 3)))
 
 
-def clip_ray(bounds: Bounds, origin: np.ndarray, direction: np.ndarray,
-             t_max: float) -> tuple[float, float] | None:
-    """Parametric [enter, exit) of the ray inside ``bounds``, or None."""
-    t_near, t_far, hit = _clip_rays(bounds, np.reshape(origin, (1, 3)),
-                                    np.reshape(direction, (1, 3)), t_max)
-    return (float(t_near[0]), float(t_far[0])) if hit[0] else None
-
-
 def _clip_rays(bounds: Bounds, origins: np.ndarray, directions: np.ndarray,
                t_max: float):
-    """Parametric [t_near, t_far) of rays (R, 3) inside ``bounds`` and a hit
-    mask (R,); a ray that misses gets the span [0, 1)."""
+    """Parametric [t_near, t_far) of rays inside ``bounds`` and a hit mask,
+    over the broadcast shape of ``origins`` and ``directions`` (..., 3); a
+    ray that misses gets the span [0, 1)."""
     with np.errstate(divide="ignore", invalid="ignore"):
         inv = np.where(np.abs(directions) > 1e-300, 1.0 / directions, np.inf)
     t0, t1 = (bounds.lo - origins) * inv, (bounds.hi - origins) * inv

@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 import voxlight.scene
 from voxlight.brdf import (F0_DEFAULT, MaterialSample, fresnel_schlick, ggx_ndf,
                            ggx_specular, half_vector, lobe_mask, render_diffuse,
-                           render_specular, rerender_pixel, sg_render_specular,
-                           smith_g, spec_feature_inputs, specular_brdf)
+                           render_specular, rerender_pixel, smith_g,
+                           spec_feature_inputs, specular_brdf)
 from voxlight.scene import SceneSpec, generate_scene
-from voxlight.sg import EnvMapGrid, Frame, SGEnvironment, SGLobe, rasterize_env
+from voxlight.sg import EnvMapGrid, Frame, SGEnvironment, SGLobe
 
 FRAME = Frame.from_normal([0.0, 0.0, 1.0])
 NORMAL = np.array([0.0, 0.0, 1.0])
@@ -282,55 +282,6 @@ class TestSpecFeatures:
             assert feats[0].mask in (0, 1)
             expected = 1 if (sum(eta) * feats[0].ndotxi) > 0 else 0
             assert feats[0].mask == expected
-
-
-class TestSGRenderSpecular:
-    def test_all_masked_is_zero(self):
-        env = SGEnvironment((SGLobe(2.8, 0.0, 3.0, (1.0, 1.0, 1.0)),
-                             SGLobe(0.4, 0.2, 3.0, (0.0, 0.0, 0.0))))
-        mat = MaterialSample((1.0, 1.0, 1.0), 0.6, NORMAL)
-        np.testing.assert_array_equal(
-            sg_render_specular(mat, env, unit([0.1, 0.0, 0.99])), np.zeros(3))
-
-    def test_constant_lobe_close_to_quadrature(self):
-        env = SGEnvironment((SGLobe(0.3, 0.2, 0.0, (1.0, 1.0, 1.0)),))
-        grid = rasterize_env(env, 16, 32, FRAME)
-        mat = MaterialSample((1.0, 1.0, 1.0), 0.6, NORMAL)
-        for ang in (0.0, 30.0, 45.0):
-            a = math.radians(ang)
-            v = np.array([math.sin(a), 0.0, math.cos(a)])
-            quad = render_specular(mat, grid, v)
-            approx = sg_render_specular(mat, env, v)
-            rel = np.max(np.abs(approx - quad) / np.maximum(quad, 1e-12))
-            assert rel <= 0.15
-
-    @pytest.mark.parametrize("roughness", [0.4, 0.5, 0.6, 0.7])
-    @pytest.mark.parametrize("sharp", [0.0, 2.0])
-    def test_smooth_cases_within_fifteen_percent(self, roughness, sharp):
-        env = SGEnvironment((SGLobe(0.5, 1.0, sharp, (2.0, 1.5, 1.0)),))
-        grid = rasterize_env(env, 32, 64, FRAME)
-        mat = MaterialSample((1.0, 1.0, 1.0), roughness, NORMAL)
-        for ang in (0.0, 30.0, 45.0):
-            a = math.radians(ang)
-            v = np.array([math.sin(a), 0.0, math.cos(a)])
-            quad = render_specular(mat, grid, v)
-            approx = sg_render_specular(mat, env, v)
-            rel = np.max(np.abs(approx - quad) / np.maximum(quad, 1e-12))
-            assert rel <= 0.15
-
-    def test_exactly_linear_in_intensity(self):
-        env1 = SGEnvironment((SGLobe(0.6, 1.0, 4.0, (2.0, 1.5, 1.0)),))
-        env2 = SGEnvironment((SGLobe(0.6, 1.0, 4.0, (4.0, 3.0, 2.0)),))
-        mat = MaterialSample((1.0, 1.0, 1.0), 0.6, NORMAL)
-        v = unit([0.2, 0.1, 0.97])
-        np.testing.assert_array_equal(sg_render_specular(mat, env2, v),
-                                      2.0 * sg_render_specular(mat, env1, v))
-
-    def test_below_horizon_view_is_zero(self):
-        env = SGEnvironment((SGLobe(0.5, 1.0, 3.0, (1.0, 1.0, 1.0)),))
-        mat = MaterialSample((1.0, 1.0, 1.0), 0.6, NORMAL)
-        np.testing.assert_array_equal(
-            sg_render_specular(mat, env, unit([0.3, 0.0, -0.95])), np.zeros(3))
 
 
 class TestLobeMask:

@@ -5,6 +5,7 @@ import pytest
 
 from voxlight import io as vio
 from voxlight.cli import main
+from voxlight.metrics import StageLossBundle, stage_losses
 
 
 @pytest.fixture(scope="module")
@@ -119,3 +120,37 @@ class TestRerenderAndMetrics:
         assert report["g1_normal"] <= 1e-6
         assert report["g3_albedo"] <= 1e-9   # scale-invariant: 2x albedo is free
         assert report["g2_rough"] <= 1e-12
+
+    @pytest.mark.parametrize("with_mask", [False, True])
+    def test_metrics_losses_are_stage_losses(self, scene_dir, tmp_path, with_mask):
+        bundle, gt = vio.load_scene(scene_dir)
+        rng = np.random.default_rng(5)
+        pred = tmp_path / "pred"
+        pred.mkdir()
+        normal = gt["normal"][0] + rng.normal(0.0, 0.05, gt["normal"][0].shape)
+        normal /= np.linalg.norm(normal, axis=-1, keepdims=True)
+        vio.write_pfm(pred / "normal_0.pfm", normal)
+        vio.write_pfm(pred / "albedo_0.pfm",
+                      gt["albedo"][0] * rng.uniform(0.5, 2.0, gt["albedo"][0].shape))
+        vio.write_pfm(pred / "rough_0.pfm",
+                      np.clip(gt["rough"][0] + rng.normal(0.0, 0.1, gt["rough"][0].shape),
+                              0.0, 1.0))
+        mask = (rng.random(bundle.target.depth.shape) > 0.3).astype(np.float64)
+        if with_mask:
+            vio.write_pfm(pred / "mask.pfm", mask)
+        else:
+            mask = np.ones(bundle.target.depth.shape)
+        report_file = tmp_path / "report.json"
+        assert main(["metrics", "--scene", str(scene_dir), "--pred", str(pred),
+                     "--out", str(report_file)]) == 0
+        report = json.loads(report_file.read_text())
+        losses = stage_losses(StageLossBundle(
+            mask_light=mask, mask_object=mask, normal_ref=gt["normal"][0],
+            normal_pred=vio.read_pfm(pred / "normal_0.pfm"),
+            albedo_ref=gt["albedo"][0], albedo_pred=vio.read_pfm(pred / "albedo_0.pfm"),
+            rough_ref=gt["rough"][0], rough_pred=vio.read_pfm(pred / "rough_0.pfm")),
+            stages=("normal", "brdf"))
+        assert report["L_normal"] == losses["L_normal"] > 0.0
+        assert report["L_BRDF"] == losses["L_BRDF"] > 0.0
+        for key in ("L_InDL", "L_SVL", "L_SVL_reg"):
+            assert key not in report

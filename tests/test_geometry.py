@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from voxlight.geometry import (Camera, View, ViewBundle, bilinear_sample,
-                               depth_gradient, depth_to_normal, derive_geometry,
-                               multiview_weights, projection_error, reproject)
+                               depth_to_normal, multiview_weights, projection_error,
+                               reproject)
 
 
 def make_camera(fx=60.0, fy=60.0, cx=39.5, cy=29.5, rotation=None,
@@ -113,42 +113,6 @@ class TestDepthToNormal:
     def test_rejects_nonpositive_depth(self):
         with pytest.raises(ValueError):
             depth_to_normal(np.zeros((4, 4)), make_camera())
-
-
-class TestDepthGradient:
-    def test_constant_depth_zero(self):
-        np.testing.assert_array_equal(depth_gradient(np.full((10, 12), 3.0)),
-                                      np.zeros((10, 12)))
-
-    def test_linear_ramp_is_one(self):
-        jj = np.meshgrid(np.arange(12), np.arange(10))[0].astype(float)
-        np.testing.assert_allclose(depth_gradient(jj + 1.0), np.ones((10, 12)),
-                                   atol=1e-12)
-
-    def test_matches_two_pass_oracle(self):
-        rng = np.random.default_rng(3)
-        depth = rng.uniform(1.0, 3.0, (9, 11))
-        got = depth_gradient(depth)
-        h, w = depth.shape
-        expected = np.zeros_like(depth)
-        for i in range(h):
-            for j in range(w):
-                if 0 < j < w - 1:
-                    du = (depth[i, j + 1] - depth[i, j - 1]) / 2.0
-                else:
-                    du = depth[i, min(j + 1, w - 1)] - depth[i, max(j - 1, 0)]
-                if 0 < i < h - 1:
-                    dv = (depth[i + 1, j] - depth[i - 1, j]) / 2.0
-                else:
-                    dv = depth[min(i + 1, h - 1), j] - depth[max(i - 1, 0), j]
-                expected[i, j] = math.hypot(du, dv)
-        np.testing.assert_allclose(got, expected, atol=1e-12)
-
-    def test_derive_geometry_bundles_maps(self):
-        maps = derive_geometry(np.full((6, 7), 2.0), make_camera())
-        assert maps.normal.shape == (6, 7, 3)
-        assert maps.depth_gradient.shape == (6, 7)
-        assert not maps.degenerate.any()
 
 
 class TestReproject:

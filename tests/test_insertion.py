@@ -261,6 +261,33 @@ class TestInsertObject:
             outs.append(out[int(round(v[0])), int(round(u[0]))])
         np.testing.assert_allclose(outs[0], outs[1], rtol=1e-9)
 
+    def test_mirror_pixels_equal_per_hit_shading(self):
+        rng = np.random.default_rng(21)
+        vox = np.stack([rng.uniform(0.0, 0.5, (5, 5, 5)),
+                        rng.uniform(0.0, math.pi, (5, 5, 5)),
+                        rng.uniform(-math.pi, math.pi, (5, 5, 5)),
+                        rng.uniform(0.0, 8.0, (5, 5, 5))]
+                       + [rng.uniform(0.0, 2.0, (5, 5, 5))] * 3, axis=-1)
+        vol = VSGVolume(bounds=BOUNDS, voxels=vox)
+        view, normals = overhead_view(h=16, w=20)
+        sphere = InsertedSphere(center=np.array([1.0, 1.0, 0.7]), radius=0.35,
+                                material=MirrorMaterial())
+        out = insert_object(view, vol, sphere, normal_map=normals,
+                            shadow_dirs=(4, 8), n_samples=16)
+        dirs = view.camera.pixel_directions(16, 20)
+        hits = 0
+        for i in range(16):
+            for j in range(20):
+                hit = ray_sphere(Ray(origin=view.camera.center, direction=dirs[i, j],
+                                     t_max=10.0), sphere)
+                if hit is None:
+                    continue
+                hits += 1
+                np.testing.assert_array_equal(
+                    out[i, j], shade_sphere_pixel(hit, sphere.material, vol,
+                                                  dirs[i, j], n_samples=16))
+        assert hits >= 20
+
     def test_occluded_sphere_leaves_image(self):
         view, normals = overhead_view()
         vol = VSGVolume.uniform((4, 4, 4), BOUNDS, alpha=0.0)

@@ -14,6 +14,10 @@ def tiny_config():
         feature_stride=8, sphere_radius=0.3)
 
 
+# digest of pipeline_demo(tiny_config()); the same with OpenBLAS at 1 or 2 threads
+TINY_DIGEST = "9ab776bff47f4a7b23cf583ef66d1c0cb3a6563cc49a822d3f77677dcaeb3f23"
+
+
 @pytest.fixture(scope="module")
 def tiny_report():
     return pipeline_demo(tiny_config())
@@ -39,6 +43,11 @@ class TestPipelineDemo:
         assert r.volume.dims == (4, 4, 4)
         assert r.surface_volume.dims == (4, 4, 4)
         assert np.all(r.inserted >= 0.0)
+
+    def test_digest_is_pinned(self, tiny_report):
+        assert tiny_report.digest == TINY_DIGEST, (
+            "the tiny demo's output digest moved; a deliberate change must be "
+            "logged in CHANGES.md with its cause before TINY_DIGEST is updated")
 
     def test_deterministic_rerun(self, tiny_report):
         again = pipeline_demo(tiny_config())

@@ -5,9 +5,9 @@ import pytest
 
 from voxlight.sg import (EnvMapGrid, Frame, SGEnvironment, SGFitOptions, SGLobe,
                          _params_to_env, default_sg_init, eval_env, eval_sg,
-                         export_lobe_params, fibonacci_hemisphere, rasterize_env,
-                         sg_fit, sg_fit_objective, texel_directions,
-                         texel_solid_angles)
+                         export_lobe_params, fibonacci_hemisphere,
+                         hemisphere_frames, normalize, rasterize_env, sg_fit,
+                         sg_fit_objective, texel_directions, texel_solid_angles)
 from voxlight.volume import (Bounds, EnvTarget, VSGFitOptions, VSGFitProblem,
                              _initial_params, _params_to_volume)
 
@@ -62,6 +62,53 @@ class TestTypes:
         with pytest.raises(ValueError):
             Frame(normal=np.array([0, 0, 1.0]), tangent=np.array([0, 0, 1.0]),
                   bitangent=np.array([0, 1.0, 0]))
+
+
+def frozen_from_normal(normal):
+    """The scalar body ``Frame.from_normal`` had before it became a batch of
+    one ``hemisphere_frames``: (normal, tangent, bitangent)."""
+    n = normalize(normal)
+    ref = np.array([0.0, 0.0, 1.0]) if abs(n[2]) < 0.9 else np.array([1.0, 0.0, 0.0])
+    t = normalize(np.cross(ref, n))
+    return n, t, np.cross(n, t)
+
+
+def pole_switch_normals():
+    """Unit normals whose n_z is exactly +-0.9 or one ulp either side (where
+    the reference axis switches), plus +-z."""
+    phi = np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False)
+    out = [np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])]
+    for z0 in (0.9, -0.9):
+        for z in (np.nextafter(z0, 0.0), z0, np.nextafter(z0, 2.0 * z0)):
+            r = math.sqrt(1.0 - z * z)
+            n = normalize(np.stack([r * np.cos(phi), r * np.sin(phi),
+                                    np.full(phi.size, z)], axis=-1))
+            assert np.all(n[:, 2] == z)
+            out.append(n)
+    return np.concatenate(out)
+
+
+class TestHemisphereFrames:
+    def test_from_normal_bitwise_equal_to_frozen_scalar_body(self):
+        rng = np.random.default_rng(12)
+        normals = np.concatenate([rng.normal(size=(2000, 3)), pole_switch_normals()])
+        for n in normals:
+            frame = Frame.from_normal(n)
+            want = frozen_from_normal(n)
+            for got, ref in zip((frame.normal, frame.tangent, frame.bitangent), want):
+                np.testing.assert_array_equal(got, ref)
+
+    def test_batch_rows_get_the_bits_they_get_alone(self):
+        rng = np.random.default_rng(13)
+        normals = np.concatenate([normalize(rng.normal(size=(500, 3))),
+                                  pole_switch_normals()])
+        tang, bit = hemisphere_frames(normals)
+        for i in range(normals.shape[0]):
+            t, b = hemisphere_frames(normals[i:i + 1])
+            np.testing.assert_array_equal(tang[i], t[0])
+            np.testing.assert_array_equal(bit[i], b[0])
+        np.testing.assert_allclose(np.cross(tang, bit), normals, atol=1e-12)
+        np.testing.assert_allclose(np.sum(tang * normals, axis=-1), 0.0, atol=1e-12)
 
 
 class TestEvalSG:
