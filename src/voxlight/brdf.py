@@ -5,9 +5,11 @@ SG environment, and lobe masking.
 The specular model is GGX (alpha_g = roughness^2) with the Smith
 height-correlated masking term and Schlick Fresnel at a fixed dielectric
 f0 = 0.05. Diffuse is Lambertian albedo / pi. Hemisphere integrals use the
-exact per-texel solid angles of the environment grid. One batched
-evaluator, ``ggx_specular``, serves the scalar ``specular_brdf``,
-``render_specular`` and scene rendering.
+exact per-texel solid angles of the environment grid. One batched GGX
+evaluator, ``ggx_specular``, serves the scalar ``specular_brdf``; one
+batched shading core, ``shade_env_maps``, serves scene rendering, sphere
+insertion and the per-pixel ``render_diffuse``, ``render_specular`` and
+``rerender_pixel``.
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sg import EnvMapGrid, SGEnvironment, _as_unit, texel_solid_angles
+from .sg import (UNIT_NORM_TOL, EnvMapGrid, SGEnvironment, _as_unit, cosine_weights,
+                 frame_directions, texel_local_directions)
 
 F0_DEFAULT = 0.05
 
@@ -144,33 +147,62 @@ def specular_brdf(v, l, n, roughness: float, f0: float = F0_DEFAULT) -> float:
                               _as_unit(n)[None], np.array([roughness]), f0)[0, 0])
 
 
+# Pixel-texel pairs shaded per chunk: 2048 pixels of 8 x 16 texels.
+_CHUNK_PAIRS = 2048 * 128
+
+
+def shade_env_maps(envs: np.ndarray, normals: np.ndarray, tangents: np.ndarray,
+                   bitangents: np.ndarray, view: np.ndarray, albedo: np.ndarray,
+                   roughness: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Diffuse (albedo / pi) sum L cos dOmega and specular sum L B_s cos dOmega,
+    each (P, C), of env maps (P, Ha, Wa, C) in the frames of unit normals,
+    tangents and bitangents (P, 3), n.l being the texel-local z; ``view``
+    (P, 3) points to the viewer, ``albedo`` is (P, C), ``roughness`` (P,).
+    A row's bits do not depend on the rest of the batch."""
+    p, ha, wa = envs.shape[:3]
+    local = texel_local_directions(ha, wa)
+    weights = cosine_weights(ha, wa)
+    flat_env = envs.reshape(p, ha * wa, -1)
+    diffuse, specular = np.empty((2, p, flat_env.shape[-1]))
+    chunk = max(1, _CHUNK_PAIRS // (ha * wa))
+    for start in range(0, p, chunk):
+        sl = slice(start, start + chunk)
+        env = flat_env[sl]
+        diffuse[sl] = albedo[sl] / math.pi * np.sum(env * weights[:, None], axis=1)
+        dirs = frame_directions(local, normals[sl], tangents[sl], bitangents[sl])
+        brdf = ggx_specular(view[sl], dirs, normals[sl], roughness[sl])
+        specular[sl] = np.einsum("pt,ptc->pc", brdf * weights, env)
+    return diffuse, specular
+
+
+def _shade_in_frame(env: EnvMapGrid, albedo, roughness: float, v):
+    """``shade_env_maps`` on one env map, in its own frame."""
+    f = env.frame
+    rows = (env.texels, f.normal, f.tangent, f.bitangent, _as_unit(v), albedo, roughness)
+    diffuse, specular = shade_env_maps(*(np.asarray(a, dtype=np.float64)[None] for a in rows))
+    return diffuse[0], specular[0]
+
+
 def render_diffuse(albedo, env: EnvMapGrid) -> np.ndarray:
-    """Lambertian radiance (albedo / pi) * sum L (n.l)+ dOmega over texels."""
-    albedo = np.asarray(albedo, dtype=np.float64)
-    cos = np.maximum(env.directions() @ env.frame.normal, 0.0)
-    omega = texel_solid_angles(env.height, env.width)[:, None]
-    weighted = (cos * omega)[..., None] * env.texels
-    return albedo / math.pi * weighted.sum(axis=(0, 1))
+    """Lambertian radiance (albedo / pi) * sum L cos dOmega over texels: a
+    batch of one ``shade_env_maps`` in the env map's frame."""
+    return _shade_in_frame(env, albedo, 1.0, env.frame.normal)[0]
 
 
 def render_specular(material: MaterialSample, env: EnvMapGrid, v) -> np.ndarray:
-    """Specular radiance sum L B_s(v, l, n, r) (n.l)+ dOmega over texels."""
-    dirs = env.directions().reshape(-1, 3)
-    brdf = ggx_specular(_as_unit(v)[None], dirs[None], material.normal[None],
-                        np.array([material.roughness]))[0]
-    cos = np.maximum(dirs @ material.normal, 0.0)
-    omega = np.broadcast_to(texel_solid_angles(env.height, env.width)[:, None],
-                            (env.height, env.width)).reshape(-1)
-    weights = brdf * cos * omega
-    return weights @ env.texels.reshape(-1, 3)
+    """Specular radiance sum L B_s cos dOmega: the specular half of ``rerender_pixel``."""
+    return rerender_pixel(material, env, v)[1]
 
 
 def rerender_pixel(material: MaterialSample, env: EnvMapGrid,
                    v) -> tuple[np.ndarray, np.ndarray]:
     """Diffuse and specular radiance, returned separately so downstream
-    losses can scale them independently."""
-    return (render_diffuse(material.albedo, env),
-            render_specular(material, env, v))
+    losses can scale them independently: a batch of one ``shade_env_maps``
+    in the env map's frame, whose normal must be ``material.normal`` up to
+    the unit-norm tolerance (``Frame.from_normal`` renormalizes its input)."""
+    if not np.allclose(material.normal, env.frame.normal, rtol=0.0, atol=UNIT_NORM_TOL):
+        raise ValueError("material normal must be the env map's frame normal")
+    return _shade_in_frame(env, material.albedo, material.roughness, v)
 
 
 def lobe_mask(intensity, ndotxi: float) -> int:

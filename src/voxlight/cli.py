@@ -131,10 +131,7 @@ def cmd_rerender(args):
     if not {"env", "albedo", "rough", "normal"} <= set(gt):
         raise SystemExit("scene directory lacks ground truth maps")
     points, normals_world = _target_surface(bundle, gt)
-    h, w = points.shape[:2]
-    spec = SceneSpec(image_width=w, image_height=h,
-                     env_width=gt["env"].shape[3], env_height=gt["env"].shape[2])
-    diffuse, specular = render_images(spec, points, normals_world,
+    diffuse, specular = render_images(points, normals_world,
                                       gt["albedo"][bundle.target_index],
                                       gt["rough"][bundle.target_index],
                                       gt["env"], bundle.target.camera.center)

@@ -1,7 +1,9 @@
 """Sphere insertion against a VSG lighting volume.
 
 A mirror sphere composites the volume along reflected rays; a diffuse/rough
-sphere shades a per-hit environment map through the microfacet layer.
+sphere composites the env maps of its hit points, ``_PIXEL_CHUNK`` at a
+time, and shades them with ``brdf.shade_env_maps``; ``shade_sphere_pixel``
+is a batch of one.
 Shadows modulate the existing image by the ratio of hemisphere irradiance
 with and without the sphere as an occluder, so no albedo ground truth is
 needed.
@@ -15,13 +17,14 @@ from typing import Union
 
 import numpy as np
 
-from .brdf import MaterialSample, render_specular, rerender_pixel
+from .brdf import shade_env_maps
 from .geometry import View, depth_to_normal
-from .sg import (EnvMapGrid, Frame, hemisphere_frames, texel_local_directions,
-                 texel_solid_angles)
-from .volume import Ray, VSGVolume, composite_rays, env_offset, extract_env_map
+from .sg import (Frame, cosine_weights, frame_directions, hemisphere_frames,
+                 texel_local_directions)
+from .volume import Ray, VSGVolume, composite_rays, env_offset
 
 DEFAULT_ENV_RES = (16, 32)   # (height, width), matching test-time env maps
+_PIXEL_CHUNK = 512            # diffuse-sphere hits shaded per batch, ~21 MB of env rays
 
 
 @dataclass(frozen=True)
@@ -95,6 +98,16 @@ def _ray_sphere_t(origins: np.ndarray, directions: np.ndarray, center: np.ndarra
     return np.where(ok, t, np.inf)
 
 
+def _texel_rays(volume: VSGVolume, points: np.ndarray, normals: np.ndarray,
+                tangents: np.ndarray, bitangents: np.ndarray, n_dirs: tuple[int, int]):
+    """Texel-centre rays (P, D, 3) of ``n_dirs`` grids at points (P, 3) in the
+    given frames, from origins nudged ``env_offset`` along the normal."""
+    dirs = frame_directions(texel_local_directions(*n_dirs), normals, tangents,
+                            bitangents)
+    origins = (points + env_offset(volume) * normals)[:, None, :]
+    return np.broadcast_to(origins, dirs.shape), dirs
+
+
 def _mirror_radiance(volume: VSGVolume, points: np.ndarray, view_dirs: np.ndarray,
                      normals: np.ndarray, n_samples: int) -> np.ndarray:
     """Radiance (P, 3) a mirror reflects toward the viewer: the volume
@@ -105,33 +118,48 @@ def _mirror_radiance(volume: VSGVolume, points: np.ndarray, view_dirs: np.ndarra
     return composite_rays(volume, points, refl, volume.bounds.diagonal, n_samples)
 
 
-def shade_sphere_pixel(hit: SphereHit, material: SphereMaterial, volume: VSGVolume,
-                       view_dir, env_res: tuple[int, int] = DEFAULT_ENV_RES,
-                       n_samples: int = 64) -> np.ndarray:
-    """Radiance leaving the sphere toward the viewer at one hit point.
+def _diffuse_radiance(material: DiffuseMaterial, volume: VSGVolume, points: np.ndarray,
+                      view_dirs: np.ndarray, normals: np.ndarray, n_samples: int):
+    """Radiance (P, 3) of a diffuse/rough sphere: env maps of all hits in the
+    normals' hemisphere frames, composited and shaded in one batch each. A
+    white fourth channel gives the specular albedo; one minus it scales the
+    diffuse term, so a white sphere in uniform light returns that light."""
+    p = points.shape[0]
+    frames = hemisphere_frames(normals)
+    origins, dirs = _texel_rays(volume, points, normals, *frames, DEFAULT_ENV_RES)
+    radiance = composite_rays(volume, origins.reshape(-1, 3), dirs.reshape(-1, 3),
+                              volume.bounds.diagonal, n_samples)
+    envs = np.concatenate([radiance, np.ones((radiance.shape[0], 1))], axis=-1)
+    v = -view_dirs / np.linalg.norm(view_dirs, axis=-1, keepdims=True)
+    diffuse, specular = shade_env_maps(
+        envs.reshape((p,) + DEFAULT_ENV_RES + (4,)), normals, *frames, v,
+        np.broadcast_to(material.albedo + (0.0,), (p, 4)), np.full(p, material.roughness))
+    return diffuse[:, :3] * (1.0 - specular[:, 3:]) + specular[:, :3]
 
-    ``view_dir`` is the unit camera-to-surface ray direction. Mirrors
-    composite the volume along the reflected ray (a batch of one of what
-    ``insert_object`` does for all its mirror pixels). Diffuse materials
-    shade a per-hit environment map; the diffuse term is scaled by one minus
-    the specular directional albedo so a unit-albedo sphere under constant
-    lighting returns that lighting (energy-compensated compositing).
-    """
-    d = np.asarray(view_dir, dtype=np.float64)
-    n = hit.normal
+
+def _sphere_radiance(material: SphereMaterial, volume: VSGVolume, points: np.ndarray,
+                     view_dirs: np.ndarray, normals: np.ndarray, n_samples: int):
+    """Radiance (P, 3) the sphere sends toward the viewer from its hits. A
+    diffuse sphere is shaded ``_PIXEL_CHUNK`` hits at a time, which bounds
+    the env-map rays held at once; a row's bits do not depend on its chunk."""
     if isinstance(material, MirrorMaterial):
-        return _mirror_radiance(volume, hit.point[None], d[None], n[None], n_samples)[0]
-    height, width = env_res
-    frame = Frame.from_normal(n)
-    env = extract_env_map(volume, hit.point, frame, height, width, n_samples)
-    sample = MaterialSample(albedo=material.albedo, roughness=material.roughness,
-                            normal=n)
-    v = -d / np.linalg.norm(d)
-    diffuse, specular = rerender_pixel(sample, env, v)
-    white = EnvMapGrid(width=width, height=height, frame=frame,
-                       texels=np.ones((height, width, 3)))
-    spec_albedo = render_specular(sample, white, v)
-    return diffuse * (1.0 - spec_albedo) + specular
+        return _mirror_radiance(volume, points, view_dirs, normals, n_samples)
+    out = np.empty_like(points)
+    for start in range(0, points.shape[0], _PIXEL_CHUNK):
+        sl = slice(start, start + _PIXEL_CHUNK)
+        out[sl] = _diffuse_radiance(material, volume, points[sl], view_dirs[sl],
+                                    normals[sl], n_samples)
+    return out
+
+
+def shade_sphere_pixel(hit: SphereHit, material: SphereMaterial, volume: VSGVolume,
+                       view_dir, n_samples: int = 64) -> np.ndarray:
+    """Radiance leaving the sphere toward the viewer at one hit point, seen
+    along the unit camera-to-surface direction ``view_dir``: a batch of one
+    of what ``insert_object`` does for all its sphere pixels."""
+    d = np.asarray(view_dir, dtype=np.float64)[None]
+    return _sphere_radiance(material, volume, hit.point[None], d, hit.normal[None],
+                            n_samples)[0]
 
 
 def _shadow_ratios(points: np.ndarray, normals: np.ndarray, tangent: np.ndarray,
@@ -139,13 +167,7 @@ def _shadow_ratios(points: np.ndarray, normals: np.ndarray, tangent: np.ndarray,
                    n_dirs: tuple[int, int], n_samples: int) -> np.ndarray:
     """``shadow_ratio`` at surface points (P, 3) with hemisphere frames given
     by unit normals, tangents and bitangents (P, 3)."""
-    height, width = n_dirs
-    local = texel_local_directions(height, width)              # (D, 3) in frame
-    dirs = (local[None, :, 0:1] * tangent[:, None, :]
-            + local[None, :, 1:2] * bitangent[:, None, :]
-            + local[None, :, 2:3] * normals[:, None, :])        # (P, D, 3)
-    origins = (points + env_offset(volume) * normals)[:, None, :]
-    origins = np.broadcast_to(origins, dirs.shape)
+    origins, dirs = _texel_rays(volume, points, normals, tangent, bitangent, n_dirs)
 
     # pixels with no occluded direction keep ratio 1 exactly; composite only
     # where the sphere actually blocks something
@@ -157,13 +179,10 @@ def _shadow_ratios(points: np.ndarray, normals: np.ndarray, tangent: np.ndarray,
     if active.size == 0:
         return ratios
 
-    flat_o = origins[active].reshape(-1, 3)
-    flat_d = dirs[active].reshape(-1, 3)
-    radiance = composite_rays(volume, flat_o, flat_d, volume.bounds.diagonal,
+    radiance = composite_rays(volume, origins[active].reshape(-1, 3),
+                              dirs[active].reshape(-1, 3), volume.bounds.diagonal,
                               n_samples).reshape(active.size, -1, 3)
-    omega = np.repeat(texel_solid_angles(height, width), width)
-    weight = (local[:, 2] * omega)[None, :, None]               # cos * dOmega
-    energy = radiance * weight
+    energy = radiance * cosine_weights(*n_dirs)[None, :, None]
     total = energy.sum(axis=(1, 2))
     occluded = np.sum(energy * blocked[active][..., None], axis=(1, 2))
     safe = np.where(total > 0.0, total, 1.0)
@@ -190,7 +209,6 @@ def shadow_ratio(point, frame: Frame, volume: VSGVolume, sphere: InsertedSphere,
 
 def insert_object(view: View, volume: VSGVolume, sphere: InsertedSphere,
                   normal_map: np.ndarray | None = None,
-                  env_res: tuple[int, int] = DEFAULT_ENV_RES,
                   shadow_dirs: tuple[int, int] = DEFAULT_ENV_RES,
                   n_samples: int = 64) -> np.ndarray:
     """Composite the sphere into ``view`` with occlusion and shadows.
@@ -228,15 +246,8 @@ def insert_object(view: View, volume: VSGVolume, sphere: InsertedSphere,
                                 shadow_dirs, n_samples)
         out[shadowed] *= ratios[:, None]
 
-    sphere_idx = np.flatnonzero(on_sphere)
-    hits = hit_points[sphere_idx]
-    hit_normals = (hits - sphere.center) / sphere.radius
-    if sphere_idx.size and isinstance(sphere.material, MirrorMaterial):
-        out[sphere_idx] = _mirror_radiance(volume, hits, dirs[sphere_idx],
-                                           hit_normals, n_samples)
-    else:
-        for k, flat in enumerate(sphere_idx):
-            hit = SphereHit(t=float(t_hit[flat]), point=hits[k], normal=hit_normals[k])
-            out[flat] = shade_sphere_pixel(hit, sphere.material, volume,
-                                           dirs[flat], env_res, n_samples)
+    if np.any(on_sphere):
+        hits = hit_points[on_sphere]
+        out[on_sphere] = _sphere_radiance(sphere.material, volume, hits, dirs[on_sphere],
+                                          (hits - sphere.center) / sphere.radius, n_samples)
     return np.maximum(out.reshape(h, w, 3), 0.0)

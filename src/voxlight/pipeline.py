@@ -220,9 +220,8 @@ def pipeline_demo(config: DemoConfig | None = None) -> PipelineReport:
                                                         config)
 
     with _stage("rerender", timings):
-        render_args = (scene.spec, scene.surface_points,
-                       scene.surface_normals, scene.gt_albedo[0],
-                       scene.gt_rough[0], fitted_envs)
+        render_args = (scene.surface_points, scene.surface_normals,
+                       scene.gt_albedo[0], scene.gt_rough[0], fitted_envs)
         diffuse, specular = render_images(*render_args, target.camera.center)
         rerendered = diffuse + specular
         rerender_g3 = si_mse(target.image, rerendered, scene.mask)

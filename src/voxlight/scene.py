@@ -4,9 +4,9 @@ camera array whose baseline scales with the mean scene depth.
 
 Everything is closed form: depths and normals come from ray/plane
 intersections, per-pixel hemispherical environment maps from the light
-box's solid-angle footprint (supersampled per texel), and images from the
-microfacet rendering layer driven by those maps, so the ground truth is
-self-consistent by construction.
+box's solid-angle footprint (supersampled per texel), and images from
+``brdf.shade_env_maps`` (the shading every env-map renderer uses) driven
+by those maps, so the ground truth is self-consistent by construction.
 
 Env maps trace only the texels whose angular cell can meet the light box's
 bounding sphere (a few percent of them on the default scene); the other
@@ -22,10 +22,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .brdf import ggx_specular
+from .brdf import shade_env_maps
 from .geometry import Camera, View, ViewBundle
-from .sg import (hemisphere_frames, texel_angles, texel_local_directions,
-                 texel_solid_angles)
+from .sg import hemisphere_frames, texel_local_directions
 from .volume import Bounds, _clip_rays
 
 GRID_OFFSETS = (  # target first, then the eight neighbors
@@ -212,45 +211,19 @@ def per_pixel_env_maps(spec: SceneSpec, points: np.ndarray,
     return (coverage[..., None] * radiance).reshape(h, w, ha, wa, 3)
 
 
-def render_images(spec: SceneSpec, points: np.ndarray, normals: np.ndarray,
-                  albedo: np.ndarray, rough: np.ndarray, envs: np.ndarray,
+def render_images(points: np.ndarray, normals: np.ndarray, albedo: np.ndarray,
+                  rough: np.ndarray, envs: np.ndarray,
                   cam_center: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Diffuse and specular HDR images from per-pixel env maps.
-
-    Matches the per-pixel rendering layer: diffuse (a/pi) sum L cos dOmega,
-    specular sum L B_s cos dOmega over the hemisphere texels.
-    """
+    """Diffuse and specular HDR images from per-pixel env maps (H, W, Ha,
+    Wa, 3) in the hemisphere frames of ``normals``: ``brdf.shade_env_maps``
+    over all pixels, viewed from ``cam_center``."""
     h, w = points.shape[:2]
-    ha, wa = envs.shape[2:4]
-    theta, _ = texel_angles(ha, wa)
-    cos = np.cos(theta)
-    omega = texel_solid_angles(ha, wa)
-    cw = (cos * omega)[:, None]                                  # (ha, 1)
-
-    flat_env = envs.reshape(h * w, ha, wa, 3)
-    diffuse = (albedo.reshape(-1, 3) / math.pi
-               * np.sum(flat_env * cw[None, ..., None], axis=(1, 2)))
-
-    # per-pixel specular against the same texel grid, chunked over pixels
-    flat_p = points.reshape(-1, 3)
     flat_n = normals.reshape(-1, 3)
-    tang, bit = hemisphere_frames(flat_n)
-    lx, ly, lz = texel_local_directions(ha, wa).T
-    specular = np.empty_like(diffuse)
-    v = cam_center[None, :] - flat_p
+    v = cam_center[None, :] - points.reshape(-1, 3)
     v /= np.linalg.norm(v, axis=-1, keepdims=True)
-    flat_r = rough.reshape(-1)
-    omega_flat = np.repeat(omega, wa)
-    chunk = 2048
-    for start in range(0, flat_p.shape[0], chunk):
-        sl = slice(start, min(start + chunk, flat_p.shape[0]))
-        dirs = (lx[None, :, None] * tang[sl, None, :]
-                + ly[None, :, None] * bit[sl, None, :]
-                + lz[None, :, None] * flat_n[sl, None, :])
-        brdf = ggx_specular(v[sl], dirs, flat_n[sl], flat_r[sl])
-        wgt = brdf * (lz * omega_flat)[None, :]                   # n.l = local z
-        specular[sl] = np.einsum("pt,ptc->pc", wgt,
-                                 flat_env[sl].reshape(-1, ha * wa, 3))
+    diffuse, specular = shade_env_maps(envs.reshape((h * w,) + envs.shape[2:]), flat_n,
+                                       *hemisphere_frames(flat_n), v,
+                                       albedo.reshape(-1, 3), rough.reshape(-1))
     return diffuse.reshape(h, w, 3), specular.reshape(h, w, 3)
 
 
@@ -293,8 +266,8 @@ def generate_scene(spec: SceneSpec) -> GeneratedScene:
         rough = np.where(which == 0, spec.plane_roughness, spec.wall_roughness)
 
         envs = per_pixel_env_maps(spec, points, n_world)
-        diffuse, specular = render_images(spec, points, n_world, albedo, rough,
-                                          envs, cam.center)
+        diffuse, specular = render_images(points, n_world, albedo, rough, envs,
+                                          cam.center)
         image = diffuse + specular
         views.append(View(image=image, depth=depth,
                           confidence=np.ones((h, w)), camera=cam))

@@ -216,6 +216,19 @@ def texel_solid_angles(height: int, width: int) -> np.ndarray:
     return (2.0 * math.pi / width) * (np.cos(edges[:-1]) - np.cos(edges[1:]))
 
 
+def cosine_weights(height: int, width: int) -> np.ndarray:
+    """cos(theta) dOmega of a hemisphere grid's texels (height * width,)."""
+    return (texel_local_directions(height, width)[:, 2]
+            * np.repeat(texel_solid_angles(height, width), width))
+
+
+def frame_directions(local: np.ndarray, normals: np.ndarray, tangents: np.ndarray,
+                     bitangents: np.ndarray) -> np.ndarray:
+    """World directions (P, D, 3) of frame-local directions (D, 3) in P frames."""
+    return (local[:, 0:1] * tangents[:, None] + local[:, 1:2] * bitangents[:, None]
+            + local[:, 2:3] * normals[:, None])
+
+
 def eval_sg(lobe: SGLobe, direction) -> np.ndarray:
     """Lobe radiance eta * exp(sharpness * (dot(direction, axis) - 1)): a
     one-lobe ``eval_env``."""

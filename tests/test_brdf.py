@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import voxlight.scene
+import voxlight.brdf
 from voxlight.brdf import (F0_DEFAULT, MaterialSample, fresnel_schlick, ggx_ndf,
                            ggx_specular, half_vector, lobe_mask, render_diffuse,
-                           render_specular, rerender_pixel, smith_g,
+                           render_specular, rerender_pixel, shade_env_maps, smith_g,
                            spec_feature_inputs, specular_brdf)
 from voxlight.scene import SceneSpec, generate_scene
-from voxlight.sg import EnvMapGrid, Frame, SGEnvironment, SGLobe
+from voxlight.sg import (EnvMapGrid, Frame, SGEnvironment, SGLobe, hemisphere_frames,
+                         texel_solid_angles)
 
 FRAME = Frame.from_normal([0.0, 0.0, 1.0])
 NORMAL = np.array([0.0, 0.0, 1.0])
@@ -357,7 +358,8 @@ class TestGGXCore:
         spec = SceneSpec(image_width=12, image_height=9, env_width=8,
                          env_height=4, num_views=2, wall_offset=2.5)
         images = [v.image for v in generate_scene(spec).bundle.views]
-        monkeypatch.setattr(voxlight.scene, "ggx_specular",
+        # the shading core looks ggx_specular up in voxlight.brdf
+        monkeypatch.setattr(voxlight.brdf, "ggx_specular",
                             lambda v, d, n, r: old_specular_batch_many(
                                 v, d, n, r, F0_DEFAULT))
         frozen = [v.image for v in generate_scene(spec).bundle.views]
@@ -375,11 +377,165 @@ class TestGGXCore:
                          texels=rng.uniform(0.0, 2.0, (8, 16, 3)))
         mat = MaterialSample((1.0, 1.0, 1.0), 0.35, NORMAL)
         v = unit([0.2, -0.3, 0.9])
+        got = render_specular(mat, env, v)
+        # the same pixel as row 2 of a batch of five
+        frames = [random_frame(rng) for _ in range(5)]
+        frames[2] = FRAME
+        texels = rng.uniform(0.0, 2.0, (5, 8, 16, 3))
+        texels[2] = env.texels
+        views = np.stack([f.normal for f in frames])
+        views[2] = v
+        rough = rng.uniform(0.05, 1.0, 5)
+        rough[2] = 0.35
+        _, specular = shade_env_maps(texels, *frame_arrays(frames), views,
+                                     np.full((5, 3), 0.5), rough)
+        assert got.tobytes() == specular[2].tobytes()
+        # per-direction scalar GGX sum as the reference
         dirs = env.directions().reshape(-1, 3)
         brdf = np.array([specular_brdf(v, l, NORMAL, 0.35) for l in dirs])
         omega = np.repeat(env.solid_angles(), 16)
         want = (brdf * np.maximum(dirs @ NORMAL, 0.0) * omega) @ env.texels.reshape(-1, 3)
-        np.testing.assert_array_equal(render_specular(mat, env, v), want)
+        np.testing.assert_allclose(got, want, rtol=1e-11, atol=0.0)
+
+
+def random_frame(rng) -> Frame:
+    """A random right-handed orthonormal frame, not tied to any normal's
+    default tangent."""
+    q, r = np.linalg.qr(rng.normal(size=(3, 3)))
+    q = q * np.sign(np.diag(r))
+    if np.linalg.det(q) < 0.0:
+        q[:, 0] = -q[:, 0]
+    return Frame(normal=q[:, 2], tangent=q[:, 0], bitangent=q[:, 1])
+
+
+def frame_arrays(frames):
+    """Normals, tangents and bitangents (P, 3) of a list of frames."""
+    return tuple(np.stack([getattr(f, name) for f in frames])
+                 for name in ("normal", "tangent", "bitangent"))
+
+
+def old_render_diffuse(albedo, env):
+    """Frozen copy of ``render_diffuse`` before it became a batch of one
+    ``shade_env_maps`` (cos from world texel directions)."""
+    albedo = np.asarray(albedo, dtype=np.float64)
+    cos = np.maximum(env.directions() @ env.frame.normal, 0.0)
+    omega = texel_solid_angles(env.height, env.width)[:, None]
+    weighted = (cos * omega)[..., None] * env.texels
+    return albedo / math.pi * weighted.sum(axis=(0, 1))
+
+
+def old_render_specular(material, env, v):
+    """Frozen copy of ``render_specular`` before it became a batch of one
+    ``shade_env_maps`` (world texel directions, matrix-product sum)."""
+    dirs = env.directions().reshape(-1, 3)
+    brdf = ggx_specular(v[None], dirs[None], material.normal[None],
+                        np.array([material.roughness]))[0]
+    cos = np.maximum(dirs @ material.normal, 0.0)
+    omega = np.broadcast_to(texel_solid_angles(env.height, env.width)[:, None],
+                            (env.height, env.width)).reshape(-1)
+    return (brdf * cos * omega) @ env.texels.reshape(-1, 3)
+
+
+def random_view(rng, frame):
+    """A unit view direction at least 0.05 above the frame's horizon."""
+    while True:
+        v = unit(rng.normal(size=3))
+        if v @ frame.normal < 0.0:
+            v = -v
+        if v @ frame.normal >= 0.05:
+            return v
+
+
+class TestShadingCore:
+    def test_per_pixel_paths_match_frozen_copies(self):
+        rng = np.random.default_rng(31)
+        worst = 0.0
+        for height, width in ((8, 16), (16, 32), (4, 8)):
+            for _ in range(20):
+                frame = random_frame(rng)
+                env = EnvMapGrid(width=width, height=height, frame=frame,
+                                 texels=rng.uniform(0.0, 3.0, (height, width, 3)))
+                mat = MaterialSample(tuple(rng.uniform(0.0, 1.0, 3)),
+                                     float(rng.uniform(0.05, 1.0)), frame.normal)
+                v = random_view(rng, frame)
+                d, s = rerender_pixel(mat, env, v)
+                for got, want in ((render_diffuse(mat.albedo, env),
+                                   old_render_diffuse(mat.albedo, env)),
+                                  (render_specular(mat, env, v),
+                                   old_render_specular(mat, env, v)),
+                                  (d, old_render_diffuse(mat.albedo, env)),
+                                  (s, old_render_specular(mat, env, v))):
+                    assert np.all(want > 0.0)
+                    worst = max(worst, float(np.max(np.abs(got - want) / want)))
+        assert worst <= 1e-11
+
+    def test_scalar_calls_are_rows_of_a_batch(self):
+        rng = np.random.default_rng(32)
+        p, height, width = 7, 8, 16
+        frames = [random_frame(rng) for _ in range(p)]
+        texels = rng.uniform(0.0, 2.0, (p, height, width, 3))
+        views = np.stack([random_view(rng, f) for f in frames])
+        albedo = rng.uniform(0.0, 1.0, (p, 3))
+        rough = rng.uniform(0.05, 1.0, p)
+        diffuse, specular = shade_env_maps(texels, *frame_arrays(frames), views,
+                                           albedo, rough)
+        for i, frame in enumerate(frames):
+            env = EnvMapGrid(width=width, height=height, frame=frame, texels=texels[i])
+            mat = MaterialSample(tuple(albedo[i]), float(rough[i]), frame.normal)
+            d, s = rerender_pixel(mat, env, views[i])
+            assert d.tobytes() == diffuse[i].tobytes()
+            assert s.tobytes() == specular[i].tobytes()
+            assert render_diffuse(albedo[i], env).tobytes() == diffuse[i].tobytes()
+            assert render_specular(mat, env, views[i]).tobytes() == specular[i].tobytes()
+
+    def test_mismatched_material_normal_raises(self):
+        env = EnvMapGrid(width=16, height=8, frame=Frame.from_normal(unit([0.0, 0.6, 0.8])),
+                         texels=np.ones((8, 16, 3)))
+        mat = MaterialSample((0.5, 0.5, 0.5), 0.5, NORMAL)
+        v = unit([0.0, 0.3, 0.95])
+        with pytest.raises(ValueError, match="frame normal"):
+            render_specular(mat, env, v)
+        with pytest.raises(ValueError, match="frame normal"):
+            rerender_pixel(mat, env, v)
+
+    def test_frame_from_normal_accepts_the_same_normal(self):
+        # Frame.from_normal renormalizes, so its normal can differ from the
+        # material's in the last bits, or by up to the unit-norm tolerance
+        rng = np.random.default_rng(34)
+        env_texels = rng.uniform(0.0, 2.0, (8, 16, 3))
+        differing = 0
+        for scale in (1.0, 1.0 + 5e-7, 1.0 - 5e-7):
+            for _ in range(50):
+                x = rng.normal(size=3)
+                n = scale * x / np.linalg.norm(x)
+                frame = Frame.from_normal(n)
+                differing += not np.array_equal(frame.normal, n)
+                env = EnvMapGrid(width=16, height=8, frame=frame, texels=env_texels)
+                mat = MaterialSample((0.5, 0.4, 0.3), 0.5, n)
+                v = random_view(rng, frame)
+                d, s = rerender_pixel(mat, env, v)
+                exact = MaterialSample(mat.albedo, mat.roughness, frame.normal)
+                assert render_specular(mat, env, v).tobytes() == s.tobytes()
+                assert s.tobytes() == render_specular(exact, env, v).tobytes()
+                assert d.tobytes() == render_diffuse(mat.albedo, env).tobytes()
+        assert differing > 50
+
+    def test_chunks_do_not_change_rows(self):
+        # more pixels than one chunk of 16 x 32 texels holds
+        rng = np.random.default_rng(33)
+        p, height, width = 600, 16, 32
+        normals = random_units(rng, (p,))
+        tangents, bitangents = hemisphere_frames(normals)
+        texels = rng.uniform(0.0, 2.0, (p, height, width, 3))
+        views = normals
+        albedo = rng.uniform(0.0, 1.0, (p, 3))
+        rough = rng.uniform(0.05, 1.0, p)
+        whole = shade_env_maps(texels, normals, tangents, bitangents, views, albedo, rough)
+        for sl in (slice(0, 1), slice(511, 513), slice(599, 600)):
+            part = shade_env_maps(texels[sl], normals[sl], tangents[sl], bitangents[sl],
+                                  views[sl], albedo[sl], rough[sl])
+            for a, b in zip(part, whole):
+                assert a.tobytes() == b[sl].tobytes()
 
 
 unit_vectors = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from voxlight import insertion
+from voxlight.brdf import ggx_specular
 from voxlight.geometry import Camera, View
 from voxlight.insertion import (DiffuseMaterial, InsertedSphere, MirrorMaterial,
                                 insert_object, ray_sphere, shade_sphere_pixel,
@@ -270,23 +272,66 @@ class TestInsertObject:
                        + [rng.uniform(0.0, 2.0, (5, 5, 5))] * 3, axis=-1)
         vol = VSGVolume(bounds=BOUNDS, voxels=vox)
         view, normals = overhead_view(h=16, w=20)
-        sphere = InsertedSphere(center=np.array([1.0, 1.0, 0.7]), radius=0.35,
-                                material=MirrorMaterial())
-        out = insert_object(view, vol, sphere, normal_map=normals,
-                            shadow_dirs=(4, 8), n_samples=16)
         dirs = view.camera.pixel_directions(16, 20)
-        hits = 0
-        for i in range(16):
-            for j in range(20):
-                hit = ray_sphere(Ray(origin=view.camera.center, direction=dirs[i, j],
-                                     t_max=10.0), sphere)
-                if hit is None:
-                    continue
-                hits += 1
-                np.testing.assert_array_equal(
-                    out[i, j], shade_sphere_pixel(hit, sphere.material, vol,
-                                                  dirs[i, j], n_samples=16))
-        assert hits >= 20
+        for material in (MirrorMaterial(), DiffuseMaterial((0.7, 0.6, 0.5), 0.3)):
+            sphere = InsertedSphere(center=np.array([1.0, 1.0, 0.7]), radius=0.35,
+                                    material=material)
+            out = insert_object(view, vol, sphere, normal_map=normals,
+                                shadow_dirs=(4, 8), n_samples=16)
+            hits = 0
+            for i in range(16):
+                for j in range(20):
+                    hit = ray_sphere(Ray(origin=view.camera.center,
+                                         direction=dirs[i, j], t_max=10.0), sphere)
+                    if hit is None:
+                        continue
+                    hits += 1
+                    np.testing.assert_array_equal(
+                        out[i, j], shade_sphere_pixel(hit, material, vol, dirs[i, j],
+                                                      n_samples=16))
+            assert hits >= 20
+
+    def test_diffuse_pixel_chunks_leave_the_image_unchanged(self, monkeypatch):
+        vol = fog_volume()
+        view, normals = overhead_view(h=16, w=20)
+        sphere = InsertedSphere(center=np.array([1.0, 1.0, 0.7]), radius=0.35,
+                                material=DiffuseMaterial((0.7, 0.6, 0.5), 0.3))
+        images = []
+        for chunk in (insertion._PIXEL_CHUNK, 7):
+            monkeypatch.setattr(insertion, "_PIXEL_CHUNK", chunk)
+            images.append(insert_object(view, vol, sphere, normal_map=normals,
+                                        shadow_dirs=(4, 8), n_samples=16))
+        assert images[0].tobytes() == images[1].tobytes()
+
+    def test_diffuse_pixels_match_frozen_per_pixel_path(self):
+        rng = np.random.default_rng(22)
+        vox = np.stack([rng.uniform(0.0, 0.5, (5, 5, 5)),
+                        rng.uniform(0.0, math.pi, (5, 5, 5)),
+                        rng.uniform(-math.pi, math.pi, (5, 5, 5)),
+                        rng.uniform(0.0, 8.0, (5, 5, 5))]
+                       + [rng.uniform(0.0, 2.0, (5, 5, 5)) for _ in range(3)], axis=-1)
+        vol = VSGVolume(bounds=BOUNDS, voxels=vox)
+        view, normals = overhead_view(h=12, w=16)
+        dirs = view.camera.pixel_directions(12, 16)
+        worst, hits = 0.0, 0
+        for roughness in (0.05, 0.4, 1.0):
+            material = DiffuseMaterial((0.8, 0.5, 0.3), roughness)
+            sphere = InsertedSphere(center=np.array([1.0, 1.0, 0.7]), radius=0.35,
+                                    material=material)
+            out = insert_object(view, vol, sphere, normal_map=normals,
+                                shadow_dirs=(4, 8), n_samples=16)
+            for i in range(12):
+                for j in range(16):
+                    hit = ray_sphere(Ray(origin=view.camera.center,
+                                         direction=dirs[i, j], t_max=10.0), sphere)
+                    if hit is None:
+                        continue
+                    hits += 1
+                    want = frozen_shade_diffuse(hit, material, vol, dirs[i, j], 16)
+                    assert np.all(want > 0.0)
+                    worst = max(worst, float(np.max(np.abs(out[i, j] - want) / want)))
+        assert hits >= 30
+        assert worst <= 1e-11
 
     def test_occluded_sphere_leaves_image(self):
         view, normals = overhead_view()
@@ -328,3 +373,25 @@ class TestInsertObject:
         u, v, _ = view.camera.project(ground_point[None, :])
         dist = math.hypot(darkest[1] - u[0], darkest[0] - v[0])
         assert dist <= 2.0
+
+
+def frozen_shade_diffuse(hit, material, volume, view_dir, n_samples):
+    """Frozen copy of the per-pixel diffuse branch of ``shade_sphere_pixel``
+    from before it was batched, with the ``render_diffuse`` and
+    ``render_specular`` bodies of that time inlined."""
+    height, width = 16, 32
+    frame = Frame.from_normal(hit.normal)
+    env = extract_env_map(volume, hit.point, frame, height, width, n_samples)
+    v = -view_dir / np.linalg.norm(view_dir)
+    dirs = env.directions().reshape(-1, 3)
+    omega = texel_solid_angles(height, width)
+    cos = np.maximum(dirs @ frame.normal, 0.0).reshape(height, width)
+    diffuse = (np.asarray(material.albedo) / math.pi
+               * ((cos * omega[:, None])[..., None] * env.texels).sum(axis=(0, 1)))
+    brdf = ggx_specular(v[None], dirs[None], hit.normal[None],
+                        np.array([material.roughness]))[0]
+    weights = (brdf * np.maximum(dirs @ hit.normal, 0.0)
+               * np.broadcast_to(omega[:, None], (height, width)).reshape(-1))
+    specular = weights @ env.texels.reshape(-1, 3)
+    spec_albedo = weights @ np.ones((height * width, 3))
+    return diffuse * (1.0 - spec_albedo) + specular

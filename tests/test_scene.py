@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from voxlight.brdf import MaterialSample, rerender_pixel
+from voxlight.brdf import MaterialSample, ggx_specular, rerender_pixel
 from voxlight.scene import (SceneSpec, _scene_intersect, generate_scene,
-                            make_cameras, per_pixel_env_maps)
-from voxlight.sg import EnvMapGrid, Frame
+                            make_cameras, per_pixel_env_maps, render_images)
+from voxlight.sg import (EnvMapGrid, Frame, hemisphere_frames, texel_angles,
+                         texel_local_directions, texel_solid_angles)
 
 
 def small_spec(**kwargs):
@@ -92,8 +93,7 @@ class TestGenerateScene:
         spread = (lum.max() - lum.min()) / lum.mean()
         assert spread <= 0.01
         # analytic oracle: on-axis solid angle of the bottom face
-        from voxlight.scene import render_images
-        diffuse, _ = render_images(spec, scene.surface_points,
+        diffuse, _ = render_images(scene.surface_points,
                                    scene.surface_normals, scene.gt_albedo[0],
                                    scene.gt_rough[0], scene.gt_env,
                                    scene.bundle.target.camera.center)
@@ -292,3 +292,69 @@ class TestEnvMapCull:
         length = np.linalg.norm(n, axis=-1, keepdims=True)
         n = np.where(length > 1e-3, n / np.maximum(length, 1e-3), [0.0, 0.0, 1.0])
         assert_matches_full_scan(spec, np.array(points)[None], n[None])
+
+
+# ---------------------------------------------------------------------------
+# Frozen copy of render_images from before its shading moved into
+# brdf.shade_env_maps (its unused ``spec`` argument dropped). The core must
+# give the same bytes.
+# ---------------------------------------------------------------------------
+
+def frozen_render_images(points, normals, albedo, rough, envs, cam_center):
+    h, w = points.shape[:2]
+    ha, wa = envs.shape[2:4]
+    theta, _ = texel_angles(ha, wa)
+    cos = np.cos(theta)
+    omega = texel_solid_angles(ha, wa)
+    cw = (cos * omega)[:, None]
+    flat_env = envs.reshape(h * w, ha, wa, 3)
+    diffuse = (albedo.reshape(-1, 3) / math.pi
+               * np.sum(flat_env * cw[None, ..., None], axis=(1, 2)))
+    flat_p = points.reshape(-1, 3)
+    flat_n = normals.reshape(-1, 3)
+    tang, bit = hemisphere_frames(flat_n)
+    lx, ly, lz = texel_local_directions(ha, wa).T
+    specular = np.empty_like(diffuse)
+    v = cam_center[None, :] - flat_p
+    v /= np.linalg.norm(v, axis=-1, keepdims=True)
+    flat_r = rough.reshape(-1)
+    omega_flat = np.repeat(omega, wa)
+    chunk = 2048
+    for start in range(0, flat_p.shape[0], chunk):
+        sl = slice(start, min(start + chunk, flat_p.shape[0]))
+        dirs = (lx[None, :, None] * tang[sl, None, :]
+                + ly[None, :, None] * bit[sl, None, :]
+                + lz[None, :, None] * flat_n[sl, None, :])
+        brdf = ggx_specular(v[sl], dirs, flat_n[sl], flat_r[sl])
+        wgt = brdf * (lz * omega_flat)[None, :]
+        specular[sl] = np.einsum("pt,ptc->pc", wgt,
+                                 flat_env[sl].reshape(-1, ha * wa, 3))
+    return diffuse.reshape(h, w, 3), specular.reshape(h, w, 3)
+
+
+class TestRenderImages:
+    @pytest.mark.parametrize("spec", [
+        small_spec(num_views=1, wall_offset=4.0, camera_pitch_deg=25.0),
+        SceneSpec(num_views=1),
+    ], ids=["wall_scene", "default_target_view"])
+    def test_bitwise_with_frozen_copy(self, spec):
+        scene = generate_scene(spec)
+        args = (scene.surface_points, scene.surface_normals, scene.gt_albedo[0],
+                scene.gt_rough[0], scene.gt_env, scene.bundle.target.camera.center)
+        got, want = render_images(*args), frozen_render_images(*args)
+        assert np.any(want[1] > 0.0)
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+        np.testing.assert_array_equal(scene.bundle.target.image, got[0] + got[1])
+
+    def test_env_maps_in_other_frames_bitwise(self):
+        # random normals, roughness and envs, more pixels than one chunk
+        rng = np.random.default_rng(8)
+        h, w, ha, wa = 50, 50, 8, 16
+        n = rng.normal(size=(h, w, 3))
+        n /= np.linalg.norm(n, axis=-1, keepdims=True)
+        args = (rng.normal(size=(h, w, 3)), n, rng.uniform(0.0, 1.0, (h, w, 3)),
+                rng.uniform(0.05, 1.0, (h, w)), rng.uniform(0.0, 5.0, (h, w, ha, wa, 3)),
+                np.array([0.3, -4.0, 2.0]))
+        for a, b in zip(render_images(*args), frozen_render_images(*args)):
+            assert a.tobytes() == b.tobytes()
