@@ -20,10 +20,10 @@ from .insertion import DiffuseMaterial, InsertedSphere, MirrorMaterial, insert_o
 from .metrics import (_STAGE_FIELDS, StageLossBundle, entropy_reg, ls_scale,
                       masked_l1_angular, masked_mse, si_log_mse, si_mse,
                       stage_losses)
-from .pipeline import DemoConfig, pipeline_demo
+from .pipeline import DemoConfig, _vsg_targets, pipeline_demo
 from .scene import SceneSpec, generate_scene, render_images
 from .sg import EnvMapGrid, Frame, SGFitOptions, sg_fit
-from .volume import Bounds, EnvTarget, VSGFitOptions, extract_env_map, vsg_fit
+from .volume import Bounds, VSGFitOptions, extract_env_map, vsg_fit
 
 
 def _load_config(path, cls):
@@ -96,20 +96,11 @@ def cmd_fit_vsg(args):
     if "env" not in gt or "normal" not in gt:
         raise SystemExit("scene directory lacks gt env maps / normals")
     points, normals_world = _target_surface(bundle, gt)
-    h, w = points.shape[:2]
     lo = points.reshape(-1, 3).min(axis=0) - 0.2
     hi = points.reshape(-1, 3).max(axis=0) + 0.2
     hi[2] = max(hi[2], lo[2] + 3.0)  # leave head room for lights above
     bounds = Bounds(lo=lo, hi=hi)
-    g = args.grid
-    targets = []
-    for a in range(g):
-        for b in range(g):
-            i, j = int((a + 0.5) * h / g), int((b + 0.5) * w / g)
-            frame = Frame.from_normal(normals_world[i, j])
-            grid = EnvMapGrid(width=gt["env"].shape[3], height=gt["env"].shape[2],
-                              frame=frame, texels=gt["env"][i, j])
-            targets.append(EnvTarget(point=points[i, j], frame=frame, grid=grid))
+    _, targets = _vsg_targets(points, normals_world, gt["env"], args.grid)
     result = vsg_fit(targets, (args.dims,) * 3, bounds,
                      VSGFitOptions(max_iters=args.iters))
     vio.save_volume(args.out, result.volume)

@@ -1,12 +1,12 @@
 """Sphere insertion against a VSG lighting volume.
 
 A mirror sphere composites the volume along reflected rays; a diffuse/rough
-sphere composites the env maps of its hit points, ``_PIXEL_CHUNK`` at a
-time, and shades them with ``brdf.shade_env_maps``; ``shade_sphere_pixel``
-is a batch of one.
+sphere composites the env maps of its hit points and shades them with
+``brdf.shade_env_maps``; ``shade_sphere_pixel`` is a batch of one.
 Shadows modulate the existing image by the ratio of hemisphere irradiance
 with and without the sphere as an occluder, so no albedo ground truth is
-needed.
+needed. Both texel-ray passes, env maps and shadows, run ``_PIXEL_CHUNK``
+pixels at a time.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .sg import (Frame, cosine_weights, frame_directions, hemisphere_frames,
 from .volume import Ray, VSGVolume, composite_rays, env_offset
 
 DEFAULT_ENV_RES = (16, 32)   # (height, width), matching test-time env maps
-_PIXEL_CHUNK = 512            # diffuse-sphere hits shaded per batch, ~21 MB of env rays
+_PIXEL_CHUNK = 512            # pixels per texel-ray batch, ~21 MB of 16x32 env rays
 
 
 @dataclass(frozen=True)
@@ -137,19 +137,24 @@ def _diffuse_radiance(material: DiffuseMaterial, volume: VSGVolume, points: np.n
     return diffuse[:, :3] * (1.0 - specular[:, 3:]) + specular[:, :3]
 
 
+def _by_pixel_chunk(fn, *rows: np.ndarray) -> np.ndarray:
+    """``fn`` applied to ``_PIXEL_CHUNK`` rows of the arrays ``rows`` at a
+    time, results concatenated. It bounds the texel rays held at once; every
+    caller's rows are independent, so a row's bits do not depend on its
+    chunk."""
+    return np.concatenate([fn(*(r[start:start + _PIXEL_CHUNK] for r in rows))
+                           for start in range(0, rows[0].shape[0], _PIXEL_CHUNK)])
+
+
 def _sphere_radiance(material: SphereMaterial, volume: VSGVolume, points: np.ndarray,
                      view_dirs: np.ndarray, normals: np.ndarray, n_samples: int):
-    """Radiance (P, 3) the sphere sends toward the viewer from its hits. A
-    diffuse sphere is shaded ``_PIXEL_CHUNK`` hits at a time, which bounds
-    the env-map rays held at once; a row's bits do not depend on its chunk."""
+    """Radiance (P, 3) the sphere sends toward the viewer from its hits; a
+    diffuse sphere's env maps are composited and shaded by pixel chunk."""
     if isinstance(material, MirrorMaterial):
         return _mirror_radiance(volume, points, view_dirs, normals, n_samples)
-    out = np.empty_like(points)
-    for start in range(0, points.shape[0], _PIXEL_CHUNK):
-        sl = slice(start, start + _PIXEL_CHUNK)
-        out[sl] = _diffuse_radiance(material, volume, points[sl], view_dirs[sl],
-                                    normals[sl], n_samples)
-    return out
+    return _by_pixel_chunk(
+        lambda p, v, n: _diffuse_radiance(material, volume, p, v, n, n_samples),
+        points, view_dirs, normals)
 
 
 def shade_sphere_pixel(hit: SphereHit, material: SphereMaterial, volume: VSGVolume,
@@ -241,9 +246,10 @@ def insert_object(view: View, volume: VSGVolume, sphere: InsertedSphere,
     shadowed = ~on_sphere
     if np.any(shadowed):
         normals = normals_world[shadowed]
-        ratios = _shadow_ratios(surface[shadowed], normals,
-                                *hemisphere_frames(normals), volume, sphere,
-                                shadow_dirs, n_samples)
+        ratios = _by_pixel_chunk(
+            lambda *rows: _shadow_ratios(*rows, volume, sphere, shadow_dirs,
+                                         n_samples),
+            surface[shadowed], normals, *hemisphere_frames(normals))
         out[shadowed] *= ratios[:, None]
 
     if np.any(on_sphere):

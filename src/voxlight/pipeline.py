@@ -160,18 +160,26 @@ def _multiview_probe(scene: GeneratedScene, envs_by_cluster, config: DemoConfig)
     return weight_sum / max(count, 1), digest.hexdigest()
 
 
-def _vsg_pixels(scene: GeneratedScene, config: DemoConfig) -> list:
-    """Target-view pixels (i, j) of the VSG supervision grid."""
-    h, w = scene.spec.image_height, scene.spec.image_width
-    g = config.vsg_grid
-    return [(int((a + 0.5) * h / g), int((b + 0.5) * w / g))
-            for a in range(g) for b in range(g)]
+def _vsg_targets(points: np.ndarray, normals: np.ndarray, envs: np.ndarray,
+                 grid: int) -> tuple[list, list]:
+    """Pixels (i, j) of a ``grid`` x ``grid`` supervision grid over a view,
+    and the EnvTarget at each: from the view's world points and unit normals
+    (H, W, 3) and its env maps (H, W, h, w, 3)."""
+    h, w = points.shape[:2]
+    pixels = [(int((a + 0.5) * h / grid), int((b + 0.5) * w / grid))
+              for a in range(grid) for b in range(grid)]
+    targets = []
+    for i, j in pixels:
+        frame = Frame.from_normal(normals[i, j])
+        env = EnvMapGrid(width=envs.shape[3], height=envs.shape[2], frame=frame,
+                         texels=envs[i, j])
+        targets.append(EnvTarget(point=points[i, j], frame=frame, grid=env))
+    return pixels, targets
 
 
-def _fit_volume(scene: GeneratedScene, config: DemoConfig, pixels: list):
-    """Fit the spatially-varying lighting volume against the ground-truth
-    env maps at the target-view ``pixels``."""
-    spec = scene.spec
+def _fit_volume(scene: GeneratedScene, config: DemoConfig, targets: list):
+    """Fit the spatially-varying lighting volume against ``targets`` in a
+    box around the surface and the light."""
     pts = scene.surface_points.reshape(-1, 3)
     lo = pts.min(axis=0)
     hi = pts.max(axis=0)
@@ -179,18 +187,9 @@ def _fit_volume(scene: GeneratedScene, config: DemoConfig, pixels: list):
     lo = np.minimum(lo, box_lo) - 0.2
     hi = np.maximum(hi, box_hi) + 0.2
     bounds = Bounds(lo=lo, hi=hi)
-
-    targets = []
-    for i, j in pixels:
-        point = scene.surface_points[i, j]
-        frame = Frame.from_normal(scene.surface_normals[i, j])
-        grid = EnvMapGrid(width=spec.env_width, height=spec.env_height,
-                          frame=frame, texels=scene.gt_env[i, j])
-        targets.append(EnvTarget(point=point, frame=frame, grid=grid))
     options = VSGFitOptions(max_iters=config.vsg_iters,
                             n_samples=config.vsg_samples)
-    result = vsg_fit(targets, config.vsg_dims, bounds, options)
-    return result, targets, bounds
+    return vsg_fit(targets, config.vsg_dims, bounds, options), bounds
 
 
 def pipeline_demo(config: DemoConfig | None = None) -> PipelineReport:
@@ -227,8 +226,10 @@ def pipeline_demo(config: DemoConfig | None = None) -> PipelineReport:
         rerender_g3 = si_mse(target.image, rerendered, scene.mask)
 
     with _stage("vsg_fit", timings):
-        svl_pixels = _vsg_pixels(scene, config)
-        vol_result, vsg_targets, bounds = _fit_volume(scene, config, svl_pixels)
+        svl_pixels, vsg_targets = _vsg_targets(scene.surface_points,
+                                               scene.surface_normals, scene.gt_env,
+                                               config.vsg_grid)
+        vol_result, bounds = _fit_volume(scene, config, vsg_targets)
 
     with _stage("surface_volume", timings):
         surf = build_surface_volume(target.image, scene.gt_normal[0],

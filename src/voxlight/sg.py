@@ -346,12 +346,20 @@ def _params_to_env(params: np.ndarray) -> SGEnvironment:
         for t, f, v in zip(theta, phi, values)))
 
 
-def _lobe_batch(params: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    theta = params[:, 0]
-    phi = params[:, 1]
+def _lobe_axes(theta, phi) -> np.ndarray:
+    """Unit axes (..., 3) at polar angles ``theta`` from +z and azimuths
+    ``phi``, elementwise: (sin theta cos phi, sin theta sin phi, cos theta)."""
+    st = np.sin(theta)
+    return np.stack([st * np.cos(phi), st * np.sin(phi), np.cos(theta)], axis=-1)
+
+
+def _angle_grad(d_axis: np.ndarray, theta: np.ndarray, phi: np.ndarray):
+    """Gradients (d_theta, d_phi), each (S,), of a function of the axes
+    ``_lobe_axes(theta, phi)`` from its gradient (S, 3) in those axes."""
     st, ct = np.sin(theta), np.cos(theta)
-    axes = np.stack([st * np.cos(phi), st * np.sin(phi), ct], axis=-1)
-    return axes, np.exp(params[:, 2]), np.exp(params[:, 3:6])
+    sp, cp = np.sin(phi), np.cos(phi)
+    return (d_axis[:, 0] * ct * cp + d_axis[:, 1] * ct * sp - d_axis[:, 2] * st,
+            -d_axis[:, 0] * st * sp + d_axis[:, 1] * st * cp)
 
 
 def sg_fit_objective(params: np.ndarray, target: np.ndarray,
@@ -372,7 +380,8 @@ def sg_fit_objective(params: np.ndarray, target: np.ndarray,
 def _sg_objective_impl(params: np.ndarray, target: np.ndarray,
                        dirs: np.ndarray) -> tuple[float, np.ndarray]:
     params = params.reshape(-1, _PARAMS_PER_LOBE)
-    axes, sharp, eta = _lobe_batch(params)
+    axes = _lobe_axes(params[:, 0], params[:, 1])
+    sharp, eta = np.exp(params[:, 2]), np.exp(params[:, 3:6])
     dots = dirs @ axes.T                      # (T, S)
     expo = np.exp(sharp[None, :] * (dots - 1.0))
     radiance = expo @ eta                     # (T, 3)
@@ -391,15 +400,8 @@ def _sg_objective_impl(params: np.ndarray, target: np.ndarray,
     d_sharp = np.sum(we * (dots - 1.0), axis=0)               # (S,)
     d_axis = we.T @ dirs * sharp[:, None]                     # (S, 3)
 
-    theta, phi = params[:, 0], params[:, 1]
-    st, ct = np.sin(theta), np.cos(theta)
-    sp, cp = np.sin(phi), np.cos(phi)
-    d_theta = d_axis[:, 0] * ct * cp + d_axis[:, 1] * ct * sp - d_axis[:, 2] * st
-    d_phi = -d_axis[:, 0] * st * sp + d_axis[:, 1] * st * cp
-
     grad = np.empty_like(params)
-    grad[:, 0] = d_theta
-    grad[:, 1] = d_phi
+    grad[:, 0], grad[:, 1] = _angle_grad(d_axis, params[:, 0], params[:, 1])
     grad[:, 2] = d_sharp * sharp          # chain through log-parameterization
     grad[:, 3:6] = d_eta * eta
     return value, grad.ravel()

@@ -4,17 +4,20 @@ and gradient-based volume fitting.
 
 Voxels live on a center-aligned lattice inside an axis-aligned box; samples
 are read by trilinear interpolation (the axis by normalized linear
-interpolation of unit vectors). A ray composites front to back:
+interpolation of unit vectors, (0, 0, 1) where the interpolation vanishes).
+A ray composites front to back:
 radiance = sum_n prod_{m<n}(1 - alpha_m) alpha_n G(-l; sample_n).
 
-Rendering and fitting share one core: ``_stencil`` (a base voxel index, 8
-constant corner offsets and 8 weights per sample) and ``_trilinear`` (one
-gather per corner from a channel-major table). ``composite_rays`` marches
-sample-major chunks of ~16k samples, bitwise equal to marching rays alone.
-The fit objective keeps every per-sample array channel-major (C, R, N) over
-ray-major samples and scatters its gradient with one ``bincount`` per field
-over (sample, corner) keys, so each voxel adds the same terms in the same
-(ray, sample, corner) order as a single scatter over all fields would.
+Rendering and fitting share one ray path. ``_ray_stencil`` clips rays to the
+box and builds the trilinear stencil (a base voxel index, 8 constant corner
+offsets and 8 weights per sample) of their stratified samples, ray-major;
+``_trilinear`` gathers the channels through it from a channel-major table;
+``_composite`` composites the channels (C, R, N) and returns the
+intermediates the fit's backward pass reads. ``composite_rays`` runs that
+path on chunks of ~16k samples, bitwise equal to marching rays alone. The fit
+builds its stencil once and scatters its gradient with one ``bincount`` per
+field over (sample, corner) keys, so each voxel adds the same terms in the
+same (ray, sample, corner) order as a single scatter over all fields would.
 """
 
 from __future__ import annotations
@@ -25,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .optim import FitReport, minimize_monotone
-from .sg import (EnvMapGrid, Frame, _as_unit, export_lobe_params, golden_spiral,
-                 texel_directions)
+from .sg import (EnvMapGrid, Frame, _angle_grad, _as_unit, _lobe_axes,
+                 export_lobe_params, golden_spiral, texel_directions)
 
 ENV_EPS_FACTOR = 1e-3  # surface offset, in units of mean voxel size
 
@@ -113,10 +116,7 @@ class VSGVolume:
         return self.bounds.extent / np.asarray(self.dims)
 
     def axis_vectors(self) -> np.ndarray:
-        theta = self.voxels[..., 1]
-        phi = self.voxels[..., 2]
-        st = np.sin(theta)
-        return np.stack([st * np.cos(phi), st * np.sin(phi), np.cos(theta)], axis=-1)
+        return _lobe_axes(self.voxels[..., 1], self.voxels[..., 2])
 
     @staticmethod
     def uniform(dims: tuple[int, int, int], bounds: Bounds, alpha: float = 0.0,
@@ -133,7 +133,7 @@ class RaySamples:
 
     t: np.ndarray          # (M,) ray parameters, meters
     alpha: np.ndarray      # (M,)
-    axis: np.ndarray       # (M, 3) unit vectors after interpolation
+    axis: np.ndarray       # (M, 3) unit axes; (0, 0, 1) where the interpolation vanishes
     sharpness: np.ndarray  # (M,)
     intensity: np.ndarray  # (M, 3)
 
@@ -164,13 +164,6 @@ def _clip_rays(bounds: Bounds, origins: np.ndarray, directions: np.ndarray,
     t_far = np.minimum(hi.min(axis=-1), t_max)
     hit = t_far > t_near
     return np.where(hit, t_near, 0.0), np.where(hit, t_far, 1.0), hit
-
-
-def _sample_ts(t_near: np.ndarray, t_far: np.ndarray, n_samples: int) -> np.ndarray:
-    """Stratified midpoints of ``n_samples`` equal spans of each ray's
-    [t_near, t_far), sample-major (N, R)."""
-    frac = (np.arange(n_samples) + 0.5) / n_samples
-    return t_near + frac[:, None] * (t_far - t_near)
 
 
 def _stencil(volume: VSGVolume, points: np.ndarray):
@@ -214,22 +207,56 @@ def _channel_table(volume: VSGVolume) -> np.ndarray:
                            volume.voxels[..., 3:7].reshape(-1, 4).T])
 
 
-def _march(volume: VSGVolume, table: np.ndarray, origins: np.ndarray,
-           directions: np.ndarray, t_max: float, n_samples: int):
-    """Channels at the stratified samples of rays (R, 3), samples x rays:
-    (t, hit mask (R,), alpha, unit axis (3, N, R), sharpness, intensity
-    (3, N, R)), each clamped to its valid range."""
+def _ray_stencil(volume: VSGVolume, origins: np.ndarray, directions: np.ndarray,
+                 t_max: float, n_samples: int):
+    """Ray-major samples of rays (R, 3): parameters t (R, N) at the midpoints
+    of N equal spans of each ray's segment inside the box, the hit mask (R,),
+    and the stencil of the R * N sample points, with weights zeroed on rays
+    that miss the box so that every channel reads 0 there."""
     t_near, t_far, hit = _clip_rays(volume.bounds, origins, directions, t_max)
-    ts = _sample_ts(t_near, t_far, n_samples)
-    points = origins.T[:, None, :] + ts * directions.T[:, None, :]
-    interp = _trilinear(table, _stencil(volume, points.reshape(3, -1)))
-    interp = interp.reshape(8, n_samples, -1)
-    ux, uy, uz = interp[1:4]
-    norm = np.sqrt((ux * ux + uy * uy) + uz * uz)
-    safe = np.where(norm > 0.0, norm, 1.0)
-    axis = np.where(norm > 1e-12, interp[1:4] / safe, np.array([0.0, 0.0, 1.0])[:, None, None])
-    return (ts, hit, np.clip(interp[0], 0.0, 1.0), axis,
-            np.maximum(interp[4], 0.0), np.maximum(interp[5:8], 0.0))
+    frac = (np.arange(n_samples) + 0.5) / n_samples
+    ts = t_near[:, None] + frac * (t_far - t_near)[:, None]
+    points = origins.T[..., None] + ts * directions.T[..., None]
+    base, offsets, weights = _stencil(volume, points.reshape(3, -1))
+    weights *= np.repeat(hit, n_samples)
+    return ts, hit, (base, offsets, weights)
+
+
+def _front_to_back(alpha: np.ndarray):
+    """Transmittance through samples m <= n and through m < n, and the
+    weights prod_{m<n}(1 - alpha_m) * alpha_n, samples along the last axis."""
+    trans = np.cumprod(1.0 - alpha, axis=-1)
+    excl = np.concatenate([np.ones(alpha.shape[:-1] + (1,)), trans[..., :-1]], axis=-1)
+    return trans, excl, excl * alpha
+
+
+def _composite(interp: np.ndarray, directions: np.ndarray):
+    """Radiance (R, 3) arriving at the origins of rays with unit directions
+    (R, 3) from the channels (8, R, N) at their ray-major samples: alpha,
+    axis xyz, sharpness, RGB intensity. Each sample emits its SG opposite to
+    travel, G(-l), about its normalized axis, or (0, 0, 1) where the axis
+    vanishes. Also returns the intermediates of the fit's backward pass:
+    (axis, -directions (3, R, 1), live axis mask, axis norm or 1, dots,
+    exp term, emission, transmittance, exclusive transmittance, weights,
+    per-sample radiance)."""
+    alpha, u, sharp, eta = interp[0], interp[1:4], interp[4], interp[5:8]
+    nd = -directions.T[..., None]
+    # 3-term sums over xyz or rgb add (x0 + x1) + x2, as np.sum does over a
+    # trailing axis of length 3
+    norm = np.sqrt((u[0] * u[0] + u[1] * u[1]) + u[2] * u[2])
+    live = norm > 1e-12
+    safe = np.where(live, norm, 1.0)
+    axis = np.where(live, u / safe, np.array([0.0, 0.0, 1.0])[:, None, None])
+    dots = (axis[0] * nd[0] + axis[1] * nd[1]) + axis[2] * nd[2]
+    expo = np.exp(sharp * (dots - 1.0))
+    emit = eta * expo
+    trans, excl, wgt = _front_to_back(alpha)
+    contrib = wgt * emit
+    # a running sum adds the samples in order for any batch shape, so a lone
+    # ray and the same ray in a batch agree bitwise; np.sum would add them
+    # pairwise
+    rendered = np.cumsum(contrib, axis=-1)[..., -1].T
+    return rendered, (axis, nd, live, safe, dots, expo, emit, trans, excl, wgt, contrib)
 
 
 def sample_ray(volume: VSGVolume, ray: Ray, n_samples: int) -> RaySamples:
@@ -238,21 +265,22 @@ def sample_ray(volume: VSGVolume, ray: Ray, n_samples: int) -> RaySamples:
     yields an empty record (its radiance is zero)."""
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    ts, hit, alpha, axis, sharp, eta = _march(
-        volume, _channel_table(volume), ray.origin[None], ray.direction[None],
-        ray.t_max, n_samples)
+    d = ray.direction[None]
+    ts, hit, stencil = _ray_stencil(volume, ray.origin[None], d, ray.t_max, n_samples)
     if not hit[0]:
         return RaySamples.empty()
-    return RaySamples(t=ts[:, 0], alpha=alpha[:, 0], axis=axis[..., 0].T,
-                      sharpness=sharp[:, 0], intensity=eta[..., 0].T)
+    interp = _trilinear(_channel_table(volume), stencil).reshape(8, 1, n_samples)
+    np.minimum(interp[0], 1.0, out=interp[0])
+    axis = _composite(interp, d)[1][0]
+    return RaySamples(t=ts[0], alpha=interp[0, 0], axis=axis[:, 0].T,
+                      sharpness=interp[4, 0], intensity=interp[5:8, 0].T)
 
 
 def compositing_weights(alpha: np.ndarray) -> np.ndarray:
     """Front-to-back weights w_n = prod_{m<n}(1 - alpha_m) * alpha_n, with
     the samples n along the first axis of ``alpha``."""
-    alpha = np.asarray(alpha, dtype=np.float64)
-    trans = np.cumprod(1.0 - alpha, axis=0)
-    return np.concatenate([np.ones((1,) + alpha.shape[1:]), trans[:-1]]) * alpha
+    alpha = np.moveaxis(np.asarray(alpha, dtype=np.float64), 0, -1)
+    return np.moveaxis(_front_to_back(alpha)[2], -1, 0)
 
 
 def composite_ray(volume: VSGVolume, ray: Ray, n_samples: int) -> np.ndarray:
@@ -277,20 +305,16 @@ def composite_rays(volume: VSGVolume, origins: np.ndarray, directions: np.ndarra
         raise ValueError("ray directions must have unit length")
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    out = np.zeros((origins.shape[0], 3))
+    out = np.empty((origins.shape[0], 3))
     table = _channel_table(volume)
     chunk = max(1, _CHUNK_SAMPLES // n_samples)
     for start in range(0, origins.shape[0], chunk):
         sl = slice(start, start + chunk)
-        d = directions[sl]
-        _, hit, alpha, axis, sharp, eta = _march(volume, table, origins[sl], d,
-                                                 t_max, n_samples)
-        dots = -((axis[0] * d[:, 0] + axis[1] * d[:, 1]) + axis[2] * d[:, 2])
-        emit = eta * np.exp(sharp * (dots - 1.0))
-        # a running sum adds the samples in order for any chunk shape, so a
-        # lone ray and the same ray in a batch agree bitwise
-        radiance = np.cumsum(compositing_weights(alpha) * emit, axis=1)[:, -1].T
-        out[sl] = np.where(hit[:, None], radiance, 0.0)  # missed rays are black
+        _, _, stencil = _ray_stencil(volume, origins[sl], directions[sl], t_max,
+                                     n_samples)
+        interp = _trilinear(table, stencil).reshape(8, -1, n_samples)
+        np.minimum(interp[0], 1.0, out=interp[0])
+        out[sl] = _composite(interp, directions[sl])[0]
     return np.maximum(out, 0.0)
 
 
@@ -298,17 +322,21 @@ def env_offset(volume: VSGVolume) -> float:
     return ENV_EPS_FACTOR * float(np.mean(volume.cell_size))
 
 
+def _env_rays(volume: VSGVolume, point, frame: Frame, height: int, width: int):
+    """Origins and directions (height * width, 3) of the texel-centre rays of
+    an env map at ``point``, the origin nudged along the frame normal so the
+    surface's own voxel does not occlude it."""
+    dirs = texel_directions(height, width, frame).reshape(-1, 3)
+    origin = np.asarray(point, dtype=np.float64) + env_offset(volume) * frame.normal
+    return np.broadcast_to(origin, dirs.shape), dirs
+
+
 def extract_env_map(volume: VSGVolume, point, frame: Frame, height: int,
                     width: int, n_samples: int = 64) -> EnvMapGrid:
     """Hemispherical environment map at ``point`` by compositing one ray per
-    texel-center direction (origin nudged along the frame normal so the
-    surface's own voxel does not occlude it)."""
-    point = np.asarray(point, dtype=np.float64)
-    origin = point + env_offset(volume) * frame.normal
-    dirs = texel_directions(height, width, frame).reshape(-1, 3)
-    origins = np.broadcast_to(origin, dirs.shape)
-    radiance = composite_rays(volume, origins, dirs, volume.bounds.diagonal,
-                              n_samples)
+    texel-center direction (``_env_rays``)."""
+    radiance = composite_rays(volume, *_env_rays(volume, point, frame, height, width),
+                              volume.bounds.diagonal, n_samples)
     return EnvMapGrid(width=width, height=height, frame=frame,
                       texels=radiance.reshape(height, width, 3))
 
@@ -351,10 +379,10 @@ class VSGFitResult:
 
 
 class VSGFitProblem:
-    """Precomputed geometry for the fit objective: per-target texel rays, the
-    ray-major stencil of their samples (weights zeroed on rays that miss the
-    box), the voxel key of every (sample, corner) pair for the per-field
-    gradient scatter, and flattened target radiance."""
+    """Precomputed geometry for the fit objective: the texel rays of every
+    target (``_env_rays``), their ``_ray_stencil``, the voxel key of every
+    (sample, corner) pair for the per-field gradient scatter, and flattened
+    target radiance."""
 
     def __init__(self, targets, dims, bounds: Bounds, options: VSGFitOptions):
         if len(targets) == 0:
@@ -368,36 +396,27 @@ class VSGFitProblem:
         self.n_voxels = int(np.prod(dims))
 
         template = VSGVolume.uniform(dims, bounds)
-        eps = env_offset(template)
-        diag = bounds.diagonal
-
         origin_list, dir_list, self.slices, self.target_flat = [], [], [], []
         start = 0
         for target in targets:
             target = target if isinstance(target, EnvTarget) else EnvTarget(*target)
             grid = target.grid
-            dirs = texel_directions(grid.height, grid.width, target.frame).reshape(-1, 3)
-            origin = np.asarray(target.point, dtype=np.float64) + eps * target.frame.normal
-            origin_list.append(np.broadcast_to(origin, dirs.shape))
+            origins, dirs = _env_rays(template, target.point, target.frame,
+                                      grid.height, grid.width)
+            origin_list.append(origins)
             dir_list.append(dirs)
-            count = dirs.shape[0]
-            self.slices.append(slice(start, start + count))
-            start += count
+            self.slices.append(slice(start, start + dirs.shape[0]))
+            start += dirs.shape[0]
             flat = grid.texels.reshape(-1, 3)
             if not np.all(np.isfinite(flat)):
                 raise ValueError("target texels must all be finite")
             self.target_flat.append(flat)
 
-        origins = np.concatenate(origin_list)
         self.directions = np.concatenate(dir_list)
-        n = options.n_samples
-        t_near, t_far, hit = _clip_rays(bounds, origins, self.directions, diag)
-        ts = _sample_ts(t_near, t_far, n).T
-        points = origins.T[..., None] + ts * self.directions.T[..., None]
-        base, offsets, weights = _stencil(template, points.reshape(3, -1))
-        weights *= np.repeat(hit, n)
-        self.stencil = (base, offsets, weights)   # ray-major samples
-        self.neg_dirs = -self.directions.T[..., None]   # (3, R, 1)
+        _, _, self.stencil = _ray_stencil(template, np.concatenate(origin_list),
+                                          self.directions, bounds.diagonal,
+                                          options.n_samples)
+        base, offsets, _ = self.stencil
         # voxel index of every (sample, corner) pair, in that order
         self.corner_keys = (base[:, None] + offsets).ravel()
 
@@ -406,13 +425,7 @@ def _split_params(params: np.ndarray, n_voxels: int):
     p = params.reshape(n_voxels, 7)
     with np.errstate(over="ignore"):  # saturated logits map cleanly to 0/1
         alpha = 1.0 / (1.0 + np.exp(-p[:, 0]))
-    theta, phi = p[:, 1], p[:, 2]
-    st, ct = np.sin(theta), np.cos(theta)
-    sp, cp = np.sin(phi), np.cos(phi)
-    axis = np.stack([st * cp, st * sp, ct], axis=-1)
-    sharp = np.exp(p[:, 3])
-    eta = np.exp(p[:, 4:7])
-    return p, alpha, axis, sharp, eta, (st, ct, sp, cp)
+    return p, alpha, _lobe_axes(p[:, 1], p[:, 2]), np.exp(p[:, 3]), np.exp(p[:, 4:7])
 
 
 def _g4_and_grad(target: np.ndarray, rendered: np.ndarray):
@@ -455,30 +468,17 @@ def vsg_fit_objective(params: np.ndarray, problem: VSGFitProblem):
 def _vsg_objective_impl(params: np.ndarray, problem: VSGFitProblem):
     opts = problem.options
     nvox = problem.n_voxels
-    p, alpha_v, axis_v, sharp_v, eta_v, trig = _split_params(params, nvox)
+    p, alpha_v, axis_v, sharp_v, eta_v = _split_params(params, nvox)
     n_rays = problem.directions.shape[0]
 
     # one gather for all 8 interpolated fields: alpha, axis xyz, sharp, eta,
     # each channel-major (R, N) over the ray-major samples
     table = np.concatenate([alpha_v[None], axis_v.T, sharp_v[None], eta_v.T])
     interp = _trilinear(table, problem.stencil).reshape(8, n_rays, -1)
-    alpha, u, sharp, eta = interp[0], interp[1:4], interp[4], interp[5:8]
-    nd = problem.neg_dirs                                    # (3, R, 1)
-    # 3-term sums over xyz or rgb add (x0 + x1) + x2, as np.sum does over a
-    # trailing axis of length 3
-    norm = np.sqrt((u[0] * u[0] + u[1] * u[1]) + u[2] * u[2])
-    safe = np.where(norm > 1e-12, norm, 1.0)
-    axis = u / safe
-    dots = (axis[0] * nd[0] + axis[1] * nd[1]) + axis[2] * nd[2]
-    expo = np.exp(sharp * (dots - 1.0))
-    emit = eta * expo
-    trans = np.cumprod(1.0 - alpha, axis=-1)
-    excl = np.concatenate([np.ones((n_rays, 1)), trans[:, :-1]], axis=-1)
-    wgt = excl * alpha
-    contrib = wgt * emit
-    # a running sum adds the samples in order; np.sum over the contiguous
-    # sample axis would add them pairwise
-    rendered = np.ascontiguousarray(np.cumsum(contrib, axis=-1)[..., -1].T)
+    sharp, eta = interp[4], interp[5:8]
+    rendered, (axis, nd, live, safe, dots, expo, emit, trans, excl, wgt,
+               contrib) = _composite(interp, problem.directions)
+    rendered = np.ascontiguousarray(rendered)
 
     value = 0.0
     d_rendered = np.empty_like(rendered)
@@ -512,7 +512,7 @@ def _vsg_objective_impl(params: np.ndarray, problem: VSGFitProblem):
     d_axis = d_dots * nd
     q = axis * d_axis
     d_u = (d_axis - axis * ((q[0] + q[1]) + q[2])) / safe
-    d_u = np.where(norm > 1e-12, d_u, 0.0)
+    d_u = np.where(live, d_u, 0.0)
 
     # one scatter per field over the (sample, corner) keys, so each voxel's
     # bin adds its terms in (ray, sample, corner) order
@@ -528,12 +528,9 @@ def _vsg_objective_impl(params: np.ndarray, problem: VSGFitProblem):
     d_sharp_vox = accum[4]
     d_eta_vox = accum[5:8].T
 
-    st, ct, sp, cp = trig
     grad = np.empty_like(p)
     grad[:, 0] = d_alpha_vox * alpha_v * (1.0 - alpha_v)
-    grad[:, 1] = (d_axis_vox[:, 0] * ct * cp + d_axis_vox[:, 1] * ct * sp
-                  - d_axis_vox[:, 2] * st)
-    grad[:, 2] = -d_axis_vox[:, 0] * st * sp + d_axis_vox[:, 1] * st * cp
+    grad[:, 1], grad[:, 2] = _angle_grad(d_axis_vox, p[:, 1], p[:, 2])
     grad[:, 3] = d_sharp_vox * sharp_v
     grad[:, 4:7] = d_eta_vox * eta_v
     return value, grad.ravel()

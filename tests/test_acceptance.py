@@ -27,6 +27,9 @@ from voxlight.volume import (Bounds, EnvTarget, Ray, VSGFitOptions,
 FRAME = Frame.from_normal([0.0, 0.0, 1.0])
 BOUNDS = Bounds(lo=np.zeros(3), hi=np.full(3, 2.0))
 
+# digest of pipeline_demo(DemoConfig()); the same with OpenBLAS at 1 or 2 threads
+DEMO_DIGEST = "e31bd23f2e6d827a6eb412ed37240d616d17e0f47955c04721415225ffc996c4"
+
 
 def report(num: int, name: str, passed: bool, detail: str = ""):
     status = "PASS" if passed else "FAIL"
@@ -331,6 +334,9 @@ def test_10_end_to_end_demo():
            f"g1={m['normal_g1']:.1e}, g4={m['lighting_g4']:.3f}, "
            f"g3={m['rerender_g3']:.1e}, same digest={deterministic}, "
            f"{elapsed:.0f}s")
+    assert first.digest == DEMO_DIGEST, (
+        "the default demo's output digest moved; a deliberate change must be "
+        "logged in CHANGES.md with its cause before DEMO_DIGEST is updated")
 
 
 def test_11_insertion_sanity():

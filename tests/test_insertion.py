@@ -292,16 +292,20 @@ class TestInsertObject:
             assert hits >= 20
 
     def test_diffuse_pixel_chunks_leave_the_image_unchanged(self, monkeypatch):
+        # the diffuse sphere's env maps and every sphere's shadow rays run by
+        # pixel chunk; the sphere leaves 140 of the 320 pixels to the floor
         vol = fog_volume()
         view, normals = overhead_view(h=16, w=20)
-        sphere = InsertedSphere(center=np.array([1.0, 1.0, 0.7]), radius=0.35,
-                                material=DiffuseMaterial((0.7, 0.6, 0.5), 0.3))
-        images = []
-        for chunk in (insertion._PIXEL_CHUNK, 7):
-            monkeypatch.setattr(insertion, "_PIXEL_CHUNK", chunk)
-            images.append(insert_object(view, vol, sphere, normal_map=normals,
-                                        shadow_dirs=(4, 8), n_samples=16))
-        assert images[0].tobytes() == images[1].tobytes()
+        for material in (DiffuseMaterial((0.7, 0.6, 0.5), 0.3), MirrorMaterial()):
+            sphere = InsertedSphere(center=np.array([1.0, 1.0, 0.7]), radius=0.15,
+                                    material=material)
+            images = []
+            for chunk in (512, 7):
+                monkeypatch.setattr(insertion, "_PIXEL_CHUNK", chunk)
+                images.append(insert_object(view, vol, sphere, normal_map=normals,
+                                            shadow_dirs=(4, 8), n_samples=16))
+            assert np.sum(np.all(images[0] < 0.5, axis=-1)) >= 100   # shadowed
+            assert images[0].tobytes() == images[1].tobytes()
 
     def test_diffuse_pixels_match_frozen_per_pixel_path(self):
         rng = np.random.default_rng(22)

@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from voxlight.metrics import entropy_reg
 from voxlight.optim import minimize_monotone
 from voxlight.sg import EnvMapGrid, Frame, texel_directions
 from voxlight.volume import (_CHUNK_SAMPLES, Bounds, EnvTarget, Ray,
                              VSGFitOptions, VSGFitProblem, VSGVolume,
-                             _initial_params, _params_to_volume, _stencil,
+                             _g4_and_grad, _initial_params, _params_to_volume,
+                             _stencil,
                              composite_ray,
                              composite_rays, compositing_weights, env_offset,
                              extract_env_map, sample_ray, vsg_fit,
@@ -585,6 +587,71 @@ class TestCornerMajorCore:
             single = composite_ray(vol, Ray(origin=origins[i], direction=dirs[i],
                                             t_max=5.0), n)
             assert batch[i].tobytes() == single.tobytes()
+
+
+def params_volume(params, dims, bounds):
+    """The volume raw fit parameters describe, angles as given."""
+    p = params.reshape(-1, 7)
+    alpha = 1.0 / (1.0 + np.exp(-p[:, 0]))
+    voxels = np.column_stack([alpha, p[:, 1], p[:, 2], np.exp(p[:, 3:7])])
+    return VSGVolume(bounds=bounds, voxels=voxels.reshape(tuple(dims) + (7,)))
+
+
+def renderer_score(params, targets, dims, bounds, opts):
+    """The fit objective's value computed through the renderer: each
+    target's g4 against ``extract_env_map`` of ``params_volume``, plus the
+    opacity entropy."""
+    volume = params_volume(params, dims, bounds)
+    alpha = volume.voxels[..., 0]
+    value = 0.0
+    for t in targets:
+        env = extract_env_map(volume, t.point, t.frame, t.grid.height, t.grid.width,
+                              opts.n_samples)
+        value += opts.beta_fit * _g4_and_grad(t.grid.texels.reshape(-1, 3),
+                                              env.texels.reshape(-1, 3))[0]
+    return value + opts.beta_entropy * entropy_reg(alpha)
+
+
+class TestObjectiveScoresRenderer:
+    """The fit objective's forward pass is the renderer's: its value equals
+    the score of ``extract_env_map`` bitwise."""
+
+    @pytest.mark.parametrize("dims", [(8, 8, 8), (3, 1, 5)])
+    def test_value_equals_renderer_score(self, dims):
+        rng = np.random.default_rng(45)
+        targets = outside_targets(rng) + fit_targets(rng)[:1]
+        opts = VSGFitOptions(n_samples=10)
+        problem = VSGFitProblem(targets, dims, BOUNDS, opts)
+        _, valid = _reference_samples(BOUNDS, *_reference_rays(targets, dims, BOUNDS),
+                                      BOUNDS.diagonal, 10)
+        assert 0.0 < valid.mean() < 1.0
+        for _ in range(3):
+            params = _initial_params(problem) + rng.normal(0.0, 0.5, problem.n_voxels * 7)
+            value, _ = vsg_fit_objective(params, problem)
+            assert value == renderer_score(params, targets, dims, BOUNDS, opts)
+
+    def test_value_equals_renderer_score_on_a_cancelling_axis(self):
+        # the voxel axes (1, 0, 0) and (-1, -1.2e-16, 6e-17) average to an
+        # axis of norm 9e-17 on the midplane x = 1, where both passes fall
+        # back to (0, 0, 1)
+        bounds = Bounds(lo=np.zeros(3), hi=np.array([2.0, 1.0, 1.0]))
+        rng = np.random.default_rng(46)
+        targets = env_targets(rng, [(1.0, 0.7, 0.3)], [FRAME], height=5, width=1)
+        dirs = texel_directions(5, 1, FRAME)
+        assert np.all(dirs[..., 0] == 0.0)   # every sample lies on the midplane
+        opts = VSGFitOptions(n_samples=6)
+        problem = VSGFitProblem(targets, (2, 1, 1), bounds, opts)
+        params = np.array([[-0.3, math.pi / 2, 0.0, 1.2, 0.1, -0.4, 0.3],
+                           [0.5, math.pi / 2, -math.pi, 0.6, -0.2, 0.2, 0.0]])
+        value, grad = vsg_fit_objective(params.ravel(), problem)
+        assert value == renderer_score(params.ravel(), targets, (2, 1, 1), bounds, opts)
+        assert np.all(grad.reshape(2, 7)[:, 1:3] == 0.0)
+        # and the shared fallback is the frozen renderer's
+        volume = params_volume(params.ravel(), (2, 1, 1), bounds)
+        origins, dirs = _reference_rays(targets, (2, 1, 1), bounds)
+        got = composite_rays(volume, origins, dirs, bounds.diagonal, 6)
+        assert got.tobytes() == _reference_composite(volume, origins, dirs,
+                                                     bounds.diagonal, 6).tobytes()
 
 
 class TestCompositeRaysValidation:
