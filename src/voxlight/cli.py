@@ -207,7 +207,7 @@ def cmd_demo(args):
     vio.save_surface_volume(out / "surface.json", report.surface_volume)
     vio.write_pfm(out / "fitted_env.pfm", vio.tile_env_maps(report.fitted_envs))
     (out / "report.json").write_text(json.dumps(
-        {k: v for k, v in report.metrics.items()}, indent=2, default=float))
+        {**report.metrics, "telemetry": report.telemetry}, indent=2, default=float))
     (out / "digest.txt").write_text(report.digest)
     print(json.dumps({k: report.metrics[k] for k in
                       ("normal_g1", "lighting_g4", "rerender_g3")}, indent=2))

@@ -11,6 +11,7 @@ the generated ground truth.
 from __future__ import annotations
 
 import hashlib
+import resource
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -52,7 +53,9 @@ class StageError(RuntimeError):
 
 
 @contextmanager
-def _stage(name: str, timings: dict):
+def _stage(name: str, timings: dict, peak_rss_mb: dict):
+    """Time a stage into ``timings`` and record the process's peak RSS (MB)
+    at its exit into ``peak_rss_mb``, both under the stage's name."""
     start = time.perf_counter()
     try:
         yield
@@ -60,6 +63,8 @@ def _stage(name: str, timings: dict):
         raise StageError(f"pipeline stage '{name}' failed: {exc}") from exc
     finally:
         timings[name] = time.perf_counter() - start
+        # ru_maxrss is in KiB on Linux
+        peak_rss_mb[name] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
 @dataclass
@@ -72,6 +77,9 @@ class PipelineReport:
     volume: object
     surface_volume: object
     digest: str = ""
+    # run telemetry outside the fingerprint: the VSG fit's report fields
+    # ("vsg_fit") and peak RSS in MB at each stage's exit ("peak_rss_mb")
+    telemetry: dict = field(default_factory=dict)
 
     def fingerprint(self) -> str:
         """Bitwise digest of the numeric outputs, for determinism checks."""
@@ -201,43 +209,44 @@ def pipeline_demo(config: DemoConfig | None = None) -> PipelineReport:
     """
     config = config or DemoConfig()
     timings: dict = {}
-    with _stage("scene", timings):
+    peak_rss_mb: dict = {}
+    with _stage("scene", timings, peak_rss_mb):
         scene = generate_scene(config.scene)
         bundle = scene.bundle
         target = bundle.target
 
-    with _stage("normals", timings):
+    with _stage("normals", timings, peak_rss_mb):
         normal_map, _ = depth_to_normal(target.depth, target.camera)
         normal_g1 = masked_l1_angular(scene.gt_normal[0], normal_map, scene.mask)
 
-    with _stage("sg_fit", timings):
+    with _stage("sg_fit", timings, peak_rss_mb):
         fitted_envs, envs_by_cluster = _cluster_env_fit(scene, config)
         lighting_g4 = si_log_mse(scene.gt_env, fitted_envs, scene.mask)
 
-    with _stage("aggregation", timings):
+    with _stage("aggregation", timings, peak_rss_mb):
         mean_weights, feature_digest = _multiview_probe(scene, envs_by_cluster,
                                                         config)
 
-    with _stage("rerender", timings):
+    with _stage("rerender", timings, peak_rss_mb):
         render_args = (scene.surface_points, scene.surface_normals,
                        scene.gt_albedo[0], scene.gt_rough[0], fitted_envs)
         diffuse, specular = render_images(*render_args, target.camera.center)
         rerendered = diffuse + specular
         rerender_g3 = si_mse(target.image, rerendered, scene.mask)
 
-    with _stage("vsg_fit", timings):
+    with _stage("vsg_fit", timings, peak_rss_mb):
         svl_pixels, vsg_targets = _vsg_targets(scene.surface_points,
                                                scene.surface_normals, scene.gt_env,
                                                config.vsg_grid)
         vol_result, bounds = _fit_volume(scene, config, vsg_targets)
 
-    with _stage("surface_volume", timings):
+    with _stage("surface_volume", timings, peak_rss_mb):
         surf = build_surface_volume(target.image, scene.gt_normal[0],
                                     scene.gt_albedo[0], scene.gt_rough[0],
                                     target.depth, target.confidence,
                                     target.camera, config.vsg_dims, bounds)
 
-    with _stage("insertion", timings):
+    with _stage("insertion", timings, peak_rss_mb):
         h, w = target.depth.shape
         center_pixel = scene.surface_points[h // 2, w // 2]
         sphere = InsertedSphere(
@@ -248,7 +257,7 @@ def pipeline_demo(config: DemoConfig | None = None) -> PipelineReport:
                                  shadow_dirs=config.shadow_dirs,
                                  n_samples=config.insert_samples)
 
-    with _stage("metrics", timings):
+    with _stage("metrics", timings, peak_rss_mb):
         env_svl_pred = np.stack([
             extract_env_map(vol_result.volume, t.point, t.frame,
                             config.scene.env_height, config.scene.env_width,
@@ -286,10 +295,15 @@ def pipeline_demo(config: DemoConfig | None = None) -> PipelineReport:
         "mean_view_weight_target": float(mean_weights[bundle.target_index]),
         **losses,
     }
+    vsg_telemetry = {k: getattr(vol_result.report, k) for k in (
+        "iterations", "accepted_steps", "stop_reason", "initial_objective",
+        "final_objective")}
     report = PipelineReport(metrics=metrics, normal_map=normal_map,
                             fitted_envs=fitted_envs, rerendered=rerendered,
                             inserted=inserted, volume=vol_result.volume,
-                            surface_volume=surf)
+                            surface_volume=surf,
+                            telemetry={"vsg_fit": vsg_telemetry,
+                                       "peak_rss_mb": peak_rss_mb})
     report.digest = report.fingerprint()
     report.metrics["timings"] = timings
     report.metrics["feature_digest"] = feature_digest

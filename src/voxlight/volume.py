@@ -15,9 +15,12 @@ offsets and 8 weights per sample) of their stratified samples, ray-major;
 ``_composite`` composites the channels (C, R, N) and returns the
 intermediates the fit's backward pass reads. ``composite_rays`` runs that
 path on chunks of ~16k samples, bitwise equal to marching rays alone. The fit
-builds its stencil once and scatters its gradient with one ``bincount`` per
-field over (sample, corner) keys, so each voxel adds the same terms in the
-same (ray, sample, corner) order as a single scatter over all fields would.
+builds its stencil once and groups whole targets into chunks of at most
+``_CHUNK_SAMPLES`` samples; its objective runs gather, composite, loss and
+backward pass chunk by chunk, then scatters the gradient with one
+``bincount`` per field over all (sample, corner) keys. The scatter stays
+global because a voxel's bin adds its terms in (ray, sample, corner) order;
+adding per-chunk bins would regroup those sums and change the bits.
 """
 
 from __future__ import annotations
@@ -95,8 +98,9 @@ class VSGVolume:
 
     def __post_init__(self):
         v = np.asarray(self.voxels, dtype=np.float64)
-        if v.ndim != 4 or v.shape[3] != 7:
-            raise ValueError(f"voxels must have shape (X, Y, Z, 7), got {v.shape}")
+        if v.ndim != 4 or v.shape[3] != 7 or 0 in v.shape[:3]:
+            raise ValueError(f"voxels must have shape (X, Y, Z, 7) with X, Y, Z "
+                             f">= 1, got {v.shape}")
         if not np.all(np.isfinite(v)):
             raise ValueError("voxel channels must all be finite")
         if np.any(v[..., 0] < 0.0) or np.any(v[..., 0] > 1.0):
@@ -381,12 +385,23 @@ class VSGFitResult:
 class VSGFitProblem:
     """Precomputed geometry for the fit objective: the texel rays of every
     target (``_env_rays``), their ``_ray_stencil``, the voxel key of every
-    (sample, corner) pair for the per-field gradient scatter, and flattened
-    target radiance."""
+    (sample, corner) pair and its weight as a contiguous (P, 8) array for the
+    per-field gradient scatter, and flattened target radiance.
+
+    ``chunks`` groups whole targets, in order, into runs of at most
+    ``_CHUNK_SAMPLES`` samples (one target per chunk if a target alone is
+    larger): each entry is the chunk's ray slice and its target indices. The
+    objective works chunk by chunk so its (R, N) temporaries stay
+    cache-sized."""
 
     def __init__(self, targets, dims, bounds: Bounds, options: VSGFitOptions):
         if len(targets) == 0:
             raise ValueError("at least one fit target is required")
+        if options.n_samples < 1:
+            raise ValueError("n_samples must be >= 1")
+        if len(dims) != 3 or not all(isinstance(d, (int, np.integer)) and d >= 1
+                                     for d in dims):
+            raise ValueError(f"dims must be three positive ints, got {tuple(dims)}")
         dims = tuple(int(d) for d in dims)
         if np.prod(dims) > 32 ** 3:
             raise ValueError("fit volumes are limited to 32^3 voxels")
@@ -416,9 +431,17 @@ class VSGFitProblem:
         _, _, self.stencil = _ray_stencil(template, np.concatenate(origin_list),
                                           self.directions, bounds.diagonal,
                                           options.n_samples)
-        base, offsets, _ = self.stencil
-        # voxel index of every (sample, corner) pair, in that order
+        base, offsets, weights = self.stencil
+        # voxel index and weight of every (sample, corner) pair, in that order
         self.corner_keys = (base[:, None] + offsets).ravel()
+        self.corner_weights = np.ascontiguousarray(weights.T)
+        n, self.chunks = options.n_samples, []
+        for k, sl in enumerate(self.slices):
+            if self.chunks and (sl.stop - self.chunks[-1][0].start) * n <= _CHUNK_SAMPLES:
+                rays, members = self.chunks[-1]
+                self.chunks[-1] = (slice(rays.start, sl.stop), members + [k])
+            else:
+                self.chunks.append((sl, [k]))
 
 
 def _split_params(params: np.ndarray, n_voxels: int):
@@ -469,23 +492,53 @@ def _vsg_objective_impl(params: np.ndarray, problem: VSGFitProblem):
     opts = problem.options
     nvox = problem.n_voxels
     p, alpha_v, axis_v, sharp_v, eta_v = _split_params(params, nvox)
-    n_rays = problem.directions.shape[0]
+    n = opts.n_samples
+    base, offsets, weights = problem.stencil
 
-    # one gather for all 8 interpolated fields: alpha, axis xyz, sharp, eta,
-    # each channel-major (R, N) over the ray-major samples
+    # per chunk, one gather for all 8 interpolated fields: alpha, axis xyz,
+    # sharp, eta, each channel-major (R, N) over the ray-major samples
     table = np.concatenate([alpha_v[None], axis_v.T, sharp_v[None], eta_v.T])
-    interp = _trilinear(table, problem.stencil).reshape(8, n_rays, -1)
-    sharp, eta = interp[4], interp[5:8]
-    rendered, (axis, nd, live, safe, dots, expo, emit, trans, excl, wgt,
-               contrib) = _composite(interp, problem.directions)
-    rendered = np.ascontiguousarray(rendered)
-
     value = 0.0
-    d_rendered = np.empty_like(rendered)
-    for sl, target in zip(problem.slices, problem.target_flat):
-        v, g = _g4_and_grad(target, rendered[sl])
-        value += opts.beta_fit * v
-        d_rendered[sl] = opts.beta_fit * g
+    d_fields = np.empty((8, base.shape[0]))   # per-sample gradient of each field
+    for rays, chunk_targets in problem.chunks:
+        samples = slice(rays.start * n, rays.stop * n)
+        n_rays = rays.stop - rays.start
+        interp = _trilinear(table, (base[samples], offsets, weights[:, samples]))
+        interp = interp.reshape(8, n_rays, n)
+        sharp, eta = interp[4], interp[5:8]
+        rendered, (axis, nd, live, safe, dots, expo, emit, trans, excl, wgt,
+                   contrib) = _composite(interp, problem.directions[rays])
+        rendered = np.ascontiguousarray(rendered)
+
+        d_rendered = np.empty_like(rendered)
+        for t in chunk_targets:
+            sl = slice(problem.slices[t].start - rays.start,
+                       problem.slices[t].stop - rays.start)
+            v, g = _g4_and_grad(problem.target_flat[t], rendered[sl])
+            value += opts.beta_fit * v
+            d_rendered[sl] = opts.beta_fit * g
+
+        # tail_n = radiance composited from samples > n, non-recursive suffix form
+        suffix = np.cumsum(contrib[..., ::-1], axis=-1)[..., ::-1]
+        tail_next = np.concatenate([suffix[..., 1:], np.zeros((3, n_rays, 1))], axis=-1)
+        tsafe = np.where(trans > 1e-290, trans, 1.0)
+        tail = np.where(trans > 1e-290, tail_next / tsafe, 0.0)
+        d_r = d_rendered.T[..., None]                            # (3, R, 1)
+        d_emit = wgt * d_r
+        q = d_r * excl * (emit - tail)
+        d_alpha = (q[0] + q[1]) + q[2]
+
+        q = d_emit * eta
+        d_expo = (q[0] + q[1]) + q[2]
+        d_eta = d_emit * expo
+        d_sharp = d_expo * expo * (dots - 1.0)
+        d_dots = d_expo * expo * sharp
+        d_axis = d_dots * nd
+        q = axis * d_axis
+        d_u = (d_axis - axis * ((q[0] + q[1]) + q[2])) / safe
+        d_u = np.where(live, d_u, 0.0)
+        for f, g in enumerate((d_alpha, *d_u, d_sharp, *d_eta)):
+            d_fields[f, samples] = g.ravel()
 
     # entropy regularizer -alpha ln alpha, mean over voxels
     tiny = alpha_v > 1e-290
@@ -494,33 +547,13 @@ def _vsg_objective_impl(params: np.ndarray, problem: VSGFitProblem):
     d_alpha_reg = opts.beta_entropy / nvox * np.where(
         tiny, -np.log(np.where(tiny, alpha_v, 1.0)) - 1.0, 0.0)
 
-    # tail_n = radiance composited from samples > n, non-recursive suffix form
-    suffix = np.cumsum(contrib[..., ::-1], axis=-1)[..., ::-1]
-    tail_next = np.concatenate([suffix[..., 1:], np.zeros((3, n_rays, 1))], axis=-1)
-    tsafe = np.where(trans > 1e-290, trans, 1.0)
-    tail = np.where(trans > 1e-290, tail_next / tsafe, 0.0)
-    d_r = d_rendered.T[..., None]                            # (3, R, 1)
-    d_emit = wgt * d_r
-    q = d_r * excl * (emit - tail)
-    d_alpha = (q[0] + q[1]) + q[2]
-
-    q = d_emit * eta
-    d_expo = (q[0] + q[1]) + q[2]
-    d_eta = d_emit * expo
-    d_sharp = d_expo * expo * (dots - 1.0)
-    d_dots = d_expo * expo * sharp
-    d_axis = d_dots * nd
-    q = axis * d_axis
-    d_u = (d_axis - axis * ((q[0] + q[1]) + q[2])) / safe
-    d_u = np.where(live, d_u, 0.0)
-
-    # one scatter per field over the (sample, corner) keys, so each voxel's
-    # bin adds its terms in (ray, sample, corner) order
-    weights = problem.stencil[2].T                           # (P, 8)
-    weighted = np.empty(weights.shape)
+    # one scatter per field over all (sample, corner) keys, so each voxel's
+    # bin adds its terms in (ray, sample, corner) order; a bincount per chunk
+    # summed afterwards would regroup those adds and change the bits
+    weighted = np.empty(problem.corner_weights.shape)
     accum = np.empty((8, nvox))
-    for f, g in enumerate((d_alpha, *d_u, d_sharp, *d_eta)):
-        np.multiply(weights, g.reshape(-1, 1), out=weighted)
+    for f, g in enumerate(d_fields):
+        np.multiply(problem.corner_weights, g.reshape(-1, 1), out=weighted)
         accum[f] = np.bincount(problem.corner_keys, weights=weighted.ravel(),
                                minlength=nvox)
     d_alpha_vox = d_alpha_reg + accum[0]

@@ -1,6 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
+from voxlight import cli
 from voxlight.pipeline import DemoConfig, pipeline_demo
 from voxlight.scene import SceneSpec
 
@@ -54,3 +57,34 @@ class TestPipelineDemo:
         assert again.digest == tiny_report.digest
         for key in ("normal_g1", "lighting_g4", "rerender_g3"):
             assert again.metrics[key] == tiny_report.metrics[key]
+
+
+STAGES = ("scene", "normals", "sg_fit", "aggregation", "rerender", "vsg_fit",
+          "surface_volume", "insertion", "metrics")
+
+
+class TestTelemetry:
+    def test_vsg_fit_and_peak_rss_recorded(self, tiny_report):
+        t = tiny_report.telemetry
+        fit = t["vsg_fit"]
+        assert set(fit) == {"iterations", "accepted_steps", "stop_reason",
+                            "initial_objective", "final_objective"}
+        assert 0 < fit["accepted_steps"] <= fit["iterations"] <= 120
+        assert fit["stop_reason"] in ("max_iters", "objective_tol", "stalled")
+        assert fit["final_objective"] == tiny_report.metrics["vsg_objective"]
+        assert fit["final_objective"] <= fit["initial_objective"]
+        rss = [t["peak_rss_mb"][name] for name in STAGES]
+        assert set(t["peak_rss_mb"]) == set(tiny_report.metrics["timings"]) == set(STAGES)
+        assert rss[0] > 0.0 and rss == sorted(rss)   # a peak never falls
+
+    def test_telemetry_stays_out_of_metrics_and_digest(self, tiny_report):
+        # perfbench requires every metric but timings and feature_digest to be
+        # a finite number; the digest is pinned by test_digest_is_pinned
+        assert not {"telemetry", "vsg_fit", "peak_rss_mb"} & set(tiny_report.metrics)
+        assert tiny_report.digest == TINY_DIGEST
+
+    def test_demo_command_writes_telemetry(self, tiny_report, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "pipeline_demo", lambda config: tiny_report)
+        assert cli.main(["demo", "--out", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["telemetry"] == tiny_report.telemetry

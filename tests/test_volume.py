@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import voxlight.volume as volume_module
 from voxlight.metrics import entropy_reg
 from voxlight.optim import minimize_monotone
 from voxlight.sg import EnvMapGrid, Frame, texel_directions
@@ -39,6 +40,11 @@ class TestTypes:
             VSGVolume(bounds=BOUNDS, voxels=vox)
         with pytest.raises(ValueError):
             Bounds(lo=np.zeros(3), hi=np.array([1.0, 0.0, 1.0]))
+
+    @pytest.mark.parametrize("dims", [(0, 2, 2), (2, 0, 2), (2, 2, 0)])
+    def test_volume_rejects_empty_axis(self, dims):
+        with pytest.raises(ValueError, match=r"X, Y, Z >= 1, got \(%d, %d, %d, 7\)" % dims):
+            VSGVolume.uniform(dims, BOUNDS)
 
     def test_ray_invariants(self):
         with pytest.raises(ValueError):
@@ -250,6 +256,19 @@ class TestFitObjective:
     def test_empty_targets_rejected(self):
         with pytest.raises(ValueError):
             VSGFitProblem([], (4, 4, 4), BOUNDS, VSGFitOptions())
+
+    @pytest.mark.parametrize("n_samples", [0, -2])
+    def test_rejects_non_positive_samples(self, n_samples):
+        with pytest.raises(ValueError, match="n_samples must be >= 1"):
+            VSGFitProblem(fit_targets(np.random.default_rng(0)), (4, 4, 4), BOUNDS,
+                          VSGFitOptions(n_samples=n_samples))
+
+    @pytest.mark.parametrize("dims", [(0, 4, 4), (4, -1, 4), (4, 4), (4, 4, 4, 1),
+                                      (4, 2.5, 4)])
+    def test_rejects_bad_dims(self, dims):
+        with pytest.raises(ValueError, match="dims must be three positive ints"):
+            VSGFitProblem(fit_targets(np.random.default_rng(0)), dims, BOUNDS,
+                          VSGFitOptions())
 
     def test_desk_scale_cap(self):
         with pytest.raises(ValueError):
@@ -587,6 +606,66 @@ class TestCornerMajorCore:
             single = composite_ray(vol, Ray(origin=origins[i], direction=dirs[i],
                                             t_max=5.0), n)
             assert batch[i].tobytes() == single.tobytes()
+
+
+def uneven_targets(rng):
+    """Targets of 3x6 and 4x8 texels in turn; the first two lie outside the
+    box, so some of their texel rays miss it."""
+    small = env_targets(rng, [(1.0, 1.0, -0.4), (1.3, 0.6, 0.5)], [FRAME, TILTED],
+                        height=3, width=6)
+    large = env_targets(rng, [(-0.5, 1.2, 1.0), (0.7, 0.9, 0.3)],
+                        [Frame.from_normal([1.0, 0.0, 0.0]), FRAME], height=4, width=8)
+    return [small[0], large[0], small[1], large[1]]
+
+
+UNEVEN_SAMPLES = 9   # 162 samples per 3x6 target, 288 per 4x8 target
+# values of _CHUNK_SAMPLES and the target groups the fit problem plans for them
+CHUNK_PLANS = [(_CHUNK_SAMPLES, [[0, 1, 2, 3]]),   # the default: one chunk
+               (162 + 288, [[0, 1], [2, 3]]),      # two unequal targets
+               (162, [[0], [1], [2], [3]]),        # exactly one 3x6 target
+               (100, [[0], [1], [2], [3]])]        # fewer than any target
+
+
+class TestChunkedObjective:
+    """The objective runs chunk by chunk but scatters once, so its bits do
+    not depend on the chunk plan."""
+
+    @pytest.mark.parametrize("chunk_samples, groups", CHUNK_PLANS)
+    def test_objective_bitwise_equal_to_reference(self, chunk_samples, groups,
+                                                  monkeypatch):
+        monkeypatch.setattr(volume_module, "_CHUNK_SAMPLES", chunk_samples)
+        rng = np.random.default_rng(45)
+        targets = uneven_targets(rng)
+        dims, opts = (3, 4, 2), VSGFitOptions(n_samples=UNEVEN_SAMPLES)
+        origins, dirs = _reference_rays(targets, dims, BOUNDS)
+        _, valid = _reference_samples(BOUNDS, origins, dirs, BOUNDS.diagonal,
+                                      UNEVEN_SAMPLES)
+        assert 0.0 < valid.mean() < 1.0
+        problem = VSGFitProblem(targets, dims, BOUNDS, opts)
+        assert [t for _, t in problem.chunks] == groups
+        for _ in range(3):
+            params = _initial_params(problem) + rng.normal(0.0, 0.5, problem.n_voxels * 7)
+            value, grad = vsg_fit_objective(params, problem)
+            ref_value, ref_grad = _reference_objective(params, targets, dims, BOUNDS, opts)
+            assert value == ref_value
+            assert grad.tobytes() == ref_grad.tobytes()
+
+    def test_fit_bitwise_equal_at_every_chunk_size(self, monkeypatch):
+        targets = uneven_targets(np.random.default_rng(46))
+        dims = (3, 4, 2)
+        opts = VSGFitOptions(max_iters=25, n_samples=UNEVEN_SAMPLES)
+        problem = VSGFitProblem(targets, dims, BOUNDS, opts)
+        ref = minimize_monotone(
+            lambda p: _reference_objective(p, targets, dims, BOUNDS, opts),
+            _initial_params(problem), max_iters=opts.max_iters, step=opts.step,
+            grow=opts.grow, shrink=opts.shrink, objective_tol=opts.objective_tol)
+        ref_voxels = _params_to_volume(ref.x, problem).voxels.tobytes()
+        assert ref.report.accepted_steps > 0
+        for chunk_samples, _ in CHUNK_PLANS:
+            monkeypatch.setattr(volume_module, "_CHUNK_SAMPLES", chunk_samples)
+            result = vsg_fit(targets, dims, BOUNDS, opts)
+            assert result.report.objective_trace == ref.report.objective_trace
+            assert result.volume.voxels.tobytes() == ref_voxels
 
 
 def params_volume(params, dims, bounds):
