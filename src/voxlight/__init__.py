@@ -24,7 +24,7 @@ from .pipeline import DemoConfig, PipelineReport, pipeline_demo
 from .scene import GeneratedScene, SceneSpec, generate_scene, per_pixel_env_maps
 from .sg import (EnvMapGrid, Frame, SGEnvironment, SGFitOptions, SGFitResult,
                  SGLobe, eval_env, eval_sg, fibonacci_hemisphere, rasterize_env,
-                 sg_fit, texel_directions, texel_solid_angles)
+                 sg_fit, sg_fit_batch, texel_directions, texel_solid_angles)
 from .surface import SurfaceVolume, build_surface_volume
 from .volume import (Bounds, EnvTarget, Ray, RaySamples, VSGFitOptions,
                      VSGFitResult, VSGVolume, composite_ray, compositing_weights,

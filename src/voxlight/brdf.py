@@ -147,8 +147,8 @@ def specular_brdf(v, l, n, roughness: float, f0: float = F0_DEFAULT) -> float:
                               _as_unit(n)[None], np.array([roughness]), f0)[0, 0])
 
 
-# Pixel-texel pairs shaded per chunk: 2048 pixels of 8 x 16 texels.
-_CHUNK_PAIRS = 2048 * 128
+# Pixel-texel pairs per chunk (128 pixels of 8 x 16 texels): fits a 2 MB L2.
+_CHUNK_PAIRS = 128 * 128
 
 
 def shade_env_maps(envs: np.ndarray, normals: np.ndarray, tangents: np.ndarray,
@@ -158,7 +158,8 @@ def shade_env_maps(envs: np.ndarray, normals: np.ndarray, tangents: np.ndarray,
     each (P, C), of env maps (P, Ha, Wa, C) in the frames of unit normals,
     tangents and bitangents (P, 3), n.l being the texel-local z; ``view``
     (P, 3) points to the viewer, ``albedo`` is (P, C), ``roughness`` (P,).
-    A row's bits do not depend on the rest of the batch."""
+    A row's bits do not depend on the rest of the batch. GGX skips unlit
+    texels, which add +0.0 either way, on chunks that are under half lit."""
     p, ha, wa = envs.shape[:3]
     local = texel_local_directions(ha, wa)
     weights = cosine_weights(ha, wa)
@@ -169,8 +170,15 @@ def shade_env_maps(envs: np.ndarray, normals: np.ndarray, tangents: np.ndarray,
         sl = slice(start, start + chunk)
         env = flat_env[sl]
         diffuse[sl] = albedo[sl] / math.pi * np.sum(env * weights[:, None], axis=1)
-        dirs = frame_directions(local, normals[sl], tangents[sl], bitangents[sl])
-        brdf = ggx_specular(view[sl], dirs, normals[sl], roughness[sl])
+        n, t, b, lit = normals[sl], tangents[sl], bitangents[sl], env.any(axis=-1)
+        if 2 * np.count_nonzero(lit) >= lit.size:
+            dirs = frame_directions(local, n[:, None], t[:, None], b[:, None])
+            brdf = ggx_specular(view[sl], dirs, n, roughness[sl])
+        else:
+            (rows, cols), brdf = np.nonzero(lit), np.zeros(lit.shape)
+            dirs = frame_directions(local[cols], n[rows], t[rows], b[rows])[:, None]
+            brdf[rows, cols] = ggx_specular(view[sl][rows], dirs, n[rows],
+                                            roughness[sl][rows])[:, 0]
         specular[sl] = np.einsum("pt,ptc->pc", brdf * weights, env)
     return diffuse, specular
 

@@ -102,8 +102,8 @@ def _texel_rays(volume: VSGVolume, points: np.ndarray, normals: np.ndarray,
                 tangents: np.ndarray, bitangents: np.ndarray, n_dirs: tuple[int, int]):
     """Texel-centre rays (P, D, 3) of ``n_dirs`` grids at points (P, 3) in the
     given frames, from origins nudged ``env_offset`` along the normal."""
-    dirs = frame_directions(texel_local_directions(*n_dirs), normals, tangents,
-                            bitangents)
+    dirs = frame_directions(texel_local_directions(*n_dirs), normals[:, None],
+                            tangents[:, None], bitangents[:, None])
     origins = (points + env_offset(volume) * normals)[:, None, :]
     return np.broadcast_to(origins, dirs.shape), dirs
 

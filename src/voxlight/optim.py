@@ -6,7 +6,11 @@ decreases the objective, so the accepted-step objective trace is
 non-increasing by construction. Rejections shrink the step and fade the
 momentum; if the step underflows, the moment state is rebuilt once from the
 current gradient before the run is declared stuck. Everything is
-deterministic.
+deterministic. Independent problems run as the rows of one (B, n) iterate:
+each row keeps its own step, moments, accept decision, restart counter,
+trace, iteration count and stop reason, and gets its own ``FitReport``. A
+row's result is bitwise the same alone or in any batch if the objective
+computes each row independently of the others.
 """
 
 from __future__ import annotations
@@ -15,8 +19,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-
-ObjectiveAndGrad = Callable[[np.ndarray], tuple[float, np.ndarray]]
 
 
 @dataclass
@@ -41,84 +43,93 @@ class MinimizeResult:
     report: FitReport
 
 
-def minimize_monotone(
-    fun: ObjectiveAndGrad,
-    x0: np.ndarray,
-    max_iters: int = 2000,
-    step: float = 0.1,
-    grow: float = 1.15,
-    shrink: float = 0.5,
-    momentum: float = 0.9,
-    rms_decay: float = 0.9,
-    rms_eps: float = 1e-8,
-    min_step: float = 1e-16,
-    objective_tol: float = 0.0,
-) -> MinimizeResult:
-    """Minimize ``fun`` starting at ``x0``.
-
-    ``fun`` must return ``(value, gradient)``. Each iteration proposes
-    ``x - step * m / (sqrt(v) + eps)`` with ``m`` the momentum-blended
-    gradient and ``v`` an exponential moving average of squared gradients,
-    both updated on accepted steps only. ``step`` grows after acceptance and
-    shrinks after rejection.
+def minimize_monotone(fun: Callable, x0: np.ndarray, max_iters: int = 2000, step: float = 0.1,
+                      grow: float = 1.15, shrink: float = 0.5, momentum: float = 0.9,
+                      rms_decay: float = 0.9, rms_eps: float = 1e-8, min_step: float = 1e-16,
+                      objective_tol: float = 0.0):
+    """Minimize ``fun`` from each row of ``x0`` (B, n): ``fun`` maps (B, n) to
+    (B,) values and (B, n) gradients, and a list of one ``MinimizeResult``
+    per row is returned. A 1-D ``x0`` is a batch of one whose ``fun`` maps
+    (n,) to ``(value, gradient)``; its one result is returned. Each iteration
+    proposes ``x - step * m / (sqrt(v) + eps)`` per row, with ``m`` the
+    momentum-blended gradient and ``v`` an exponential moving average of
+    squared gradients, both updated on accepted steps only. ``step`` grows
+    after acceptance and shrinks after rejection. Stopped rows are still
+    passed to ``fun`` but no longer change.
     """
-    x = np.asarray(x0, dtype=np.float64).copy()
+    x = np.array(x0, dtype=np.float64)
+    single = x.ndim == 1
+    if single:
+        x, scalar_fun = x[None], fun
+
+        def fun(xs):
+            value, grad = scalar_fun(xs[0])
+            return np.array([value], dtype=np.float64), grad[None]
+    batch = x.shape[0]
     value, grad = fun(x)
-    if not np.isfinite(value):
-        raise ValueError("objective is not finite at the initial point")
-    initial = value
-    initial_step = step
-    first_moment = np.zeros_like(grad)
+    bad = np.flatnonzero(~np.isfinite(value))
+    if bad.size:
+        raise ValueError(f"objective is not finite at the initial point (row {bad[0]})")
+    steps, first_moment = np.full((batch, 1), step), np.zeros_like(grad)
     second_moment = grad * grad
-    trace = [value]
-    accepted = 0
-    accepted_since_restart = 1  # allow one restart before declaring failure
-    iterations = 0
-    stop_reason = "max_iters"
-    for iterations in range(1, max_iters + 1):
+    traces = [[v] for v in value.tolist()]   # accepted values per row
+    restarted_at = [-1] * batch    # trace length at a row's warm restart
+    iterations, stop_reasons = [max_iters] * batch, ["max_iters"] * batch
+    active, n_active = np.ones(batch, dtype=bool), batch
+    for it in range(1, max_iters + 1):
         # Momentum damps coordinates whose gradient alternates sign near
         # their optimum, so persistent directions keep marching while the
         # accept test stays satisfiable at a growing step size.
         blend = momentum * first_moment + (1.0 - momentum) * grad
         direction = blend / (np.sqrt(second_moment) + rms_eps)
-        candidate = x - step * direction
+        candidate = x - steps * direction
         cand_value, cand_grad = fun(candidate)
-        if np.isfinite(cand_value) and cand_value < value:
-            x, value, grad = candidate, cand_value, cand_grad
-            first_moment = blend
+        ok = np.isfinite(cand_value) & (cand_value < value)
+        if n_active < batch:
+            ok &= active
+        n_ok = np.count_nonzero(ok)
+        # Whole arrays when every row accepts or every row rejects (always at
+        # B = 1), row masks for mixed batches; arrays are replaced, not written
+        # in place, but on a restart. Stopped rows' steps and moments go unread.
+        if n_ok == batch:
+            x, value, grad, first_moment = candidate, cand_value, cand_grad, blend
             second_moment = rms_decay * second_moment + (1.0 - rms_decay) * grad * grad
-            step *= grow
-            accepted += 1
-            accepted_since_restart += 1
-            trace.append(value)
-            if objective_tol > 0.0 and value <= objective_tol:
-                stop_reason = "objective_tol"
-                break
+            steps = steps * grow
+        elif n_ok == 0:
+            first_moment, steps = 0.5 * first_moment, steps * shrink  # fade stale momentum
         else:
-            first_moment *= 0.5  # fade stale momentum on rejection
-            step *= shrink
-            if step < min_step:
-                if accepted_since_restart == 0:
-                    stop_reason = "stalled"  # a fresh restart also stalled
-                    break
+            okc = ok[:, None]
+            x, grad = np.where(okc, candidate, x), np.where(okc, cand_grad, grad)
+            value = np.where(ok, cand_value, value)
+            first_moment = np.where(okc, blend, 0.5 * first_moment)
+            second_moment = np.where(
+                okc, rms_decay * second_moment + (1.0 - rms_decay) * grad * grad, second_moment)
+            steps = np.where(okc, steps * grow, steps * shrink)
+        if n_ok < n_active:  # restart, or stop, rejecting rows whose step underflowed
+            for r in np.flatnonzero(active & ~ok & (steps[:, 0] < min_step)):
+                if restarted_at[r] == len(traces[r]):
+                    stop_reasons[r], iterations[r], active[r] = "stalled", it, False
+                    n_active -= 1
+                    continue  # a fresh restart also stalled
                 # deterministic warm restart: drop stale curvature/momentum
-                first_moment[:] = 0.0
-                second_moment = grad * grad
-                step = 0.1 * initial_step
-                accepted_since_restart = 0
+                first_moment[r], second_moment[r], steps[r] = 0.0, grad[r] * grad[r], 0.1 * step
+                restarted_at[r] = len(traces[r])
+        for r in np.flatnonzero(ok) if 0 < n_ok < batch else range(n_ok):  # accepted rows
+            traces[r].append(float(value[r]))
+            if objective_tol > 0.0 and value[r] <= objective_tol:
+                stop_reasons[r], iterations[r], active[r] = "objective_tol", it, False
+                n_active -= 1
+        if n_active == 0:
+            break
 
-    converged = value < initial
-    message = "ok" if converged else (
-        "objective was not reduced below its initial value"
-    )
-    report = FitReport(
-        converged=converged,
-        iterations=iterations,
-        accepted_steps=accepted,
-        initial_objective=float(initial),
-        final_objective=float(value),
-        objective_trace=trace,
-        message=message,
-        stop_reason=stop_reason,
-    )
-    return MinimizeResult(x=x, objective=float(value), gradient=grad, report=report)
+    results = []
+    for r, trace in enumerate(traces):
+        converged = trace[-1] < trace[0]
+        report = FitReport(
+            converged=converged, iterations=iterations[r], accepted_steps=len(trace) - 1,
+            initial_objective=trace[0], final_objective=trace[-1], objective_trace=trace,
+            message="ok" if converged else "objective was not reduced below its initial value",
+            stop_reason=stop_reasons[r])
+        results.append(MinimizeResult(x=x[r], objective=trace[-1], gradient=grad[r],
+                                      report=report))
+    return results[0] if single else results

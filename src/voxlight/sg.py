@@ -224,9 +224,10 @@ def cosine_weights(height: int, width: int) -> np.ndarray:
 
 def frame_directions(local: np.ndarray, normals: np.ndarray, tangents: np.ndarray,
                      bitangents: np.ndarray) -> np.ndarray:
-    """World directions (P, D, 3) of frame-local directions (D, 3) in P frames."""
-    return (local[:, 0:1] * tangents[:, None] + local[:, 1:2] * bitangents[:, None]
-            + local[:, 2:3] * normals[:, None])
+    """World directions of frame-local directions (..., 3) in frames (..., 3),
+    broadcast: (D, 3) directions in frames (P, 1, 3) give (P, D, 3)."""
+    return (local[..., 0:1] * tangents + local[..., 1:2] * bitangents
+            + local[..., 2:3] * normals)
 
 
 def eval_sg(lobe: SGLobe, direction) -> np.ndarray:
@@ -350,61 +351,63 @@ def _lobe_axes(theta, phi) -> np.ndarray:
     """Unit axes (..., 3) at polar angles ``theta`` from +z and azimuths
     ``phi``, elementwise: (sin theta cos phi, sin theta sin phi, cos theta)."""
     st = np.sin(theta)
-    return np.stack([st * np.cos(phi), st * np.sin(phi), np.cos(theta)], axis=-1)
+    axes = np.empty(np.shape(theta) + (3,))
+    axes[..., 0], axes[..., 1], axes[..., 2] = st * np.cos(phi), st * np.sin(phi), np.cos(theta)
+    return axes
 
 
 def _angle_grad(d_axis: np.ndarray, theta: np.ndarray, phi: np.ndarray):
-    """Gradients (d_theta, d_phi), each (S,), of a function of the axes
-    ``_lobe_axes(theta, phi)`` from its gradient (S, 3) in those axes."""
+    """Gradients (d_theta, d_phi), each (..., S), of a function of the axes
+    ``_lobe_axes(theta, phi)`` from its gradient (..., S, 3) in those axes."""
     st, ct = np.sin(theta), np.cos(theta)
     sp, cp = np.sin(phi), np.cos(phi)
-    return (d_axis[:, 0] * ct * cp + d_axis[:, 1] * ct * sp - d_axis[:, 2] * st,
-            -d_axis[:, 0] * st * sp + d_axis[:, 1] * st * cp)
+    return (d_axis[..., 0] * ct * cp + d_axis[..., 1] * ct * sp - d_axis[..., 2] * st,
+            -d_axis[..., 0] * st * sp + d_axis[..., 1] * st * cp)
 
 
-def sg_fit_objective(params: np.ndarray, target: np.ndarray,
-                     dirs: np.ndarray) -> tuple[float, np.ndarray]:
+@np.errstate(over="ignore", invalid="ignore")
+def sg_fit_objective(params: np.ndarray, target: np.ndarray, dirs: np.ndarray,
+                     log_target: np.ndarray | None = None):
     """Scale-invariant log-space MSE (tau fixed to 1) and its gradient.
 
     ``params`` is (S, 6) internal lobe parameters, ``target`` (T, 3) texel
     radiance, ``dirs`` (T, 3) texel-center directions. Returns the objective
-    mean((log(R+1) - log(target+1))^2) and d/dparams, both analytic.
+    mean((log(R+1) - log(target+1))^2) and d/dparams (S * 6,), both
+    analytic, or inf and zeros where either is not finite; ``log_target`` is
+    log1p(target) if the caller has it. A leading batch axis on all three
+    gives (B,) values and (B, S * 6) gradients, each row its own call's bits.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        value, grad = _sg_objective_impl(params, target, dirs)
-    if not math.isfinite(value) or not np.all(np.isfinite(grad)):
-        return math.inf, np.zeros_like(np.asarray(params, dtype=np.float64)).ravel()
-    return value, grad
+    log_t = np.log1p(target) if log_target is None else log_target
+    single = log_t.ndim == 2
+    log_t, dirs = (log_t[None], dirs[None]) if single else (log_t, dirs)
+    params = np.asarray(params, dtype=np.float64).reshape(len(dirs), -1, _PARAMS_PER_LOBE)
+    axes = _lobe_axes(params[..., 0], params[..., 1])      # (B, S, 3)
+    sharp, eta = np.exp(params[..., 2]), np.exp(params[..., 3:6])
+    dots_m1 = dirs @ axes.transpose(0, 2, 1) - 1.0         # (B, T, S)
+    expo = np.exp(sharp[:, None, :] * dots_m1)
+    radiance = expo @ eta                                  # (B, T, 3)
 
-
-def _sg_objective_impl(params: np.ndarray, target: np.ndarray,
-                       dirs: np.ndarray) -> tuple[float, np.ndarray]:
-    params = params.reshape(-1, _PARAMS_PER_LOBE)
-    axes = _lobe_axes(params[:, 0], params[:, 1])
-    sharp, eta = np.exp(params[:, 2]), np.exp(params[:, 3:6])
-    dots = dirs @ axes.T                      # (T, S)
-    expo = np.exp(sharp[None, :] * (dots - 1.0))
-    radiance = expo @ eta                     # (T, 3)
-
-    log_r = np.log1p(radiance)
-    log_t = np.log1p(target)
-    diff = log_r - log_t
-    n_elem = diff.size
-    value = float(np.mean(diff * diff))
+    diff = np.log1p(radiance) - log_t
+    n_elem = diff[0].size
+    value = (diff * diff).reshape(len(diff), n_elem).sum(axis=1) / n_elem  # the mean
 
     # d value / d radiance
-    g_rad = (2.0 / n_elem) * diff / (1.0 + radiance)          # (T, 3)
-    d_eta = expo.T @ g_rad                                    # (S, 3)
-    w = g_rad @ eta.T                                         # (T, S) sum_c g*eta
+    g_rad = (2.0 / n_elem) * diff / (1.0 + radiance)     # (B, T, 3)
+    d_eta = expo.transpose(0, 2, 1) @ g_rad                # (B, S, 3)
+    w = g_rad @ eta.transpose(0, 2, 1)                     # (B, T, S) sum_c g*eta
     we = w * expo
-    d_sharp = np.sum(we * (dots - 1.0), axis=0)               # (S,)
-    d_axis = we.T @ dirs * sharp[:, None]                     # (S, 3)
+    d_sharp = (we * dots_m1).sum(axis=1)                   # (B, S)
+    d_axis = we.transpose(0, 2, 1) @ dirs * sharp[..., None]  # (B, S, 3)
 
     grad = np.empty_like(params)
-    grad[:, 0], grad[:, 1] = _angle_grad(d_axis, params[:, 0], params[:, 1])
-    grad[:, 2] = d_sharp * sharp          # chain through log-parameterization
-    grad[:, 3:6] = d_eta * eta
-    return value, grad.ravel()
+    grad[..., 0], grad[..., 1] = _angle_grad(d_axis, params[..., 0], params[..., 1])
+    grad[..., 2] = d_sharp * sharp        # chain through log-parameterization
+    grad[..., 3:6] = d_eta * eta
+    grad = grad.reshape(len(grad), -1)
+    if not (np.isfinite(value).all() and np.isfinite(grad).all()):
+        bad = ~(np.isfinite(value) & np.isfinite(grad).all(axis=1))
+        value[bad], grad[bad] = math.inf, 0.0
+    return (float(value[0]), grad[0]) if single else (value, grad)
 
 
 def default_sg_init(target: EnvMapGrid, num_lobes: int,
@@ -423,37 +426,40 @@ def default_sg_init(target: EnvMapGrid, num_lobes: int,
     return SGEnvironment(lobes=tuple(lobes))
 
 
-def sg_fit(target: EnvMapGrid, num_lobes: int,
-           options: SGFitOptions | None = None) -> SGFitResult:
-    """Fit ``num_lobes`` SG lobes to ``target`` by monotone gradient descent.
-
-    Minimizes the scale-invariant log-space MSE (scale fixed to 1, all-ones
-    mask) between the rasterized result and the target, with analytic
-    gradients. A run that fails to reduce the objective below its initial
-    value is still returned, flagged via ``report.converged``.
-    """
+def sg_fit_batch(targets, num_lobes: int,
+                 options: SGFitOptions | None = None) -> list[SGFitResult]:
+    """Fit ``num_lobes`` SG lobes to each of ``targets``, EnvMapGrids of one
+    grid shape, by monotone gradient descent on the scale-invariant log-space
+    MSE (scale 1, all-ones mask) as rows of one ``minimize_monotone`` run.
+    ``options.init``, if set, starts every row. A row's result is bitwise
+    its own ``sg_fit``'s; a row not reduced below its initial objective is
+    still returned, flagged via ``report.converged``."""
     if num_lobes < 1:
-        raise ValueError("num_lobes must be >= 1")
-    if not np.all(np.isfinite(target.texels)):
-        raise ValueError("target texels must all be finite")
+        raise ValueError(f"num_lobes must be >= 1, got {num_lobes}")
+    for r, target in enumerate(targets):
+        if target.texels.shape != targets[0].texels.shape:
+            raise ValueError(f"target {r} has a {target.height}x{target.width} grid, "
+                             f"target 0 {targets[0].height}x{targets[0].width}")
+        if not np.all(np.isfinite(target.texels)):
+            raise ValueError(f"target {r} has non-finite texels")
     options = options or SGFitOptions()
+    if options.init is not None and len(options.init) != num_lobes:
+        raise ValueError(f"init has {len(options.init)} lobes, expected {num_lobes}")
+    params0 = np.stack([
+        _env_to_params(options.init or default_sg_init(t, num_lobes),
+                       options.min_sharpness_init, options.min_intensity_init).ravel()
+        for t in targets])
+    dirs = np.stack([t.directions().reshape(-1, 3) for t in targets])
+    flat_targets = np.stack([t.texels.reshape(-1, 3) for t in targets])
+    log_targets = np.log1p(flat_targets)
+    results = minimize_monotone(
+        lambda p: sg_fit_objective(p, flat_targets, dirs, log_targets), params0,
+        max_iters=options.max_iters, step=options.step, grow=options.grow,
+        shrink=options.shrink, objective_tol=options.objective_tol)
+    return [SGFitResult(environment=_params_to_env(res.x.reshape(-1, _PARAMS_PER_LOBE)),
+                        report=res.report) for res in results]
 
-    init = options.init or default_sg_init(target, num_lobes)
-    if len(init) != num_lobes:
-        raise ValueError(f"init has {len(init)} lobes, expected {num_lobes}")
-    params0 = _env_to_params(init, options.min_sharpness_init,
-                             options.min_intensity_init)
 
-    dirs = target.directions().reshape(-1, 3)
-    flat_target = target.texels.reshape(-1, 3)
-    result = minimize_monotone(
-        lambda p: sg_fit_objective(p, flat_target, dirs),
-        params0.ravel(),
-        max_iters=options.max_iters,
-        step=options.step,
-        grow=options.grow,
-        shrink=options.shrink,
-        objective_tol=options.objective_tol,
-    )
-    env = _params_to_env(result.x.reshape(-1, _PARAMS_PER_LOBE))
-    return SGFitResult(environment=env, report=result.report)
+def sg_fit(target: EnvMapGrid, num_lobes: int, options: SGFitOptions | None = None) -> SGFitResult:
+    """Fit ``num_lobes`` SG lobes to ``target``: a batch of one ``sg_fit_batch``."""
+    return sg_fit_batch([target], num_lobes, options)[0]

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from voxlight import cli
+from voxlight import pipeline as pipeline_module
 from voxlight.pipeline import DemoConfig, pipeline_demo
 from voxlight.scene import SceneSpec
+from voxlight.sg import sg_fit
 
 
 def tiny_config():
@@ -77,10 +79,30 @@ class TestTelemetry:
         assert set(t["peak_rss_mb"]) == set(tiny_report.metrics["timings"]) == set(STAGES)
         assert rss[0] > 0.0 and rss == sorted(rss)   # a peak never falls
 
+    def test_sg_fit_summary(self, tiny_report):
+        fits = tiny_report.telemetry["sg_fit"]
+        assert set(fits) == {"fits", "iterations_min", "iterations_max",
+                             "accept_ratio_min", "accept_ratio_median", "stop_reasons",
+                             "final_objective_max"}
+        assert fits["fits"] == 12 == sum(fits["stop_reasons"].values())   # 3 x 4 blocks
+        assert set(fits["stop_reasons"]) <= {"max_iters", "objective_tol", "stalled"}
+        assert 0 < fits["iterations_min"] <= fits["iterations_max"] <= 200
+        assert 0.0 < fits["accept_ratio_min"] <= fits["accept_ratio_median"] <= 1.0
+        assert 0.0 <= fits["final_objective_max"] < float("inf")
+
+    def test_batched_cluster_fits_equal_sequential_sg_fits(self, tiny_report, monkeypatch):
+        def one_by_one(grids, num_lobes, options):
+            return [sg_fit(grid, num_lobes, options) for grid in grids]
+
+        monkeypatch.setattr(pipeline_module, "sg_fit_batch", one_by_one)
+        sequential = pipeline_demo(tiny_config())
+        assert sequential.digest == tiny_report.digest
+        assert sequential.telemetry["sg_fit"] == tiny_report.telemetry["sg_fit"]
+
     def test_telemetry_stays_out_of_metrics_and_digest(self, tiny_report):
         # perfbench requires every metric but timings and feature_digest to be
         # a finite number; the digest is pinned by test_digest_is_pinned
-        assert not {"telemetry", "vsg_fit", "peak_rss_mb"} & set(tiny_report.metrics)
+        assert not {"telemetry", "sg_fit", "vsg_fit", "peak_rss_mb"} & set(tiny_report.metrics)
         assert tiny_report.digest == TINY_DIGEST
 
     def test_demo_command_writes_telemetry(self, tiny_report, tmp_path, monkeypatch):

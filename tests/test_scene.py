@@ -353,8 +353,18 @@ class TestRenderImages:
         h, w, ha, wa = 50, 50, 8, 16
         n = rng.normal(size=(h, w, 3))
         n /= np.linalg.norm(n, axis=-1, keepdims=True)
-        args = (rng.normal(size=(h, w, 3)), n, rng.uniform(0.0, 1.0, (h, w, 3)),
-                rng.uniform(0.05, 1.0, (h, w)), rng.uniform(0.0, 5.0, (h, w, ha, wa, 3)),
-                np.array([0.3, -4.0, 2.0]))
-        for a, b in zip(render_images(*args), frozen_render_images(*args)):
-            assert a.tobytes() == b.tobytes()
+        dense = rng.uniform(0.0, 5.0, (h, w, ha, wa, 3))
+        # mostly unlit texels in the first half of the pixels, then dense;
+        # all-zero, one-channel, partly lit and fully lit pixels throughout
+        mixed = dense.reshape(h * w, ha * wa, 3).copy()
+        mixed[:h * w // 2] *= rng.random((h * w // 2, ha * wa, 1)) < 0.03
+        mixed[::7] = 0.0
+        mixed[3::11, :, :2] = 0.0
+        mixed[5::13] = dense.reshape(h * w, ha * wa, 3)[5::13]
+        for envs in (dense, mixed.reshape(dense.shape)):
+            args = (rng.normal(size=(h, w, 3)), n, rng.uniform(0.0, 1.0, (h, w, 3)),
+                    rng.uniform(0.05, 1.0, (h, w)), envs, np.array([0.3, -4.0, 2.0]))
+            got, want = render_images(*args), frozen_render_images(*args)
+            assert np.any(want[1] > 0.0)
+            for a, b in zip(got, want):
+                assert a.tobytes() == b.tobytes()

@@ -7,7 +7,7 @@ from voxlight.sg import (EnvMapGrid, Frame, SGEnvironment, SGFitOptions, SGLobe,
                          _params_to_env, default_sg_init, eval_env, eval_sg,
                          export_lobe_params, fibonacci_hemisphere,
                          hemisphere_frames, normalize, rasterize_env, sg_fit,
-                         sg_fit_objective, texel_directions, texel_solid_angles)
+                         sg_fit_batch, sg_fit_objective, texel_directions, texel_solid_angles)
 from voxlight.volume import (Bounds, EnvTarget, VSGFitOptions, VSGFitProblem,
                              _initial_params, _params_to_volume)
 
@@ -441,3 +441,70 @@ class TestExportLobeParams:
         assert np.all((theta >= 0.0) & (theta <= math.pi))
         assert np.all((phi >= -math.pi) & (phi < math.pi))
         assert np.all((values >= math.exp(-30.0)) & (values <= math.exp(30.0)))
+
+
+def cluster_like_grids(rng, count, height=8, width=16):
+    """Sparse targets in tilted frames, like the demo's cluster env maps."""
+    grids = []
+    for _ in range(count):
+        frame = Frame.from_normal(rng.normal(size=3) + [0.0, 0.0, 2.0])
+        texels = (rng.uniform(0.0, 3.0, (height, width, 3))
+                  * (rng.random((height, width, 1)) < 0.2))
+        grids.append(EnvMapGrid(width=width, height=height, frame=frame, texels=texels))
+    return grids
+
+
+class TestBatchFit:
+    def test_rows_equal_their_own_sg_fit(self):
+        # the first and the all-zero target stall, on different iterations
+        grids = cluster_like_grids(np.random.default_rng(3), 10)
+        grids.append(EnvMapGrid(width=16, height=8, frame=grids[1].frame,
+                                texels=np.zeros((8, 16, 3))))
+        options = SGFitOptions(max_iters=400)
+        batch = sg_fit_batch(grids, 3, options)
+        for grid, got in zip(grids, batch):
+            own = sg_fit(grid, 3, options)
+            assert got.report == own.report
+            assert got.environment == own.environment
+        reasons = [r.report.stop_reason for r in batch]
+        assert reasons[0] == reasons[-1] == "stalled"
+        assert set(reasons[1:-1]) == {"max_iters"}
+        assert batch[0].report.iterations != batch[-1].report.iterations
+
+    def test_objective_rows_equal_single_calls(self):
+        rng = np.random.default_rng(3)
+        grids = cluster_like_grids(rng, 5)
+        dirs = np.stack([g.directions().reshape(-1, 3) for g in grids])
+        targets = np.stack([g.texels.reshape(-1, 3) for g in grids])
+        params = rng.normal(0.0, 1.5, (5, 18))
+        params[2, 3] = 800.0          # an infinite intensity: this row only is not finite
+        values, grads = sg_fit_objective(params, targets, dirs)
+        with_log = sg_fit_objective(params, targets, dirs, np.log1p(targets))
+        assert values.tobytes() == with_log[0].tobytes()
+        assert grads.tobytes() == with_log[1].tobytes()
+        for r in range(5):
+            value, grad = sg_fit_objective(params[r].reshape(3, 6), targets[r], dirs[r])
+            assert type(value) is float and grad.shape == (18,)
+            assert value == values[r] and grad.tobytes() == grads[r].tobytes()
+        assert values[2] == math.inf and not grads[2].any()
+        assert np.all(np.isfinite(np.delete(values, 2)))
+
+    def test_rejects_unequal_grids(self):
+        grids = cluster_like_grids(np.random.default_rng(4), 2)
+        grids += cluster_like_grids(np.random.default_rng(5), 1, height=4, width=8)
+        with pytest.raises(ValueError, match="target 2 has a 4x8 grid, target 0 8x16"):
+            sg_fit_batch(grids, 3)
+
+    def test_rejects_non_finite_texels(self):
+        grids = cluster_like_grids(np.random.default_rng(6), 3)
+        grids[1].texels[2, 5, 0] = np.inf
+        with pytest.raises(ValueError, match="target 1 has non-finite texels"):
+            sg_fit_batch(grids, 3)
+
+    def test_rejects_lobe_count_below_one(self):
+        grids = cluster_like_grids(np.random.default_rng(7), 2)
+        for lobes in (0, -1):
+            with pytest.raises(ValueError, match=f"num_lobes must be >= 1, got {lobes}"):
+                sg_fit_batch(grids, lobes)
+        with pytest.raises(ValueError):
+            sg_fit_batch([], 3)
