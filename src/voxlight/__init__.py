@@ -9,7 +9,7 @@ gradient-based fitters for the lighting representations.
 from .aggregation import Encoder, FeatureSet, aggregate, identity_encoder, weighted_moments
 from .brdf import (F0_DEFAULT, MaterialSample, SpecFeatureInput, fresnel_schlick,
                    half_vector, lobe_mask, render_diffuse, render_specular,
-                   rerender_pixel, spec_feature_inputs, specular_brdf)
+                   rerender_pixel, spec_feature_batch, spec_feature_inputs, specular_brdf)
 from .geometry import (Camera, Reprojection, View, ViewBundle, bilinear_sample,
                        depth_to_normal, multiview_weights, projection_error,
                        reproject)

@@ -67,15 +67,22 @@ class SpecFeatureInput:
             raise ValueError("mask must be binary")
 
 
-def half_vector(v, l) -> np.ndarray:
-    """Normalized bisector (v + l) / ||v + l||."""
-    v = _as_unit(v)
-    l = _as_unit(l)
+def half_vectors(v, l) -> tuple[np.ndarray, np.ndarray]:
+    """Normalized bisectors (v + l) / ||v + l|| of (..., 3) unit vectors with
+    ``np.vecdot`` norms, and where they are defined: ||v + l|| >= 1e-9 (v + l
+    itself where not)."""
     s = v + l
-    norm = float(np.linalg.norm(s))
-    if norm < 1e-9:
+    norm = np.sqrt(np.vecdot(s, s))
+    defined = norm >= 1e-9
+    return s / np.where(defined, norm, 1.0)[..., None], defined
+
+
+def half_vector(v, l) -> np.ndarray:
+    """Normalized bisector (v + l) / ||v + l||: a batch of one ``half_vectors``."""
+    h, defined = half_vectors(_as_unit(v), _as_unit(l))
+    if not defined:
         raise ValueError("half vector undefined for opposite directions")
-    return s / norm
+    return h
 
 
 def schlick(cos_vh, f0: float = F0_DEFAULT):
@@ -84,8 +91,9 @@ def schlick(cos_vh, f0: float = F0_DEFAULT):
 
 
 def fresnel_schlick(v, h, f0: float = F0_DEFAULT) -> float:
-    """Schlick Fresnel for unit vectors ``v`` and ``h``."""
-    return float(schlick(np.dot(_as_unit(v), _as_unit(h)), f0))
+    """Schlick Fresnel for unit vectors ``v`` and ``h``: a batch of one
+    ``schlick`` (numpy's array power can differ from its scalar one by an ulp)."""
+    return float(schlick(np.vecdot(_as_unit(v), _as_unit(h))[None], f0)[0])
 
 
 def ggx_ndf(ndoth, roughness):
@@ -213,39 +221,37 @@ def rerender_pixel(material: MaterialSample, env: EnvMapGrid,
     return _shade_in_frame(env, material.albedo, material.roughness, v)
 
 
-def lobe_mask(intensity, ndotxi: float) -> int:
-    """Binary lobe indicator: 1 iff ||eta||_1 * (n.xi) > 0 (strict)."""
-    return 1 if float(np.sum(np.abs(intensity))) * ndotxi > 0.0 else 0
+def lobe_mask(intensity, ndotxi):
+    """Binary lobe indicator: 1 iff ||eta||_1 * (n.xi) > 0 (strict), over
+    (..., 3) intensities and (...) dot products."""
+    return (np.sum(np.abs(intensity), axis=-1) * ndotxi > 0.0).astype(int)
+
+
+def spec_feature_batch(axes: np.ndarray, intensity: np.ndarray, sharpness: np.ndarray,
+                       n: np.ndarray, v: np.ndarray, f0: float = F0_DEFAULT) -> np.ndarray:
+    """The per-lobe reparameterized specular features of P pixels' SG lobes,
+    unit ``axes`` xi (P, L, 3), ``intensity`` eta (P, L, 3) and ``sharpness``
+    lambda (P, L), at unit normals ``n`` (P, 3) seen along unit directions
+    ``v`` (P, K, 3): (P, K, L, 9) rows [F(v, h), (n.h)^2, n.xi, n.v, lambda,
+    mask, eta] with h = half(v, xi). A lobe opposite to v (undefined half
+    vector) has F = (n.h)^2 = 0 and mask 0. Dot products are ``np.vecdot``,
+    so every pair has the bits of scalar ``np.dot`` arithmetic."""
+    n, v, xi = n[:, None, None], v[:, :, None], axes[:, None]
+    h, defined = half_vectors(v, xi)
+    ndotxi = np.vecdot(n, xi)
+    rows = (np.where(defined, schlick(np.vecdot(v, h), f0), 0.0),
+            np.where(defined, np.vecdot(n, h) ** 2, 0.0), ndotxi, np.vecdot(n, v),
+            sharpness[:, None], np.where(defined, lobe_mask(intensity[:, None], ndotxi), 0),
+            *np.moveaxis(intensity[:, None], -1, 0))
+    return np.stack(np.broadcast_arrays(*rows), axis=-1)
 
 
 def spec_feature_inputs(env: SGEnvironment, n, v,
                         f0: float = F0_DEFAULT) -> list[SpecFeatureInput]:
-    """The per-lobe reparameterized specular features.
-
-    For each lobe s: h_s = half(v, xi_s), Fresnel F(v, h_s), (n.h_s)^2,
-    n.xi_s, n.v, eta_s, lambda_s, and the binary mask. A lobe opposite to v
-    (undefined half vector) is excluded with mask 0.
-    """
-    n = _as_unit(n)
-    v = _as_unit(v)
-    ndotv = float(np.dot(n, v))
-    features = []
-    for lobe in env.lobes:
-        xi = lobe.unit_axis()
-        ndotxi = float(np.dot(n, xi))
-        if np.linalg.norm(v + xi) < 1e-9:
-            features.append(SpecFeatureInput(
-                fresnel=0.0, ndoth_sq=0.0, ndotxi=ndotxi, ndotv=ndotv,
-                eta=lobe.intensity, sharpness=lobe.sharpness, mask=0))
-            continue
-        h = half_vector(v, xi)
-        features.append(SpecFeatureInput(
-            fresnel=fresnel_schlick(v, h, f0),
-            ndoth_sq=float(np.dot(n, h)) ** 2,
-            ndotxi=ndotxi,
-            ndotv=ndotv,
-            eta=lobe.intensity,
-            sharpness=lobe.sharpness,
-            mask=lobe_mask(lobe.intensity, ndotxi),
-        ))
-    return features
+    """The per-lobe reparameterized specular features of ``env`` at unit
+    normal ``n`` seen along unit ``v``: a batch of one ``spec_feature_batch``."""
+    rows = spec_feature_batch(env.axes()[None], env.intensities()[None], env.sharpness()[None],
+                              _as_unit(n)[None], _as_unit(v)[None, None], f0)[0, 0]
+    return [SpecFeatureInput(fresnel=float(r[0]), ndoth_sq=float(r[1]), ndotxi=float(r[2]),
+                             ndotv=float(r[3]), sharpness=float(r[4]), mask=int(r[5]),
+                             eta=tuple(float(c) for c in r[6:])) for r in rows]

@@ -1,5 +1,5 @@
-"""Pinhole cameras, reprojection, depth-derived normals, and multi-view
-attention weights.
+"""Pinhole cameras, batched multi-view reprojection, depth-derived normals,
+and multi-view attention weights.
 
 Camera frame convention: +z forward, +x right, +y down. Depth maps store
 camera-frame z ("plane depth"). Pixel (row i, col j) has continuous image
@@ -9,8 +9,8 @@ Normals are reported in the frame of the camera that observed them.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -177,76 +177,63 @@ def depth_to_normal(depth: np.ndarray, camera: Camera) -> tuple[np.ndarray, np.n
     return normals, degenerate
 
 
-@dataclass(frozen=True)
-class Reprojection:
-    """Result of mapping a target-view point into another view."""
+class Reprojection(NamedTuple):
+    """P world points seen from K views, as (K, P) arrays."""
 
-    u: float
-    v: float
-    distance: float        # Euclidean distance from the point to the camera center
-    sampled_depth: float   # the other view's depth, bilinear at (u, v); nan if unusable
-    in_front: bool
-    in_frame: bool
-
-    @property
-    def valid(self) -> bool:
-        return self.in_front and self.in_frame
+    u: np.ndarray
+    v: np.ndarray
+    z: np.ndarray        # the point's camera-z in each view
+    valid: np.ndarray    # in front of the camera (z > 0) and inside its frame
+    depth: np.ndarray    # the view's depth map, bilinear at (u, v); nan where invalid
+    image: np.ndarray    # (K, P, 3) the view's image, bilinear at (u, v); 0 where invalid
 
 
-def reproject(u: float, v: float, depth: float, target_cam: Camera,
-              other_cam: Camera, other_depth: np.ndarray | None = None) -> Reprojection:
-    """Project the target-view pixel (u, v, depth) into ``other_cam``.
-
-    Returns the projected image coordinates, the Euclidean distance from the
-    3-D point to the other camera center, and the other view's depth sampled
-    bilinearly there. Points behind the other camera or outside its frame
-    are flagged invalid.
-    """
-    if depth <= 0.0:
-        raise ValueError("depth must be positive")
-    point = target_cam.backproject(np.float64(u), np.float64(v), np.float64(depth))
-    distance = float(np.linalg.norm(point - other_cam.center))
-    pu, pv, pz = other_cam.project(point)
-    in_front = bool(pz > 0.0)
-    in_frame = False
-    sampled = math.nan
-    if in_front and other_depth is not None:
-        h, w = other_depth.shape
-        in_frame = bool(0.0 <= pu <= w - 1.0 and 0.0 <= pv <= h - 1.0)
-        if in_frame:
-            sampled = float(bilinear_sample(other_depth, pu, pv))
-    elif in_front:
-        in_frame = True  # no depth map given; frame bounds unknown to caller
-    return Reprojection(u=float(pu), v=float(pv), distance=distance,
-                        sampled_depth=sampled, in_front=in_front, in_frame=in_frame)
+def reproject(points, views) -> Reprojection:
+    """Project (P, 3) world points into every view and sample each view's
+    depth map and image there. Points behind a camera, on its plane or
+    outside its frame are invalid; the depth a view reports and the point's
+    z are both camera-z, so ``projection_error(r.depth, r.z)`` compares like
+    with like."""
+    points = np.asarray(points, dtype=np.float64)
+    rows = []
+    for view in views:
+        u, v, z = view.camera.project(points)
+        h, w = view.depth.shape
+        ok = (z > 0.0) & (u >= 0.0) & (u <= w - 1.0) & (v >= 0.0) & (v <= h - 1.0)
+        su, sv = np.where(ok, u, 0.0), np.where(ok, v, 0.0)
+        rows.append((u, v, z, ok, np.where(ok, bilinear_sample(view.depth, su, sv), np.nan),
+                     np.where(ok[:, None], bilinear_sample(view.image, su, sv), 0.0)))
+    return Reprojection(*(np.stack(field) for field in zip(*rows)))
 
 
-def projection_error(sampled_depth, distance):
-    """Depth-projection error e = max(-ln|d - z|, 0), capped where |d - z| = 0.
+def projection_error(sampled_depth, z):
+    """Depth-projection error e = max(-ln|d - z|, 0) of a view's sampled
+    depth d against the point's z, both camera-z in that view; capped where
+    |d - z| = 0, and 0 where d is nan (no sample).
 
     Natural log; any other base rescales every e_k by the same constant and
     the normalized multi-view weights are invariant to that.
     """
-    d = np.asarray(sampled_depth, dtype=np.float64)
-    z = np.asarray(distance, dtype=np.float64)
-    gap = np.abs(d - z)
+    gap = np.abs(np.asarray(sampled_depth, dtype=np.float64) - np.asarray(z, dtype=np.float64))
     with np.errstate(divide="ignore"):
-        err = np.where(gap > 0.0, -np.log(gap), PROJECTION_ERROR_CAP)
-    return np.maximum(err, 0.0)
+        err = np.where(gap == 0.0, PROJECTION_ERROR_CAP, -np.log(gap))
+    return np.fmax(err, 0.0)
 
 
 def multiview_weights(errors, valid=None) -> np.ndarray:
-    """Attention weights w = e / ||e||_1 over views.
+    """Attention weights w = e / ||e||_1 over the last axis (views) of
+    (..., K) errors, each row on its own: a row's bits are those of its own
+    1-D call.
 
-    Invalid views contribute e_k = 0 before normalization; an all-zero error
-    vector falls back to uniform weights (no view is reliable).
+    Invalid views contribute e_k = 0 before normalization; a row whose
+    errors are all zero falls back to uniform weights (no view is reliable).
     """
-    e = np.asarray(errors, dtype=np.float64).copy()
+    e = np.asarray(errors, dtype=np.float64)
     if np.any(e < 0.0):
         raise ValueError("errors must be nonnegative")
     if valid is not None:
-        e[~np.asarray(valid, dtype=bool)] = 0.0
-    total = e.sum()
-    if total == 0.0:
-        return np.full(e.shape, 1.0 / e.size)
-    return e / total
+        e = np.where(valid, e, 0.0)
+    e = np.ascontiguousarray(e)    # each row then sums in the 1-D call's order
+    total = e.sum(axis=-1, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(total == 0.0, 1.0 / e.shape[-1], e / total)

@@ -19,9 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .aggregation import FeatureSet, aggregate
-from .brdf import spec_feature_inputs
-from .geometry import (bilinear_sample, depth_to_normal, multiview_weights,
-                       projection_error)
+from .brdf import spec_feature_batch
+from .geometry import depth_to_normal, multiview_weights, projection_error, reproject
 from .insertion import InsertedSphere, MirrorMaterial, insert_object
 from .metrics import (StageLossBundle, masked_l1_angular, si_log_mse, si_mse,
                       stage_losses)
@@ -95,8 +94,8 @@ class PipelineReport:
 
 def _cluster_env_fit(scene: GeneratedScene, config: DemoConfig):
     """Per-pixel env maps of SG fits to the target view's pixel blocks, all in
-    one batched descent, the environments by block corner, and a summary of
-    the fits' reports (the README's ``telemetry.sg_fit``)."""
+    one batched descent, the environments in row-major block order, and a
+    summary of the fits' reports (the README's ``telemetry.sg_fit``)."""
     spec = scene.spec
     ha, wa, size = spec.env_height, spec.env_width, config.cluster_size
     corners = [(i0, j0) for i0 in range(0, spec.image_height, size)
@@ -120,56 +119,36 @@ def _cluster_env_fit(scene: GeneratedScene, config: DemoConfig):
         "accept_ratio_min": accept[0], "accept_ratio_median": mid,
         "stop_reasons": {k: reasons.count(k) for k in sorted(set(reasons))},
         "final_objective_max": max(r.final_objective for r in reports)}
-    return fitted, {c: r.environment for c, r in zip(corners, results)}, summary
+    return fitted, [r.environment for r in results], summary
 
 
-def _multiview_probe(scene: GeneratedScene, envs_by_cluster, config: DemoConfig):
-    """Exercise reprojection weights, specular features, and aggregation on
-    a pixel grid; returns the mean attention weights and a feature digest."""
-    bundle = scene.bundle
-    spec = scene.spec
-    target = bundle.target
-    k_total = len(bundle)
-    stride = config.feature_stride
-    size = config.cluster_size
-    h, w = spec.image_height, spec.image_width
-
-    weight_sum = np.zeros(k_total)
+def _multiview_probe(scene: GeneratedScene, block_envs: list, config: DemoConfig):
+    """Reprojection weights, specular features and aggregation on a pixel
+    grid of the target view, given the SG environments of its pixel blocks in
+    row-major order; returns the mean attention weights and a feature digest."""
+    bundle, size, stride = scene.bundle, config.cluster_size, config.feature_stride
+    h, w = scene.spec.image_height, scene.spec.image_width
+    ii, jj = (a.ravel() for a in np.meshgrid(np.arange(stride // 2, h, stride),
+                                             np.arange(stride // 2, w, stride), indexing="ij"))
+    points = scene.surface_points[ii, jj]
+    seen = reproject(points, bundle.views)                                  # (K, P)
+    weights = multiview_weights(projection_error(seen.depth, seen.z).T, seen.valid.T)
+    centers = np.stack([view.camera.center for view in bundle.views])
+    to_camera = centers - points[:, None]                                   # (P, K, 3)
+    view_dirs = to_camera / np.sqrt(np.vecdot(to_camera, to_camera))[..., None]
+    blocks = ii // size * len(range(0, w, size)) + jj // size
+    axes = np.stack([env.axes() for env in block_envs])[blocks]
+    intensity = np.stack([env.intensities() for env in block_envs])[blocks]
+    sharpness = np.stack([env.sharpness() for env in block_envs])[blocks]
+    feats = spec_feature_batch(axes, intensity, sharpness, scene.surface_normals[ii, jj],
+                               view_dirs)                                   # (P, K, L, 9)
+    values = np.concatenate([seen.image.transpose(1, 0, 2),
+                             feats.reshape(feats.shape[:2] + (-1,))], axis=2)
     digest = hashlib.sha256()
-    count = 0
-    for i in range(stride // 2, h, stride):
-        for j in range(stride // 2, w, stride):
-            point = scene.surface_points[i, j]
-            n_world = scene.surface_normals[i, j]
-            env = envs_by_cluster[(i // size * size, j // size * size)]
-            errors = np.zeros(k_total)
-            valid = np.zeros(k_total, dtype=bool)
-            rgb = np.zeros((k_total, 3))
-            feats = []
-            for k, view in enumerate(bundle.views):
-                u, v, z = view.camera.project(point)
-                hh, ww = view.depth.shape
-                ok = z > 0.0 and 0.0 <= u <= ww - 1.0 and 0.0 <= v <= hh - 1.0
-                valid[k] = ok
-                if ok:
-                    sampled = float(bilinear_sample(view.depth, u, v))
-                    dist = float(np.linalg.norm(point - view.camera.center))
-                    errors[k] = projection_error(sampled, dist)
-                    rgb[k] = bilinear_sample(view.image, u, v)
-                view_dir = view.camera.center - point
-                view_dir = view_dir / np.linalg.norm(view_dir)
-                per_lobe = spec_feature_inputs(env, n_world, view_dir)
-                feats.append(np.concatenate([
-                    [f.fresnel, f.ndoth_sq, f.ndotxi, f.ndotv, f.sharpness,
-                     float(f.mask), *f.eta] for f in per_lobe]))
-            weights = multiview_weights(errors, valid)
-            values = np.concatenate([rgb, np.stack(feats)], axis=1)
-            m = aggregate(FeatureSet(values=values, weights=weights,
-                                     target_index=bundle.target_index))
-            digest.update(m.tobytes())
-            weight_sum += weights
-            count += 1
-    return weight_sum / max(count, 1), digest.hexdigest()
+    for pixel_values, pixel_weights in zip(values, weights):
+        digest.update(aggregate(FeatureSet(values=pixel_values, weights=pixel_weights,
+                                           target_index=bundle.target_index)).tobytes())
+    return weights.sum(axis=0) / max(len(weights), 1), digest.hexdigest()
 
 
 def _vsg_targets(points: np.ndarray, normals: np.ndarray, envs: np.ndarray,
@@ -224,12 +203,11 @@ def pipeline_demo(config: DemoConfig | None = None) -> PipelineReport:
         normal_g1 = masked_l1_angular(scene.gt_normal[0], normal_map, scene.mask)
 
     with _stage("sg_fit", timings, peak_rss_mb):
-        fitted_envs, envs_by_cluster, sg_telemetry = _cluster_env_fit(scene, config)
+        fitted_envs, block_envs, sg_telemetry = _cluster_env_fit(scene, config)
         lighting_g4 = si_log_mse(scene.gt_env, fitted_envs, scene.mask)
 
     with _stage("aggregation", timings, peak_rss_mb):
-        mean_weights, feature_digest = _multiview_probe(scene, envs_by_cluster,
-                                                        config)
+        mean_weights, feature_digest = _multiview_probe(scene, block_envs, config)
 
     with _stage("rerender", timings, peak_rss_mb):
         render_args = (scene.surface_points, scene.surface_normals,
@@ -316,13 +294,7 @@ def pipeline_demo(config: DemoConfig | None = None) -> PipelineReport:
 
 
 def _resample_view(scene: GeneratedScene, view) -> np.ndarray:
-    """The view's image sampled at the target view's surface points."""
+    """The view's image sampled at the target view's surface points; 0 where
+    the view does not see them."""
     pts = scene.surface_points.reshape(-1, 3)
-    u, v, z = view.camera.project(pts)
-    h, w = view.depth.shape
-    ok = (z > 0.0) & (u >= 0.0) & (u <= w - 1.0) & (v >= 0.0) & (v <= h - 1.0)
-    sampled = bilinear_sample(view.image, np.where(ok, u, 0.0),
-                              np.where(ok, v, 0.0))
-    sampled[~ok] = 0.0
-    return sampled.reshape(scene.surface_points.shape[:2] + (3,))
-
+    return reproject(pts, [view]).image[0].reshape(scene.surface_points.shape[:2] + (3,))

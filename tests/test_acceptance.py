@@ -28,7 +28,7 @@ FRAME = Frame.from_normal([0.0, 0.0, 1.0])
 BOUNDS = Bounds(lo=np.zeros(3), hi=np.full(3, 2.0))
 
 # digest of pipeline_demo(DemoConfig()); the same with OpenBLAS at 1 or 2 threads
-DEMO_DIGEST = "e31bd23f2e6d827a6eb412ed37240d616d17e0f47955c04721415225ffc996c4"
+DEMO_DIGEST = "943d88d914dcac315f8077eccc6de1f5f7da54c21d92ebc9ff8586b8bcaf85a3"
 
 
 def report(num: int, name: str, passed: bool, detail: str = ""):

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 import voxlight.brdf
 from voxlight.brdf import (F0_DEFAULT, MaterialSample, fresnel_schlick, ggx_ndf,
                            ggx_specular, half_vector, lobe_mask, render_diffuse,
-                           render_specular, rerender_pixel, shade_env_maps, smith_g,
-                           spec_feature_inputs, specular_brdf)
+                           render_specular, rerender_pixel, schlick, shade_env_maps,
+                           smith_g, spec_feature_batch, spec_feature_inputs, specular_brdf)
 from voxlight.scene import SceneSpec, generate_scene
 from voxlight.sg import (EnvMapGrid, Frame, SGEnvironment, SGLobe, hemisphere_frames,
                          texel_solid_angles)
@@ -291,6 +291,97 @@ class TestLobeMask:
         assert lobe_mask((1.0, 0.0, 0.0), -0.5) == 0
         assert lobe_mask((1.0, 0.0, 0.0), 0.0) == 0
         assert lobe_mask((1.0, 0.0, 0.0), 0.5) == 1
+
+    def test_batch(self):
+        masks = lobe_mask([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]],
+                          np.array([0.5, -0.5, 0.0, 0.5]))
+        np.testing.assert_array_equal(masks, [0, 0, 0, 1])
+
+
+def old_spec_feature_inputs(env, n, v, f0=F0_DEFAULT):
+    """The scalar spec_feature_inputs before it became a batch of one."""
+    ndotv = float(np.dot(n, v))
+    features = []
+    for lobe in env.lobes:
+        xi = lobe.unit_axis()
+        ndotxi = float(np.dot(n, xi))
+        if np.linalg.norm(v + xi) < 1e-9:
+            features.append((0.0, 0.0, ndotxi, ndotv, lobe.sharpness, 0, *lobe.intensity))
+            continue
+        s = v + xi
+        h = s / float(np.linalg.norm(s))
+        fresnel = float(f0 + (1.0 - f0) * (1.0 - np.maximum(np.dot(v, h), 0.0)) ** 5)
+        mask = 1 if float(np.sum(np.abs(lobe.intensity))) * ndotxi > 0.0 else 0
+        features.append((fresnel, float(np.dot(n, h)) ** 2, ndotxi, ndotv, lobe.sharpness,
+                         mask, *lobe.intensity))
+    return np.array(features, dtype=np.float64)
+
+
+class TestSpecFeatureBatch:
+    def features(self):
+        """4 pixels x 3 views x 4 lobes. Pixel 0 has a lobe opposite to its
+        view 1, pixel 1 a zero-intensity lobe, pixel 2 a grazing lobe with
+        n.xi = 0 exactly (axis (1, 0, ~0) against n = +y)."""
+        rng = np.random.default_rng(11)
+        envs, normals, views = [], [], []
+        for p in range(4):
+            lobes = [SGLobe(rng.uniform(0.0, math.pi), rng.uniform(-math.pi, math.pi),
+                            rng.uniform(0.0, 30.0), tuple(rng.uniform(0.0, 2.0, 3)))
+                     for _ in range(4)]
+            n = unit(rng.normal(size=3) + [0.0, 0.0, 2.0])
+            v = [unit(rng.normal(size=3) + 2.0 * n) for _ in range(3)]
+            if p == 0:
+                v[1] = -lobes[2].unit_axis()
+            if p == 1:
+                lobes[0] = SGLobe(0.3, 0.4, 5.0, (0.0, 0.0, 0.0))
+            if p == 2:
+                n = np.array([0.0, 1.0, 0.0])
+                lobes[3] = SGLobe(math.pi / 2, 0.0, 3.0, (1.0, 1.0, 1.0))
+            envs.append(SGEnvironment(tuple(lobes)))
+            normals.append(n)
+            views.append(v)
+        normals, views = np.array(normals), np.array(views)
+        batch = spec_feature_batch(np.stack([e.axes() for e in envs]),
+                                   np.stack([e.intensities() for e in envs]),
+                                   np.stack([e.sharpness() for e in envs]), normals, views)
+        return envs, normals, views, batch
+
+    def test_pairs_equal_scalar_calls_bitwise(self):
+        envs, normals, views, batch = self.features()
+        assert batch.shape == (4, 3, 4, 9)
+        for p in range(4):
+            for k in range(3):
+                rows = np.array([[f.fresnel, f.ndoth_sq, f.ndotxi, f.ndotv, f.sharpness,
+                                  f.mask, *f.eta]
+                                 for f in spec_feature_inputs(envs[p], normals[p], views[p, k])])
+                assert rows.tobytes() == batch[p, k].tobytes()
+
+    def test_pairs_equal_frozen_scalar_features(self):
+        # the same arithmetic; only the fifth power in Fresnel may take an ulp,
+        # numpy's array power against its scalar one
+        envs, normals, views, batch = self.features()
+        for p in range(4):
+            for k in range(3):
+                old = old_spec_feature_inputs(envs[p], normals[p], views[p, k])
+                assert old[:, 1:].tobytes() == batch[p, k, :, 1:].tobytes()
+                np.testing.assert_array_max_ulp(old[:, 0], batch[p, k, :, 0], maxulp=1)
+
+    def test_special_lobes(self):
+        _, _, _, batch = self.features()
+        np.testing.assert_array_equal(batch[0, 1, 2, [0, 1, 5]], 0.0)   # opposite to v
+        assert batch[0, [0, 2], 2, 1].min() > 0.0
+        np.testing.assert_array_equal(batch[1, :, 0, 5], 0.0)           # zero intensity
+        np.testing.assert_array_equal(batch[1, :, 0, 6:], 0.0)
+        np.testing.assert_array_equal(batch[2, :, 3, 2], 0.0)           # grazing: n.xi = 0
+        np.testing.assert_array_equal(batch[2, :, 3, 5], 0.0)
+        assert set(np.unique(batch[..., 5])) == {0.0, 1.0}
+
+    def test_fresnel_is_a_batch_of_one_schlick(self):
+        rng = np.random.default_rng(12)
+        v, h = random_units(rng, (200,)), random_units(rng, (200,))
+        batch = schlick(np.vecdot(v, h))
+        for i in range(200):
+            assert fresnel_schlick(v[i], h[i]) == batch[i]
 
 
 unit_vectors = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -115,36 +116,77 @@ class TestDepthToNormal:
             depth_to_normal(np.zeros((4, 4)), make_camera())
 
 
+def flat_view(cam, depth=2.0, shape=(60, 80)) -> View:
+    """A view of ``cam`` whose depth map is ``depth`` everywhere."""
+    return View(image=np.ones(shape + (3,)), depth=np.full(shape, depth),
+                confidence=np.ones(shape), camera=cam)
+
+
 class TestReproject:
     def test_identity_pose_keeps_pixel(self):
         cam = make_camera()
-        depth_map = np.full((60, 80), 2.0)
-        r = reproject(12.0, 34.0, 2.0, cam, cam, depth_map)
-        assert abs(r.u - 12.0) <= 1e-9 and abs(r.v - 34.0) <= 1e-9
-        ray = np.array([(12.0 - cam.cx) / cam.fx, (34.0 - cam.cy) / cam.fy, 1.0])
-        assert abs(r.distance - 2.0 * np.linalg.norm(ray)) <= 1e-12
-        assert r.valid
+        r = reproject(cam.backproject(12.0, 34.0, 2.0)[None], [flat_view(cam)])
+        assert r.u.shape == r.v.shape == r.z.shape == r.valid.shape == r.depth.shape == (1, 1)
+        assert abs(r.u[0, 0] - 12.0) <= 1e-9 and abs(r.v[0, 0] - 34.0) <= 1e-9
+        # z is the camera-z the depth map stores, not the distance to the center
+        assert abs(r.z[0, 0] - 2.0) <= 1e-12
+        assert r.depth[0, 0] == 2.0
+        assert r.valid[0, 0]
 
     def test_translation_shifts_u_by_parallax(self):
         cam = make_camera()
         tx = 0.25
         other = make_camera(translation=(tx, 0.0, 0.0))
         z = 2.0
-        r = reproject(40.0, 30.0, z, cam, other, np.full((60, 80), z))
-        assert abs((40.0 - r.u) - cam.fx * tx / z) <= 1e-9
+        r = reproject(cam.backproject(40.0, 30.0, z)[None], [flat_view(other, z)])
+        assert abs((40.0 - r.u[0, 0]) - cam.fx * tx / z) <= 1e-9
 
     def test_behind_camera_flagged(self):
         cam = make_camera()
         # same center, turned 180 degrees: the point sits behind it
         turned = make_camera(rotation=rot_x(180.0))
-        r = reproject(40.0, 30.0, 2.0, cam, turned, np.full((60, 80), 2.0))
-        assert not r.in_front
-        assert not r.valid
+        r = reproject(cam.backproject(40.0, 30.0, 2.0)[None], [flat_view(turned)])
+        assert r.z[0, 0] < 0.0
+        assert not r.valid[0, 0]
 
-    def test_rejects_nonpositive_depth(self):
+    def test_rows_are_views_columns_points(self):
+        cams = [make_camera(), make_camera(translation=(0.3, -0.1, 0.2)),
+                make_camera(rotation=rot_x(10.0))]
+        views = [flat_view(c, 2.0 + 0.5 * k) for k, c in enumerate(cams)]
+        rng = np.random.default_rng(8)
+        points = cams[0].backproject(rng.uniform(5, 75, 6), rng.uniform(5, 55, 6),
+                                     rng.uniform(1.5, 3.0, 6))
+        r = reproject(points, views)
+        assert r.image.shape == (3, 6, 3)
+        for k, view in enumerate(views):
+            u, v, z = view.camera.project(points)
+            np.testing.assert_array_equal(r.u[k], u)
+            np.testing.assert_array_equal(r.v[k], v)
+            np.testing.assert_array_equal(r.z[k], z)
+            np.testing.assert_array_equal(r.depth[k], np.where(r.valid[k], 2.0 + 0.5 * k, np.nan))
+
+    def test_unseen_points_are_invalid_without_warnings(self):
         cam = make_camera()
-        with pytest.raises(ValueError):
-            reproject(1.0, 1.0, 0.0, cam, cam)
+        # a second camera 3 m along -x looking along +x sees every point at z = 3
+        side = Camera(fx=30.0, fy=30.0, cx=39.5, cy=29.5,
+                      rotation=np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [-1.0, 0.0, 0.0]]),
+                      translation=np.array([-3.0, 0.0, 0.0]))
+        points = np.array([[0.0, 0.0, -2.0],     # behind cam
+                           [0.0, 0.0, 0.0],      # at its center: z = 0, u = v = nan
+                           [0.0, 0.5, 0.0],      # on its plane: z = 0, v = inf
+                           [0.0, -1.5, 2.0],     # above its frame
+                           [0.0, 0.0, 2.0]])     # seen by both
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = reproject(points, [flat_view(cam), flat_view(side, 3.0)])
+            errors = projection_error(r.depth, r.z)
+            weights = multiview_weights(errors.T, r.valid.T)
+        np.testing.assert_array_equal(r.valid, [[False] * 4 + [True], [True] * 5])
+        assert np.isnan(r.u[0, 1]) and np.isinf(r.v[0, 2])
+        assert np.isnan(r.depth[0, :4]).all()
+        np.testing.assert_array_equal(r.image[0, :4], 0.0)
+        np.testing.assert_array_equal(errors[0, :4], 0.0)
+        np.testing.assert_array_equal(weights, [[0.0, 1.0]] * 4 + [[0.5, 0.5]])
 
 
 class TestProjectionError:
@@ -159,6 +201,9 @@ class TestProjectionError:
 
     def test_zero_gap_capped(self):
         assert projection_error(2.0, 2.0) == 30.0
+
+    def test_missing_sample_is_zero(self):
+        assert projection_error(np.nan, 2.0) == 0.0
 
     def test_non_increasing_in_gap(self):
         gaps = np.linspace(0.0, 2.0, 200)
@@ -190,6 +235,25 @@ class TestMultiviewWeights:
     def test_invalid_views_zeroed(self):
         w = multiview_weights([1.0, 1.0, 1.0], valid=[True, False, True])
         np.testing.assert_allclose(w, [0.5, 0.0, 0.5], atol=1e-15)
+
+    def test_rows_equal_their_own_1d_calls(self):
+        rng = np.random.default_rng(9)
+        for k in (1, 3, 9, 17):
+            e = rng.uniform(0.0, 5.0, (6, k))
+            e[1] = 0.0                                   # all-zero row
+            valid = rng.random((6, k)) > 0.3
+            valid[2] = False                             # all-invalid row
+            valid[3] = True
+            for errors, mask in ((e, valid), (e.T.copy().T, valid.T.copy().T)):
+                w = multiview_weights(errors, mask)
+                assert w.shape == (6, k)
+                for row in range(6):
+                    one = multiview_weights(e[row], valid[row])
+                    assert w[row].tobytes() == one.tobytes()
+            np.testing.assert_array_equal(multiview_weights(e, valid)[[1, 2]], 1.0 / k)
+            unmasked = multiview_weights(e.reshape(2, 3, k))
+            for row in range(6):
+                assert unmasked.reshape(6, k)[row].tobytes() == multiview_weights(e[row]).tobytes()
 
     def test_scale_invariance_of_log_base(self):
         # rescaling all errors (a change of log base) leaves weights unchanged

@@ -1,12 +1,15 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
 from voxlight import cli
 from voxlight import pipeline as pipeline_module
-from voxlight.pipeline import DemoConfig, pipeline_demo
-from voxlight.scene import SceneSpec
+from voxlight.geometry import bilinear_sample
+from voxlight.pipeline import (DemoConfig, _cluster_env_fit, _multiview_probe,
+                               _resample_view, pipeline_demo)
+from voxlight.scene import SceneSpec, generate_scene
 from voxlight.sg import sg_fit
 
 
@@ -20,7 +23,7 @@ def tiny_config():
 
 
 # digest of pipeline_demo(tiny_config()); the same with OpenBLAS at 1 or 2 threads
-TINY_DIGEST = "9ab776bff47f4a7b23cf583ef66d1c0cb3a6563cc49a822d3f77677dcaeb3f23"
+TINY_DIGEST = "d81ba5ef9d7858b82dc52105ea7c2398659d57fbf3d9d48045be89e9b96ec7a2"
 
 
 @pytest.fixture(scope="module")
@@ -110,3 +113,78 @@ class TestTelemetry:
         assert cli.main(["demo", "--out", str(tmp_path)]) == 0
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["telemetry"] == tiny_report.telemetry
+
+
+@pytest.fixture(scope="module")
+def default_probe():
+    """The default demo's scene, its SG block environments, and which views
+    see each probe pixel's surface point, (P, K), found here independently."""
+    config = DemoConfig()
+    scene = generate_scene(config.scene)
+    envs = _cluster_env_fit(scene, config)[1]
+    stride, h, w = config.feature_stride, config.scene.image_height, config.scene.image_width
+    ii, jj = np.meshgrid(np.arange(stride // 2, h, stride), np.arange(stride // 2, w, stride),
+                         indexing="ij")
+    points = scene.surface_points[ii.ravel(), jj.ravel()]
+    seen = []
+    for view in scene.bundle.views:
+        u, v, z = view.camera.project(points)
+        seen.append((z > 0.0) & (u >= 0.0) & (u <= w - 1.0) & (v >= 0.0) & (v <= h - 1.0))
+    return config, scene, envs, np.array(seen).T
+
+
+def old_resample_view(scene, view):
+    """``_resample_view`` before it moved onto ``reproject``."""
+    pts = scene.surface_points.reshape(-1, 3)
+    u, v, z = view.camera.project(pts)
+    h, w = view.depth.shape
+    ok = (z > 0.0) & (u >= 0.0) & (u <= w - 1.0) & (v >= 0.0) & (v <= h - 1.0)
+    sampled = bilinear_sample(view.image, np.where(ok, u, 0.0), np.where(ok, v, 0.0))
+    sampled[~ok] = 0.0
+    return sampled.reshape(scene.surface_points.shape[:2] + (3,))
+
+
+class TestMultiviewProbe:
+    def test_sampled_depth_matches_z_on_every_seen_view(self, default_probe, monkeypatch):
+        # both arguments of every projection error are camera-z in one view:
+        # at the analytic scene's probe points they agree to 1e-3 m
+        config, scene, envs, seen = default_probe
+        pairs = []
+        projection_error = pipeline_module.projection_error
+        monkeypatch.setattr(pipeline_module, "projection_error",
+                            lambda d, z: pairs.append((np.ravel(d), np.ravel(z)))
+                            or projection_error(d, z))
+        _multiview_probe(scene, envs, config)
+        d, z = (np.concatenate(a) for a in zip(*pairs))
+        sampled = np.isfinite(d)
+        assert np.count_nonzero(sampled) == np.count_nonzero(seen) == 163
+        assert np.max(np.abs(d[sampled] - z[sampled])) <= 1e-3
+
+    def test_occluded_view_gets_the_least_weight(self, default_probe, monkeypatch):
+        # an occluder 20% in front of the surface in view k: its error is at
+        # most -ln(0.2 z_min) while a view that sees the point within 1e-3 m
+        # scores at least -ln(1e-3), so view k's weight is below their ratio
+        # of every seeing view's weight
+        config, scene, envs, seen = default_probe
+        z_min = min(view.depth.min() for view in scene.bundle.views)
+        bound = math.log(0.2 * z_min) / math.log(1e-3)
+        aggregate = pipeline_module.aggregate
+        for k, view in enumerate(scene.bundle.views):
+            weights = []    # (P, K): the weights the probe hands to aggregate
+            monkeypatch.setattr(view, "depth", view.depth * 0.8)
+            monkeypatch.setattr(pipeline_module, "aggregate",
+                                lambda features: weights.append(features.weights)
+                                or aggregate(features))
+            _multiview_probe(scene, envs, config)
+            monkeypatch.undo()
+            w = np.array(weights)
+            others = np.where(seen & (np.arange(len(scene.bundle)) != k), w, np.inf)
+            at = seen[:, k]
+            assert np.count_nonzero(at) >= 15
+            assert np.all(w[at, k] < others[at].min(axis=1))
+            assert np.all(w[at, k] < bound * others[at].min(axis=1)), k
+
+    def test_resample_view_equals_frozen_copy(self, default_probe):
+        _, scene, _, _ = default_probe
+        for view in scene.bundle.views:
+            assert _resample_view(scene, view).tobytes() == old_resample_view(scene, view).tobytes()
