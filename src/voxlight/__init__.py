@@ -6,16 +6,14 @@ surface-volume construction, and a sphere-insertion renderer, with
 gradient-based fitters for the lighting representations.
 """
 
-from .aggregation import Encoder, FeatureSet, aggregate, identity_encoder, weighted_moments
-from .brdf import (F0_DEFAULT, MaterialSample, SpecFeatureInput, fresnel_schlick,
-                   half_vector, lobe_mask, render_diffuse, render_specular,
-                   rerender_pixel, spec_feature_batch, spec_feature_inputs, specular_brdf)
+from .aggregation import FeatureSet, aggregate, weighted_moments
+from .brdf import (F0_DEFAULT, MaterialSample, SpecFeatureInput, lobe_mask, render_diffuse,
+                   render_specular, rerender_pixel, spec_feature_batch, spec_feature_inputs)
 from .geometry import (Camera, Reprojection, View, ViewBundle, bilinear_sample,
                        depth_to_normal, multiview_weights, projection_error,
                        reproject)
-from .insertion import (DiffuseMaterial, InsertedSphere, MirrorMaterial,
-                        SphereHit, insert_object, ray_sphere, shade_sphere_pixel,
-                        shadow_ratio)
+from .insertion import (DiffuseMaterial, InsertedSphere, MirrorMaterial, insert_object,
+                        shade_sphere_pixel)
 from .metrics import (DEFAULT_BETAS, ScaleFit, StageLossBundle, entropy_reg,
                       ls_scale, masked_l1_angular, masked_mse, si_log_mse,
                       si_mse, stage_losses)
@@ -23,7 +21,7 @@ from .optim import FitReport, minimize_monotone
 from .pipeline import DemoConfig, PipelineReport, pipeline_demo
 from .scene import GeneratedScene, SceneSpec, generate_scene, per_pixel_env_maps
 from .sg import (EnvMapGrid, Frame, SGEnvironment, SGFitOptions, SGFitResult,
-                 SGLobe, eval_env, eval_sg, fibonacci_hemisphere, rasterize_env,
+                 SGLobe, eval_env, fibonacci_hemisphere, rasterize_env,
                  sg_fit, sg_fit_batch, texel_directions, texel_solid_angles)
 from .surface import SurfaceVolume, build_surface_volume
 from .volume import (Bounds, EnvTarget, Ray, RaySamples, VSGFitOptions,

@@ -1,24 +1,17 @@
 """Two-level weighted mean/variance pooling of per-view value vectors.
 
-Encoders are injected callables (the learned ones are out of scope here);
-the default identity encoder makes the aggregation topology testable on its
-own. Accumulation order is fixed by sorting on a canonical content key
-(weight, then value components), so simultaneously permuting views and
-weights reproduces every moment bitwise.
+The learned encoders of each level are out of scope here; both levels pass
+their inputs through unchanged, which leaves the aggregation topology
+testable on its own. Accumulation order is fixed by sorting on a canonical
+content key (weight, then value components), so simultaneously permuting
+views and weights reproduces every moment bitwise.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
-
-Encoder = Callable[[np.ndarray], np.ndarray]
-
-
-def identity_encoder(x: np.ndarray) -> np.ndarray:
-    return x
 
 
 @dataclass
@@ -77,23 +70,16 @@ def weighted_moments(values: np.ndarray, weights: np.ndarray) -> tuple[np.ndarra
     return mean, var
 
 
-def aggregate(features: FeatureSet, level1: Encoder = identity_encoder,
-              level2: Encoder = identity_encoder) -> np.ndarray:
+def aggregate(features: FeatureSet) -> np.ndarray:
     """Two-level aggregation producing the target-view feature.
 
-    Level 1 encodes each view, pools weighted moments, and re-encodes each
-    view's (value, mean, variance) concatenation. Level 2 pools moments of
-    the level-1 outputs and encodes only the target view's output together
-    with them.
+    Level 1 pools weighted moments of the views and appends them to each
+    view's values. Level 2 pools moments of those level-1 rows and appends
+    them to the target view's row alone.
     """
-    w = features.weights
-    encoded = np.stack([np.asarray(level1(x), dtype=np.float64)
-                        for x in features.values])
-    mean1, var1 = weighted_moments(encoded, w)
-    level1_out = np.stack([
-        np.asarray(level1(np.concatenate([q, mean1, var1])), dtype=np.float64)
-        for q in encoded])
-    mean2, var2 = weighted_moments(level1_out, w)
-    target = level1_out[features.target_index]
-    return np.asarray(level2(np.concatenate([target, mean2, var2])),
-                      dtype=np.float64)
+    values, w = features.values, features.weights
+    mean1, var1 = weighted_moments(values, w)
+    level1 = np.concatenate([values, np.tile(mean1, (len(w), 1)), np.tile(var1, (len(w), 1))],
+                            axis=1)
+    mean2, var2 = weighted_moments(level1, w)
+    return np.concatenate([level1[features.target_index], mean2, var2])

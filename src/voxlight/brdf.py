@@ -5,11 +5,10 @@ SG environment, and lobe masking.
 The specular model is GGX (alpha_g = roughness^2) with the Smith
 height-correlated masking term and Schlick Fresnel at a fixed dielectric
 f0 = 0.05. Diffuse is Lambertian albedo / pi. Hemisphere integrals use the
-exact per-texel solid angles of the environment grid. One batched GGX
-evaluator, ``ggx_specular``, serves the scalar ``specular_brdf``; one
-batched shading core, ``shade_env_maps``, serves scene rendering, sphere
-insertion and the per-pixel ``render_diffuse``, ``render_specular`` and
-``rerender_pixel``.
+exact per-texel solid angles of the environment grid. One batched shading
+core, ``shade_env_maps``, on the batched GGX evaluator ``ggx_specular``,
+serves scene rendering, sphere insertion and the per-pixel
+``render_diffuse``, ``render_specular`` and ``rerender_pixel``.
 """
 
 from __future__ import annotations
@@ -77,23 +76,9 @@ def half_vectors(v, l) -> tuple[np.ndarray, np.ndarray]:
     return s / np.where(defined, norm, 1.0)[..., None], defined
 
 
-def half_vector(v, l) -> np.ndarray:
-    """Normalized bisector (v + l) / ||v + l||: a batch of one ``half_vectors``."""
-    h, defined = half_vectors(_as_unit(v), _as_unit(l))
-    if not defined:
-        raise ValueError("half vector undefined for opposite directions")
-    return h
-
-
 def schlick(cos_vh, f0: float = F0_DEFAULT):
     """Schlick Fresnel f0 + (1 - f0) (1 - max(v.h, 0))^5, elementwise."""
     return f0 + (1.0 - f0) * (1.0 - np.maximum(cos_vh, 0.0)) ** 5
-
-
-def fresnel_schlick(v, h, f0: float = F0_DEFAULT) -> float:
-    """Schlick Fresnel for unit vectors ``v`` and ``h``: a batch of one
-    ``schlick`` (numpy's array power can differ from its scalar one by an ulp)."""
-    return float(schlick(np.vecdot(_as_unit(v), _as_unit(h))[None], f0)[0])
 
 
 def ggx_ndf(ndoth, roughness):
@@ -145,14 +130,6 @@ def ggx_specular(v: np.ndarray, dirs: np.ndarray, n: np.ndarray,
     ok = (ndotl > 0.0) & (ndotv > 0.0) & (s_norm > 1e-9) & (denom > 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(ok, d * f * g / denom, 0.0)
-
-
-def specular_brdf(v, l, n, roughness: float, f0: float = F0_DEFAULT) -> float:
-    """Scalar microfacet specular BRDF: a batch of one ``ggx_specular``."""
-    if not (0.0 < roughness <= 1.0):
-        raise ValueError("roughness must lie in (0, 1]")
-    return float(ggx_specular(_as_unit(v)[None], _as_unit(l)[None, None],
-                              _as_unit(n)[None], np.array([roughness]), f0)[0, 0])
 
 
 # Pixel-texel pairs per chunk (128 pixels of 8 x 16 texels): fits a 2 MB L2.

@@ -225,15 +225,17 @@ def multiview_weights(errors, valid=None) -> np.ndarray:
     (..., K) errors, each row on its own: a row's bits are those of its own
     1-D call.
 
-    Invalid views contribute e_k = 0 before normalization; a row whose
-    errors are all zero falls back to uniform weights (no view is reliable).
+    Invalid views contribute e_k = 0 before normalization. A row whose
+    errors are all zero (no view is reliable) falls back to uniform weights
+    over its valid views, or over all K views if none is valid, so every
+    row sums to 1.
     """
     e = np.asarray(errors, dtype=np.float64)
     if np.any(e < 0.0):
         raise ValueError("errors must be nonnegative")
-    if valid is not None:
-        e = np.where(valid, e, 0.0)
-    e = np.ascontiguousarray(e)    # each row then sums in the 1-D call's order
+    ok = np.broadcast_to(True if valid is None else np.asarray(valid, dtype=bool), e.shape)
+    e = np.ascontiguousarray(np.where(ok, e, 0.0))  # rows sum in the 1-D call's order
     total = e.sum(axis=-1, keepdims=True)
+    ok = ok | ~ok.any(axis=-1, keepdims=True)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(total == 0.0, 1.0 / e.shape[-1], e / total)
+        return np.where(total == 0.0, ok / ok.sum(axis=-1, keepdims=True), e / total)

@@ -11,7 +11,6 @@ pixels at a time.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -19,9 +18,8 @@ import numpy as np
 
 from .brdf import shade_env_maps
 from .geometry import View, depth_to_normal
-from .sg import (Frame, cosine_weights, frame_directions, hemisphere_frames,
-                 texel_local_directions)
-from .volume import Ray, VSGVolume, composite_rays, env_offset
+from .sg import cosine_weights, frame_directions, hemisphere_frames, texel_local_directions
+from .volume import VSGVolume, composite_rays, env_offset
 
 DEFAULT_ENV_RES = (16, 32)   # (height, width), matching test-time env maps
 _PIXEL_CHUNK = 512            # pixels per texel-ray batch, ~21 MB of 16x32 env rays
@@ -64,28 +62,10 @@ class InsertedSphere:
         object.__setattr__(self, "center", center)
 
 
-@dataclass(frozen=True)
-class SphereHit:
-    t: float
-    point: np.ndarray
-    normal: np.ndarray
-
-
-def ray_sphere(ray: Ray, sphere: InsertedSphere) -> SphereHit | None:
-    """Nearest intersection of ``ray`` with the sphere, or None."""
-    t = _ray_sphere_t(ray.origin[None, :], ray.direction[None, :],
-                      sphere.center, sphere.radius, ray.t_max)[0]
-    if not np.isfinite(t):
-        return None
-    point = ray.origin + t * ray.direction
-    normal = (point - sphere.center) / sphere.radius
-    return SphereHit(t=float(t), point=point, normal=normal)
-
-
 def _ray_sphere_t(origins: np.ndarray, directions: np.ndarray, center: np.ndarray,
-                  radius: float, t_max: float = math.inf,
-                  t_min: float = 1e-9) -> np.ndarray:
-    """Nearest hit parameter per ray; inf where the sphere is missed."""
+                  radius: float) -> np.ndarray:
+    """Nearest hit parameter t > 1e-9 of each ray (R, 3) origins and unit
+    directions with the sphere; inf where the sphere is missed."""
     oc = origins - center
     b = np.sum(oc * directions, axis=-1)
     c = np.sum(oc * oc, axis=-1) - radius * radius
@@ -93,8 +73,8 @@ def _ray_sphere_t(origins: np.ndarray, directions: np.ndarray, center: np.ndarra
     sq = np.sqrt(np.maximum(disc, 0.0))
     t_near = -b - sq
     t_far = -b + sq
-    t = np.where(t_near > t_min, t_near, t_far)
-    ok = (disc >= 0.0) & (t > t_min) & (t <= t_max)
+    t = np.where(t_near > 1e-9, t_near, t_far)
+    ok = (disc >= 0.0) & (t > 1e-9)
     return np.where(ok, t, np.inf)
 
 
@@ -157,21 +137,25 @@ def _sphere_radiance(material: SphereMaterial, volume: VSGVolume, points: np.nda
         points, view_dirs, normals)
 
 
-def shade_sphere_pixel(hit: SphereHit, material: SphereMaterial, volume: VSGVolume,
+def shade_sphere_pixel(point, normal, material: SphereMaterial, volume: VSGVolume,
                        view_dir, n_samples: int = 64) -> np.ndarray:
-    """Radiance leaving the sphere toward the viewer at one hit point, seen
-    along the unit camera-to-surface direction ``view_dir``: a batch of one
-    of what ``insert_object`` does for all its sphere pixels."""
-    d = np.asarray(view_dir, dtype=np.float64)[None]
-    return _sphere_radiance(material, volume, hit.point[None], d, hit.normal[None],
-                            n_samples)[0]
+    """Radiance leaving the sphere toward the viewer at one hit ``point`` with
+    unit outward ``normal``, seen along the unit camera-to-surface direction
+    ``view_dir``: a batch of one of what ``insert_object`` does for all its
+    sphere pixels."""
+    rows = (np.asarray(a, dtype=np.float64)[None] for a in (point, view_dir, normal))
+    return _sphere_radiance(material, volume, *rows, n_samples)[0]
 
 
 def _shadow_ratios(points: np.ndarray, normals: np.ndarray, tangent: np.ndarray,
                    bitangent: np.ndarray, volume: VSGVolume, sphere: InsertedSphere,
                    n_dirs: tuple[int, int], n_samples: int) -> np.ndarray:
-    """``shadow_ratio`` at surface points (P, 3) with hemisphere frames given
-    by unit normals, tangents and bitangents (P, 3)."""
+    """Fraction of hemisphere irradiance surviving the sphere occluder, at
+    surface points (P, 3) in the frames of unit normals, tangents and
+    bitangents (P, 3). Both irradiance sums run over ``n_dirs`` texel-centre
+    directions, as env-map extraction does; directions whose ray hits the
+    sphere add nothing to the numerator. With zero unoccluded irradiance the
+    ratio is 1 (no light casts no visible shadow)."""
     origins, dirs = _texel_rays(volume, points, normals, tangent, bitangent, n_dirs)
 
     # pixels with no occluded direction keep ratio 1 exactly; composite only
@@ -194,22 +178,6 @@ def _shadow_ratios(points: np.ndarray, normals: np.ndarray, tangent: np.ndarray,
     ratios[active] = np.where(total > 0.0,
                               np.clip((total - occluded) / safe, 0.0, 1.0), 1.0)
     return ratios
-
-
-def shadow_ratio(point, frame: Frame, volume: VSGVolume, sphere: InsertedSphere,
-                 n_dirs: tuple[int, int] = DEFAULT_ENV_RES,
-                 n_samples: int = 64) -> float:
-    """Fraction of hemisphere irradiance surviving the sphere occluder.
-
-    Both irradiance sums use the same texel-direction sampling as the
-    environment extraction; directions whose ray hits the sphere contribute
-    nothing to the numerator. With zero unoccluded irradiance the ratio is 1
-    (no light casts no visible shadow). A batch of one ``_shadow_ratios``.
-    """
-    point = np.asarray(point, dtype=np.float64)[None]
-    return float(_shadow_ratios(point, frame.normal[None], frame.tangent[None],
-                                frame.bitangent[None], volume, sphere, n_dirs,
-                                n_samples)[0])
 
 
 def insert_object(view: View, volume: VSGVolume, sphere: InsertedSphere,

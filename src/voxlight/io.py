@@ -93,13 +93,12 @@ def read_pfm(path) -> np.ndarray:
 # PNG previews (8-bit, gamma 2.2)
 # ---------------------------------------------------------------------------
 
-def write_png(path, image: np.ndarray, gamma: float = 2.2,
-              exposure: float = 1.0) -> None:
-    """Write linear HDR RGB as an 8-bit gamma-encoded PNG preview."""
+def write_png(path, image: np.ndarray, exposure: float = 1.0) -> None:
+    """Write linear HDR RGB as an 8-bit PNG preview with gamma 2.2."""
     img = np.asarray(image, dtype=np.float64)
     if img.ndim == 2:
         img = np.repeat(img[..., None], 3, axis=-1)
-    ldr = np.clip(exposure * img, 0.0, 1.0) ** (1.0 / gamma)
+    ldr = np.clip(exposure * img, 0.0, 1.0) ** (1.0 / 2.2)
     data = (ldr * 255.0 + 0.5).astype(np.uint8)
     h, w = data.shape[:2]
     raw = b"".join(b"\x00" + data[i].tobytes() for i in range(h))
@@ -118,8 +117,22 @@ def write_png(path, image: np.ndarray, gamma: float = 2.2,
 
 
 # ---------------------------------------------------------------------------
-# Cameras and SG environments
+# JSON documents: cameras, SG environments, volume headers, scene metadata
 # ---------------------------------------------------------------------------
+
+def _load_json(path, parse):
+    """``parse`` applied to the JSON object in ``path``. Malformed JSON, a missing
+    key or a value of the wrong type raises ValueError naming the file."""
+    try:
+        doc = json.loads(Path(path).read_text())
+        if not isinstance(doc, dict):
+            raise TypeError(f"expected a JSON object, got {type(doc).__name__}")
+        return parse(doc)
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
 
 def camera_to_dict(camera: Camera) -> dict:
     return {
@@ -144,7 +157,7 @@ def save_camera(path, camera: Camera) -> None:
 
 
 def load_camera(path) -> Camera:
-    return camera_from_dict(json.loads(Path(path).read_text()))
+    return _load_json(path, camera_from_dict)
 
 
 def save_sg_env(path, env: SGEnvironment) -> None:
@@ -157,12 +170,15 @@ def save_sg_env(path, env: SGEnvironment) -> None:
     Path(path).write_text(json.dumps(doc, indent=2))
 
 
-def load_sg_env(path) -> SGEnvironment:
-    doc = json.loads(Path(path).read_text())
+def _sg_env_from_dict(doc: dict) -> SGEnvironment:
     lobes = tuple(SGLobe(axis_theta=float(l["theta"]), axis_phi=float(l["phi"]),
                          sharpness=float(l["sharpness"]),
                          intensity=tuple(l["intensity"])) for l in doc["lobes"])
     return SGEnvironment(lobes=lobes, visibility=tuple(doc.get("visibility", ())))
+
+
+def load_sg_env(path) -> SGEnvironment:
+    return _load_json(path, _sg_env_from_dict)
 
 
 # ---------------------------------------------------------------------------
@@ -196,27 +212,27 @@ def _load_sidecar_volume(path: Path, channel_order) -> tuple[np.ndarray, Bounds]
     """Channels (X, Y, Z, C) and bounds of a header + raw-sidecar volume.
     A bad header, a sidecar outside the header's directory or one whose size
     disagrees with ``dims`` raises ValueError naming the file."""
-    header = json.loads(path.read_text())
-    if header.get("dtype") != "f32" or header.get("layout") != "x-major":
+    encoding, order, dims, data, bounds = _load_json(path, lambda h: (
+        (h.get("dtype"), h.get("layout")), list(h["channel_order"]),
+        tuple(int(d) for d in h["dims"]), Path(h["data"]),
+        Bounds(lo=np.asarray(h["bounds"]["lo"], dtype=np.float64),
+               hi=np.asarray(h["bounds"]["hi"], dtype=np.float64))))
+    if encoding != ("f32", "x-major"):
         raise ValueError(f"{path}: unsupported volume encoding")
-    if list(header["channel_order"]) != list(channel_order):
-        raise ValueError(f"{path}: unexpected channel order "
-                         f"{header['channel_order']}")
-    dims = tuple(int(d) for d in header["dims"])
+    if order != list(channel_order):
+        raise ValueError(f"{path}: unexpected channel order {order}")
     base = path.parent.resolve()
-    binary = (base / header["data"]).resolve()
-    if Path(header["data"]).is_absolute() or not binary.is_relative_to(base):
-        raise ValueError(f"{path}: sidecar {header['data']!r} lies outside "
+    binary = (base / data).resolve()
+    if data.is_absolute() or not binary.is_relative_to(base):
+        raise ValueError(f"{path}: sidecar {str(data)!r} lies outside "
                          f"the header's directory")
     payload = binary.read_bytes()
     need = 4 * math.prod(dims) * len(channel_order)
     if len(payload) != need:
         raise ValueError(f"{path}: sidecar {binary.name} holds {len(payload)} "
                          f"bytes, dims {list(dims)} need {need}")
-    data = np.frombuffer(payload, dtype="<f4").reshape(dims + (len(channel_order),))
-    bounds = Bounds(lo=np.asarray(header["bounds"]["lo"], dtype=np.float64),
-                    hi=np.asarray(header["bounds"]["hi"], dtype=np.float64))
-    return data.astype(np.float64), bounds
+    voxels = np.frombuffer(payload, dtype="<f4").reshape(dims + (len(channel_order),))
+    return voxels.astype(np.float64), bounds
 
 
 def load_volume(path) -> VSGVolume:
@@ -290,10 +306,12 @@ def save_scene(path, bundle: ViewBundle, gt: dict | None = None) -> None:
 def load_scene(path) -> tuple[ViewBundle, dict]:
     """Read a scene directory back into a bundle and a ground-truth dict."""
     path = Path(path)
-    meta = json.loads((path / "scene.json").read_text())
+    num_views, target_index, env_angular = _load_json(path / "scene.json", lambda m: (
+        int(m["num_views"]), int(m["target_index"]),
+        tuple(int(x) for x in m["env_angular"]) if "env_angular" in m else None))
     views = []
     gt: dict = {"albedo": [], "rough": [], "normal": []}
-    for k in range(int(meta["num_views"])):
+    for k in range(num_views):
         views.append(View(image=read_pfm(path / f"im_{k}.pfm"),
                           depth=read_pfm(path / f"depth_{k}.pfm"),
                           confidence=read_pfm(path / f"conf_{k}.pfm"),
@@ -306,7 +324,8 @@ def load_scene(path) -> tuple[ViewBundle, dict]:
     gt = {k: np.stack(v) for k, v in gt.items() if v}
     env_file = path / "gt_env_target.pfm"
     if env_file.exists():
-        ha, wa = (int(x) for x in meta["env_angular"])
-        gt["env"] = untile_env_maps(read_pfm(env_file), ha, wa)
-    bundle = ViewBundle(views=views, target_index=int(meta["target_index"]))
+        if env_angular is None:
+            raise ValueError(f"{path / 'scene.json'}: missing key 'env_angular'")
+        gt["env"] = untile_env_maps(read_pfm(env_file), *env_angular)
+    bundle = ViewBundle(views=views, target_index=target_index)
     return bundle, gt

@@ -186,20 +186,20 @@ def rerender_residual(bundle: StageLossBundle, mask=None) -> tuple[float, float,
     return total, tau_diff, tau_spec
 
 
-def stage_losses(bundle: StageLossBundle, betas: dict | None = None,
+def stage_losses(bundle: StageLossBundle,
                  stages=("normal", "in_dl", "ex_dl", "brdf", "svl")) -> dict[str, float]:
-    """Assemble the per-stage training losses from a bundle.
+    """Assemble the per-stage training losses from a bundle, weighted by
+    ``DEFAULT_BETAS``.
 
     Returns named scalars: the main loss per stage, the g5 regularizer terms
     reported separately (keys ending in ``_reg``), and the re-render scales.
     """
-    betas = {**DEFAULT_BETAS, **(betas or {})}
     out: dict[str, float] = {}
     for stage in stages:
         if stage not in _STAGE_FIELDS:
             raise ValueError(f"unknown stage '{stage}'")
         _require(bundle, stage)
-        b = betas[stage]
+        b = DEFAULT_BETAS[stage]
         if stage == "normal":
             out["L_normal"] = (b[0] * masked_l1_angular(bundle.normal_ref,
                                                         bundle.normal_pred,

@@ -32,7 +32,7 @@ class FitReport:
     final_objective: float
     objective_trace: list[float] = field(repr=False)
     message: str = ""
-    stop_reason: str = ""  # "max_iters", "objective_tol" or "stalled"
+    stop_reason: str = ""  # "max_iters" or "stalled"
 
 
 @dataclass
@@ -43,10 +43,12 @@ class MinimizeResult:
     report: FitReport
 
 
-def minimize_monotone(fun: Callable, x0: np.ndarray, max_iters: int = 2000, step: float = 0.1,
-                      grow: float = 1.15, shrink: float = 0.5, momentum: float = 0.9,
-                      rms_decay: float = 0.9, rms_eps: float = 1e-8, min_step: float = 1e-16,
-                      objective_tol: float = 0.0):
+# step growth on acceptance and shrinkage on rejection, momentum, squared-gradient
+# decay, the RMS floor, and the step below which a row restarts (or then stalls)
+_GROW, _SHRINK, _MOMENTUM, _RMS_DECAY, _RMS_EPS, _MIN_STEP = 1.15, 0.5, 0.9, 0.9, 1e-8, 1e-16
+
+
+def minimize_monotone(fun: Callable, x0: np.ndarray, max_iters: int = 2000, step: float = 0.1):
     """Minimize ``fun`` from each row of ``x0`` (B, n): ``fun`` maps (B, n) to
     (B,) values and (B, n) gradients, and a list of one ``MinimizeResult``
     per row is returned. A 1-D ``x0`` is a batch of one whose ``fun`` maps
@@ -80,8 +82,8 @@ def minimize_monotone(fun: Callable, x0: np.ndarray, max_iters: int = 2000, step
         # Momentum damps coordinates whose gradient alternates sign near
         # their optimum, so persistent directions keep marching while the
         # accept test stays satisfiable at a growing step size.
-        blend = momentum * first_moment + (1.0 - momentum) * grad
-        direction = blend / (np.sqrt(second_moment) + rms_eps)
+        blend = _MOMENTUM * first_moment + (1.0 - _MOMENTUM) * grad
+        direction = blend / (np.sqrt(second_moment) + _RMS_EPS)
         candidate = x - steps * direction
         cand_value, cand_grad = fun(candidate)
         ok = np.isfinite(cand_value) & (cand_value < value)
@@ -93,20 +95,20 @@ def minimize_monotone(fun: Callable, x0: np.ndarray, max_iters: int = 2000, step
         # in place, but on a restart. Stopped rows' steps and moments go unread.
         if n_ok == batch:
             x, value, grad, first_moment = candidate, cand_value, cand_grad, blend
-            second_moment = rms_decay * second_moment + (1.0 - rms_decay) * grad * grad
-            steps = steps * grow
+            second_moment = _RMS_DECAY * second_moment + (1.0 - _RMS_DECAY) * grad * grad
+            steps = steps * _GROW
         elif n_ok == 0:
-            first_moment, steps = 0.5 * first_moment, steps * shrink  # fade stale momentum
+            first_moment, steps = 0.5 * first_moment, steps * _SHRINK  # fade stale momentum
         else:
             okc = ok[:, None]
             x, grad = np.where(okc, candidate, x), np.where(okc, cand_grad, grad)
             value = np.where(ok, cand_value, value)
             first_moment = np.where(okc, blend, 0.5 * first_moment)
             second_moment = np.where(
-                okc, rms_decay * second_moment + (1.0 - rms_decay) * grad * grad, second_moment)
-            steps = np.where(okc, steps * grow, steps * shrink)
+                okc, _RMS_DECAY * second_moment + (1.0 - _RMS_DECAY) * grad * grad, second_moment)
+            steps = np.where(okc, steps * _GROW, steps * _SHRINK)
         if n_ok < n_active:  # restart, or stop, rejecting rows whose step underflowed
-            for r in np.flatnonzero(active & ~ok & (steps[:, 0] < min_step)):
+            for r in np.flatnonzero(active & ~ok & (steps[:, 0] < _MIN_STEP)):
                 if restarted_at[r] == len(traces[r]):
                     stop_reasons[r], iterations[r], active[r] = "stalled", it, False
                     n_active -= 1
@@ -116,9 +118,6 @@ def minimize_monotone(fun: Callable, x0: np.ndarray, max_iters: int = 2000, step
                 restarted_at[r] = len(traces[r])
         for r in np.flatnonzero(ok) if 0 < n_ok < batch else range(n_ok):  # accepted rows
             traces[r].append(float(value[r]))
-            if objective_tol > 0.0 and value[r] <= objective_tol:
-                stop_reasons[r], iterations[r], active[r] = "objective_tol", it, False
-                n_active -= 1
         if n_active == 0:
             break
 

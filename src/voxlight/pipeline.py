@@ -273,7 +273,6 @@ def pipeline_demo(config: DemoConfig | None = None) -> PipelineReport:
         "lighting_g4": lighting_g4,
         "rerender_g3": rerender_g3,
         "vsg_objective": vol_result.report.final_objective,
-        "vsg_converged": float(vol_result.report.converged),
         "mean_view_weight_target": float(mean_weights[bundle.target_index]),
         **losses,
     }

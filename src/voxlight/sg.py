@@ -179,9 +179,6 @@ class EnvMapGrid:
     def directions(self) -> np.ndarray:
         return texel_directions(self.height, self.width, self.frame)
 
-    def solid_angles(self) -> np.ndarray:
-        return texel_solid_angles(self.height, self.width)
-
 
 def texel_angles(height: int, width: int) -> tuple[np.ndarray, np.ndarray]:
     """Cell-center (theta, phi) for an equirectangular hemisphere grid."""
@@ -228,12 +225,6 @@ def frame_directions(local: np.ndarray, normals: np.ndarray, tangents: np.ndarra
     broadcast: (D, 3) directions in frames (P, 1, 3) give (P, D, 3)."""
     return (local[..., 0:1] * tangents + local[..., 1:2] * bitangents
             + local[..., 2:3] * normals)
-
-
-def eval_sg(lobe: SGLobe, direction) -> np.ndarray:
-    """Lobe radiance eta * exp(sharpness * (dot(direction, axis) - 1)): a
-    one-lobe ``eval_env``."""
-    return eval_env(SGEnvironment((lobe,)), direction)
 
 
 def eval_env(env: SGEnvironment, directions) -> np.ndarray:
@@ -297,13 +288,6 @@ _PARAMS_PER_LOBE = 6
 @dataclass
 class SGFitOptions:
     max_iters: int = 2000
-    step: float = 0.25
-    grow: float = 1.15
-    shrink: float = 0.5
-    objective_tol: float = 0.0
-    init: SGEnvironment | None = None
-    min_sharpness_init: float = 1e-4
-    min_intensity_init: float = 1e-6
 
 
 @dataclass
@@ -312,13 +296,13 @@ class SGFitResult:
     report: FitReport
 
 
-def _env_to_params(env: SGEnvironment, floor_sharp: float, floor_int: float) -> np.ndarray:
+def _env_to_params(env: SGEnvironment) -> np.ndarray:
     params = np.empty((len(env), _PARAMS_PER_LOBE))
     for s, lobe in enumerate(env.lobes):
         params[s, 0] = lobe.axis_theta
         params[s, 1] = lobe.axis_phi
-        params[s, 2] = math.log(max(lobe.sharpness, floor_sharp))
-        params[s, 3:6] = np.log(np.maximum(lobe.intensity, floor_int))
+        params[s, 2] = math.log(lobe.sharpness)
+        params[s, 3:6] = np.log(lobe.intensity)
     return params
 
 
@@ -410,10 +394,9 @@ def sg_fit_objective(params: np.ndarray, target: np.ndarray, dirs: np.ndarray,
     return (float(value[0]), grad[0]) if single else (value, grad)
 
 
-def default_sg_init(target: EnvMapGrid, num_lobes: int,
-                    sharpness: float = 5.0) -> SGEnvironment:
+def default_sg_init(target: EnvMapGrid, num_lobes: int) -> SGEnvironment:
     """Deterministic start: Fibonacci-spread axes in the hemisphere frame,
-    fixed sharpness, intensity set to the target mean."""
+    sharpness 5, intensity set to the target mean."""
     local_axes = fibonacci_hemisphere(num_lobes)
     basis = np.stack([target.frame.tangent, target.frame.bitangent,
                       target.frame.normal])
@@ -422,7 +405,7 @@ def default_sg_init(target: EnvMapGrid, num_lobes: int,
     for axis_local in local_axes:
         theta, phi = unit_to_spherical(axis_local @ basis)
         lobes.append(SGLobe(axis_theta=theta, axis_phi=phi,
-                            sharpness=sharpness, intensity=mean))
+                            sharpness=5.0, intensity=mean))
     return SGEnvironment(lobes=tuple(lobes))
 
 
@@ -430,10 +413,10 @@ def sg_fit_batch(targets, num_lobes: int,
                  options: SGFitOptions | None = None) -> list[SGFitResult]:
     """Fit ``num_lobes`` SG lobes to each of ``targets``, EnvMapGrids of one
     grid shape, by monotone gradient descent on the scale-invariant log-space
-    MSE (scale 1, all-ones mask) as rows of one ``minimize_monotone`` run.
-    ``options.init``, if set, starts every row. A row's result is bitwise
-    its own ``sg_fit``'s; a row not reduced below its initial objective is
-    still returned, flagged via ``report.converged``."""
+    MSE (scale 1, all-ones mask) as rows of one ``minimize_monotone`` run,
+    each from ``default_sg_init``. A row's result is bitwise its own
+    ``sg_fit``'s; a row not reduced below its initial objective is still
+    returned, flagged via ``report.converged``."""
     if num_lobes < 1:
         raise ValueError(f"num_lobes must be >= 1, got {num_lobes}")
     for r, target in enumerate(targets):
@@ -443,19 +426,14 @@ def sg_fit_batch(targets, num_lobes: int,
         if not np.all(np.isfinite(target.texels)):
             raise ValueError(f"target {r} has non-finite texels")
     options = options or SGFitOptions()
-    if options.init is not None and len(options.init) != num_lobes:
-        raise ValueError(f"init has {len(options.init)} lobes, expected {num_lobes}")
-    params0 = np.stack([
-        _env_to_params(options.init or default_sg_init(t, num_lobes),
-                       options.min_sharpness_init, options.min_intensity_init).ravel()
-        for t in targets])
+    params0 = np.stack([_env_to_params(default_sg_init(t, num_lobes)).ravel()
+                        for t in targets])
     dirs = np.stack([t.directions().reshape(-1, 3) for t in targets])
     flat_targets = np.stack([t.texels.reshape(-1, 3) for t in targets])
     log_targets = np.log1p(flat_targets)
     results = minimize_monotone(
         lambda p: sg_fit_objective(p, flat_targets, dirs, log_targets), params0,
-        max_iters=options.max_iters, step=options.step, grow=options.grow,
-        shrink=options.shrink, objective_tol=options.objective_tol)
+        max_iters=options.max_iters, step=0.25)
     return [SGFitResult(environment=_params_to_env(res.x.reshape(-1, _PARAMS_PER_LOBE)),
                         report=res.report) for res in results]
 

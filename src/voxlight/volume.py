@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .metrics import DEFAULT_BETAS
 from .optim import FitReport, minimize_monotone
 from .sg import (EnvMapGrid, Frame, _angle_grad, _as_unit, _lobe_axes,
                  export_lobe_params, golden_spiral, texel_directions)
@@ -365,15 +366,11 @@ class EnvTarget:
 @dataclass
 class VSGFitOptions:
     max_iters: int = 3000
-    step: float = 0.1
-    grow: float = 1.15
-    shrink: float = 0.5
-    beta_fit: float = 10.0       # weight of the per-target si-log-MSE terms
-    beta_entropy: float = 1e-2   # weight of the opacity entropy regularizer
     n_samples: int = 64
-    init_alpha: float = 0.1
-    init_sharpness: float = 0.5
-    objective_tol: float = 0.0
+
+
+# every voxel starts at this opacity and SG sharpness
+_INIT_ALPHA, _INIT_SHARPNESS = 0.1, 0.5
 
 
 @dataclass
@@ -480,7 +477,8 @@ def _g4_and_grad(target: np.ndarray, rendered: np.ndarray):
 
 def vsg_fit_objective(params: np.ndarray, problem: VSGFitProblem):
     """Fit objective beta1 * sum_targets g4 + beta2 * mean_vox(-alpha ln alpha)
-    and its analytic gradient with respect to the raw parameters."""
+    and its analytic gradient with respect to the raw parameters; (beta1,
+    beta2) are the first two of ``DEFAULT_BETAS["svl"]``, as in L_SVL."""
     with np.errstate(over="ignore", invalid="ignore"):
         value, grad = _vsg_objective_impl(params, problem)
     if not math.isfinite(value) or not np.all(np.isfinite(grad)):
@@ -489,10 +487,10 @@ def vsg_fit_objective(params: np.ndarray, problem: VSGFitProblem):
 
 
 def _vsg_objective_impl(params: np.ndarray, problem: VSGFitProblem):
-    opts = problem.options
+    beta_fit, beta_entropy = DEFAULT_BETAS["svl"][:2]
     nvox = problem.n_voxels
     p, alpha_v, axis_v, sharp_v, eta_v = _split_params(params, nvox)
-    n = opts.n_samples
+    n = problem.options.n_samples
     base, offsets, weights = problem.stencil
 
     # per chunk, one gather for all 8 interpolated fields: alpha, axis xyz,
@@ -515,8 +513,8 @@ def _vsg_objective_impl(params: np.ndarray, problem: VSGFitProblem):
             sl = slice(problem.slices[t].start - rays.start,
                        problem.slices[t].stop - rays.start)
             v, g = _g4_and_grad(problem.target_flat[t], rendered[sl])
-            value += opts.beta_fit * v
-            d_rendered[sl] = opts.beta_fit * g
+            value += beta_fit * v
+            d_rendered[sl] = beta_fit * g
 
         # tail_n = radiance composited from samples > n, non-recursive suffix form
         suffix = np.cumsum(contrib[..., ::-1], axis=-1)[..., ::-1]
@@ -543,8 +541,8 @@ def _vsg_objective_impl(params: np.ndarray, problem: VSGFitProblem):
     # entropy regularizer -alpha ln alpha, mean over voxels
     tiny = alpha_v > 1e-290
     ent = np.where(tiny, -alpha_v * np.log(np.where(tiny, alpha_v, 1.0)), 0.0)
-    value += opts.beta_entropy * float(np.mean(ent))
-    d_alpha_reg = opts.beta_entropy / nvox * np.where(
+    value += beta_entropy * float(np.mean(ent))
+    d_alpha_reg = beta_entropy / nvox * np.where(
         tiny, -np.log(np.where(tiny, alpha_v, 1.0)) - 1.0, 0.0)
 
     # one scatter per field over all (sample, corner) keys, so each voxel's
@@ -570,15 +568,14 @@ def _vsg_objective_impl(params: np.ndarray, problem: VSGFitProblem):
 
 
 def _initial_params(problem: VSGFitProblem) -> np.ndarray:
-    opts = problem.options
     nvox = problem.n_voxels
     mean = np.concatenate(problem.target_flat).mean(axis=0)
     axes = golden_spiral(1.0 - (2.0 * np.arange(nvox) + 1.0) / nvox)  # whole sphere
     p = np.empty((nvox, 7))
-    p[:, 0] = math.log(opts.init_alpha / (1.0 - opts.init_alpha))
+    p[:, 0] = math.log(_INIT_ALPHA / (1.0 - _INIT_ALPHA))
     p[:, 1] = np.arccos(np.clip(axes[:, 2], -1.0, 1.0))
     p[:, 2] = np.arctan2(axes[:, 1], axes[:, 0])
-    p[:, 3] = math.log(max(opts.init_sharpness, 1e-6))
+    p[:, 3] = math.log(_INIT_SHARPNESS)
     p[:, 4:7] = np.log(np.maximum(mean, 1e-4))
     return p.ravel()
 
@@ -597,8 +594,8 @@ def vsg_fit(targets, dims, bounds: Bounds,
     descent through the compositing chain.
 
     ``targets`` is a sequence of EnvTarget (or (point, frame, EnvMapGrid)
-    tuples). The objective is beta_fit * g4 per target plus beta_entropy
-    times the opacity entropy, which pushes alpha toward {0, 1}. A run that
+    tuples). The objective (``vsg_fit_objective``) is 10 * g4 per target plus
+    1e-2 times the opacity entropy, which pushes alpha toward {0, 1}. A run that
     fails to improve on the initialization is returned with
     ``report.converged`` False.
     """
@@ -606,7 +603,6 @@ def vsg_fit(targets, dims, bounds: Bounds,
     problem = VSGFitProblem(targets, dims, bounds, options)
     result = minimize_monotone(
         lambda p: vsg_fit_objective(p, problem), _initial_params(problem),
-        max_iters=options.max_iters, step=options.step, grow=options.grow,
-        shrink=options.shrink, objective_tol=options.objective_tol)
+        max_iters=options.max_iters, step=0.1)
     return VSGFitResult(volume=_params_to_volume(result.x, problem),
                         report=result.report)

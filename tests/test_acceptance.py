@@ -16,7 +16,7 @@ from voxlight.metrics import entropy_reg, masked_l1_angular, masked_mse, si_mse
 from voxlight.pipeline import DemoConfig, pipeline_demo
 from voxlight.insertion import InsertedSphere, MirrorMaterial, insert_object
 from voxlight.sg import (EnvMapGrid, Frame, SGEnvironment, SGFitOptions, SGLobe,
-                         eval_env, eval_sg, rasterize_env, sg_fit,
+                         eval_env, rasterize_env, sg_fit,
                          sg_fit_objective, texel_directions)
 from voxlight.volume import (Bounds, EnvTarget, Ray, VSGFitOptions,
                              VSGFitProblem, VSGVolume, _initial_params,
@@ -28,7 +28,7 @@ FRAME = Frame.from_normal([0.0, 0.0, 1.0])
 BOUNDS = Bounds(lo=np.zeros(3), hi=np.full(3, 2.0))
 
 # digest of pipeline_demo(DemoConfig()); the same with OpenBLAS at 1 or 2 threads
-DEMO_DIGEST = "943d88d914dcac315f8077eccc6de1f5f7da54c21d92ebc9ff8586b8bcaf85a3"
+DEMO_DIGEST = "4571cb73d21805f1fdfd2183eb312e9d901328ac3d3ad0ded54c3867f50a5aa5"
 
 
 def report(num: int, name: str, passed: bool, detail: str = ""):
@@ -64,7 +64,7 @@ def test_02_sg_identity_and_rasterize_agreement():
                       axis_phi=rng.uniform(-math.pi, math.pi * 0.999),
                       sharpness=rng.uniform(0, 40),
                       intensity=tuple(rng.uniform(0, 3, 3)))
-        identity_ok &= bool(np.array_equal(eval_sg(lobe, lobe.unit_axis()),
+        identity_ok &= bool(np.array_equal(eval_env(SGEnvironment((lobe,)), lobe.unit_axis()),
                                            np.asarray(lobe.intensity)))
     raster_ok = True
     for _ in range(100):
@@ -215,8 +215,7 @@ def test_06_vsg_recovery():
                          grid=extract_env_map(gt, p, FRAME, 8, 16, 64))
                for p in points]
     result = vsg_fit(targets, (8, 8, 8), BOUNDS,
-                     VSGFitOptions(max_iters=800, n_samples=64,
-                                   beta_entropy=1e-2))
+                     VSGFitOptions(max_iters=800, n_samples=64))
     total = sum(si_log_mse(t.grid.texels,
                            extract_env_map(result.volume, t.point, t.frame,
                                            8, 16, 64).texels)

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from voxlight.aggregation import (FeatureSet, aggregate, identity_encoder,
-                                  weighted_moments)
+from voxlight.aggregation import FeatureSet, aggregate, weighted_moments
 
 
 def random_weights(rng, k):
@@ -130,13 +129,23 @@ class TestAggregate:
                                        target_index=inv_target))
             np.testing.assert_array_equal(m, m_p)
 
-    def test_custom_encoders_applied(self):
-        values = np.array([[1.0, 2.0], [3.0, 4.0]])
-        w = np.array([0.5, 0.5])
-        doubled = aggregate(FeatureSet(values=values, weights=w, target_index=0),
-                            level1=identity_encoder, level2=lambda x: 2.0 * x)
-        base = aggregate(FeatureSet(values=values, weights=w, target_index=0))
-        np.testing.assert_array_equal(doubled, 2.0 * base)
+    def test_equals_frozen_per_view_loop(self):
+        # the per-view loop aggregate ran with its identity encoders
+        def frozen(features):
+            w = features.weights
+            encoded = np.stack([np.asarray(x, dtype=np.float64) for x in features.values])
+            mean1, var1 = weighted_moments(encoded, w)
+            level1 = np.stack([np.concatenate([q, mean1, var1]) for q in encoded])
+            mean2, var2 = weighted_moments(level1, w)
+            return np.concatenate([level1[features.target_index], mean2, var2])
+
+        rng = np.random.default_rng(8)
+        for k, d in ((1, 3), (3, 1), (9, 30), (17, 5)):
+            values = rng.normal(size=(k, d))
+            values[k // 2] = values[0]          # tied rows sort by weight
+            w = random_weights(rng, k)
+            features = FeatureSet(values=values, weights=w, target_index=k - 1)
+            assert aggregate(features).tobytes() == frozen(features).tobytes()
 
     def test_continuity_in_weights(self):
         rng = np.random.default_rng(7)

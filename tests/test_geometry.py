@@ -236,12 +236,22 @@ class TestMultiviewWeights:
         w = multiview_weights([1.0, 1.0, 1.0], valid=[True, False, True])
         np.testing.assert_allclose(w, [0.5, 0.0, 0.5], atol=1e-15)
 
+    def test_all_zero_fallback_keeps_unseen_views_out(self):
+        # uniform over the valid views; over all K only when none is valid
+        w = multiview_weights([[0.0, 0.0, 0.0, 0.0], [0.0, 2.0, 0.0, 0.0]],
+                              valid=[[True, False, True, True], [False, False, True, True]])
+        np.testing.assert_array_equal(w[0], [1 / 3, 0.0, 1 / 3, 1 / 3])
+        np.testing.assert_array_equal(w[1], [0.0, 0.0, 0.5, 0.5])
+        np.testing.assert_array_equal(multiview_weights([0.0, 3.0], valid=[False, False]),
+                                      [0.5, 0.5])
+
     def test_rows_equal_their_own_1d_calls(self):
         rng = np.random.default_rng(9)
         for k in (1, 3, 9, 17):
             e = rng.uniform(0.0, 5.0, (6, k))
             e[1] = 0.0                                   # all-zero row
             valid = rng.random((6, k)) > 0.3
+            valid[1] = np.arange(k) % 2 == 0             # ... seen by every other view
             valid[2] = False                             # all-invalid row
             valid[3] = True
             for errors, mask in ((e, valid), (e.T.copy().T, valid.T.copy().T)):
@@ -250,7 +260,9 @@ class TestMultiviewWeights:
                 for row in range(6):
                     one = multiview_weights(e[row], valid[row])
                     assert w[row].tobytes() == one.tobytes()
-            np.testing.assert_array_equal(multiview_weights(e, valid)[[1, 2]], 1.0 / k)
+            w = multiview_weights(e, valid)
+            np.testing.assert_array_equal(w[1], valid[1] / np.count_nonzero(valid[1]))
+            np.testing.assert_array_equal(w[2], 1.0 / k)
             unmasked = multiview_weights(e.reshape(2, 3, k))
             for row in range(6):
                 assert unmasked.reshape(6, k)[row].tobytes() == multiview_weights(e[row]).tobytes()

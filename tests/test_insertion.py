@@ -6,14 +6,26 @@ import pytest
 from voxlight import insertion
 from voxlight.brdf import ggx_specular
 from voxlight.geometry import Camera, View
-from voxlight.insertion import (DiffuseMaterial, InsertedSphere, MirrorMaterial,
-                                insert_object, ray_sphere, shade_sphere_pixel,
-                                shadow_ratio)
+from voxlight.insertion import (DEFAULT_ENV_RES, DiffuseMaterial, InsertedSphere,
+                                MirrorMaterial, _ray_sphere_t, _shadow_ratios, insert_object,
+                                shade_sphere_pixel)
 from voxlight.sg import Frame, texel_directions, texel_solid_angles
-from voxlight.volume import Bounds, Ray, VSGVolume, extract_env_map
+from voxlight.volume import Bounds, VSGVolume, extract_env_map
 
 BOUNDS = Bounds(lo=np.zeros(3), hi=np.full(3, 2.0))
 FRAME = Frame.from_normal([0.0, 0.0, 1.0])
+FRAME_ROWS = (FRAME.normal[None], FRAME.tangent[None], FRAME.bitangent[None])
+
+
+def sphere_hits(origin, dirs, sphere):
+    """Hit points and outward unit normals of the rays from ``origin`` along
+    unit ``dirs`` (..., 3) that reach the sphere, and which rays do."""
+    flat = dirs.reshape(-1, 3)
+    t = _ray_sphere_t(np.broadcast_to(origin, flat.shape), flat, sphere.center, sphere.radius)
+    hit = np.isfinite(t)
+    points = origin + np.where(hit, t, 0.0)[:, None] * flat
+    normals = (points - sphere.center) / sphere.radius
+    return points.reshape(dirs.shape), normals.reshape(dirs.shape), hit.reshape(dirs.shape[:-1])
 
 
 def fog_volume(alpha=0.15, intensity=(1.2, 1.0, 0.8), dims=(6, 6, 6)):
@@ -28,27 +40,28 @@ class TestRaySphere:
 
     def test_through_center(self):
         s = self.sphere()
-        ray = Ray(origin=[1.0, 1.0, -1.0], direction=[0.0, 0.0, 1.0], t_max=10.0)
-        hit = ray_sphere(ray, s)
-        assert hit is not None
-        assert abs(hit.t - (2.0 - 0.25)) <= 1e-12
-        np.testing.assert_allclose(hit.normal, [0.0, 0.0, -1.0], atol=1e-12)
+        t = _ray_sphere_t(np.array([[1.0, 1.0, -1.0]]), np.array([[0.0, 0.0, 1.0]]),
+                          s.center, s.radius)[0]
+        assert abs(t - (2.0 - 0.25)) <= 1e-12
+        _, normal, hit = sphere_hits(np.array([1.0, 1.0, -1.0]), np.array([0.0, 0.0, 1.0]), s)
+        assert hit
+        np.testing.assert_allclose(normal, [0.0, 0.0, -1.0], atol=1e-12)
 
     def test_tangent_geometry(self):
         # perpendicular offset b: hit at t = sqrt(d^2 - b^2) for the chord center
         s = self.sphere(radius=0.25)
         b = 0.2
-        ray = Ray(origin=[1.0 + b, 1.0, -1.0], direction=[0.0, 0.0, 1.0],
-                  t_max=10.0)
-        hit = ray_sphere(ray, s)
-        assert hit is not None
+        t = _ray_sphere_t(np.array([[1.0 + b, 1.0, -1.0]]), np.array([[0.0, 0.0, 1.0]]),
+                          s.center, s.radius)[0]
+        assert np.isfinite(t)
         chord_half = math.sqrt(0.25 ** 2 - b ** 2)
-        assert abs(hit.t - (2.0 - chord_half)) <= 1e-12
+        assert abs(t - (2.0 - chord_half)) <= 1e-12
 
     def test_pointing_away_misses(self):
         s = self.sphere()
-        ray = Ray(origin=[1.0, 1.0, -1.0], direction=[0.0, 0.0, -1.0], t_max=10.0)
-        assert ray_sphere(ray, s) is None
+        t = _ray_sphere_t(np.array([[1.0, 1.0, -1.0]]), np.array([[0.0, 0.0, -1.0]]),
+                          s.center, s.radius)
+        assert t[0] == math.inf
 
     def test_radius_validated(self):
         with pytest.raises(ValueError):
@@ -68,10 +81,8 @@ class TestShadeSphere:
         for _ in range(10):
             d = rng.normal(size=3)
             d /= np.linalg.norm(d)
-            ray = Ray(origin=np.array([1.0, 1.0, 1.0]) - 0.9 * d, direction=d,
-                      t_max=10.0)
-            hit = ray_sphere(ray, sphere)
-            shaded = shade_sphere_pixel(hit, sphere.material, vol, d,
+            point, normal, _ = sphere_hits(np.array([1.0, 1.0, 1.0]) - 0.9 * d, d, sphere)
+            shaded = shade_sphere_pixel(point, normal, sphere.material, vol, d,
                                         n_samples=n)
             np.testing.assert_allclose(shaded, expected, rtol=1e-9)
 
@@ -86,10 +97,8 @@ class TestShadeSphere:
         for _ in range(6):
             d = rng.normal(size=3)
             d /= np.linalg.norm(d)
-            ray = Ray(origin=np.array([1.0, 1.0, 1.0]) - 0.8 * d, direction=d,
-                      t_max=10.0)
-            hit = ray_sphere(ray, sphere)
-            shaded = shade_sphere_pixel(hit, sphere.material, vol, d,
+            point, normal, _ = sphere_hits(np.array([1.0, 1.0, 1.0]) - 0.8 * d, d, sphere)
+            shaded = shade_sphere_pixel(point, normal, sphere.material, vol, d,
                                         n_samples=n)
             np.testing.assert_allclose(shaded, level, rtol=0.02)
 
@@ -106,21 +115,24 @@ class TestShadowRatio:
         vol = fog_volume()
         sphere = InsertedSphere(center=np.array([1.0, 1.0, -0.5]), radius=0.3,
                                 material=MirrorMaterial())
-        ratio = shadow_ratio([1.0, 1.0, 0.2], FRAME, vol, sphere)
-        assert ratio == 1.0
+        ratio = _shadow_ratios(np.array([[1.0, 1.0, 0.2]]), *FRAME_ROWS, vol, sphere,
+                               DEFAULT_ENV_RES, 64)
+        assert ratio[0] == 1.0
 
     def test_zero_radius_limit(self):
         vol = fog_volume()
         sphere = InsertedSphere(center=np.array([1.0, 1.0, 1.0]), radius=1e-12,
                                 material=MirrorMaterial())
-        ratio = shadow_ratio([1.0, 1.0, 0.2], FRAME, vol, sphere)
-        assert ratio == 1.0
+        ratio = _shadow_ratios(np.array([[1.0, 1.0, 0.2]]), *FRAME_ROWS, vol, sphere,
+                               DEFAULT_ENV_RES, 64)
+        assert ratio[0] == 1.0
 
     def test_dark_volume_ratio_one(self):
         vol = VSGVolume.uniform((4, 4, 4), BOUNDS, alpha=0.0)
         sphere = InsertedSphere(center=np.array([1.0, 1.0, 1.0]), radius=0.4,
                                 material=MirrorMaterial())
-        assert shadow_ratio([1.0, 1.0, 0.2], FRAME, vol, sphere) == 1.0
+        assert _shadow_ratios(np.array([[1.0, 1.0, 0.2]]), *FRAME_ROWS, vol, sphere,
+                              DEFAULT_ENV_RES, 64)[0] == 1.0
 
     def test_single_texel_accounting(self):
         vol = single_emitter_volume()
@@ -138,11 +150,9 @@ class TestShadowRatio:
         center = point + 0.45 * bright_dir
         sphere = InsertedSphere(center=center, radius=0.12,
                                 material=MirrorMaterial())
-        ratio = shadow_ratio(point, FRAME, vol, sphere, n_dirs=n_dirs,
-                             n_samples=64)
+        ratio = _shadow_ratios(point[None], *FRAME_ROWS, vol, sphere, n_dirs, 64)[0]
         # blocked texels identified independently by ray-sphere tests
         dirs = texel_directions(*n_dirs, FRAME).reshape(-1, 3)
-        from voxlight.insertion import _ray_sphere_t
         from voxlight.volume import env_offset
         origins = np.broadcast_to(point + env_offset(vol) * FRAME.normal,
                                   dirs.shape)
@@ -159,7 +169,8 @@ class TestShadowRatio:
         for radius in (0.05, 0.1, 0.2, 0.35):
             sphere = InsertedSphere(center=np.array([1.0, 1.0, 1.0]),
                                     radius=radius, material=MirrorMaterial())
-            ratios.append(shadow_ratio(point, FRAME, vol, sphere))
+            ratios.append(_shadow_ratios(point[None], *FRAME_ROWS, vol, sphere,
+                                         DEFAULT_ENV_RES, 64)[0])
         assert all(0.0 <= r <= 1.0 for r in ratios)
         assert all(b <= a + 1e-12 for a, b in zip(ratios, ratios[1:]))
 
@@ -167,7 +178,6 @@ class TestShadowRatio:
         # frozen copy of the scalar body that became a batch of one: world
         # texel directions of the frame, cos from dirs . n, Python-float clamp
         def frozen(point, frame, vol, sphere, n_dirs, n_samples):
-            from voxlight.insertion import _ray_sphere_t
             from voxlight.volume import composite_rays, env_offset
             height, width = n_dirs
             origin = point + env_offset(vol) * frame.normal
@@ -190,13 +200,18 @@ class TestShadowRatio:
         sphere = InsertedSphere(center=np.array([1.0, 1.0, 0.7]), radius=0.25,
                                 material=MirrorMaterial())
         base = Frame.from_normal(unit_vector([0.1, -0.2, 1.0]))
+        frames = []
         for turn in (0.0, 0.7, 2.5):
             c, s_ = math.cos(turn), math.sin(turn)
-            frame = Frame(normal=base.normal,
-                          tangent=c * base.tangent + s_ * base.bitangent,
-                          bitangent=-s_ * base.tangent + c * base.bitangent)
-            ratio = shadow_ratio(point, frame, vol, sphere, n_dirs=(8, 16),
-                                 n_samples=32)
+            frames.append(Frame(normal=base.normal,
+                                tangent=c * base.tangent + s_ * base.bitangent,
+                                bitangent=-s_ * base.tangent + c * base.bitangent))
+        # the three frames as the rows of one batch at the same point
+        ratios = _shadow_ratios(np.tile(point, (3, 1)),
+                                *(np.stack([getattr(f, a) for f in frames])
+                                  for a in ("normal", "tangent", "bitangent")),
+                                vol, sphere, (8, 16), 32)
+        for frame, ratio in zip(frames, ratios):
             want = frozen(point, frame, vol, sphere, (8, 16), 32)
             assert 0.0 < ratio < 1.0
             assert abs(ratio - want) <= 1e-12
@@ -278,18 +293,12 @@ class TestInsertObject:
                                     material=material)
             out = insert_object(view, vol, sphere, normal_map=normals,
                                 shadow_dirs=(4, 8), n_samples=16)
-            hits = 0
-            for i in range(16):
-                for j in range(20):
-                    hit = ray_sphere(Ray(origin=view.camera.center,
-                                         direction=dirs[i, j], t_max=10.0), sphere)
-                    if hit is None:
-                        continue
-                    hits += 1
-                    np.testing.assert_array_equal(
-                        out[i, j], shade_sphere_pixel(hit, material, vol, dirs[i, j],
-                                                      n_samples=16))
-            assert hits >= 20
+            points, hit_normals, hit = sphere_hits(view.camera.center, dirs, sphere)
+            for i, j in np.argwhere(hit):
+                np.testing.assert_array_equal(
+                    out[i, j], shade_sphere_pixel(points[i, j], hit_normals[i, j], material,
+                                                  vol, dirs[i, j], n_samples=16))
+            assert np.count_nonzero(hit) >= 20
 
     def test_diffuse_pixel_chunks_leave_the_image_unchanged(self, monkeypatch):
         # the diffuse sphere's env maps and every sphere's shadow rays run by
@@ -324,16 +333,13 @@ class TestInsertObject:
                                     material=material)
             out = insert_object(view, vol, sphere, normal_map=normals,
                                 shadow_dirs=(4, 8), n_samples=16)
-            for i in range(12):
-                for j in range(16):
-                    hit = ray_sphere(Ray(origin=view.camera.center,
-                                         direction=dirs[i, j], t_max=10.0), sphere)
-                    if hit is None:
-                        continue
-                    hits += 1
-                    want = frozen_shade_diffuse(hit, material, vol, dirs[i, j], 16)
-                    assert np.all(want > 0.0)
-                    worst = max(worst, float(np.max(np.abs(out[i, j] - want) / want)))
+            points, hit_normals, hit = sphere_hits(view.camera.center, dirs, sphere)
+            hits += np.count_nonzero(hit)
+            for i, j in np.argwhere(hit):
+                want = frozen_shade_diffuse(points[i, j], hit_normals[i, j], material, vol,
+                                            dirs[i, j], 16)
+                assert np.all(want > 0.0)
+                worst = max(worst, float(np.max(np.abs(out[i, j] - want) / want)))
         assert hits >= 30
         assert worst <= 1e-11
 
@@ -364,7 +370,6 @@ class TestInsertObject:
         ratio = out[..., 0] / view.image[..., 0]
         # exclude sphere-covered pixels from the search
         dirs = view.camera.pixel_directions(*view.depth.shape).reshape(-1, 3)
-        from voxlight.insertion import _ray_sphere_t
         t = _ray_sphere_t(np.broadcast_to(view.camera.center, dirs.shape), dirs,
                           sphere.center, sphere.radius)
         on_sphere = np.isfinite(t).reshape(view.depth.shape)
@@ -379,22 +384,22 @@ class TestInsertObject:
         assert dist <= 2.0
 
 
-def frozen_shade_diffuse(hit, material, volume, view_dir, n_samples):
+def frozen_shade_diffuse(point, normal, material, volume, view_dir, n_samples):
     """Frozen copy of the per-pixel diffuse branch of ``shade_sphere_pixel``
     from before it was batched, with the ``render_diffuse`` and
     ``render_specular`` bodies of that time inlined."""
     height, width = 16, 32
-    frame = Frame.from_normal(hit.normal)
-    env = extract_env_map(volume, hit.point, frame, height, width, n_samples)
+    frame = Frame.from_normal(normal)
+    env = extract_env_map(volume, point, frame, height, width, n_samples)
     v = -view_dir / np.linalg.norm(view_dir)
     dirs = env.directions().reshape(-1, 3)
     omega = texel_solid_angles(height, width)
     cos = np.maximum(dirs @ frame.normal, 0.0).reshape(height, width)
     diffuse = (np.asarray(material.albedo) / math.pi
                * ((cos * omega[:, None])[..., None] * env.texels).sum(axis=(0, 1)))
-    brdf = ggx_specular(v[None], dirs[None], hit.normal[None],
+    brdf = ggx_specular(v[None], dirs[None], normal[None],
                         np.array([material.roughness]))[0]
-    weights = (brdf * np.maximum(dirs @ hit.normal, 0.0)
+    weights = (brdf * np.maximum(dirs @ normal, 0.0)
                * np.broadcast_to(omega[:, None], (height, width)).reshape(-1))
     specular = weights @ env.texels.reshape(-1, 3)
     spec_albedo = weights @ np.ones((height * width, 3))

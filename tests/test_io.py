@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -242,3 +243,48 @@ class TestSceneDir:
         np.testing.assert_array_equal(gt_back["albedo"], gt["albedo"])
         np.testing.assert_array_equal(gt_back["env"], gt["env"])
         np.testing.assert_array_equal(back.views[1].depth, views[1].depth)
+
+
+def _json_reader(kind, tmp_path):
+    """Write a well-formed ``kind`` document and return its path, a loader
+    that reads it, and a key to drop and a wrong-typed value for a key."""
+    cam = Camera(fx=30.0, fy=30.0, cx=1.5, cy=1.0, rotation=np.eye(3),
+                 translation=np.zeros(3))
+    if kind == "camera":
+        path = tmp_path / "cam.json"
+        vio.save_camera(path, cam)
+        return path, lambda: vio.load_camera(path), "world_from_camera", ("fx", [30.0])
+    if kind == "sg_env":
+        path = tmp_path / "env.json"
+        vio.save_sg_env(path, SGEnvironment((SGLobe(0.5, -1.2, 7.5, (1.0, 2.0, 3.0)),)))
+        return path, lambda: vio.load_sg_env(path), "lobes", ("lobes", 3)
+    if kind == "volume":
+        path = tmp_path / "vol.json"
+        vio.save_volume(path, VSGVolume(bounds=Bounds(lo=np.zeros(3), hi=np.ones(3)),
+                                        voxels=np.zeros((2, 3, 1, 7))))
+        return path, lambda: vio.load_volume(path), "dims", ("dims", "2x3x1")
+    view = View(image=np.zeros((3, 4, 3)), depth=np.ones((3, 4)),
+                confidence=np.ones((3, 4)), camera=cam)
+    vio.save_scene(tmp_path / "scene", ViewBundle(views=[view], target_index=0))
+    return (tmp_path / "scene" / "scene.json", lambda: vio.load_scene(tmp_path / "scene"),
+            "num_views", ("num_views", "one"))
+
+
+class TestJsonReaders:
+    @pytest.mark.parametrize("case", ["truncated", "missing_key", "wrong_type"])
+    @pytest.mark.parametrize("kind", ["camera", "sg_env", "volume", "scene"])
+    def test_malformed_json_names_the_file(self, tmp_path, kind, case):
+        path, load, dropped, (key, value) = _json_reader(kind, tmp_path)
+        load()   # the well-formed document reads
+        text = path.read_text()
+        if case == "truncated":
+            path.write_text(text[:len(text) // 2])
+        else:
+            doc = json.loads(text)
+            if case == "missing_key":
+                del doc[dropped]
+            else:
+                doc[key] = value
+            path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            load()

@@ -23,7 +23,7 @@ def tiny_config():
 
 
 # digest of pipeline_demo(tiny_config()); the same with OpenBLAS at 1 or 2 threads
-TINY_DIGEST = "d81ba5ef9d7858b82dc52105ea7c2398659d57fbf3d9d48045be89e9b96ec7a2"
+TINY_DIGEST = "3c385894abfd749cd433b7896ca9575e26cf25e1ff3fc853d44d1e5eea110c4b"
 
 
 @pytest.fixture(scope="module")
@@ -75,7 +75,7 @@ class TestTelemetry:
         assert set(fit) == {"iterations", "accepted_steps", "stop_reason",
                             "initial_objective", "final_objective"}
         assert 0 < fit["accepted_steps"] <= fit["iterations"] <= 120
-        assert fit["stop_reason"] in ("max_iters", "objective_tol", "stalled")
+        assert fit["stop_reason"] in ("max_iters", "stalled")
         assert fit["final_objective"] == tiny_report.metrics["vsg_objective"]
         assert fit["final_objective"] <= fit["initial_objective"]
         rss = [t["peak_rss_mb"][name] for name in STAGES]
@@ -88,7 +88,7 @@ class TestTelemetry:
                              "accept_ratio_min", "accept_ratio_median", "stop_reasons",
                              "final_objective_max"}
         assert fits["fits"] == 12 == sum(fits["stop_reasons"].values())   # 3 x 4 blocks
-        assert set(fits["stop_reasons"]) <= {"max_iters", "objective_tol", "stalled"}
+        assert set(fits["stop_reasons"]) <= {"max_iters", "stalled"}
         assert 0 < fits["iterations_min"] <= fits["iterations_max"] <= 200
         assert 0.0 < fits["accept_ratio_min"] <= fits["accept_ratio_median"] <= 1.0
         assert 0.0 <= fits["final_objective_max"] < float("inf")
@@ -106,6 +106,8 @@ class TestTelemetry:
         # perfbench requires every metric but timings and feature_digest to be
         # a finite number; the digest is pinned by test_digest_is_pinned
         assert not {"telemetry", "sg_fit", "vsg_fit", "peak_rss_mb"} & set(tiny_report.metrics)
+        # "final < initial" reads 1.0 on a fit that stalls on a black rendering too
+        assert "vsg_converged" not in tiny_report.metrics
         assert tiny_report.digest == TINY_DIGEST
 
     def test_demo_command_writes_telemetry(self, tiny_report, tmp_path, monkeypatch):

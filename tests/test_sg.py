@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from voxlight.optim import minimize_monotone
 from voxlight.sg import (EnvMapGrid, Frame, SGEnvironment, SGFitOptions, SGLobe,
-                         _params_to_env, default_sg_init, eval_env, eval_sg,
+                         _env_to_params, _params_to_env, default_sg_init, eval_env,
                          export_lobe_params, fibonacci_hemisphere,
                          hemisphere_frames, normalize, rasterize_env, sg_fit,
                          sg_fit_batch, sg_fit_objective, texel_directions, texel_solid_angles)
@@ -112,9 +113,11 @@ class TestHemisphereFrames:
 
 
 class TestEvalSG:
+    """One lobe, evaluated as a one-lobe environment."""
+
     def test_axis_direction_returns_intensity(self):
         lobe = SGLobe(0.7, 1.1, 12.0, (0.5, 1.5, 2.5))
-        np.testing.assert_array_equal(eval_sg(lobe, lobe.unit_axis()),
+        np.testing.assert_array_equal(eval_env(SGEnvironment((lobe,)), lobe.unit_axis()),
                                       np.array([0.5, 1.5, 2.5]))
 
     def test_zero_sharpness_is_constant(self):
@@ -123,22 +126,22 @@ class TestEvalSG:
         for _ in range(10):
             d = rng.normal(size=3)
             d /= np.linalg.norm(d)
-            np.testing.assert_array_equal(eval_sg(lobe, d), np.array([0.5, 1.5, 2.5]))
+            np.testing.assert_array_equal(eval_env(SGEnvironment((lobe,)), d), np.array([0.5, 1.5, 2.5]))
 
     def test_orthogonal_direction_analytic(self):
         lobe = SGLobe(math.pi / 2, 0.0, 1.0, (1.0, 1.0, 1.0))  # axis +x
-        value = eval_sg(lobe, [0.0, 0.0, 1.0])
+        value = eval_env(SGEnvironment((lobe,)), [0.0, 0.0, 1.0])
         np.testing.assert_allclose(value, math.exp(-1.0), rtol=1e-15)
 
     def test_rejects_non_unit_direction(self):
         lobe = SGLobe(0.5, 0.0, 1.0, (1, 1, 1))
         with pytest.raises(ValueError):
-            eval_sg(lobe, [1.0, 1.0, 0.0])
+            eval_env(SGEnvironment((lobe,)), [1.0, 1.0, 0.0])
 
     def test_monotone_in_angle(self):
         lobe = SGLobe(0.0, 0.0, 7.5, (1.0, 1.0, 1.0))  # axis +z
         angles = np.linspace(0.0, math.pi, 40)
-        values = [eval_sg(lobe, [math.sin(a), 0.0, math.cos(a)])[0] for a in angles]
+        values = [eval_env(SGEnvironment((lobe,)), [math.sin(a), 0.0, math.cos(a)])[0] for a in angles]
         assert np.all(np.diff(values) <= 1e-15)
 
     def test_bounded_by_intensity(self):
@@ -147,8 +150,8 @@ class TestEvalSG:
         for _ in range(20):
             d = rng.normal(size=3)
             d /= np.linalg.norm(d)
-            assert np.all(eval_sg(lobe, d) <= np.array([0.3, 0.6, 0.9]) + 1e-15)
-            assert np.all(eval_sg(lobe, d) >= 0.0)
+            assert np.all(eval_env(SGEnvironment((lobe,)), d) <= np.array([0.3, 0.6, 0.9]) + 1e-15)
+            assert np.all(eval_env(SGEnvironment((lobe,)), d) >= 0.0)
 
 
 class TestEvalEnv:
@@ -156,13 +159,6 @@ class TestEvalEnv:
         env = SGEnvironment((SGLobe(0.5, 0.0, 3.0, (1, 2, 3)),) * 2,
                             visibility=(0.0, 0.0))
         np.testing.assert_array_equal(eval_env(env, [0, 0, 1.0]), np.zeros(3))
-
-    def test_single_lobe_matches_eval_sg(self):
-        lobe = SGLobe(0.9, -2.0, 4.0, (0.2, 0.4, 0.8))
-        env = SGEnvironment((lobe,))
-        d = np.array([0.3, -0.1, 0.9486832980505138])
-        d /= np.linalg.norm(d)
-        np.testing.assert_allclose(eval_env(env, d), eval_sg(lobe, d), rtol=1e-15)
 
     def test_batch_bitwise_equal_to_per_row_calls(self):
         rng = np.random.default_rng(8)
@@ -323,7 +319,10 @@ class TestFit:
         target = rasterize_env(SGEnvironment((gen,)), 16, 32, FRAME)
         init = SGEnvironment((SGLobe(0.7 * 1.1, 0.4 * 0.9, 8.0 * 1.1,
                                      (1.5 * 0.9, 1.0 * 1.1, 0.6 * 0.95)),))
-        result = sg_fit(target, 1, SGFitOptions(init=init))
+        # sg_fit's descent (step 0.25, 2000 iterations) from the perturbed lobe
+        texels, dirs = target.texels.reshape(-1, 3), target.directions().reshape(-1, 3)
+        result = minimize_monotone(lambda p: sg_fit_objective(p, texels, dirs),
+                                   _env_to_params(init).ravel(), max_iters=2000, step=0.25)
         assert result.report.final_objective <= 1e-4
 
     def test_constant_target_exact_fit_exists(self):

@@ -442,6 +442,10 @@ def _reference_g4(target, rendered):
     return value, grad
 
 
+# the fit's weights of g4 and of the opacity entropy (DEFAULT_BETAS["svl"][:2])
+BETA_FIT, BETA_ENTROPY = 10.0, 1e-2
+
+
 def _reference_objective_impl(params, targets, dims, bounds, opts):
     nvox = int(np.prod(dims))
     p = params.reshape(nvox, 7)
@@ -479,12 +483,12 @@ def _reference_objective_impl(params, targets, dims, bounds, opts):
         sl = slice(start, start + t.grid.height * t.grid.width)
         start = sl.stop
         v, g = _reference_g4(t.grid.texels.reshape(-1, 3), rendered[sl])
-        value += opts.beta_fit * v
-        d_rendered[sl] = opts.beta_fit * g
+        value += BETA_FIT * v
+        d_rendered[sl] = BETA_FIT * g
     tiny = alpha_v > 1e-290
     ent = np.where(tiny, -alpha_v * np.log(np.where(tiny, alpha_v, 1.0)), 0.0)
-    value += opts.beta_entropy * float(np.mean(ent))
-    d_alpha_reg = opts.beta_entropy / nvox * np.where(
+    value += BETA_ENTROPY * float(np.mean(ent))
+    d_alpha_reg = BETA_ENTROPY / nvox * np.where(
         tiny, -np.log(np.where(tiny, alpha_v, 1.0)) - 1.0, 0.0)
 
     suffix = np.cumsum(contrib[:, ::-1], axis=1)[:, ::-1]
@@ -587,8 +591,7 @@ class TestCornerMajorCore:
         problem = VSGFitProblem(targets, dims, BOUNDS, opts)
         ref = minimize_monotone(
             lambda p: _reference_objective(p, targets, dims, BOUNDS, opts),
-            _initial_params(problem), max_iters=opts.max_iters, step=opts.step,
-            grow=opts.grow, shrink=opts.shrink, objective_tol=opts.objective_tol)
+            _initial_params(problem), max_iters=opts.max_iters, step=0.1)
         assert result.report.accepted_steps > 0
         assert result.report.objective_trace == ref.report.objective_trace
         assert (result.volume.voxels.tobytes()
@@ -657,8 +660,7 @@ class TestChunkedObjective:
         problem = VSGFitProblem(targets, dims, BOUNDS, opts)
         ref = minimize_monotone(
             lambda p: _reference_objective(p, targets, dims, BOUNDS, opts),
-            _initial_params(problem), max_iters=opts.max_iters, step=opts.step,
-            grow=opts.grow, shrink=opts.shrink, objective_tol=opts.objective_tol)
+            _initial_params(problem), max_iters=opts.max_iters, step=0.1)
         ref_voxels = _params_to_volume(ref.x, problem).voxels.tobytes()
         assert ref.report.accepted_steps > 0
         for chunk_samples, _ in CHUNK_PLANS:
@@ -686,9 +688,9 @@ def renderer_score(params, targets, dims, bounds, opts):
     for t in targets:
         env = extract_env_map(volume, t.point, t.frame, t.grid.height, t.grid.width,
                               opts.n_samples)
-        value += opts.beta_fit * _g4_and_grad(t.grid.texels.reshape(-1, 3),
-                                              env.texels.reshape(-1, 3))[0]
-    return value + opts.beta_entropy * entropy_reg(alpha)
+        value += BETA_FIT * _g4_and_grad(t.grid.texels.reshape(-1, 3),
+                                         env.texels.reshape(-1, 3))[0]
+    return value + BETA_ENTROPY * entropy_reg(alpha)
 
 
 class TestObjectiveScoresRenderer:
