@@ -134,6 +134,16 @@ def _load_json(path, parse):
         raise ValueError(f"{path}: {exc}") from exc
 
 
+def _integer(value) -> int:
+    """A count, index or size read from JSON: an integral number, which a
+    float like 2.0 may spell; 1.9 raises instead of truncating to 1."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return value
+
+
 def camera_to_dict(camera: Camera) -> dict:
     return {
         "fx": camera.fx, "fy": camera.fy, "cx": camera.cx, "cy": camera.cy,
@@ -214,7 +224,7 @@ def _load_sidecar_volume(path: Path, channel_order) -> tuple[np.ndarray, Bounds]
     disagrees with ``dims`` raises ValueError naming the file."""
     encoding, order, dims, data, bounds = _load_json(path, lambda h: (
         (h.get("dtype"), h.get("layout")), list(h["channel_order"]),
-        tuple(int(d) for d in h["dims"]), Path(h["data"]),
+        tuple(_integer(d) for d in h["dims"]), Path(h["data"]),
         Bounds(lo=np.asarray(h["bounds"]["lo"], dtype=np.float64),
                hi=np.asarray(h["bounds"]["hi"], dtype=np.float64))))
     if encoding != ("f32", "x-major"):
@@ -307,8 +317,8 @@ def load_scene(path) -> tuple[ViewBundle, dict]:
     """Read a scene directory back into a bundle and a ground-truth dict."""
     path = Path(path)
     num_views, target_index, env_angular = _load_json(path / "scene.json", lambda m: (
-        int(m["num_views"]), int(m["target_index"]),
-        tuple(int(x) for x in m["env_angular"]) if "env_angular" in m else None))
+        _integer(m["num_views"]), _integer(m["target_index"]),
+        tuple(_integer(x) for x in m["env_angular"]) if "env_angular" in m else None))
     views = []
     gt: dict = {"albedo": [], "rough": [], "normal": []}
     for k in range(num_views):

@@ -9,6 +9,7 @@ across mask sizes; an empty mask yields 0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -30,10 +31,15 @@ DEFAULT_BETAS = {
 }
 
 
+# Elements per block of a blockwise reduction: 256 kB of float64 temporaries.
+_BLOCK_ELEMENTS = 32768
+
+
 def _mask_weights(a: np.ndarray, mask) -> np.ndarray:
-    """Broadcastable binary weights for ``a`` from a spatial mask."""
+    """Binary weights broadcast to ``a``'s shape from a spatial mask; a
+    missing mask is a broadcast 1.0, not an array of ones."""
     if mask is None:
-        return np.ones(a.shape)
+        return np.broadcast_to(1.0, a.shape)
     m = np.asarray(mask, dtype=np.float64)
     if not np.all((m == 0.0) | (m == 1.0)):
         raise ValueError("mask must be binary")
@@ -41,6 +47,25 @@ def _mask_weights(a: np.ndarray, mask) -> np.ndarray:
         return np.broadcast_to(m.reshape(m.shape + (1,) * (a.ndim - m.ndim)),
                                a.shape)
     raise ValueError(f"mask shape {m.shape} does not match data shape {a.shape}")
+
+
+def _blockwise_sum(fill, *operands) -> float:
+    """``np.sum`` of the C-ordered float64 buffer that ``fill(out, *blocks)``
+    writes, one block of leading-axis rows of the equally shaped ``operands``
+    at a time. The reduction holds one buffer of the operands' size, not one
+    per temporary; and since the sum runs over the same buffer as summing the
+    whole-array expression would, its bits are that sum's."""
+    out = np.empty(operands[0].shape)
+    rows = [x[None] if x.ndim == 0 else x for x in (out,) + operands]
+    step = max(1, _BLOCK_ELEMENTS // max(1, math.prod(rows[0].shape[1:])))
+    for start in range(0, rows[0].shape[0], step):
+        fill(*(x[start:start + step] for x in rows))
+    return float(np.sum(out))
+
+
+def _weighted_product(out, w, x, y):
+    np.multiply(w, x, out=out)
+    np.multiply(out, y, out=out)
 
 
 def ls_scale(a, b, mask=None) -> ScaleFit:
@@ -54,10 +79,11 @@ def ls_scale(a, b, mask=None) -> ScaleFit:
     if a.shape != b.shape:
         raise ValueError("inputs must share a shape")
     w = _mask_weights(a, mask)
-    sbb = float(np.sum(w * b * b))
+    sbb = _blockwise_sum(_weighted_product, w, b, b)
     if sbb == 0.0:
         return ScaleFit(tau=0.0, degenerate=True)
-    return ScaleFit(tau=float(np.sum(w * a * b)) / sbb, degenerate=False)
+    return ScaleFit(tau=_blockwise_sum(_weighted_product, w, a, b) / sbb,
+                    degenerate=False)
 
 
 def masked_l1_angular(a, b, mask=None) -> float:
@@ -82,10 +108,14 @@ def masked_mse(a, b, mask=None) -> float:
     if a.shape != b.shape:
         raise ValueError("inputs must share a shape")
     w = _mask_weights(a, mask)
-    count = w.sum()
+    count = float(w.sum())
     if count == 0.0:
         return 0.0
-    return float(np.sum(w * np.square(a - b)) / count)
+
+    def fill(out, w, a, b):
+        np.multiply(w, np.square(a - b), out=out)
+
+    return _blockwise_sum(fill, w, a, b) / count
 
 
 def si_mse(a, b, mask=None) -> float:
@@ -99,15 +129,21 @@ def si_log_mse(a, b, mask=None) -> float:
     with tau fit in linear space. Requires nonnegative inputs."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    if np.any(a < 0.0) or np.any(b < 0.0):
+    # min, not any(a < 0): no boolean array of a's size; nan passes both
+    if a.size and (a.min() < 0.0 or b.min() < 0.0):
         raise ValueError("log-space MSE requires nonnegative inputs")
     tau = ls_scale(a, b, mask).tau
     w = _mask_weights(a, mask)
-    count = w.sum()
+    count = float(w.sum())
     if count == 0.0:
         return 0.0
-    diff = np.log1p(a) - np.log1p(tau * b)
-    return float(np.sum(w * diff * diff) / count)
+
+    def fill(out, w, a, b):
+        diff = np.log1p(a)
+        diff -= np.log1p(tau * b)
+        _weighted_product(out, w, diff, diff)
+
+    return _blockwise_sum(fill, w, a, b) / count
 
 
 def entropy_reg(a) -> float:
@@ -167,16 +203,36 @@ def _require(bundle: StageLossBundle, stage: str):
             raise ValueError(f"stage '{stage}' requires bundle field '{name}'")
 
 
+# The joint re-render system is singular when its Gram determinant is within
+# this fraction of sum(d * d) * sum(s * s): d and s are collinear to rounding.
+_SINGULAR_RTOL = 1e-12
+
+
 def rerender_residual(bundle: StageLossBundle, mask=None) -> tuple[float, float, float]:
     """Weighted multi-view re-render term and its (tau_diff, tau_spec).
 
-    The two scales are fit independently against the target-view image; the
-    residual is sum_k w_k^2 * masked mean of
+    The two scales are fit jointly against the target-view image I: they
+    minimize the masked ||I - tau_diff * d - tau_spec * s||^2, with d the
+    diffuse render and s the target view's specular render, by the 2x2
+    normal equations. When those are singular (d or s masked to zero, or d
+    and s collinear) each scale is fit alone by ``ls_scale``. The residual
+    is sum_k w_k^2 * masked mean of
     (I_k - tau_diff * diffuse - tau_spec * specular_k)^2.
     """
     target = bundle.images[bundle.target_index]
-    tau_diff = ls_scale(target, bundle.diffuse_render, mask).tau
-    tau_spec = ls_scale(target, bundle.specular_renders[bundle.target_index], mask).tau
+    d = np.asarray(bundle.diffuse_render, dtype=np.float64)
+    s = np.asarray(bundle.specular_renders[bundle.target_index], dtype=np.float64)
+    if d.shape != target.shape or s.shape != target.shape:
+        raise ValueError("renders must share the images' shape")
+    w = _mask_weights(target, mask)
+    dd, ds, ss, di, si = (_blockwise_sum(_weighted_product, w, x, y) for x, y in (
+        (d, d), (d, s), (s, s), (d, target), (s, target)))
+    det = dd * ss - ds * ds
+    if det > _SINGULAR_RTOL * dd * ss:
+        tau_diff, tau_spec = (ss * di - ds * si) / det, (dd * si - ds * di) / det
+    else:
+        tau_diff = ls_scale(target, d, mask).tau
+        tau_spec = ls_scale(target, s, mask).tau
     total = 0.0
     for k in range(bundle.images.shape[0]):
         residual = (bundle.images[k] - tau_diff * bundle.diffuse_render
@@ -195,6 +251,7 @@ def stage_losses(bundle: StageLossBundle,
     reported separately (keys ending in ``_reg``), and the re-render scales.
     """
     out: dict[str, float] = {}
+    g4_dl = None  # L_InDL and L_ExDL share the direct-light g4
     for stage in stages:
         if stage not in _STAGE_FIELDS:
             raise ValueError(f"unknown stage '{stage}'")
@@ -207,14 +264,14 @@ def stage_losses(bundle: StageLossBundle,
                                + b[1] * masked_mse(bundle.normal_ref,
                                                    bundle.normal_pred,
                                                    bundle.mask_light))
-        elif stage == "in_dl":
-            out["L_InDL"] = b[0] * si_log_mse(bundle.env_dl_ref, bundle.env_dl_pred,
-                                              bundle.mask_object)
-            out["L_InDL_reg"] = b[1] * entropy_reg(bundle.visibility)
-        elif stage == "ex_dl":
-            out["L_ExDL"] = b[0] * si_log_mse(bundle.env_dl_ref, bundle.env_dl_pred,
-                                              bundle.mask_object)
-            out["L_ExDL_reg"] = b[1] * entropy_reg(bundle.alpha_dl)
+        elif stage in ("in_dl", "ex_dl"):
+            if g4_dl is None:
+                g4_dl = si_log_mse(bundle.env_dl_ref, bundle.env_dl_pred,
+                                   bundle.mask_object)
+            name, reg = (("L_InDL", bundle.visibility) if stage == "in_dl"
+                         else ("L_ExDL", bundle.alpha_dl))
+            out[name] = b[0] * g4_dl
+            out[name + "_reg"] = b[1] * entropy_reg(reg)
         elif stage == "brdf":
             out["L_BRDF"] = (b[0] * si_mse(bundle.albedo_ref, bundle.albedo_pred,
                                            bundle.mask_object)

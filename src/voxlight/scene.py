@@ -278,6 +278,7 @@ def generate_scene(spec: SceneSpec) -> GeneratedScene:
             target_env = envs
             target_points = points
             target_normals_world = n_world
+        del envs  # a non-target view's maps go before the next view's are built
 
     bundle = ViewBundle(views=views, target_index=0)
     return GeneratedScene(spec=spec, bundle=bundle, gt_normal=gt_normal,

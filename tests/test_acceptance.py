@@ -28,7 +28,7 @@ FRAME = Frame.from_normal([0.0, 0.0, 1.0])
 BOUNDS = Bounds(lo=np.zeros(3), hi=np.full(3, 2.0))
 
 # digest of pipeline_demo(DemoConfig()); the same with OpenBLAS at 1 or 2 threads
-DEMO_DIGEST = "4571cb73d21805f1fdfd2183eb312e9d901328ac3d3ad0ded54c3867f50a5aa5"
+DEMO_DIGEST = "828a9dcd27130884f92ce655f713a318874a897fcbddb5f24cbab73d9eba7018"
 
 
 def report(num: int, name: str, passed: bool, detail: str = ""):

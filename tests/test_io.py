@@ -288,3 +288,40 @@ class TestJsonReaders:
             path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match=re.escape(str(path))):
             load()
+
+
+def _scene_with_env(tmp_path):
+    cam = Camera(fx=30.0, fy=30.0, cx=1.5, cy=1.0, rotation=np.eye(3),
+                 translation=np.zeros(3))
+    views = [View(image=np.zeros((3, 4, 3)), depth=np.ones((3, 4)),
+                  confidence=np.ones((3, 4)), camera=cam) for _ in range(2)]
+    vio.save_scene(tmp_path / "scene", ViewBundle(views=views, target_index=1),
+                   {"env": np.zeros((3, 4, 2, 4, 3))})
+    return tmp_path / "scene" / "scene.json", lambda: vio.load_scene(tmp_path / "scene")
+
+
+class TestJsonIntegers:
+    @pytest.mark.parametrize("field, value", [
+        ("num_views", 1.9), ("target_index", 0.5), ("env_angular", [2.5, 4]),
+        ("dims", [2, 3.5, 1])])
+    def test_non_integral_number_names_the_file(self, tmp_path, field, value):
+        if field == "dims":
+            path, load = tmp_path / "vol.json", lambda: vio.load_volume(tmp_path / "vol.json")
+            vio.save_volume(path, VSGVolume(bounds=Bounds(lo=np.zeros(3), hi=np.ones(3)),
+                                            voxels=np.zeros((2, 3, 1, 7))))
+        else:
+            path, load = _scene_with_env(tmp_path)
+        doc = json.loads(path.read_text())
+        doc[field] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=re.escape(str(path)) + ".*integer"):
+            load()
+
+    def test_integral_floats_read_as_integers(self, tmp_path):
+        path, load = _scene_with_env(tmp_path)
+        doc = json.loads(path.read_text())
+        doc.update(num_views=2.0, target_index=1.0, env_angular=[2.0, 4.0])
+        path.write_text(json.dumps(doc))
+        bundle, gt = load()
+        assert len(bundle.views) == 2 and bundle.target_index == 1
+        assert gt["env"].shape == (3, 4, 2, 4, 3)

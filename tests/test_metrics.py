@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from voxlight.metrics import (DEFAULT_BETAS, StageLossBundle, entropy_reg,
                               ls_scale, masked_l1_angular, masked_mse,
                               rerender_residual, si_log_mse, si_mse,
                               stage_losses)
+from voxlight.scene import SceneSpec, generate_scene, render_images
 
 
 def unit_field(rng, shape):
@@ -261,3 +263,212 @@ class TestStageLosses:
         assert DEFAULT_BETAS["ex_dl"] == (1.0, 1e-4)
         assert DEFAULT_BETAS["brdf"] == (3.0, 1.0)
         assert DEFAULT_BETAS["svl"] == (10.0, 1e-2, 1.0)
+
+
+# Frozen copies of the whole-array reductions and of stage_losses before the
+# reductions ran block by block, with the independent re-render scale fits.
+def frozen_mask_weights(a, mask):
+    if mask is None:
+        return np.ones(a.shape)
+    m = np.asarray(mask, dtype=np.float64)
+    return np.broadcast_to(m.reshape(m.shape + (1,) * (a.ndim - m.ndim)), a.shape)
+
+
+def frozen_ls_scale(a, b, mask=None):
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    w = frozen_mask_weights(a, mask)
+    sbb = float(np.sum(w * b * b))
+    if sbb == 0.0:
+        return 0.0, True
+    return float(np.sum(w * a * b)) / sbb, False
+
+
+def frozen_masked_mse(a, b, mask=None):
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    w = frozen_mask_weights(a, mask)
+    count = w.sum()
+    if count == 0.0:
+        return 0.0
+    return float(np.sum(w * np.square(a - b)) / count)
+
+
+def frozen_si_log_mse(a, b, mask=None):
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    tau = frozen_ls_scale(a, b, mask)[0]
+    w = frozen_mask_weights(a, mask)
+    count = w.sum()
+    if count == 0.0:
+        return 0.0
+    diff = np.log1p(a) - np.log1p(tau * b)
+    return float(np.sum(w * diff * diff) / count)
+
+
+def frozen_stage_losses(bundle):
+    out = {}
+    b = DEFAULT_BETAS["normal"]
+    out["L_normal"] = (b[0] * masked_l1_angular(bundle.normal_ref, bundle.normal_pred,
+                                                bundle.mask_light)
+                       + b[1] * frozen_masked_mse(bundle.normal_ref, bundle.normal_pred,
+                                                  bundle.mask_light))
+    b = DEFAULT_BETAS["in_dl"]
+    out["L_InDL"] = b[0] * frozen_si_log_mse(bundle.env_dl_ref, bundle.env_dl_pred,
+                                             bundle.mask_object)
+    out["L_InDL_reg"] = b[1] * entropy_reg(bundle.visibility)
+    b = DEFAULT_BETAS["ex_dl"]
+    out["L_ExDL"] = b[0] * frozen_si_log_mse(bundle.env_dl_ref, bundle.env_dl_pred,
+                                             bundle.mask_object)
+    out["L_ExDL_reg"] = b[1] * entropy_reg(bundle.alpha_dl)
+    b = DEFAULT_BETAS["brdf"]
+    tau = frozen_ls_scale(bundle.albedo_ref, bundle.albedo_pred, bundle.mask_object)[0]
+    out["L_BRDF"] = (b[0] * frozen_masked_mse(bundle.albedo_ref, tau * bundle.albedo_pred,
+                                              bundle.mask_object)
+                     + b[1] * frozen_masked_mse(bundle.rough_ref, bundle.rough_pred,
+                                                bundle.mask_object))
+    b = DEFAULT_BETAS["svl"]
+    mask = bundle.mask_object
+    target = bundle.images[bundle.target_index]
+    tau_diff = frozen_ls_scale(target, bundle.diffuse_render, mask)[0]
+    tau_spec = frozen_ls_scale(target, bundle.specular_renders[bundle.target_index],
+                               mask)[0]
+    rerender = 0.0
+    for k in range(bundle.images.shape[0]):
+        residual = (bundle.images[k] - tau_diff * bundle.diffuse_render
+                    - tau_spec * bundle.specular_renders[k])
+        rerender += float(bundle.view_weights[k]) ** 2 * frozen_masked_mse(
+            residual, np.zeros_like(residual), mask)
+    env_mask = bundle.mask_svl_env if bundle.mask_svl_env is not None else mask
+    out["L_SVL"] = (b[0] * frozen_si_log_mse(bundle.env_svl_ref, bundle.env_svl_pred,
+                                             env_mask) + b[2] * rerender)
+    out["L_SVL_reg"] = b[1] * entropy_reg(bundle.alpha_svl)
+    out["L_SVL_rerender"] = rerender
+    out["tau_diff"] = tau_diff
+    out["tau_spec"] = tau_spec
+    return out
+
+
+RERENDER_KEYS = {"L_SVL", "L_SVL_rerender", "tau_diff", "tau_spec"}
+
+
+def same_bits(x, y):
+    return np.float64(x).tobytes() == np.float64(y).tobytes()
+
+
+def reduction_cases():
+    """(name, a, b, mask): masked and unmasked inputs, a leading axis longer
+    than one block, all-zero inputs and masks, and a degenerate ``b``."""
+    rng = np.random.default_rng(20)
+    a = rng.uniform(0.0, 3.0, (7, 9, 4, 8, 3))
+    b = rng.uniform(0.0, 3.0, (7, 9, 4, 8, 3))
+    mask = (rng.random((7, 9)) > 0.3).astype(float)
+    long_a, long_b = rng.uniform(0.0, 2.0, (2, 70000)), rng.uniform(0.0, 2.0, (2, 70000))
+    zeros = np.zeros_like(a)
+    return [
+        ("masked", a, b, mask), ("unmasked", a, b, None),
+        ("flat_unmasked", long_a.ravel(), long_b.ravel(), None),
+        ("long_rows_masked", long_a, long_b, np.array([1.0, 0.0])),
+        ("scalar", np.float64(1.5), np.float64(0.25), None),
+        ("all_zero", zeros, zeros, np.ones((7, 9))),
+        ("zero_mask", a, b, np.zeros((7, 9))),
+        ("degenerate_b", a, zeros, mask),
+        ("masked_out_b", a, np.where(mask[..., None, None, None] == 1.0, 0.0, b), mask),
+    ]
+
+
+class TestBlockwiseReductionsBitwise:
+    @pytest.mark.parametrize("case", reduction_cases(), ids=lambda c: c[0])
+    def test_equal_frozen_whole_array_copies(self, case):
+        _, a, b, mask = case
+        fit, (tau, degenerate) = ls_scale(a, b, mask), frozen_ls_scale(a, b, mask)
+        assert same_bits(fit.tau, tau) and fit.degenerate == degenerate
+        assert same_bits(masked_mse(a, b, mask), frozen_masked_mse(a, b, mask))
+        assert same_bits(si_log_mse(a, b, mask), frozen_si_log_mse(a, b, mask))
+        assert type(masked_mse(a, b, mask)) is float
+        assert type(si_log_mse(a, b, mask)) is float
+
+    @pytest.mark.parametrize("mask_kind", ["ones", "random", "zeros", "zero_inputs"])
+    def test_stage_losses_equal_frozen_copy(self, mask_kind):
+        rng = np.random.default_rng(21)
+        bundle = TestStageLosses().base_bundle(rng)
+        bundle.env_dl_pred = bundle.env_dl_pred * rng.uniform(0.5, 1.5, bundle.env_dl_pred.shape)
+        bundle.env_svl_pred = bundle.env_svl_ref * rng.uniform(0.5, 1.5, bundle.env_svl_ref.shape)
+        bundle.albedo_pred = rng.uniform(0.0, 1.0, bundle.albedo_ref.shape)
+        bundle.specular_renders = rng.uniform(0.0, 1.0, bundle.specular_renders.shape)
+        if mask_kind == "random":
+            bundle.mask_object = (rng.random((6, 8)) > 0.4).astype(float)
+            bundle.mask_light = bundle.mask_object
+        elif mask_kind == "zeros":
+            bundle.mask_object = bundle.mask_light = np.zeros((6, 8))
+        elif mask_kind == "zero_inputs":
+            for name in ("env_dl_ref", "env_dl_pred", "env_svl_ref", "env_svl_pred",
+                         "albedo_pred", "diffuse_render", "specular_renders"):
+                setattr(bundle, name, np.zeros_like(getattr(bundle, name)))
+        got, want = stage_losses(bundle), frozen_stage_losses(bundle)
+        assert list(got) == list(want)
+        for key in set(want) - RERENDER_KEYS:
+            assert same_bits(got[key], want[key]), key
+
+    def test_stage_losses_equal_frozen_copy_with_collinear_renders(self):
+        # diffuse and the target's specular are the same image: the joint
+        # re-render system is singular and falls back to the independent fits
+        bundle = TestStageLosses().base_bundle(np.random.default_rng(22))
+        got, want = stage_losses(bundle), frozen_stage_losses(bundle)
+        assert list(got) == list(want)
+        for key in want:
+            assert same_bits(got[key], want[key]), key
+
+
+class TestReductionMemory:
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_si_log_mse_holds_one_input_sized_buffer(self, masked):
+        rng = np.random.default_rng(23)
+        a = rng.uniform(0.0, 3.0, (60, 80, 8, 16, 3))
+        b = rng.uniform(0.0, 3.0, a.shape)
+        mask = (rng.random((60, 80)) > 0.2).astype(float) if masked else None
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            si_log_mse(a, b, mask)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * a.nbytes, f"peak {peak / a.nbytes:.2f}x one input"
+
+
+class TestJointRerenderScales:
+    def test_ground_truth_target_view_gives_unit_scales(self):
+        # the scene's image is render_images of gt_env, so I = d + s exactly;
+        # fit one at a time, each scale explains the whole image (1.03, 31.7)
+        scene = generate_scene(SceneSpec())
+        target = scene.bundle.target
+        diffuse, specular = render_images(scene.surface_points, scene.surface_normals,
+                                          scene.gt_albedo[0], scene.gt_rough[0],
+                                          scene.gt_env, target.camera.center)
+        bundle = StageLossBundle(images=target.image[None], view_weights=np.ones(1),
+                                 diffuse_render=diffuse, specular_renders=specular[None])
+        residual, tau_diff, tau_spec = rerender_residual(bundle, scene.mask)
+        assert abs(tau_diff - 1.0) <= 1e-9
+        assert abs(tau_spec - 1.0) <= 1e-9
+        assert residual <= 1e-28
+
+    def test_scales_minimize_the_target_residual(self):
+        rng = np.random.default_rng(24)
+        images = rng.uniform(0.0, 1.0, (1, 6, 8, 3))
+        diffuse = rng.uniform(0.0, 1.0, (6, 8, 3))
+        spec = rng.uniform(0.0, 1.0, (1, 6, 8, 3))
+        mask = (rng.random((6, 8)) > 0.3).astype(float)
+        bundle = StageLossBundle(images=images, view_weights=np.ones(1),
+                                 diffuse_render=diffuse, specular_renders=spec)
+        best, tau_diff, tau_spec = rerender_residual(bundle, mask)
+        for dd, ds in rng.normal(scale=0.05, size=(100, 2)):
+            residual = images[0] - (tau_diff + dd) * diffuse - (tau_spec + ds) * spec[0]
+            assert best <= masked_mse(residual, np.zeros_like(residual), mask)
+
+    def test_renders_must_match_the_images(self):
+        bundle = StageLossBundle(images=np.ones((1, 2, 2, 3)), view_weights=np.ones(1),
+                                 diffuse_render=np.ones((2, 3, 3)),
+                                 specular_renders=np.ones((1, 2, 2, 3)))
+        with pytest.raises(ValueError, match="shape"):
+            rerender_residual(bundle)

@@ -23,7 +23,7 @@ def tiny_config():
 
 
 # digest of pipeline_demo(tiny_config()); the same with OpenBLAS at 1 or 2 threads
-TINY_DIGEST = "3c385894abfd749cd433b7896ca9575e26cf25e1ff3fc853d44d1e5eea110c4b"
+TINY_DIGEST = "83760c36e6cae6b3770bab5701420420bb26d8aa0b146cc9c0b9ac257d4c396c"
 
 
 @pytest.fixture(scope="module")
