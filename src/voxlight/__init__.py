@@ -14,9 +14,9 @@ from .geometry import (Camera, Reprojection, View, ViewBundle, bilinear_sample,
                        reproject)
 from .insertion import (DiffuseMaterial, InsertedSphere, MirrorMaterial, insert_object,
                         shade_sphere_pixel)
-from .metrics import (DEFAULT_BETAS, ScaleFit, StageLossBundle, entropy_reg,
-                      ls_scale, masked_l1_angular, masked_mse, si_log_mse,
-                      si_mse, stage_losses)
+from .metrics import (DEFAULT_BETAS, StageLossBundle, entropy_reg, ls_scale,
+                      masked_l1_angular, masked_mse, si_log_mse, si_mse,
+                      stage_losses)
 from .optim import FitReport, minimize_monotone
 from .pipeline import DemoConfig, PipelineReport, pipeline_demo
 from .scene import GeneratedScene, SceneSpec, generate_scene, per_pixel_env_maps
@@ -24,8 +24,7 @@ from .sg import (EnvMapGrid, Frame, SGEnvironment, SGFitOptions, SGFitResult,
                  SGLobe, eval_env, fibonacci_hemisphere, rasterize_env,
                  sg_fit, sg_fit_batch, texel_directions, texel_solid_angles)
 from .surface import SurfaceVolume, build_surface_volume
-from .volume import (Bounds, EnvTarget, Ray, RaySamples, VSGFitOptions,
-                     VSGFitResult, VSGVolume, composite_ray, compositing_weights,
-                     extract_env_map, sample_ray, vsg_fit)
+from .volume import (Bounds, EnvTarget, Ray, VSGFitOptions, VSGFitResult,
+                     VSGVolume, composite_ray, extract_env_map, vsg_fit)
 
 __version__ = "0.1.0"

@@ -76,9 +76,10 @@ def half_vectors(v, l) -> tuple[np.ndarray, np.ndarray]:
     return s / np.where(defined, norm, 1.0)[..., None], defined
 
 
-def schlick(cos_vh, f0: float = F0_DEFAULT):
-    """Schlick Fresnel f0 + (1 - f0) (1 - max(v.h, 0))^5, elementwise."""
-    return f0 + (1.0 - f0) * (1.0 - np.maximum(cos_vh, 0.0)) ** 5
+def schlick(cos_vh):
+    """Schlick Fresnel f0 + (1 - f0) (1 - max(v.h, 0))^5 at f0 = ``F0_DEFAULT``,
+    elementwise."""
+    return F0_DEFAULT + (1.0 - F0_DEFAULT) * (1.0 - np.maximum(cos_vh, 0.0)) ** 5
 
 
 def ggx_ndf(ndoth, roughness):
@@ -107,7 +108,7 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def ggx_specular(v: np.ndarray, dirs: np.ndarray, n: np.ndarray,
-                 roughness, f0: float = F0_DEFAULT) -> np.ndarray:
+                 roughness) -> np.ndarray:
     """Microfacet specular BRDF D * F * G / (4 (n.l)(n.v)) over pixels and
     light directions at once.
 
@@ -124,7 +125,7 @@ def ggx_specular(v: np.ndarray, dirs: np.ndarray, n: np.ndarray,
     h = s / np.where(s_norm > 1e-9, s_norm, 1.0)[..., None]
     r = np.asarray(roughness)[:, None]
     d = ggx_ndf(_dot(h, n_row), r)
-    f = schlick(_dot(h, v_row), f0)
+    f = schlick(_dot(h, v_row))
     g = smith_g(ndotv, ndotl, r)
     denom = 4.0 * ndotl * ndotv
     ok = (ndotl > 0.0) & (ndotv > 0.0) & (s_norm > 1e-9) & (denom > 0.0)
@@ -205,7 +206,7 @@ def lobe_mask(intensity, ndotxi):
 
 
 def spec_feature_batch(axes: np.ndarray, intensity: np.ndarray, sharpness: np.ndarray,
-                       n: np.ndarray, v: np.ndarray, f0: float = F0_DEFAULT) -> np.ndarray:
+                       n: np.ndarray, v: np.ndarray) -> np.ndarray:
     """The per-lobe reparameterized specular features of P pixels' SG lobes,
     unit ``axes`` xi (P, L, 3), ``intensity`` eta (P, L, 3) and ``sharpness``
     lambda (P, L), at unit normals ``n`` (P, 3) seen along unit directions
@@ -216,19 +217,18 @@ def spec_feature_batch(axes: np.ndarray, intensity: np.ndarray, sharpness: np.nd
     n, v, xi = n[:, None, None], v[:, :, None], axes[:, None]
     h, defined = half_vectors(v, xi)
     ndotxi = np.vecdot(n, xi)
-    rows = (np.where(defined, schlick(np.vecdot(v, h), f0), 0.0),
+    rows = (np.where(defined, schlick(np.vecdot(v, h)), 0.0),
             np.where(defined, np.vecdot(n, h) ** 2, 0.0), ndotxi, np.vecdot(n, v),
             sharpness[:, None], np.where(defined, lobe_mask(intensity[:, None], ndotxi), 0),
             *np.moveaxis(intensity[:, None], -1, 0))
     return np.stack(np.broadcast_arrays(*rows), axis=-1)
 
 
-def spec_feature_inputs(env: SGEnvironment, n, v,
-                        f0: float = F0_DEFAULT) -> list[SpecFeatureInput]:
+def spec_feature_inputs(env: SGEnvironment, n, v) -> list[SpecFeatureInput]:
     """The per-lobe reparameterized specular features of ``env`` at unit
     normal ``n`` seen along unit ``v``: a batch of one ``spec_feature_batch``."""
     rows = spec_feature_batch(env.axes()[None], env.intensities()[None], env.sharpness()[None],
-                              _as_unit(n)[None], _as_unit(v)[None, None], f0)[0, 0]
+                              _as_unit(n)[None], _as_unit(v)[None, None])[0, 0]
     return [SpecFeatureInput(fresnel=float(r[0]), ndoth_sq=float(r[1]), ndotxi=float(r[2]),
                              ndotv=float(r[3]), sharpness=float(r[4]), mask=int(r[5]),
                              eta=tuple(float(c) for c in r[6:])) for r in rows]

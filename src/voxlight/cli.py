@@ -167,7 +167,7 @@ def cmd_metrics(args):
     if albedo is not None:
         losses.albedo_ref, losses.albedo_pred = gt["albedo"][t], albedo
         report["g3_albedo"] = si_mse(gt["albedo"][t], albedo, mask)
-        report["tau_albedo"] = ls_scale(gt["albedo"][t], albedo, mask).tau
+        report["tau_albedo"] = ls_scale(gt["albedo"][t], albedo, mask)
     rough = read(f"rough_{t}.pfm", "rough")
     if rough is not None:
         losses.rough_ref, losses.rough_pred = gt["rough"][t], rough
@@ -177,14 +177,14 @@ def cmd_metrics(args):
         ha, wa = gt["env"].shape[2:4]
         env = vio.untile_env_maps(env, ha, wa)
         report["g4_lighting"] = si_log_mse(gt["env"], env, mask)
-        report["tau_lighting"] = ls_scale(gt["env"], env, mask).tau
+        report["tau_lighting"] = ls_scale(gt["env"], env, mask)
     alpha = read("alpha.pfm")
     if alpha is not None:
         report["g5_alpha"] = entropy_reg(alpha)
     image = read(f"rerender_{t}.pfm")
     if image is not None:
         report["g3_rerender"] = si_mse(bundle.target.image, image, mask)
-        report["tau_rerender"] = ls_scale(bundle.target.image, image, mask).tau
+        report["tau_rerender"] = ls_scale(bundle.target.image, image, mask)
     # the stage losses whose every input the files supplied
     stages = [stage for stage, fields in _STAGE_FIELDS.items()
               if all(getattr(losses, f) is not None for f in fields)]

@@ -12,6 +12,7 @@ import json
 import math
 import struct
 import zlib
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -120,18 +121,26 @@ def write_png(path, image: np.ndarray, exposure: float = 1.0) -> None:
 # JSON documents: cameras, SG environments, volume headers, scene metadata
 # ---------------------------------------------------------------------------
 
-def _load_json(path, parse):
-    """``parse`` applied to the JSON object in ``path``. Malformed JSON, a missing
-    key or a value of the wrong type raises ValueError naming the file."""
+@contextmanager
+def _naming(path):
+    """Re-raise a KeyError, TypeError or ValueError from the block as a
+    ValueError that names ``path``."""
     try:
-        doc = json.loads(Path(path).read_text())
-        if not isinstance(doc, dict):
-            raise TypeError(f"expected a JSON object, got {type(doc).__name__}")
-        return parse(doc)
+        yield
     except KeyError as exc:
         raise ValueError(f"{path}: missing key {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: {exc}") from exc
+
+
+def _load_json(path, parse):
+    """``parse`` applied to the JSON object in ``path``. Malformed JSON, a missing
+    key or a value of the wrong type raises ValueError naming the file."""
+    with _naming(path):
+        doc = json.loads(Path(path).read_text())
+        if not isinstance(doc, dict):
+            raise TypeError(f"expected a JSON object, got {type(doc).__name__}")
+        return parse(doc)
 
 
 def _integer(value) -> int:
@@ -247,7 +256,8 @@ def _load_sidecar_volume(path: Path, channel_order) -> tuple[np.ndarray, Bounds]
 
 def load_volume(path) -> VSGVolume:
     voxels, bounds = _load_sidecar_volume(Path(path), CHANNEL_ORDER)
-    return VSGVolume(bounds=bounds, voxels=voxels)
+    with _naming(path):
+        return VSGVolume(bounds=bounds, voxels=voxels)
 
 
 # Surface volumes share the header + raw-sidecar format; the 10 channels are
@@ -265,7 +275,8 @@ def load_surface_volume(path):
     data, bounds = _load_sidecar_volume(Path(path), SURFACE_CHANNEL_ORDER)
     # rho is recoverable: the stored normal block is rho * (unit normal)
     rho = np.linalg.norm(data[..., 3:6], axis=-1)
-    return SurfaceVolume(bounds=bounds, data=data, rho=rho)
+    with _naming(path):
+        return SurfaceVolume(bounds=bounds, data=data, rho=rho)
 
 
 # ---------------------------------------------------------------------------
@@ -300,12 +311,9 @@ def save_scene(path, bundle: ViewBundle, gt: dict | None = None) -> None:
     meta = {"num_views": len(bundle.views), "target_index": bundle.target_index}
     if gt:
         for k in range(len(bundle.views)):
-            if "albedo" in gt:
-                write_pfm(path / f"gt_albedo_{k}.pfm", gt["albedo"][k])
-            if "rough" in gt:
-                write_pfm(path / f"gt_rough_{k}.pfm", gt["rough"][k])
-            if "normal" in gt:
-                write_pfm(path / f"gt_normal_{k}.pfm", gt["normal"][k])
+            for key in ("albedo", "rough", "normal"):
+                if key in gt:
+                    write_pfm(path / f"gt_{key}_{k}.pfm", gt[key][k])
         if "env" in gt:  # target view only; large
             envs = gt["env"]
             meta["env_angular"] = [envs.shape[2], envs.shape[3]]
@@ -313,29 +321,56 @@ def save_scene(path, bundle: ViewBundle, gt: dict | None = None) -> None:
     (path / "scene.json").write_text(json.dumps(meta, indent=2))
 
 
+def _read_map(path, shape, valid=None, rule=""):
+    """A PFM of ``shape`` (any gray map if None) that passes ``valid`` if given;
+    otherwise a ValueError names the file."""
+    data = read_pfm(path)
+    with _naming(path):
+        if data.shape != (shape or data.shape[:2]):
+            raise ValueError(f"expected shape {shape or '(H, W)'}, got {data.shape}")
+        if valid is not None and not valid(data):
+            raise ValueError(rule)
+    return data
+
+
+def _scene_meta(m: dict):
+    angular = tuple(_integer(x) for x in m["env_angular"]) if "env_angular" in m else None
+    if angular is not None and (len(angular) != 2 or min(angular) < 1):
+        raise ValueError(f"env_angular must be two positive sizes, got {list(angular)}")
+    return _integer(m["num_views"]), _integer(m["target_index"]), angular
+
+
 def load_scene(path) -> tuple[ViewBundle, dict]:
-    """Read a scene directory back into a bundle and a ground-truth dict."""
+    """Read a scene directory back into a bundle and a ground-truth dict. A
+    malformed file, a map whose shape or values do not fit the scene, or a
+    ground-truth map that some views lack raises ValueError naming a file."""
     path = Path(path)
-    num_views, target_index, env_angular = _load_json(path / "scene.json", lambda m: (
-        _integer(m["num_views"]), _integer(m["target_index"]),
-        tuple(_integer(x) for x in m["env_angular"]) if "env_angular" in m else None))
-    views = []
-    gt: dict = {"albedo": [], "rough": [], "normal": []}
+    num_views, target_index, env_angular = _load_json(path / "scene.json", _scene_meta)
+    views, hw = [], None
     for k in range(num_views):
-        views.append(View(image=read_pfm(path / f"im_{k}.pfm"),
-                          depth=read_pfm(path / f"depth_{k}.pfm"),
-                          confidence=read_pfm(path / f"conf_{k}.pfm"),
+        depth = _read_map(path / f"depth_{k}.pfm", hw, lambda d: np.all(d > 0.0),
+                          "depth values must be positive")
+        hw = depth.shape
+        views.append(View(image=_read_map(path / f"im_{k}.pfm", hw + (3,)), depth=depth,
+                          confidence=_read_map(path / f"conf_{k}.pfm", hw,
+                                               lambda c: np.all((c >= 0.0) & (c <= 1.0)),
+                                               "confidence must lie in [0, 1]"),
                           camera=load_camera(path / f"cam_{k}.json")))
-        for key, stem in (("albedo", "gt_albedo"), ("rough", "gt_rough"),
-                          ("normal", "gt_normal")):
-            f = path / f"{stem}_{k}.pfm"
-            if f.exists():
-                gt[key].append(read_pfm(f))
-    gt = {k: np.stack(v) for k, v in gt.items() if v}
+    with _naming(path / "scene.json"):  # num_views or target_index out of range
+        bundle = ViewBundle(views=views, target_index=target_index)
+    gt: dict = {}
+    for key, shape in (("albedo", hw + (3,)), ("rough", hw), ("normal", hw + (3,))):
+        files = [path / f"gt_{key}_{k}.pfm" for k in range(num_views)]
+        present = [f.exists() for f in files]
+        if any(present) and not all(present):
+            raise ValueError(f"{files[present.index(False)]}: missing, but "
+                             f"{files[present.index(True)].name} exists")
+        if all(present):
+            gt[key] = np.stack([_read_map(f, shape) for f in files])
     env_file = path / "gt_env_target.pfm"
     if env_file.exists():
         if env_angular is None:
             raise ValueError(f"{path / 'scene.json'}: missing key 'env_angular'")
-        gt["env"] = untile_env_maps(read_pfm(env_file), *env_angular)
-    bundle = ViewBundle(views=views, target_index=target_index)
+        ha, wa = env_angular
+        gt["env"] = untile_env_maps(_read_map(env_file, (hw[0] * ha, hw[1] * wa, 3)), ha, wa)
     return bundle, gt

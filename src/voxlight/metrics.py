@@ -11,14 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
-
-
-class ScaleFit(NamedTuple):
-    tau: float
-    degenerate: bool
 
 
 # default (beta1, beta2[, beta3]) per training stage
@@ -68,11 +62,11 @@ def _weighted_product(out, w, x, y):
     np.multiply(out, y, out=out)
 
 
-def ls_scale(a, b, mask=None) -> ScaleFit:
+def ls_scale(a, b, mask=None) -> float:
     """Least-squares scale tau minimizing ||(a - tau * b) * mask||^2.
 
-    tau = sum(a * b) / sum(b * b) over masked elements. A masked ``b`` that
-    is identically zero is flagged degenerate and yields tau = 0.
+    tau = sum(a * b) / sum(b * b) over masked elements; a masked ``b`` that
+    is identically zero yields tau = 0.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -81,9 +75,8 @@ def ls_scale(a, b, mask=None) -> ScaleFit:
     w = _mask_weights(a, mask)
     sbb = _blockwise_sum(_weighted_product, w, b, b)
     if sbb == 0.0:
-        return ScaleFit(tau=0.0, degenerate=True)
-    return ScaleFit(tau=_blockwise_sum(_weighted_product, w, a, b) / sbb,
-                    degenerate=False)
+        return 0.0
+    return _blockwise_sum(_weighted_product, w, a, b) / sbb
 
 
 def masked_l1_angular(a, b, mask=None) -> float:
@@ -120,7 +113,7 @@ def masked_mse(a, b, mask=None) -> float:
 
 def si_mse(a, b, mask=None) -> float:
     """g3: masked MSE after scaling ``b`` by the least-squares tau."""
-    tau = ls_scale(a, b, mask).tau
+    tau = ls_scale(a, b, mask)
     return masked_mse(a, tau * np.asarray(b, dtype=np.float64), mask)
 
 
@@ -132,7 +125,7 @@ def si_log_mse(a, b, mask=None) -> float:
     # min, not any(a < 0): no boolean array of a's size; nan passes both
     if a.size and (a.min() < 0.0 or b.min() < 0.0):
         raise ValueError("log-space MSE requires nonnegative inputs")
-    tau = ls_scale(a, b, mask).tau
+    tau = ls_scale(a, b, mask)
     w = _mask_weights(a, mask)
     count = float(w.sum())
     if count == 0.0:
@@ -212,12 +205,13 @@ def rerender_residual(bundle: StageLossBundle, mask=None) -> tuple[float, float,
     """Weighted multi-view re-render term and its (tau_diff, tau_spec).
 
     The two scales are fit jointly against the target-view image I: they
-    minimize the masked ||I - tau_diff * d - tau_spec * s||^2, with d the
-    diffuse render and s the target view's specular render, by the 2x2
-    normal equations. When those are singular (d or s masked to zero, or d
-    and s collinear) each scale is fit alone by ``ls_scale``. The residual
-    is sum_k w_k^2 * masked mean of
-    (I_k - tau_diff * diffuse - tau_spec * specular_k)^2.
+    minimize the masked ||I - tau_diff * d - tau_spec * s||^2 over
+    nonnegative scales, with d the diffuse render and s the target view's
+    specular render, by the 2x2 normal equations; where those give a
+    negative scale, the convex problem's constrained minimum is the better
+    one-scale fit. When they are singular (d or s masked to zero, or d and
+    s collinear) each scale is fit alone by ``ls_scale``. The residual is
+    sum_k w_k^2 * masked mean of (I_k - tau_diff * diffuse - tau_spec * specular_k)^2.
     """
     target = bundle.images[bundle.target_index]
     d = np.asarray(bundle.diffuse_render, dtype=np.float64)
@@ -230,9 +224,14 @@ def rerender_residual(bundle: StageLossBundle, mask=None) -> tuple[float, float,
     det = dd * ss - ds * ds
     if det > _SINGULAR_RTOL * dd * ss:
         tau_diff, tau_spec = (ss * di - ds * si) / det, (dd * si - ds * di) / det
+        if tau_diff < 0.0 or tau_spec < 0.0:
+            # the one-scale fit t = max(x.I, 0) / x.x removes t^2 * x.x
+            di, si = max(di, 0.0), max(si, 0.0)
+            tau_diff, tau_spec = ((di / dd, 0.0) if di * di / dd >= si * si / ss
+                                  else (0.0, si / ss))
     else:
-        tau_diff = ls_scale(target, d, mask).tau
-        tau_spec = ls_scale(target, s, mask).tau
+        tau_diff = ls_scale(target, d, mask)
+        tau_spec = ls_scale(target, s, mask)
     total = 0.0
     for k in range(bundle.images.shape[0]):
         residual = (bundle.images[k] - tau_diff * bundle.diffuse_render

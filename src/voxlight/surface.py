@@ -67,17 +67,15 @@ def build_surface_volume(image: np.ndarray, normal: np.ndarray, albedo: np.ndarr
     uu = np.where(valid, u, 0.0)
     vv = np.where(valid, v, 0.0)
 
-    img = bilinear_sample(image, uu, vv)
-    nrm = bilinear_sample(normal, uu, vv)
-    alb = bilinear_sample(albedo, uu, vv)
-    rgh = bilinear_sample(roughness, uu, vv)
-    dpt = bilinear_sample(depth, uu, vv)
-    cnf = bilinear_sample(confidence, uu, vv)
+    # bilinear weights act per channel: each map keeps the bits of a lone sample
+    maps = np.concatenate([image, normal, albedo, roughness[..., None],
+                           depth[..., None], confidence[..., None]], axis=-1)
+    samples = bilinear_sample(maps, uu, vv)
+    dpt, cnf = samples[:, SURFACE_CHANNELS], samples[:, SURFACE_CHANNELS + 1]
 
     rho = np.exp(-cnf * np.square(z - dpt))
     rho = np.where(valid, rho, 0.0)
-    record = np.concatenate([img, nrm, alb, rgh[:, None]], axis=-1)
-    record *= rho[:, None]
+    record = samples[:, :SURFACE_CHANNELS] * rho[:, None]
     record[~valid] = 0.0
 
     return SurfaceVolume(bounds=bounds,

@@ -1,5 +1,5 @@
 """Volumetric spherical-Gaussian lighting: voxel grids of (opacity + SG),
-ray sampling with alpha compositing, per-point environment-map extraction,
+ray marching with alpha compositing, per-point environment-map extraction,
 and gradient-based volume fitting.
 
 Voxels live on a center-aligned lattice inside an axis-aligned box; samples
@@ -132,25 +132,6 @@ class VSGVolume:
         return VSGVolume(bounds=bounds, voxels=voxels)
 
 
-@dataclass
-class RaySamples:
-    """Per-sample interpolated channels along one ray (may be empty)."""
-
-    t: np.ndarray          # (M,) ray parameters, meters
-    alpha: np.ndarray      # (M,)
-    axis: np.ndarray       # (M, 3) unit axes; (0, 0, 1) where the interpolation vanishes
-    sharpness: np.ndarray  # (M,)
-    intensity: np.ndarray  # (M, 3)
-
-    def __len__(self) -> int:
-        return self.t.shape[0]
-
-    @staticmethod
-    def empty() -> "RaySamples":
-        return RaySamples(t=np.empty(0), alpha=np.empty(0), axis=np.empty((0, 3)),
-                          sharpness=np.empty(0), intensity=np.empty((0, 3)))
-
-
 def _clip_rays(bounds: Bounds, origins: np.ndarray, directions: np.ndarray,
                t_max: float):
     """Parametric [t_near, t_far) of rays inside ``bounds`` and a hit mask,
@@ -262,30 +243,6 @@ def _composite(interp: np.ndarray, directions: np.ndarray):
     # pairwise
     rendered = np.cumsum(contrib, axis=-1)[..., -1].T
     return rendered, (axis, nd, live, safe, dots, expo, emit, trans, excl, wgt, contrib)
-
-
-def sample_ray(volume: VSGVolume, ray: Ray, n_samples: int) -> RaySamples:
-    """Interpolated volume channels at equally spaced points along the ray
-    segment clipped to the volume bounds. A ray that misses the bounds
-    yields an empty record (its radiance is zero)."""
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    d = ray.direction[None]
-    ts, hit, stencil = _ray_stencil(volume, ray.origin[None], d, ray.t_max, n_samples)
-    if not hit[0]:
-        return RaySamples.empty()
-    interp = _trilinear(_channel_table(volume), stencil).reshape(8, 1, n_samples)
-    np.minimum(interp[0], 1.0, out=interp[0])
-    axis = _composite(interp, d)[1][0]
-    return RaySamples(t=ts[0], alpha=interp[0, 0], axis=axis[:, 0].T,
-                      sharpness=interp[4, 0], intensity=interp[5:8, 0].T)
-
-
-def compositing_weights(alpha: np.ndarray) -> np.ndarray:
-    """Front-to-back weights w_n = prod_{m<n}(1 - alpha_m) * alpha_n, with
-    the samples n along the first axis of ``alpha``."""
-    alpha = np.moveaxis(np.asarray(alpha, dtype=np.float64), 0, -1)
-    return np.moveaxis(_front_to_back(alpha)[2], -1, 0)
 
 
 def composite_ray(volume: VSGVolume, ray: Ray, n_samples: int) -> np.ndarray:
@@ -411,7 +368,6 @@ class VSGFitProblem:
         origin_list, dir_list, self.slices, self.target_flat = [], [], [], []
         start = 0
         for target in targets:
-            target = target if isinstance(target, EnvTarget) else EnvTarget(*target)
             grid = target.grid
             origins, dirs = _env_rays(template, target.point, target.frame,
                                       grid.height, grid.width)
@@ -593,8 +549,7 @@ def vsg_fit(targets, dims, bounds: Bounds,
     """Fit a VSG volume to hemispherical env-map targets by monotone gradient
     descent through the compositing chain.
 
-    ``targets`` is a sequence of EnvTarget (or (point, frame, EnvMapGrid)
-    tuples). The objective (``vsg_fit_objective``) is 10 * g4 per target plus
+    ``targets`` is a sequence of EnvTarget. The objective (``vsg_fit_objective``) is 10 * g4 per target plus
     1e-2 times the opacity entropy, which pushes alpha toward {0, 1}. A run that
     fails to improve on the initialization is returned with
     ``report.converged`` False.

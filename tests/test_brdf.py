@@ -63,16 +63,16 @@ class TestHalfVector:
 class TestFresnel:
     def test_aligned_returns_f0(self):
         v = unit([0.0, 0.0, 1.0])
-        assert schlick(v @ v, 0.05) == 0.05
+        assert schlick(v @ v) == F0_DEFAULT == 0.05
 
     def test_grazing_limit(self):
-        assert abs(schlick(np.array([0, 0, 1.0]) @ [1.0, 0, 0], 0.05) - 1.0) <= 1e-12
+        assert abs(schlick(np.array([0, 0, 1.0]) @ [1.0, 0, 0]) - 1.0) <= 1e-12
 
     def test_half_angle_analytic(self):
         # v.h = 0.5 -> f0 + (1 - f0) * 0.5^5
         v = np.array([0.0, 0.0, 1.0])
         h = unit([math.sqrt(3) / 2, 0.0, 0.5])
-        assert abs(schlick(v @ h, 0.05) - 0.0796875) <= 1e-12
+        assert abs(schlick(v @ h) - 0.0796875) <= 1e-12
 
 
 class TestSpecularBrdf:
@@ -111,8 +111,7 @@ class TestSpecularBrdf:
         r = np.sqrt(1.0 - z * z)
         dirs = np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=-1)
         v = unit([0.4, 0.0, 0.9])
-        brdf = ggx_specular(v[None], dirs[None], NORMAL[None],
-                            np.array([roughness]), F0_DEFAULT)[0]
+        brdf = ggx_specular(v[None], dirs[None], NORMAL[None], np.array([roughness]))[0]
         integral = float(np.mean(brdf * z) * 2 * math.pi)  # uniform pdf 1/(2 pi)
         assert integral <= 1.0
 
@@ -202,8 +201,7 @@ class TestRenderSpecular:
         phi = rng.uniform(0.0, 2 * math.pi, n)
         r = np.sqrt(1.0 - z * z)
         dirs = np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=-1)
-        brdf = ggx_specular(v[None], dirs[None], NORMAL[None], np.array([1.0]),
-                            F0_DEFAULT)[0]
+        brdf = ggx_specular(v[None], dirs[None], NORMAL[None], np.array([1.0]))[0]
         mc = float(np.mean(brdf * z) * 2 * math.pi)
         assert abs(quad[0] - mc) / mc <= 0.03
 
@@ -442,7 +440,7 @@ class TestGGXCore:
             dirs = random_units(rng, (p, t))
             rough = rng.uniform(0.02, 1.0, p)
             want = old_specular_batch_many(v, dirs, n, rough, F0_DEFAULT)
-            got = ggx_specular(v, dirs, n, rough, F0_DEFAULT)
+            got = ggx_specular(v, dirs, n, rough)
             assert got.tobytes() == want.tobytes()
 
     def test_render_images_bitwise_with_frozen_path(self, monkeypatch):

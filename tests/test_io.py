@@ -325,3 +325,68 @@ class TestJsonIntegers:
         bundle, gt = load()
         assert len(bundle.views) == 2 and bundle.target_index == 1
         assert gt["env"].shape == (3, 4, 2, 4, 3)
+
+
+def _scene_with_gt(root):
+    """A two-view 3 x 4 scene with every ground-truth map, written to ``root``."""
+    cam = Camera(fx=30.0, fy=30.0, cx=1.5, cy=1.0, rotation=np.eye(3),
+                 translation=np.zeros(3))
+    views = [View(image=np.full((3, 4, 3), 0.5), depth=np.ones((3, 4)),
+                  confidence=np.ones((3, 4)), camera=cam) for _ in range(2)]
+    vio.save_scene(root, ViewBundle(views=views, target_index=1),
+                   {"albedo": np.full((2, 3, 4, 3), 0.5), "rough": np.full((2, 3, 4), 0.5),
+                    "normal": np.broadcast_to([0.0, 0.0, -1.0], (2, 3, 4, 3)),
+                    "env": np.ones((3, 4, 2, 4, 3))})
+
+
+def _set_meta(root, **fields):
+    doc = json.loads((root / "scene.json").read_text())
+    doc.update(fields)
+    (root / "scene.json").write_text(json.dumps(doc))
+
+
+# (malformed file, how to break it): each must fail naming that file
+MALFORMED_SCENES = {
+    "env_row_too_tall": ("gt_env_target.pfm", lambda root: vio.write_pfm(
+        root / "gt_env_target.pfm", np.ones((3 * 2 + 1, 4 * 4, 3)))),
+    "env_gray": ("gt_env_target.pfm", lambda root: vio.write_pfm(
+        root / "gt_env_target.pfm", np.ones((3 * 2, 4 * 4)))),
+    "env_angular_zero": ("scene.json", lambda root: _set_meta(root, env_angular=[0, 4])),
+    "env_angular_three": ("scene.json", lambda root: _set_meta(root, env_angular=[2, 4, 1])),
+    "no_views": ("scene.json", lambda root: _set_meta(root, num_views=0)),
+    "target_out_of_range": ("scene.json", lambda root: _set_meta(root, target_index=5)),
+    "zero_depth": ("depth_1.pfm", lambda root: vio.write_pfm(
+        root / "depth_1.pfm", np.where(np.eye(3, 4) == 1.0, 0.0, 1.0))),
+    "depth_size": ("depth_1.pfm", lambda root: vio.write_pfm(
+        root / "depth_1.pfm", np.ones((3, 5)))),
+    "image_size": ("im_1.pfm", lambda root: vio.write_pfm(root / "im_1.pfm",
+                                                          np.ones((4, 4, 3)))),
+    "gt_albedo_size": ("gt_albedo_1.pfm", lambda root: vio.write_pfm(
+        root / "gt_albedo_1.pfm", np.ones((3, 4)))),
+    "confidence_above_one": ("conf_0.pfm", lambda root: vio.write_pfm(
+        root / "conf_0.pfm", np.full((3, 4), 2.0))),
+    "gt_normal_missing": ("gt_normal_1.pfm", lambda root: (root / "gt_normal_1.pfm").unlink()),
+    "gt_rough_missing_first": ("gt_rough_0.pfm", lambda root: (root / "gt_rough_0.pfm").unlink()),
+}
+
+
+class TestMalformedScenes:
+    @pytest.mark.parametrize("case", sorted(MALFORMED_SCENES))
+    def test_error_names_the_file(self, tmp_path, case):
+        root = tmp_path / "scene"
+        _scene_with_gt(root)
+        vio.load_scene(root)   # the well-formed scene reads
+        name, corrupt = MALFORMED_SCENES[case]
+        corrupt(root)
+        with pytest.raises(ValueError, match=re.escape(str(root / name)) + ": "):
+            vio.load_scene(root)
+
+    def test_volume_opacity_names_the_file(self, tmp_path):
+        path = tmp_path / "vol.json"
+        vio.save_volume(path, VSGVolume(bounds=Bounds(lo=np.zeros(3), hi=np.ones(3)),
+                                        voxels=np.zeros((2, 3, 1, 7))))
+        voxels = np.zeros((2, 3, 1, 7), dtype="<f4")
+        voxels[1, 2, 0, 0] = 1.5
+        path.with_suffix(".bin").write_bytes(voxels.tobytes())
+        with pytest.raises(ValueError, match=re.escape(str(path)) + ": opacity"):
+            vio.load_volume(path)

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from voxlight.geometry import Camera
-from voxlight.surface import build_surface_volume
+from voxlight.geometry import Camera, bilinear_sample
+from voxlight.surface import SurfaceVolume, build_surface_volume
 from voxlight.volume import Bounds
 
 
@@ -19,6 +19,60 @@ def plane_inputs(h=24, w=32, depth_value=2.0, confidence=1.0):
     depth = np.full((h, w), depth_value)
     conf = np.full((h, w), confidence)
     return image, normal, albedo, rough, depth, conf, cam
+
+
+def frozen_build_surface_volume(image, normal, albedo, roughness, depth, confidence,
+                                camera, dims, bounds):
+    """Frozen copy of ``build_surface_volume`` when it sampled each of the six
+    maps on its own."""
+    h, w = depth.shape
+    axes = [bounds.lo[a] + (np.arange(dims[a]) + 0.5) * (bounds.extent[a] / dims[a])
+            for a in range(3)]
+    centers = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    u, v, z = camera.project(centers.reshape(-1, 3))
+    valid = (z > 0.0) & (u >= 0.0) & (u <= w - 1.0) & (v >= 0.0) & (v <= h - 1.0)
+    uu = np.where(valid, u, 0.0)
+    vv = np.where(valid, v, 0.0)
+    img = bilinear_sample(image, uu, vv)
+    nrm = bilinear_sample(normal, uu, vv)
+    alb = bilinear_sample(albedo, uu, vv)
+    rgh = bilinear_sample(roughness, uu, vv)
+    dpt = bilinear_sample(depth, uu, vv)
+    cnf = bilinear_sample(confidence, uu, vv)
+    rho = np.exp(-cnf * np.square(z - dpt))
+    rho = np.where(valid, rho, 0.0)
+    record = np.concatenate([img, nrm, alb, rgh[:, None]], axis=-1)
+    record *= rho[:, None]
+    record[~valid] = 0.0
+    return SurfaceVolume(bounds=bounds, data=record.reshape(tuple(dims) + (10,)),
+                         rho=rho.reshape(dims))
+
+
+class TestOneSampleBitwise:
+    @pytest.mark.parametrize("dims", [(6, 5, 7), (7, 5, 1), (1, 6, 4), (1, 1, 1)])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_equals_frozen_six_sample_copy(self, dims, dtype):
+        rng = np.random.default_rng(31)
+        h, w = 9, 13
+        rotation = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+        rotation *= np.linalg.det(rotation)
+        cam = Camera(fx=11.0, fy=12.0, cx=6.3, cy=3.8, rotation=rotation,
+                     translation=rng.normal(size=3))
+        normal = rng.normal(size=(h, w, 3))
+        maps = [rng.uniform(0.0, 3.0, (h, w, 3)), normal / np.linalg.norm(
+                    normal, axis=-1, keepdims=True),
+                rng.uniform(0.0, 1.0, (h, w, 3)), rng.uniform(0.0, 1.0, (h, w)),
+                rng.uniform(0.5, 4.0, (h, w)), rng.uniform(0.0, 1.0, (h, w))]
+        maps = [m.astype(dtype) for m in maps]
+        # a box around the camera: voxels behind it, outside the frame and seen
+        bounds = Bounds(lo=cam.center - 4.0, hi=cam.center + 4.0)
+        got = build_surface_volume(*maps, cam, dims, bounds)
+        want = frozen_build_surface_volume(*maps, cam, dims, bounds)
+        seen = want.rho > 0.0
+        if dims == (6, 5, 7):
+            assert 0 < seen.sum() < seen.size
+        assert got.data.tobytes() == want.data.tobytes()
+        assert got.rho.tobytes() == want.rho.tobytes()
 
 
 class TestBuildSurfaceVolume:

@@ -11,12 +11,11 @@ from voxlight.optim import minimize_monotone
 from voxlight.sg import EnvMapGrid, Frame, texel_directions
 from voxlight.volume import (_CHUNK_SAMPLES, Bounds, EnvTarget, Ray,
                              VSGFitOptions, VSGFitProblem, VSGVolume,
+                             _channel_table, _composite, _front_to_back,
                              _g4_and_grad, _initial_params, _params_to_volume,
-                             _stencil,
-                             composite_ray,
-                             composite_rays, compositing_weights, env_offset,
-                             extract_env_map, sample_ray, vsg_fit,
-                             vsg_fit_objective)
+                             _ray_stencil, _stencil, _trilinear,
+                             composite_ray, composite_rays, env_offset,
+                             extract_env_map, vsg_fit, vsg_fit_objective)
 
 BOUNDS = Bounds(lo=np.zeros(3), hi=np.full(3, 2.0))
 FRAME = Frame.from_normal([0.0, 0.0, 1.0])
@@ -53,32 +52,52 @@ class TestTypes:
             Ray(origin=np.zeros(3), direction=np.array([1.0, 0.0, 0.0]), t_max=0.0)
 
 
+def march(volume: VSGVolume, ray: Ray, n_samples: int):
+    """The march ``composite_rays`` runs, on one ray: its sample parameters
+    t (N,), whether it hits the box, the interpolated channels (8, N) with
+    alpha capped at 1, and the unit axes (N, 3) that ``_composite`` emits
+    about."""
+    d = ray.direction[None]
+    ts, hit, stencil = _ray_stencil(volume, ray.origin[None], d, ray.t_max, n_samples)
+    interp = _trilinear(_channel_table(volume), stencil).reshape(8, 1, n_samples)
+    np.minimum(interp[0], 1.0, out=interp[0])
+    axis = _composite(interp, d)[1][0]
+    return ts[0], bool(hit[0]), interp[:, 0], axis[:, 0].T
+
+
+def front_to_back_weights(alpha) -> np.ndarray:
+    """Front-to-back weights prod_{m<n}(1 - alpha_m) * alpha_n of samples n."""
+    return _front_to_back(np.asarray(alpha, dtype=np.float64))[2]
+
+
 class TestSampleRay:
     def test_miss_returns_empty(self):
         vol = VSGVolume.uniform((4, 4, 4), BOUNDS, alpha=0.5)
         ray = Ray(origin=[5.0, 5.0, 5.0], direction=[1.0, 0.0, 0.0], t_max=10.0)
-        assert len(sample_ray(vol, ray, 16)) == 0
+        _, hit, interp, _ = march(vol, ray, 16)
+        assert not hit
+        np.testing.assert_array_equal(interp, 0.0)
 
     def test_uniform_volume_constant_samples(self):
         vol = VSGVolume.uniform((4, 4, 4), BOUNDS, alpha=0.3, axis_theta=0.4,
                                 axis_phi=0.9, sharpness=2.0, intensity=(1, 2, 3))
         ray = Ray(origin=[-1.0, 1.0, 1.0], direction=[1.0, 0.0, 0.0], t_max=10.0)
-        s = sample_ray(vol, ray, 32)
-        assert len(s) == 32
-        np.testing.assert_allclose(s.alpha, 0.3, rtol=1e-12)
-        np.testing.assert_allclose(s.sharpness, 2.0, rtol=1e-12)
-        np.testing.assert_allclose(s.intensity, np.tile([1, 2, 3], (32, 1)),
+        ts, hit, interp, axis = march(vol, ray, 32)
+        assert hit and ts.shape == (32,)
+        np.testing.assert_allclose(interp[0], 0.3, rtol=1e-12)
+        np.testing.assert_allclose(interp[4], 2.0, rtol=1e-12)
+        np.testing.assert_allclose(interp[5:8].T, np.tile([1, 2, 3], (32, 1)),
                                    rtol=1e-12)
-        np.testing.assert_allclose(np.linalg.norm(s.axis, axis=-1), 1.0, atol=1e-12)
+        np.testing.assert_allclose(np.linalg.norm(axis, axis=-1), 1.0, atol=1e-12)
 
     def test_midpoint_interpolation(self):
         vox = np.zeros((2, 2, 2, 7))
         vox[1, :, :, 0] = 1.0  # opaque on the +x half
         vol = VSGVolume(bounds=BOUNDS, voxels=vox)
         ray = Ray(origin=[-1.0, 1.0, 1.0], direction=[1.0, 0.0, 0.0], t_max=10.0)
-        s = sample_ray(vol, ray, 101)
-        assert abs(s.t[50] - 2.0) < 1e-12  # volume center
-        assert abs(s.alpha[50] - 0.5) < 1e-12
+        ts, _, interp, _ = march(vol, ray, 101)
+        assert abs(ts[50] - 2.0) < 1e-12  # volume center
+        assert abs(interp[0, 50] - 0.5) < 1e-12
 
 
 class TestCompositing:
@@ -96,7 +115,7 @@ class TestCompositing:
 
     def test_two_sample_analytic_case(self):
         # direct check of the weights formula on a two-sample alpha profile
-        w = compositing_weights(np.array([0.5, 0.5]))
+        w = front_to_back_weights([0.5, 0.5])
         np.testing.assert_allclose(w, [0.5, 0.25], atol=1e-15)
         c1, c2 = np.array([1.0, 2.0, 3.0]), np.array([2.0, 0.5, 1.0])
         out = w[0] * c1 + w[1] * c2
@@ -106,7 +125,7 @@ class TestCompositing:
         rng = np.random.default_rng(8)
         for _ in range(50):
             alpha = rng.uniform(0.0, 1.0, 64)
-            w = compositing_weights(alpha)
+            w = front_to_back_weights(alpha)
             assert np.all(w >= 0.0) and np.all(w <= 1.0)
             assert w.sum() <= 1.0 + 1e-9
 
@@ -146,7 +165,7 @@ class TestCompositing:
             np.testing.assert_array_equal(batch[i], single)
 
     def test_composite_matches_sample_based_formula(self):
-        # independent evaluation of the compositing sum from sample_ray
+        # independent evaluation of the compositing sum from the ray's samples
         rng = np.random.default_rng(22)
         vol = random_volume(rng, (6, 6, 6))
         for _ in range(10):
@@ -154,10 +173,10 @@ class TestCompositing:
             d = rng.normal(size=3)
             d /= np.linalg.norm(d)
             ray = Ray(origin=origin, direction=d, t_max=5.0)
-            s = sample_ray(vol, ray, 32)
-            dots = s.axis @ (-d)
-            emit = s.intensity * np.exp(s.sharpness * (dots - 1.0))[:, None]
-            expected = compositing_weights(s.alpha) @ emit
+            _, _, interp, axis = march(vol, ray, 32)
+            dots = axis @ (-d)
+            emit = interp[5:8].T * np.exp(interp[4] * (dots - 1.0))[:, None]
+            expected = front_to_back_weights(interp[0]) @ emit
             np.testing.assert_allclose(composite_ray(vol, ray, 32), expected,
                                        rtol=0, atol=1e-12)
 
@@ -784,6 +803,6 @@ class TestStencilProperties:
     @settings(max_examples=60, deadline=None)
     @given(alpha=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=64))
     def test_compositing_weights_sum_at_most_one(self, alpha):
-        w = compositing_weights(np.array(alpha))
+        w = front_to_back_weights(alpha)
         assert np.all(w >= 0.0)
         assert w.sum() <= 1.0 + 1e-12
