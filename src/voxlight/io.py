@@ -321,15 +321,11 @@ def save_scene(path, bundle: ViewBundle, gt: dict | None = None) -> None:
     (path / "scene.json").write_text(json.dumps(meta, indent=2))
 
 
-def _read_map(path, shape, valid=None, rule=""):
-    """A PFM of ``shape`` (any gray map if None) that passes ``valid`` if given;
-    otherwise a ValueError names the file."""
+def _read_map(path, shape) -> np.ndarray:
+    """A PFM of ``shape`` (any gray map if None); otherwise a ValueError names it."""
     data = read_pfm(path)
-    with _naming(path):
-        if data.shape != (shape or data.shape[:2]):
-            raise ValueError(f"expected shape {shape or '(H, W)'}, got {data.shape}")
-        if valid is not None and not valid(data):
-            raise ValueError(rule)
+    if data.shape != (shape or data.shape[:2]):
+        raise ValueError(f"{path}: expected shape {shape or '(H, W)'}, got {data.shape}")
     return data
 
 
@@ -348,14 +344,13 @@ def load_scene(path) -> tuple[ViewBundle, dict]:
     num_views, target_index, env_angular = _load_json(path / "scene.json", _scene_meta)
     views, hw = [], None
     for k in range(num_views):
-        depth = _read_map(path / f"depth_{k}.pfm", hw, lambda d: np.all(d > 0.0),
-                          "depth values must be positive")
+        files = [path / f"{stem}_{k}.pfm" for stem in ("depth", "im", "conf")]
+        depth = _read_map(files[0], hw)
         hw = depth.shape
-        views.append(View(image=_read_map(path / f"im_{k}.pfm", hw + (3,)), depth=depth,
-                          confidence=_read_map(path / f"conf_{k}.pfm", hw,
-                                               lambda c: np.all((c >= 0.0) & (c <= 1.0)),
-                                               "confidence must lie in [0, 1]"),
-                          camera=load_camera(path / f"cam_{k}.json")))
+        image, conf = _read_map(files[1], hw + (3,)), _read_map(files[2], hw)
+        camera = load_camera(path / f"cam_{k}.json")
+        with _naming(f"{files[0]}, {files[2]}"):  # View checks their values
+            views.append(View(image=image, depth=depth, confidence=conf, camera=camera))
     with _naming(path / "scene.json"):  # num_views or target_index out of range
         bundle = ViewBundle(views=views, target_index=target_index)
     gt: dict = {}

@@ -378,7 +378,7 @@ class TestMalformedScenes:
         vio.load_scene(root)   # the well-formed scene reads
         name, corrupt = MALFORMED_SCENES[case]
         corrupt(root)
-        with pytest.raises(ValueError, match=re.escape(str(root / name)) + ": "):
+        with pytest.raises(ValueError, match=re.escape(str(root / name))):
             vio.load_scene(root)
 
     def test_volume_opacity_names_the_file(self, tmp_path):

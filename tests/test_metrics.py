@@ -465,14 +465,16 @@ class TestJointRerenderScales:
             residual = images[0] - (tau_diff + dd) * diffuse - (tau_spec + ds) * spec[0]
             assert best <= masked_mse(residual, np.zeros_like(residual), mask)
 
-    @pytest.mark.parametrize("c_diff, c_spec", [(1.0, -0.4), (-0.4, 1.0)])
-    def test_scales_stay_nonnegative(self, c_diff, c_spec):
-        # I = c_diff d + c_spec s + 0.5: the unconstrained joint fit gives one
-        # negative scale, which would subtract that render's light
+    @pytest.mark.parametrize("c_diff, c_spec, offset",
+                             [(1.0, -0.4, 0.5), (-0.4, 1.0, 0.5), (-1.0, 0.3, -0.5)])
+    def test_scales_stay_nonnegative(self, c_diff, c_spec, offset):
+        # I = c_diff d + c_spec s + offset: the unconstrained joint fit gives a
+        # negative scale, which would subtract that render's light; in the
+        # last case I is negative, so both one-scale fits clamp to 0
         rng = np.random.default_rng(25)
         diffuse = rng.uniform(0.5, 1.0, (6, 8, 3))
         spec = rng.uniform(0.5, 1.0, (1, 6, 8, 3))
-        images = (c_diff * diffuse + c_spec * spec[0] + 0.5)[None]
+        images = (c_diff * diffuse + c_spec * spec[0] + offset)[None]
         mask = (rng.random((6, 8)) > 0.3).astype(float)
         seen = np.repeat(mask[..., None] == 1.0, 3, axis=-1)
         joint = np.linalg.lstsq(np.stack([diffuse[seen], spec[0][seen]], axis=-1),
