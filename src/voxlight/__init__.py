@@ -11,11 +11,11 @@ from .brdf import (F0_DEFAULT, MaterialSample, SpecFeatureInput, lobe_mask, rend
                    render_specular, rerender_pixel, spec_feature_batch, spec_feature_inputs)
 from .geometry import (Camera, Reprojection, View, ViewBundle, bilinear_sample,
                        depth_to_normal, multiview_weights, projection_error,
-                       reproject)
+                       reproject, sample_view)
 from .insertion import (DiffuseMaterial, InsertedSphere, MirrorMaterial, insert_object,
                         shade_sphere_pixel)
-from .metrics import (DEFAULT_BETAS, StageLossBundle, entropy_reg, ls_scale,
-                      masked_l1_angular, masked_mse, si_log_mse, si_mse,
+from .metrics import (DEFAULT_BETAS, StageLossBundle, brdf_loss, entropy_reg, ls_scale,
+                      masked_l1_angular, masked_mse, normal_loss, si_log_mse, si_mse,
                       stage_losses)
 from .optim import FitReport, minimize_monotone
 from .pipeline import DemoConfig, PipelineReport, pipeline_demo

@@ -17,9 +17,8 @@ import numpy as np
 
 from . import io as vio
 from .insertion import DiffuseMaterial, InsertedSphere, MirrorMaterial, insert_object
-from .metrics import (_STAGE_FIELDS, StageLossBundle, entropy_reg, ls_scale,
-                      masked_l1_angular, masked_mse, si_log_mse, si_mse,
-                      stage_losses)
+from .metrics import (brdf_loss, entropy_reg, ls_scale, masked_l1_angular,
+                      masked_mse, normal_loss, si_log_mse, si_mse)
 from .pipeline import DemoConfig, _vsg_targets, pipeline_demo
 from .scene import SceneSpec, generate_scene, render_images
 from .sg import EnvMapGrid, Frame, SGFitOptions, sg_fit
@@ -148,47 +147,49 @@ def cmd_insert(args):
 def cmd_metrics(args):
     bundle, gt = vio.load_scene(args.scene)
     t = bundle.target_index
+    hw = bundle.target.depth.shape
 
-    def read(name, gt_key=None):
+    def read(name, shape, gt_key=None):
         path = Path(args.pred) / name
         found = path.exists() and (gt_key is None or gt_key in gt)
-        return vio.read_pfm(path) if found else None
+        return vio.read_map(path, shape) if found else None
 
-    mask = read("mask.pfm")
-    mask = np.ones(bundle.target.depth.shape) if mask is None else mask
-    losses = StageLossBundle(mask_light=mask, mask_object=mask)
+    mask = read("mask.pfm", hw)
+    if mask is None:
+        mask = np.ones(hw)
+    elif not np.all((mask == 0.0) | (mask == 1.0)):
+        raise ValueError(f"{Path(args.pred) / 'mask.pfm'}: mask must be binary")
     report = {}
-    normal = read(f"normal_{t}.pfm", "normal")
+    normal = read(f"normal_{t}.pfm", hw + (3,), "normal")
     if normal is not None:
-        losses.normal_ref, losses.normal_pred = gt["normal"][t], normal
         report["g1_normal"] = masked_l1_angular(gt["normal"][t], normal, mask)
         report["g2_normal"] = masked_mse(gt["normal"][t], normal, mask)
-    albedo = read(f"albedo_{t}.pfm", "albedo")
+    albedo = read(f"albedo_{t}.pfm", hw + (3,), "albedo")
     if albedo is not None:
-        losses.albedo_ref, losses.albedo_pred = gt["albedo"][t], albedo
         report["g3_albedo"] = si_mse(gt["albedo"][t], albedo, mask)
         report["tau_albedo"] = ls_scale(gt["albedo"][t], albedo, mask)
-    rough = read(f"rough_{t}.pfm", "rough")
+    rough = read(f"rough_{t}.pfm", hw, "rough")
     if rough is not None:
-        losses.rough_ref, losses.rough_pred = gt["rough"][t], rough
         report["g2_rough"] = masked_mse(gt["rough"][t], rough, mask)
-    env = read("env_target.pfm", "env")
-    if env is not None:
+    if "env" in gt:
         ha, wa = gt["env"].shape[2:4]
-        env = vio.untile_env_maps(env, ha, wa)
-        report["g4_lighting"] = si_log_mse(gt["env"], env, mask)
-        report["tau_lighting"] = ls_scale(gt["env"], env, mask)
-    alpha = read("alpha.pfm")
+        env = read("env_target.pfm", (hw[0] * ha, hw[1] * wa, 3))
+        if env is not None:
+            env = vio.untile_env_maps(env, ha, wa)
+            report["g4_lighting"] = si_log_mse(gt["env"], env, mask)
+            report["tau_lighting"] = ls_scale(gt["env"], env, mask)
+    alpha = read("alpha.pfm", None)
     if alpha is not None:
         report["g5_alpha"] = entropy_reg(alpha)
-    image = read(f"rerender_{t}.pfm")
+    image = read(f"rerender_{t}.pfm", hw + (3,))
     if image is not None:
         report["g3_rerender"] = si_mse(bundle.target.image, image, mask)
         report["tau_rerender"] = ls_scale(bundle.target.image, image, mask)
     # the stage losses whose every input the files supplied
-    stages = [stage for stage, fields in _STAGE_FIELDS.items()
-              if all(getattr(losses, f) is not None for f in fields)]
-    report.update(stage_losses(losses, stages=stages))
+    if normal is not None:
+        report["L_normal"] = normal_loss(gt["normal"][t], normal, mask)
+    if albedo is not None and rough is not None:
+        report["L_BRDF"] = brdf_loss(gt["albedo"][t], albedo, gt["rough"][t], rough, mask)
     print(json.dumps(report, indent=2))
     if args.out:
         Path(args.out).write_text(json.dumps(report, indent=2))

@@ -29,12 +29,14 @@ class Camera:
     translation: np.ndarray   # camera center in world, meters
 
     def __post_init__(self):
-        if self.fx <= 0.0 or self.fy <= 0.0:
-            raise ValueError("focal lengths must be positive")
+        if not (0.0 < self.fx < np.inf and 0.0 < self.fy < np.inf):  # nan fails
+            raise ValueError("focal lengths must be positive and finite")
         r = np.asarray(self.rotation, dtype=np.float64)
         t = np.asarray(self.translation, dtype=np.float64)
         if r.shape != (3, 3) or t.shape != (3,):
             raise ValueError("rotation must be 3x3 and translation a 3-vector")
+        if not all(np.all(np.isfinite(x)) for x in (self.cx, self.cy, r, t)):
+            raise ValueError("principal point, rotation and translation must be finite")
         if np.max(np.abs(r @ r.T - np.eye(3))) > 1e-6:
             raise ValueError("rotation is not orthonormal")
         if abs(np.linalg.det(r) - 1.0) > 1e-6:
@@ -100,9 +102,12 @@ class View:
         h, w = self.depth.shape
         if self.image.shape != (h, w, 3) or self.confidence.shape != (h, w):
             raise ValueError("image, depth, and confidence sizes disagree")
-        if np.any(self.depth <= 0.0):
-            raise ValueError("depth values must be positive")
-        if np.any(self.confidence < 0.0) or np.any(self.confidence > 1.0):
+        # written so that nan fails each check
+        if not np.all((self.image >= 0.0) & (self.image < np.inf)):
+            raise ValueError("image values must be finite and nonnegative")
+        if not np.all((self.depth > 0.0) & (self.depth < np.inf)):
+            raise ValueError("depth values must be positive and finite")
+        if not np.all((self.confidence >= 0.0) & (self.confidence <= 1.0)):
             raise ValueError("confidence must lie in [0, 1]")
 
 
@@ -188,6 +193,18 @@ class Reprojection(NamedTuple):
     image: np.ndarray    # (K, P, 3) the view's image, bilinear at (u, v); 0 where invalid
 
 
+def sample_view(camera: Camera, maps: np.ndarray, points):
+    """Project (P, 3) world points through ``camera`` and sample ``maps``
+    (H, W[, C]) bilinearly there: (u, v, z, valid, samples). A point is valid
+    in front of the camera (z > 0) and inside its frame; an invalid point
+    samples pixel (0, 0)."""
+    u, v, z = camera.project(points)
+    h, w = maps.shape[:2]
+    valid = (z > 0.0) & (u >= 0.0) & (u <= w - 1.0) & (v >= 0.0) & (v <= h - 1.0)
+    return u, v, z, valid, bilinear_sample(maps, np.where(valid, u, 0.0),
+                                           np.where(valid, v, 0.0))
+
+
 def reproject(points, views) -> Reprojection:
     """Project (P, 3) world points into every view and sample each view's
     depth map and image there. Points behind a camera, on its plane or
@@ -197,12 +214,11 @@ def reproject(points, views) -> Reprojection:
     points = np.asarray(points, dtype=np.float64)
     rows = []
     for view in views:
-        u, v, z = view.camera.project(points)
-        h, w = view.depth.shape
-        ok = (z > 0.0) & (u >= 0.0) & (u <= w - 1.0) & (v >= 0.0) & (v <= h - 1.0)
-        su, sv = np.where(ok, u, 0.0), np.where(ok, v, 0.0)
-        rows.append((u, v, z, ok, np.where(ok, bilinear_sample(view.depth, su, sv), np.nan),
-                     np.where(ok[:, None], bilinear_sample(view.image, su, sv), 0.0)))
+        # bilinear weights act per channel: depth keeps the bits of a lone sample
+        maps = np.concatenate([view.depth[..., None], view.image], axis=-1)
+        u, v, z, ok, s = sample_view(view.camera, maps, points)
+        rows.append((u, v, z, ok, np.where(ok, s[:, 0], np.nan),
+                     np.where(ok[:, None], s[:, 1:], 0.0)))
     return Reprojection(*(np.stack(field) for field in zip(*rows)))
 
 

@@ -321,7 +321,7 @@ def save_scene(path, bundle: ViewBundle, gt: dict | None = None) -> None:
     (path / "scene.json").write_text(json.dumps(meta, indent=2))
 
 
-def _read_map(path, shape) -> np.ndarray:
+def read_map(path, shape) -> np.ndarray:
     """A PFM of ``shape`` (any gray map if None); otherwise a ValueError names it."""
     data = read_pfm(path)
     if data.shape != (shape or data.shape[:2]):
@@ -345,11 +345,11 @@ def load_scene(path) -> tuple[ViewBundle, dict]:
     views, hw = [], None
     for k in range(num_views):
         files = [path / f"{stem}_{k}.pfm" for stem in ("depth", "im", "conf")]
-        depth = _read_map(files[0], hw)
+        depth = read_map(files[0], hw)
         hw = depth.shape
-        image, conf = _read_map(files[1], hw + (3,)), _read_map(files[2], hw)
+        image, conf = read_map(files[1], hw + (3,)), read_map(files[2], hw)
         camera = load_camera(path / f"cam_{k}.json")
-        with _naming(f"{files[0]}, {files[2]}"):  # View checks their values
+        with _naming(", ".join(map(str, files))):  # View checks their values
             views.append(View(image=image, depth=depth, confidence=conf, camera=camera))
     with _naming(path / "scene.json"):  # num_views or target_index out of range
         bundle = ViewBundle(views=views, target_index=target_index)
@@ -361,11 +361,11 @@ def load_scene(path) -> tuple[ViewBundle, dict]:
             raise ValueError(f"{files[present.index(False)]}: missing, but "
                              f"{files[present.index(True)].name} exists")
         if all(present):
-            gt[key] = np.stack([_read_map(f, shape) for f in files])
+            gt[key] = np.stack([read_map(f, shape) for f in files])
     env_file = path / "gt_env_target.pfm"
     if env_file.exists():
         if env_angular is None:
             raise ValueError(f"{path / 'scene.json'}: missing key 'env_angular'")
         ha, wa = env_angular
-        gt["env"] = untile_env_maps(_read_map(env_file, (hw[0] * ha, hw[1] * wa, 3)), ha, wa)
+        gt["env"] = untile_env_maps(read_map(env_file, (hw[0] * ha, hw[1] * wa, 3)), ha, wa)
     return bundle, gt

@@ -149,51 +149,44 @@ def entropy_reg(a) -> float:
     return float(np.mean(ent))
 
 
+def normal_loss(ref, pred, mask) -> float:
+    """L_normal: g1 + g2 of (..., 3) normals, weighted by ``DEFAULT_BETAS``."""
+    b = DEFAULT_BETAS["normal"]
+    return b[0] * masked_l1_angular(ref, pred, mask) + b[1] * masked_mse(ref, pred, mask)
+
+
+def brdf_loss(albedo_ref, albedo_pred, rough_ref, rough_pred, mask) -> float:
+    """L_BRDF: g3 of the albedo + g2 of the roughness, weighted by ``DEFAULT_BETAS``."""
+    b = DEFAULT_BETAS["brdf"]
+    return (b[0] * si_mse(albedo_ref, albedo_pred, mask)
+            + b[1] * masked_mse(rough_ref, rough_pred, mask))
+
+
 @dataclass
 class StageLossBundle:
-    """Predictions, references, and masks consumed by ``stage_losses``.
+    """Predictions, references, and masks consumed by ``stage_losses``."""
 
-    Only the fields needed by the requested stages must be present; a
-    missing field raises a ValueError naming it.
-    """
-
-    mask_light: np.ndarray | None = None       # M_l, for the normal stage
-    mask_object: np.ndarray | None = None      # M_o, for the other stages
-    normal_ref: np.ndarray | None = None
-    normal_pred: np.ndarray | None = None
-    env_dl_ref: np.ndarray | None = None       # per-pixel direct-light env maps
-    env_dl_pred: np.ndarray | None = None
-    visibility: np.ndarray | None = None       # per-lobe mu, for the g5 report
-    alpha_dl: np.ndarray | None = None         # exitant-volume opacity
-    albedo_ref: np.ndarray | None = None
-    albedo_pred: np.ndarray | None = None
-    rough_ref: np.ndarray | None = None
-    rough_pred: np.ndarray | None = None
-    env_svl_ref: np.ndarray | None = None
-    env_svl_pred: np.ndarray | None = None
-    mask_svl_env: np.ndarray | None = None      # falls back to mask_object
-    alpha_svl: np.ndarray | None = None
-    images: np.ndarray | None = None           # (K, H, W, 3) per-view HDR
-    view_weights: np.ndarray | None = None     # (K,) multi-view weights
-    diffuse_render: np.ndarray | None = None   # (H, W, 3), view-independent
-    specular_renders: np.ndarray | None = None  # (K, H, W, 3)
+    mask_light: np.ndarray       # M_l, for the normal stage
+    mask_object: np.ndarray      # M_o, for the other stages
+    normal_ref: np.ndarray
+    normal_pred: np.ndarray
+    env_dl_ref: np.ndarray       # per-pixel direct-light env maps
+    env_dl_pred: np.ndarray
+    visibility: np.ndarray       # per-lobe mu, for the g5 report
+    alpha_dl: np.ndarray         # exitant-volume opacity
+    albedo_ref: np.ndarray
+    albedo_pred: np.ndarray
+    rough_ref: np.ndarray
+    rough_pred: np.ndarray
+    env_svl_ref: np.ndarray
+    env_svl_pred: np.ndarray
+    mask_svl_env: np.ndarray     # over the leading axes of the SVL env maps
+    alpha_svl: np.ndarray
+    images: np.ndarray           # (K, H, W, 3) per-view HDR
+    view_weights: np.ndarray     # (K,) multi-view weights
+    diffuse_render: np.ndarray   # (H, W, 3), view-independent
+    specular_renders: np.ndarray  # (K, H, W, 3)
     target_index: int = 0
-
-
-_STAGE_FIELDS = {
-    "normal": ("normal_ref", "normal_pred", "mask_light"),
-    "in_dl": ("env_dl_ref", "env_dl_pred", "mask_object", "visibility"),
-    "ex_dl": ("env_dl_ref", "env_dl_pred", "mask_object", "alpha_dl"),
-    "brdf": ("albedo_ref", "albedo_pred", "rough_ref", "rough_pred", "mask_object"),
-    "svl": ("env_svl_ref", "env_svl_pred", "mask_object", "alpha_svl", "images",
-            "view_weights", "diffuse_render", "specular_renders"),
-}
-
-
-def _require(bundle: StageLossBundle, stage: str):
-    for name in _STAGE_FIELDS[stage]:
-        if getattr(bundle, name) is None:
-            raise ValueError(f"stage '{stage}' requires bundle field '{name}'")
 
 
 # The joint re-render system is singular when its Gram determinant is within
@@ -201,21 +194,23 @@ def _require(bundle: StageLossBundle, stage: str):
 _SINGULAR_RTOL = 1e-12
 
 
-def rerender_residual(bundle: StageLossBundle, mask=None) -> tuple[float, float, float]:
+def rerender_residual(images, diffuse, speculars, view_weights, target_index,
+                      mask=None) -> tuple[float, float, float]:
     """Weighted multi-view re-render term and its (tau_diff, tau_spec).
 
     The two scales are fit jointly against the target-view image I: they
     minimize the masked ||I - tau_diff * d - tau_spec * s||^2 over
-    nonnegative scales, with d the diffuse render and s the target view's
-    specular render, by the 2x2 normal equations; where those give a
+    nonnegative scales, with d the (H, W, 3) diffuse render and s the target
+    view's specular render, by the 2x2 normal equations; where those give a
     negative scale, the convex problem's constrained minimum is the better
     one-scale fit. When they are singular (d or s masked to zero, or d and
     s collinear) each scale is fit alone by ``ls_scale``. The residual is
-    sum_k w_k^2 * masked mean of (I_k - tau_diff * diffuse - tau_spec * specular_k)^2.
+    sum_k w_k^2 * masked mean of (I_k - tau_diff * d - tau_spec * S_k)^2 over
+    the (K, H, W, 3) ``images`` I and ``speculars`` S.
     """
-    target = bundle.images[bundle.target_index]
-    d = np.asarray(bundle.diffuse_render, dtype=np.float64)
-    s = np.asarray(bundle.specular_renders[bundle.target_index], dtype=np.float64)
+    target = images[target_index]
+    d = np.asarray(diffuse, dtype=np.float64)
+    s = np.asarray(speculars[target_index], dtype=np.float64)
     if d.shape != target.shape or s.shape != target.shape:
         raise ValueError("renders must share the images' shape")
     w = _mask_weights(target, mask)
@@ -233,59 +228,30 @@ def rerender_residual(bundle: StageLossBundle, mask=None) -> tuple[float, float,
         tau_diff = ls_scale(target, d, mask)
         tau_spec = ls_scale(target, s, mask)
     total = 0.0
-    for k in range(bundle.images.shape[0]):
-        residual = (bundle.images[k] - tau_diff * bundle.diffuse_render
-                    - tau_spec * bundle.specular_renders[k])
-        total += float(bundle.view_weights[k]) ** 2 * masked_mse(
+    for k in range(images.shape[0]):
+        residual = images[k] - tau_diff * diffuse - tau_spec * speculars[k]
+        total += float(view_weights[k]) ** 2 * masked_mse(
             residual, np.zeros_like(residual), mask)
     return total, tau_diff, tau_spec
 
 
-def stage_losses(bundle: StageLossBundle,
-                 stages=("normal", "in_dl", "ex_dl", "brdf", "svl")) -> dict[str, float]:
-    """Assemble the per-stage training losses from a bundle, weighted by
-    ``DEFAULT_BETAS``.
-
-    Returns named scalars: the main loss per stage, the g5 regularizer terms
+def stage_losses(bundle: StageLossBundle) -> dict[str, float]:
+    """The per-stage training losses of a bundle, weighted by
+    ``DEFAULT_BETAS``: the main loss per stage, the g5 regularizer terms
     reported separately (keys ending in ``_reg``), and the re-render scales.
+    L_InDL and L_ExDL share one direct-light g4.
     """
-    out: dict[str, float] = {}
-    g4_dl = None  # L_InDL and L_ExDL share the direct-light g4
-    for stage in stages:
-        if stage not in _STAGE_FIELDS:
-            raise ValueError(f"unknown stage '{stage}'")
-        _require(bundle, stage)
-        b = DEFAULT_BETAS[stage]
-        if stage == "normal":
-            out["L_normal"] = (b[0] * masked_l1_angular(bundle.normal_ref,
-                                                        bundle.normal_pred,
-                                                        bundle.mask_light)
-                               + b[1] * masked_mse(bundle.normal_ref,
-                                                   bundle.normal_pred,
-                                                   bundle.mask_light))
-        elif stage in ("in_dl", "ex_dl"):
-            if g4_dl is None:
-                g4_dl = si_log_mse(bundle.env_dl_ref, bundle.env_dl_pred,
-                                   bundle.mask_object)
-            name, reg = (("L_InDL", bundle.visibility) if stage == "in_dl"
-                         else ("L_ExDL", bundle.alpha_dl))
-            out[name] = b[0] * g4_dl
-            out[name + "_reg"] = b[1] * entropy_reg(reg)
-        elif stage == "brdf":
-            out["L_BRDF"] = (b[0] * si_mse(bundle.albedo_ref, bundle.albedo_pred,
-                                           bundle.mask_object)
-                             + b[1] * masked_mse(bundle.rough_ref, bundle.rough_pred,
-                                                 bundle.mask_object))
-        elif stage == "svl":
-            rerender, tau_diff, tau_spec = rerender_residual(bundle,
-                                                             bundle.mask_object)
-            env_mask = (bundle.mask_svl_env if bundle.mask_svl_env is not None
-                        else bundle.mask_object)
-            out["L_SVL"] = (b[0] * si_log_mse(bundle.env_svl_ref,
-                                              bundle.env_svl_pred, env_mask)
-                            + b[2] * rerender)
-            out["L_SVL_reg"] = b[1] * entropy_reg(bundle.alpha_svl)
-            out["L_SVL_rerender"] = rerender
-            out["tau_diff"] = tau_diff
-            out["tau_spec"] = tau_spec
-    return out
+    b_in, b_ex, b_svl = DEFAULT_BETAS["in_dl"], DEFAULT_BETAS["ex_dl"], DEFAULT_BETAS["svl"]
+    g4_dl = si_log_mse(bundle.env_dl_ref, bundle.env_dl_pred, bundle.mask_object)
+    rerender, tau_diff, tau_spec = rerender_residual(
+        bundle.images, bundle.diffuse_render, bundle.specular_renders,
+        bundle.view_weights, bundle.target_index, bundle.mask_object)
+    return {"L_normal": normal_loss(bundle.normal_ref, bundle.normal_pred, bundle.mask_light),
+            "L_InDL": b_in[0] * g4_dl, "L_InDL_reg": b_in[1] * entropy_reg(bundle.visibility),
+            "L_ExDL": b_ex[0] * g4_dl, "L_ExDL_reg": b_ex[1] * entropy_reg(bundle.alpha_dl),
+            "L_BRDF": brdf_loss(bundle.albedo_ref, bundle.albedo_pred, bundle.rough_ref,
+                                bundle.rough_pred, bundle.mask_object),
+            "L_SVL": b_svl[0] * si_log_mse(bundle.env_svl_ref, bundle.env_svl_pred,
+                                           bundle.mask_svl_env) + b_svl[2] * rerender,
+            "L_SVL_reg": b_svl[1] * entropy_reg(bundle.alpha_svl),
+            "L_SVL_rerender": rerender, "tau_diff": tau_diff, "tau_spec": tau_spec}

@@ -38,12 +38,6 @@ def normalize(vector) -> np.ndarray:
     return v / norm
 
 
-def spherical_to_unit(theta: float, phi: float) -> np.ndarray:
-    """Unit vector for polar angle theta (from +z) and azimuth phi."""
-    st = math.sin(theta)
-    return np.array([st * math.cos(phi), st * math.sin(phi), math.cos(theta)])
-
-
 def unit_to_spherical(direction) -> tuple[float, float]:
     d = np.asarray(direction, dtype=np.float64)
     theta = math.acos(min(1.0, max(-1.0, float(d[2]))))
@@ -117,7 +111,7 @@ class SGLobe:
         object.__setattr__(self, "intensity", intensity)
 
     def unit_axis(self) -> np.ndarray:
-        return spherical_to_unit(self.axis_theta, self.axis_phi)
+        return _lobe_axes(self.axis_theta, self.axis_phi)
 
 
 @dataclass(frozen=True)

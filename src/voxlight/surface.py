@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Camera, bilinear_sample
+from .geometry import Camera, sample_view
 from .volume import Bounds
 
 SURFACE_CHANNELS = 10  # rho * [I rgb, N xyz, A rgb, R]
@@ -62,15 +62,10 @@ def build_surface_volume(image: np.ndarray, normal: np.ndarray, albedo: np.ndarr
     gx, gy, gz = np.meshgrid(*axes, indexing="ij")
     centers = np.stack([gx, gy, gz], axis=-1)
 
-    u, v, z = camera.project(centers.reshape(-1, 3))
-    valid = (z > 0.0) & (u >= 0.0) & (u <= w - 1.0) & (v >= 0.0) & (v <= h - 1.0)
-    uu = np.where(valid, u, 0.0)
-    vv = np.where(valid, v, 0.0)
-
     # bilinear weights act per channel: each map keeps the bits of a lone sample
     maps = np.concatenate([image, normal, albedo, roughness[..., None],
                            depth[..., None], confidence[..., None]], axis=-1)
-    samples = bilinear_sample(maps, uu, vv)
+    _, _, z, valid, samples = sample_view(camera, maps, centers.reshape(-1, 3))
     dpt, cnf = samples[:, SURFACE_CHANNELS], samples[:, SURFACE_CHANNELS + 1]
 
     rho = np.exp(-cnf * np.square(z - dpt))

@@ -1,11 +1,12 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
 from voxlight import io as vio
 from voxlight.cli import main
-from voxlight.metrics import StageLossBundle, stage_losses
+from voxlight.metrics import brdf_loss, normal_loss
 
 
 @pytest.fixture(scope="module")
@@ -144,13 +145,26 @@ class TestRerenderAndMetrics:
         assert main(["metrics", "--scene", str(scene_dir), "--pred", str(pred),
                      "--out", str(report_file)]) == 0
         report = json.loads(report_file.read_text())
-        losses = stage_losses(StageLossBundle(
-            mask_light=mask, mask_object=mask, normal_ref=gt["normal"][0],
-            normal_pred=vio.read_pfm(pred / "normal_0.pfm"),
-            albedo_ref=gt["albedo"][0], albedo_pred=vio.read_pfm(pred / "albedo_0.pfm"),
-            rough_ref=gt["rough"][0], rough_pred=vio.read_pfm(pred / "rough_0.pfm")),
-            stages=("normal", "brdf"))
-        assert report["L_normal"] == losses["L_normal"] > 0.0
-        assert report["L_BRDF"] == losses["L_BRDF"] > 0.0
+        l_normal = normal_loss(gt["normal"][0], vio.read_pfm(pred / "normal_0.pfm"), mask)
+        l_brdf = brdf_loss(gt["albedo"][0], vio.read_pfm(pred / "albedo_0.pfm"),
+                           gt["rough"][0], vio.read_pfm(pred / "rough_0.pfm"), mask)
+        assert report["L_normal"] == l_normal > 0.0
+        assert report["L_BRDF"] == l_brdf > 0.0
         for key in ("L_InDL", "L_SVL", "L_SVL_reg"):
             assert key not in report
+
+    @pytest.mark.parametrize("name, data", [
+        ("normal_0.pfm", np.ones((5, 5, 3))),
+        ("albedo_0.pfm", np.ones((18, 24))),
+        ("rough_0.pfm", np.ones((18, 24, 3))),
+        ("rerender_0.pfm", np.ones((18, 23, 3))),
+        ("env_target.pfm", np.ones((18, 24, 3))),
+        ("mask.pfm", np.ones((3, 3))),
+        ("mask.pfm", np.full((18, 24), 0.5)),
+    ], ids=["normal", "albedo", "rough", "rerender", "env", "mask_shape", "mask_binary"])
+    def test_metrics_names_the_rejected_file(self, scene_dir, tmp_path, name, data):
+        pred = tmp_path / "pred"
+        pred.mkdir()
+        vio.write_pfm(pred / name, data)
+        with pytest.raises(ValueError, match=re.escape(str(pred / name))):
+            main(["metrics", "--scene", str(scene_dir), "--pred", str(pred)])

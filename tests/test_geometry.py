@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from voxlight.geometry import (Camera, View, ViewBundle, bilinear_sample,
+from voxlight.geometry import (Camera, Reprojection, View, ViewBundle, bilinear_sample,
                                depth_to_normal, multiview_weights, projection_error,
                                reproject)
 
@@ -187,6 +187,77 @@ class TestReproject:
         np.testing.assert_array_equal(r.image[0, :4], 0.0)
         np.testing.assert_array_equal(errors[0, :4], 0.0)
         np.testing.assert_array_equal(weights, [[0.0, 1.0]] * 4 + [[0.5, 0.5]])
+
+
+def frozen_reproject(points, views):
+    """``reproject`` before it moved onto ``sample_view``: two bilinear
+    samples per view, one of the depth map and one of the image."""
+    points = np.asarray(points, dtype=np.float64)
+    rows = []
+    for view in views:
+        u, v, z = view.camera.project(points)
+        h, w = view.depth.shape
+        ok = (z > 0.0) & (u >= 0.0) & (u <= w - 1.0) & (v >= 0.0) & (v <= h - 1.0)
+        su, sv = np.where(ok, u, 0.0), np.where(ok, v, 0.0)
+        rows.append((u, v, z, ok, np.where(ok, bilinear_sample(view.depth, su, sv), np.nan),
+                     np.where(ok[:, None], bilinear_sample(view.image, su, sv), 0.0)))
+    return Reprojection(*(np.stack(field) for field in zip(*rows)))
+
+
+class TestReprojectBitwise:
+    def test_equals_frozen_two_sample_loop(self):
+        rng = np.random.default_rng(9)
+        shape = (60, 80)
+        cams = [make_camera(), make_camera(rotation=rot_x(12.0), translation=(0.2, -0.1, 0.3)),
+                make_camera(rotation=rot_x(180.0))]
+        views = [View(image=rng.uniform(0.0, 4.0, shape + (3,)),
+                      depth=rng.uniform(1.0, 3.0, shape),
+                      confidence=np.ones(shape), camera=c) for c in cams]
+        cam = cams[0]
+        border_u = np.array([0.0, 79.0, 0.0, 79.0, 40.0, 40.0, 0.0, 79.0])
+        border_v = np.array([0.0, 0.0, 59.0, 59.0, 0.0, 59.0, 30.0, 30.0])
+        points = np.concatenate([
+            cam.backproject(rng.uniform(0, 79, 200), rng.uniform(0, 59, 200),
+                            rng.uniform(0.5, 4.0, 200)),              # in frame
+            cam.backproject(border_u, border_v, 2.0),                 # on the border
+            cam.backproject(rng.uniform(-40, 120, 50), rng.uniform(-30, 90, 50),
+                            rng.uniform(0.5, 4.0, 50)),               # partly outside
+            cam.backproject(rng.uniform(0, 79, 20), rng.uniform(0, 59, 20),
+                            rng.uniform(-3.0, -0.5, 20)),             # behind the camera
+        ])
+        with np.errstate(all="ignore"):
+            got, want = reproject(points, views), frozen_reproject(points, views)
+        assert got.valid.any() and not got.valid.all()
+        assert np.isnan(got.depth).any() and (got.image[~got.valid] == 0.0).all()
+        for name in Reprojection._fields:
+            g, w = getattr(got, name), getattr(want, name)
+            assert g.dtype == w.dtype and g.shape == w.shape, name
+            assert g.tobytes() == w.tobytes(), name
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("field, value", [("image", math.nan), ("image", -0.5),
+                                              ("depth", math.nan), ("depth", math.inf),
+                                              ("confidence", math.nan)])
+    def test_view_rejects_nonfinite_or_out_of_range(self, field, value):
+        maps = {"image": np.ones((4, 5, 3)), "depth": np.ones((4, 5)),
+                "confidence": np.ones((4, 5))}
+        maps[field][1, 2] = value
+        with pytest.raises(ValueError, match=field):
+            View(camera=make_camera(), **maps)
+
+    @pytest.mark.parametrize("field", ["fx", "cy", "rotation", "translation"])
+    def test_camera_rejects_nan(self, field):
+        args = dict(fx=60.0, fy=60.0, cx=39.5, cy=29.5, rotation=np.eye(3),
+                    translation=np.zeros(3))
+        if field in ("rotation", "translation"):
+            args[field][0, ...] = math.nan
+        else:
+            args[field] = math.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning from det first
+            with pytest.raises(ValueError):
+                Camera(**args)
 
 
 class TestProjectionError:

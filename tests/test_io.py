@@ -363,6 +363,8 @@ MALFORMED_SCENES = {
                                                           np.ones((4, 4, 3)))),
     "gt_albedo_size": ("gt_albedo_1.pfm", lambda root: vio.write_pfm(
         root / "gt_albedo_1.pfm", np.ones((3, 4)))),
+    "negative_image": ("im_1.pfm", lambda root: vio.write_pfm(
+        root / "im_1.pfm", np.where(np.eye(3, 4)[..., None] == 1.0, -0.5, 0.5) * np.ones(3))),
     "confidence_above_one": ("conf_0.pfm", lambda root: vio.write_pfm(
         root / "conf_0.pfm", np.full((3, 4), 2.0))),
     "gt_normal_missing": ("gt_normal_1.pfm", lambda root: (root / "gt_normal_1.pfm").unlink()),

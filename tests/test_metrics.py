@@ -6,7 +6,7 @@ import pytest
 
 from voxlight.metrics import (DEFAULT_BETAS, StageLossBundle, entropy_reg,
                               ls_scale, masked_l1_angular, masked_mse,
-                              rerender_residual, si_log_mse, si_mse,
+                              normal_loss, rerender_residual, si_log_mse, si_mse,
                               stage_losses)
 from voxlight.scene import SceneSpec, generate_scene, render_images
 
@@ -195,7 +195,7 @@ class TestStageLosses:
             alpha_dl=np.array([0.0, 1.0]),
             albedo_ref=albedo, albedo_pred=albedo.copy(),
             rough_ref=rough, rough_pred=rough.copy(),
-            env_svl_ref=envs, env_svl_pred=envs.copy(),
+            env_svl_ref=envs, env_svl_pred=envs.copy(), mask_svl_env=np.ones((h, w)),
             alpha_svl=np.array([0.0, 1.0]),
             images=images, view_weights=np.array([0.5, 0.5]),
             diffuse_render=images[0] / 2.0,
@@ -222,14 +222,12 @@ class TestStageLosses:
         h, w = 4, 4
         ref = np.broadcast_to([1.0, 0.0, 0.0], (h, w, 3)).copy()
         pred = np.broadcast_to([0.0, 1.0, 0.0], (h, w, 3)).copy()
-        bundle = StageLossBundle(mask_light=np.ones((h, w)), normal_ref=ref,
-                                 normal_pred=pred)
-        losses = stage_losses(bundle, stages=("normal",))
+        loss = normal_loss(ref, pred, np.ones((h, w)))
         # g2 = mean (a - b)^2 over elements = (1 + 1 + 0)/3 * ... per pixel
         g2 = masked_mse(ref, pred, np.ones((h, w)))
         expected = DEFAULT_BETAS["normal"][0] * math.pi / 2 + \
             DEFAULT_BETAS["normal"][1] * g2
-        assert abs(losses["L_normal"] - expected) <= 1e-12
+        assert abs(loss - expected) <= 1e-12
 
     def test_exact_decomposition_zeroes_rerender(self):
         rng = np.random.default_rng(12)
@@ -241,20 +239,16 @@ class TestStageLosses:
         spec[:, :, w // 2:] = rng.uniform(0.2, 0.8, (2, h, w // 2, 3))
         tau_d, tau_s = 1.75, 0.6
         images = tau_d * diffuse[None] + tau_s * spec
-        bundle = StageLossBundle(mask_object=np.ones((h, w)), images=images,
-                                 view_weights=np.array([0.7, 0.3]),
-                                 diffuse_render=diffuse, specular_renders=spec,
-                                 target_index=0)
-        residual, fit_d, fit_s = rerender_residual(bundle, bundle.mask_object)
+        residual, fit_d, fit_s = rerender_residual(images, diffuse, spec,
+                                                   np.array([0.7, 0.3]), 0, np.ones((h, w)))
         assert abs(fit_d - tau_d) <= 1e-12
         assert abs(fit_s - tau_s) <= 1e-12
         assert residual <= 1e-24
 
     def test_missing_field_named(self):
-        bundle = StageLossBundle(mask_light=np.ones((2, 2)),
-                                 normal_ref=np.zeros((2, 2, 3)))
-        with pytest.raises(ValueError, match="normal_pred"):
-            stage_losses(bundle, stages=("normal",))
+        with pytest.raises(TypeError, match="normal_pred"):
+            StageLossBundle(mask_light=np.ones((2, 2)), mask_object=np.ones((2, 2)),
+                            normal_ref=np.zeros((2, 2, 3)))
 
     def test_paper_beta_defaults(self):
         assert DEFAULT_BETAS["normal"] == (1.0, 1.0)
@@ -397,9 +391,9 @@ class TestBlockwiseReductionsBitwise:
         bundle.specular_renders = rng.uniform(0.0, 1.0, bundle.specular_renders.shape)
         if mask_kind == "random":
             bundle.mask_object = (rng.random((6, 8)) > 0.4).astype(float)
-            bundle.mask_light = bundle.mask_object
+            bundle.mask_light = bundle.mask_svl_env = bundle.mask_object
         elif mask_kind == "zeros":
-            bundle.mask_object = bundle.mask_light = np.zeros((6, 8))
+            bundle.mask_object = bundle.mask_light = bundle.mask_svl_env = np.zeros((6, 8))
         elif mask_kind == "zero_inputs":
             for name in ("env_dl_ref", "env_dl_pred", "env_svl_ref", "env_svl_pred",
                          "albedo_pred", "diffuse_render", "specular_renders"):
@@ -445,9 +439,8 @@ class TestJointRerenderScales:
         diffuse, specular = render_images(scene.surface_points, scene.surface_normals,
                                           scene.gt_albedo[0], scene.gt_rough[0],
                                           scene.gt_env, target.camera.center)
-        bundle = StageLossBundle(images=target.image[None], view_weights=np.ones(1),
-                                 diffuse_render=diffuse, specular_renders=specular[None])
-        residual, tau_diff, tau_spec = rerender_residual(bundle, scene.mask)
+        residual, tau_diff, tau_spec = rerender_residual(
+            target.image[None], diffuse, specular[None], np.ones(1), 0, scene.mask)
         assert abs(tau_diff - 1.0) <= 1e-9
         assert abs(tau_spec - 1.0) <= 1e-9
         assert residual <= 1e-28
@@ -458,9 +451,7 @@ class TestJointRerenderScales:
         diffuse = rng.uniform(0.0, 1.0, (6, 8, 3))
         spec = rng.uniform(0.0, 1.0, (1, 6, 8, 3))
         mask = (rng.random((6, 8)) > 0.3).astype(float)
-        bundle = StageLossBundle(images=images, view_weights=np.ones(1),
-                                 diffuse_render=diffuse, specular_renders=spec)
-        best, tau_diff, tau_spec = rerender_residual(bundle, mask)
+        best, tau_diff, tau_spec = rerender_residual(images, diffuse, spec, np.ones(1), 0, mask)
         for dd, ds in rng.normal(scale=0.05, size=(100, 2)):
             residual = images[0] - (tau_diff + dd) * diffuse - (tau_spec + ds) * spec[0]
             assert best <= masked_mse(residual, np.zeros_like(residual), mask)
@@ -480,9 +471,7 @@ class TestJointRerenderScales:
         joint = np.linalg.lstsq(np.stack([diffuse[seen], spec[0][seen]], axis=-1),
                                 images[0][seen], rcond=None)[0]
         assert joint.min() < 0.0
-        bundle = StageLossBundle(images=images, view_weights=np.ones(1),
-                                 diffuse_render=diffuse, specular_renders=spec)
-        best, tau_diff, tau_spec = rerender_residual(bundle, mask)
+        best, tau_diff, tau_spec = rerender_residual(images, diffuse, spec, np.ones(1), 0, mask)
         assert tau_diff >= 0.0 and tau_spec >= 0.0
         for dd, ds in rng.normal(scale=0.05, size=(200, 2)):
             td, ts = max(tau_diff + dd, 0.0), max(tau_spec + ds, 0.0)
@@ -490,8 +479,6 @@ class TestJointRerenderScales:
             assert best <= masked_mse(residual, np.zeros_like(residual), mask)
 
     def test_renders_must_match_the_images(self):
-        bundle = StageLossBundle(images=np.ones((1, 2, 2, 3)), view_weights=np.ones(1),
-                                 diffuse_render=np.ones((2, 3, 3)),
-                                 specular_renders=np.ones((1, 2, 2, 3)))
         with pytest.raises(ValueError, match="shape"):
-            rerender_residual(bundle)
+            rerender_residual(np.ones((1, 2, 2, 3)), np.ones((2, 3, 3)),
+                              np.ones((1, 2, 2, 3)), np.ones(1), 0)

@@ -65,6 +65,27 @@ class TestTypes:
                   bitangent=np.array([0, 1.0, 0]))
 
 
+def frozen_spherical_to_unit(theta, phi):
+    """``sg.spherical_to_unit``, the scalar axis formula ``SGLobe.unit_axis``
+    used before it moved onto ``_lobe_axes``."""
+    st = math.sin(theta)
+    return np.array([st * math.cos(phi), st * math.sin(phi), math.cos(theta)])
+
+
+class TestUnitAxisBitwise:
+    def test_equals_frozen_scalar_formula(self):
+        rng = np.random.default_rng(14)
+        special = [(t, f) for t in (0.0, math.pi / 2, math.pi)
+                   for f in (-math.pi, 0.0, math.pi / 2)]
+        angles = special + list(zip(rng.uniform(0.0, math.pi, 20000).tolist(),
+                                    rng.uniform(-math.pi, math.pi, 20000).tolist()))
+        for theta, phi in angles:
+            got = SGLobe(theta, phi, 1.0, (1.0, 1.0, 1.0)).unit_axis()
+            want = frozen_spherical_to_unit(theta, phi)
+            assert got.dtype == want.dtype and got.shape == want.shape == (3,)
+            assert got.tobytes() == want.tobytes(), (theta, phi)
+
+
 def frozen_from_normal(normal):
     """The scalar body ``Frame.from_normal`` had before it became a batch of
     one ``hemisphere_frames``: (normal, tangent, bitangent)."""
