@@ -18,8 +18,8 @@ import numpy as np
 
 from .brdf import shade_env_maps
 from .geometry import View, depth_to_normal
-from .sg import cosine_weights, frame_directions, hemisphere_frames, texel_local_directions
-from .volume import VSGVolume, composite_rays, env_offset
+from .sg import cosine_weights, hemisphere_frames
+from .volume import VSGVolume, composite_rays, env_rays
 
 DEFAULT_ENV_RES = (16, 32)   # (height, width), matching test-time env maps
 _PIXEL_CHUNK = 512            # pixels per texel-ray batch, ~21 MB of 16x32 env rays
@@ -37,8 +37,8 @@ class DiffuseMaterial:
 
     def __post_init__(self):
         albedo = tuple(float(c) for c in self.albedo)
-        if any(not (0.0 <= c <= 1.0) for c in albedo):
-            raise ValueError("albedo components must lie in [0, 1]")
+        if len(albedo) != 3 or any(not (0.0 <= c <= 1.0) for c in albedo):
+            raise ValueError(f"albedo must be 3 components in [0, 1], got {self.albedo}")
         if not (0.0 < self.roughness <= 1.0):
             raise ValueError("roughness must lie in (0, 1]")
         object.__setattr__(self, "albedo", albedo)
@@ -55,10 +55,10 @@ class InsertedSphere:
 
     def __post_init__(self):
         center = np.asarray(self.center, dtype=np.float64)
-        if center.shape != (3,):
-            raise ValueError("center must be a 3-vector")
-        if self.radius <= 0.0:
-            raise ValueError("radius must be positive")
+        if center.shape != (3,) or not np.all(np.isfinite(center)):
+            raise ValueError("center must be a finite 3-vector")
+        if not 0.0 < self.radius < np.inf:  # nan fails too
+            raise ValueError(f"radius must be finite and positive, got {self.radius}")
         object.__setattr__(self, "center", center)
 
 
@@ -76,16 +76,6 @@ def _ray_sphere_t(origins: np.ndarray, directions: np.ndarray, center: np.ndarra
     t = np.where(t_near > 1e-9, t_near, t_far)
     ok = (disc >= 0.0) & (t > 1e-9)
     return np.where(ok, t, np.inf)
-
-
-def _texel_rays(volume: VSGVolume, points: np.ndarray, normals: np.ndarray,
-                tangents: np.ndarray, bitangents: np.ndarray, n_dirs: tuple[int, int]):
-    """Texel-centre rays (P, D, 3) of ``n_dirs`` grids at points (P, 3) in the
-    given frames, from origins nudged ``env_offset`` along the normal."""
-    dirs = frame_directions(texel_local_directions(*n_dirs), normals[:, None],
-                            tangents[:, None], bitangents[:, None])
-    origins = (points + env_offset(volume) * normals)[:, None, :]
-    return np.broadcast_to(origins, dirs.shape), dirs
 
 
 def _mirror_radiance(volume: VSGVolume, points: np.ndarray, view_dirs: np.ndarray,
@@ -106,7 +96,7 @@ def _diffuse_radiance(material: DiffuseMaterial, volume: VSGVolume, points: np.n
     diffuse term, so a white sphere in uniform light returns that light."""
     p = points.shape[0]
     frames = hemisphere_frames(normals)
-    origins, dirs = _texel_rays(volume, points, normals, *frames, DEFAULT_ENV_RES)
+    origins, dirs = env_rays(volume, points, normals, *frames, DEFAULT_ENV_RES)
     radiance = composite_rays(volume, origins.reshape(-1, 3), dirs.reshape(-1, 3),
                               volume.bounds.diagonal, n_samples)
     envs = np.concatenate([radiance, np.ones((radiance.shape[0], 1))], axis=-1)
@@ -156,7 +146,7 @@ def _shadow_ratios(points: np.ndarray, normals: np.ndarray, tangent: np.ndarray,
     directions, as env-map extraction does; directions whose ray hits the
     sphere add nothing to the numerator. With zero unoccluded irradiance the
     ratio is 1 (no light casts no visible shadow)."""
-    origins, dirs = _texel_rays(volume, points, normals, tangent, bitangent, n_dirs)
+    origins, dirs = env_rays(volume, points, normals, tangent, bitangent, n_dirs)
 
     # pixels with no occluded direction keep ratio 1 exactly; composite only
     # where the sphere actually blocks something

@@ -322,10 +322,12 @@ def save_scene(path, bundle: ViewBundle, gt: dict | None = None) -> None:
 
 
 def read_map(path, shape) -> np.ndarray:
-    """A PFM of ``shape`` (any gray map if None); otherwise a ValueError names it."""
+    """A finite PFM of ``shape`` (any gray map if None); else a ValueError names it."""
     data = read_pfm(path)
     if data.shape != (shape or data.shape[:2]):
         raise ValueError(f"{path}: expected shape {shape or '(H, W)'}, got {data.shape}")
+    if not np.all(np.isfinite(data)):
+        raise ValueError(f"{path}: map values must be finite")
     return data
 
 

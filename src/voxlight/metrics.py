@@ -142,7 +142,7 @@ def si_log_mse(a, b, mask=None) -> float:
 def entropy_reg(a) -> float:
     """g5: mean of -a * ln(a) with the 0 * ln(0) = 0 convention; a in [0, 1]."""
     a = np.asarray(a, dtype=np.float64)
-    if np.any(a < 0.0) or np.any(a > 1.0):
+    if not np.all((a >= 0.0) & (a <= 1.0)):  # nan fails too
         raise ValueError("entropy input must lie in [0, 1]")
     positive = a > 0.0
     ent = np.where(positive, -a * np.log(np.where(positive, a, 1.0)), 0.0)

@@ -174,27 +174,19 @@ class EnvMapGrid:
         return texel_directions(self.height, self.width, self.frame)
 
 
-def texel_angles(height: int, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """Cell-center (theta, phi) for an equirectangular hemisphere grid."""
-    theta = (np.arange(height) + 0.5) * (0.5 * math.pi / height)
-    phi = -math.pi + (np.arange(width) + 0.5) * (2.0 * math.pi / width)
-    return theta, phi
-
-
 def texel_directions(height: int, width: int, frame: Frame) -> np.ndarray:
-    """World-space unit directions at texel centers, shape (height, width, 3)."""
-    theta, phi = texel_angles(height, width)
-    st = np.sin(theta)[:, None]
-    local = (np.cos(phi)[None, :, None] * frame.tangent
-             + np.sin(phi)[None, :, None] * frame.bitangent)
-    dirs = st[..., None] * local + np.cos(theta)[:, None, None] * frame.normal
-    return dirs
+    """World-space unit directions at texel centers, shape (height, width, 3):
+    ``texel_local_directions`` through ``frame_directions`` in one frame."""
+    return frame_directions(texel_local_directions(height, width), frame.normal,
+                            frame.tangent, frame.bitangent).reshape(height, width, 3)
 
 
 def texel_local_directions(height: int, width: int) -> np.ndarray:
     """Texel-centre unit directions (height * width, 3), row-major, in the
-    (tangent, bitangent, normal) frame."""
-    theta, phi = texel_angles(height, width)
+    (tangent, bitangent, normal) frame, at cell-centre elevations theta and
+    azimuths phi in [-pi, pi) of an equirectangular hemisphere grid."""
+    theta = (np.arange(height) + 0.5) * (0.5 * math.pi / height)
+    phi = -math.pi + (np.arange(width) + 0.5) * (2.0 * math.pi / width)
     st = np.sin(theta)
     return np.stack([np.outer(st, np.cos(phi)).ravel(),
                      np.outer(st, np.sin(phi)).ravel(),

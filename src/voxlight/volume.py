@@ -32,8 +32,9 @@ import numpy as np
 
 from .metrics import DEFAULT_BETAS
 from .optim import FitReport, minimize_monotone
-from .sg import (EnvMapGrid, Frame, _angle_grad, _as_unit, _lobe_axes,
-                 export_lobe_params, golden_spiral, texel_directions)
+from .sg import (UNIT_NORM_TOL, EnvMapGrid, Frame, _angle_grad, _as_unit, _lobe_axes,
+                 export_lobe_params, frame_directions, golden_spiral,
+                 texel_local_directions)
 
 ENV_EPS_FACTOR = 1e-3  # surface offset, in units of mean voxel size
 
@@ -263,7 +264,7 @@ def composite_rays(volume: VSGVolume, origins: np.ndarray, directions: np.ndarra
                          f"{directions.shape}")
     if not (np.all(np.isfinite(origins)) and np.all(np.isfinite(directions))):
         raise ValueError("ray origins and directions must be finite")
-    if np.any(np.abs(np.linalg.norm(directions, axis=-1) - 1.0) > 1e-6):
+    if np.any(np.abs(np.linalg.norm(directions, axis=-1) - 1.0) > UNIT_NORM_TOL):
         raise ValueError("ray directions must have unit length")
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
@@ -284,21 +285,27 @@ def env_offset(volume: VSGVolume) -> float:
     return ENV_EPS_FACTOR * float(np.mean(volume.cell_size))
 
 
-def _env_rays(volume: VSGVolume, point, frame: Frame, height: int, width: int):
-    """Origins and directions (height * width, 3) of the texel-centre rays of
-    an env map at ``point``, the origin nudged along the frame normal so the
-    surface's own voxel does not occlude it."""
-    dirs = texel_directions(height, width, frame).reshape(-1, 3)
-    origin = np.asarray(point, dtype=np.float64) + env_offset(volume) * frame.normal
-    return np.broadcast_to(origin, dirs.shape), dirs
+def env_rays(volume: VSGVolume, points: np.ndarray, normals: np.ndarray,
+             tangents: np.ndarray, bitangents: np.ndarray, n_dirs: tuple[int, int]):
+    """Texel-centre rays (P, D, 3) of ``n_dirs`` env maps at points (P, 3) in
+    the frames of unit normals, tangents and bitangents (P, 3), from origins
+    nudged ``env_offset`` along the normal so the surface's own voxel does not
+    occlude them."""
+    dirs = frame_directions(texel_local_directions(*n_dirs), normals[:, None],
+                            tangents[:, None], bitangents[:, None])
+    origins = (points + env_offset(volume) * normals)[:, None, :]
+    return np.broadcast_to(origins, dirs.shape), dirs
 
 
 def extract_env_map(volume: VSGVolume, point, frame: Frame, height: int,
                     width: int, n_samples: int = 64) -> EnvMapGrid:
     """Hemispherical environment map at ``point`` by compositing one ray per
-    texel-center direction (``_env_rays``)."""
-    radiance = composite_rays(volume, *_env_rays(volume, point, frame, height, width),
-                              volume.bounds.diagonal, n_samples)
+    texel-center direction: ``env_rays`` for a batch of one point."""
+    origins, dirs = env_rays(volume, np.asarray(point, dtype=np.float64)[None],
+                             frame.normal[None], frame.tangent[None],
+                             frame.bitangent[None], (height, width))
+    radiance = composite_rays(volume, origins[0], dirs[0], volume.bounds.diagonal,
+                              n_samples)
     return EnvMapGrid(width=width, height=height, frame=frame,
                       texels=radiance.reshape(height, width, 3))
 
@@ -338,7 +345,7 @@ class VSGFitResult:
 
 class VSGFitProblem:
     """Precomputed geometry for the fit objective: the texel rays of every
-    target (``_env_rays``), their ``_ray_stencil``, the voxel key of every
+    target (``env_rays``), their ``_ray_stencil``, the voxel key of every
     (sample, corner) pair and its weight as a contiguous (P, 8) array for the
     per-field gradient scatter, and flattened target radiance.
 
@@ -368,13 +375,14 @@ class VSGFitProblem:
         origin_list, dir_list, self.slices, self.target_flat = [], [], [], []
         start = 0
         for target in targets:
-            grid = target.grid
-            origins, dirs = _env_rays(template, target.point, target.frame,
-                                      grid.height, grid.width)
-            origin_list.append(origins)
-            dir_list.append(dirs)
-            self.slices.append(slice(start, start + dirs.shape[0]))
-            start += dirs.shape[0]
+            grid, frame = target.grid, target.frame
+            origins, dirs = env_rays(template, np.asarray(target.point, dtype=np.float64)[None],
+                                     frame.normal[None], frame.tangent[None],
+                                     frame.bitangent[None], (grid.height, grid.width))
+            origin_list.append(origins[0])
+            dir_list.append(dirs[0])
+            self.slices.append(slice(start, start + dirs.shape[1]))
+            start += dirs.shape[1]
             flat = grid.texels.reshape(-1, 3)
             if not np.all(np.isfinite(flat)):
                 raise ValueError("target texels must all be finite")

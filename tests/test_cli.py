@@ -1,4 +1,5 @@
 import json
+import math
 import re
 
 import numpy as np
@@ -167,4 +168,14 @@ class TestRerenderAndMetrics:
         pred.mkdir()
         vio.write_pfm(pred / name, data)
         with pytest.raises(ValueError, match=re.escape(str(pred / name))):
+            main(["metrics", "--scene", str(scene_dir), "--pred", str(pred)])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_metrics_rejects_a_non_finite_alpha(self, scene_dir, tmp_path, bad):
+        # write_pfm refuses non-finite data, so the file is written by hand
+        pred = tmp_path / "pred"
+        pred.mkdir()
+        (pred / "alpha.pfm").write_bytes(b"Pf\n2 1\n-1.0\n"
+                                         + np.array([0.5, bad], "<f4").tobytes())
+        with pytest.raises(ValueError, match=re.escape(str(pred / "alpha.pfm")) + ": map"):
             main(["metrics", "--scene", str(scene_dir), "--pred", str(pred)])

@@ -1,0 +1,84 @@
+"""No dead code in the package: every module uses the names it imports
+(``__init__`` only re-exports), and every module-level private name is read
+somewhere in the package. Moving a function between modules tends to leave
+either an import or the old private copy behind; this scan catches both."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import voxlight
+
+PACKAGE = Path(voxlight.__file__).parent
+TREES = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+MODULES = sorted(name for name in TREES if name != "__init__")
+
+
+def names_loaded(tree) -> set[str]:
+    """Bare names read anywhere in ``tree``."""
+    return {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+
+
+def reexported(module: str) -> set[str]:
+    """Names that ``__init__`` imports from ``module``."""
+    return {alias.name for node in TREES["__init__"].body
+            if isinstance(node, ast.ImportFrom) and node.module == module
+            for alias in node.names}
+
+
+def imported(tree) -> list[str]:
+    """Names bound by the module-level imports of ``tree``."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            names += [(a.asname or a.name).split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names += [a.asname or a.name for a in node.names]
+    return names
+
+
+def private_definitions(tree) -> list[str]:
+    """Module-level private names (one leading underscore) that ``tree``
+    defines by ``def``, ``class`` or assignment."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, ast.Assign):
+            names += [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.append(node.target.id)
+    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+
+
+def read_in_package() -> set[str]:
+    """Names read anywhere in the package: bare names, attributes and names
+    imported from another module."""
+    read = set()
+    for tree in TREES.values():
+        read |= names_loaded(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read |= {alias.name for alias in node.names}
+    return read
+
+
+READ = read_in_package()
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_import_is_used(module):
+    tree = TREES[module]
+    unused = [name for name in imported(tree)
+              if name not in names_loaded(tree) and name not in reexported(module)]
+    assert not unused, f"voxlight.{module} imports names it never uses: {unused}"
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_private_name_is_read(module):
+    unread = [name for name in private_definitions(TREES[module]) if name not in READ]
+    assert not unread, f"voxlight.{module} defines private names nothing reads: {unread}"

@@ -7,10 +7,11 @@ from voxlight import insertion
 from voxlight.brdf import ggx_specular
 from voxlight.geometry import Camera, View
 from voxlight.insertion import (DEFAULT_ENV_RES, DiffuseMaterial, InsertedSphere,
-                                MirrorMaterial, _ray_sphere_t, _shadow_ratios, insert_object,
-                                shade_sphere_pixel)
-from voxlight.sg import Frame, texel_directions, texel_solid_angles
-from voxlight.volume import Bounds, VSGVolume, extract_env_map
+                                MirrorMaterial, _diffuse_radiance, _ray_sphere_t,
+                                _shadow_ratios, insert_object, shade_sphere_pixel)
+from voxlight.sg import EnvMapGrid, Frame, texel_directions, texel_solid_angles
+from voxlight.volume import (Bounds, EnvTarget, VSGFitOptions, VSGFitProblem, VSGVolume,
+                             composite_rays, extract_env_map)
 
 BOUNDS = Bounds(lo=np.zeros(3), hi=np.full(3, 2.0))
 FRAME = Frame.from_normal([0.0, 0.0, 1.0])
@@ -67,6 +68,20 @@ class TestRaySphere:
         with pytest.raises(ValueError):
             InsertedSphere(center=np.zeros(3), radius=0.0,
                            material=MirrorMaterial())
+
+    @pytest.mark.parametrize("center, radius", [
+        ((math.nan, 1.0, 1.0), 0.2), ((1.0, math.inf, 1.0), 0.2), ((1.0, 1.0, 1.0), math.nan),
+        ((1.0, 1.0, 1.0), math.inf), ((1.0, 1.0, 1.0), -0.2)],
+        ids=["nan_center", "inf_center", "nan_radius", "inf_radius", "negative_radius"])
+    def test_malformed_sphere_rejected(self, center, radius):
+        with pytest.raises(ValueError, match="center|radius"):
+            InsertedSphere(center=np.array(center), radius=radius, material=MirrorMaterial())
+
+    @pytest.mark.parametrize("albedo", [(0.5, 0.5), (0.5, 0.5, 0.5, 0.5), (0.5, math.nan, 0.5)],
+                             ids=["two", "four", "nan"])
+    def test_albedo_needs_three_components(self, albedo):
+        with pytest.raises(ValueError, match="albedo"):
+            DiffuseMaterial(albedo=albedo, roughness=0.5)
 
 
 class TestShadeSphere:
@@ -404,3 +419,63 @@ def frozen_shade_diffuse(point, normal, material, volume, view_dir, n_samples):
     specular = weights @ env.texels.reshape(-1, 3)
     spec_albedo = weights @ np.ones((height * width, 3))
     return diffuse * (1.0 - spec_albedo) + specular
+
+
+# one axis-aligned frame and two tilted ones
+BUILDER_FRAMES = (Frame.from_normal([0.0, 0.0, 1.0]), Frame.from_normal([0.2, -0.3, 1.0]),
+                  Frame.from_normal([-0.6, 0.5, 0.4]))
+
+
+class TestOneEnvRayBuilder:
+    """Env extraction, the VSG fit and the diffuse sphere build their texel rays
+    with one function, so they march the same rays on any frame."""
+
+    N_SAMPLES = 16
+
+    def volume(self):
+        rng = np.random.default_rng(23)
+        vox = np.empty((5, 5, 5, 7))
+        vox[..., 0] = rng.uniform(0.0, 1.0, (5, 5, 5))
+        vox[..., 1] = rng.uniform(0.0, math.pi, (5, 5, 5))
+        vox[..., 2] = rng.uniform(-math.pi, 0.99 * math.pi, (5, 5, 5))
+        vox[..., 3] = rng.uniform(0.0, 10.0, (5, 5, 5))
+        vox[..., 4:7] = rng.uniform(0.0, 3.0, (5, 5, 5, 3))
+        return VSGVolume(bounds=BOUNDS, voxels=vox)
+
+    def diffuse_rays(self, monkeypatch, vol):
+        """Directions and radiance (P, D, 3) that the diffuse sphere composites
+        for one batch: the builder frames' points among others."""
+        points = np.array([[0.4, 1.6, 0.3], [1.0, 1.0, 0.5], [0.2, 0.3, 1.7],
+                           [1.5, 0.8, 1.1], [1.2, 1.4, 0.2]])
+        normals = np.stack([[0.0, 1.0, 0.0]] + [f.normal for f in BUILDER_FRAMES]
+                           + [[1.0, 0.0, 0.0]])
+        calls = []
+
+        def spy(volume, origins, directions, t_max, n_samples):
+            radiance = composite_rays(volume, origins, directions, t_max, n_samples)
+            calls.append((directions, radiance))
+            return radiance
+
+        monkeypatch.setattr(insertion, "composite_rays", spy)
+        _diffuse_radiance(DiffuseMaterial((0.5, 0.5, 0.5), 0.5), vol, points, -normals,
+                          normals, self.N_SAMPLES)
+        (dirs, radiance), = calls
+        return points[1:4], dirs.reshape(5, -1, 3)[1:4], radiance.reshape(5, -1, 3)[1:4]
+
+    def test_extracted_env_map_is_the_diffuse_spheres(self, monkeypatch):
+        vol = self.volume()
+        points, _, radiance = self.diffuse_rays(monkeypatch, vol)
+        for point, frame, want in zip(points, BUILDER_FRAMES, radiance):
+            env = extract_env_map(vol, point, frame, *DEFAULT_ENV_RES, self.N_SAMPLES)
+            assert env.texels.tobytes() == want.reshape(env.texels.shape).tobytes()
+
+    def test_fit_directions_are_texel_directions(self, monkeypatch):
+        points, dirs, _ = self.diffuse_rays(monkeypatch, self.volume())
+        h, w = DEFAULT_ENV_RES
+        targets = [EnvTarget(point=p, frame=f,
+                             grid=EnvMapGrid(width=w, height=h, frame=f, texels=np.ones((h, w, 3))))
+                   for p, f in zip(points, BUILDER_FRAMES)]
+        problem = VSGFitProblem(targets, (3, 3, 3), BOUNDS, VSGFitOptions(n_samples=4))
+        for sl, frame, want in zip(problem.slices, BUILDER_FRAMES, dirs):
+            texel = texel_directions(h, w, frame).reshape(-1, 3)
+            assert problem.directions[sl].tobytes() == texel.tobytes() == want.tobytes()

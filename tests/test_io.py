@@ -61,6 +61,16 @@ class TestPfm:
         with pytest.raises(ValueError):
             vio.write_pfm(tmp_path / "x.pfm", np.zeros((2, 2, 4)))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_read_map_rejects_non_finite_values(self, tmp_path, bad):
+        # write_pfm refuses non-finite data, so the file is written by hand
+        path = tmp_path / "map.pfm"
+        values = np.array([0.5, 0.5, 0.5, 0.5, bad, 0.5], "<f4")
+        path.write_bytes(b"PF\n2 1\n-1.0\n" + values.tobytes())
+        assert vio.read_pfm(path).shape == (1, 2, 3)
+        with pytest.raises(ValueError, match=re.escape(str(path)) + ": map values must be finite"):
+            vio.read_map(path, (1, 2, 3))
+
 
 class TestPng:
     def test_writes_valid_signature(self, tmp_path):

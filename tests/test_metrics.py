@@ -156,6 +156,11 @@ class TestEntropy:
         with pytest.raises(ValueError):
             entropy_reg(np.array([1.5]))
 
+    @pytest.mark.parametrize("bad", [math.nan, -0.5, 1.5])
+    def test_nan_fails_the_range_check(self, bad):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            entropy_reg(np.array([0.5, bad]))
+
 
 class TestMaskIgnoresUnmasked:
     def test_all_metrics_ignore_unmasked_bitwise(self):

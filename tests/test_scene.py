@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from voxlight.brdf import MaterialSample, ggx_specular, rerender_pixel
 from voxlight.scene import (SceneSpec, _scene_intersect, generate_scene,
                             make_cameras, per_pixel_env_maps, render_images)
-from voxlight.sg import (EnvMapGrid, Frame, hemisphere_frames, texel_angles,
-                         texel_local_directions, texel_solid_angles)
+from voxlight.sg import (EnvMapGrid, Frame, hemisphere_frames, texel_local_directions,
+                         texel_solid_angles)
 
 
 def small_spec(**kwargs):
@@ -303,7 +303,7 @@ class TestEnvMapCull:
 def frozen_render_images(points, normals, albedo, rough, envs, cam_center):
     h, w = points.shape[:2]
     ha, wa = envs.shape[2:4]
-    theta, _ = texel_angles(ha, wa)
+    theta = (np.arange(ha) + 0.5) * (0.5 * math.pi / ha)
     cos = np.cos(theta)
     omega = texel_solid_angles(ha, wa)
     cw = (cos * omega)[:, None]
