@@ -21,7 +21,7 @@ from .optim import FitReport, minimize_monotone
 from .pipeline import DemoConfig, PipelineReport, pipeline_demo
 from .scene import GeneratedScene, SceneSpec, generate_scene, per_pixel_env_maps
 from .sg import (EnvMapGrid, Frame, SGEnvironment, SGFitOptions, SGFitResult,
-                 SGLobe, eval_env, fibonacci_hemisphere, rasterize_env,
+                 eval_env, fibonacci_hemisphere, rasterize_env,
                  sg_fit, sg_fit_batch, texel_directions, texel_solid_angles)
 from .surface import SurfaceVolume, build_surface_volume
 from .volume import (Bounds, EnvTarget, Ray, VSGFitOptions, VSGFitResult,

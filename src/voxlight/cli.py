@@ -82,8 +82,11 @@ def cmd_gen_scene(args):
 def cmd_fit_sg(args):
     texels = vio.read_pfm(args.env)
     frame = Frame.from_normal(np.array([float(x) for x in args.normal.split(",")]))
-    grid = EnvMapGrid(width=texels.shape[1], height=texels.shape[0],
-                      frame=frame, texels=texels)
+    try:
+        grid = EnvMapGrid(width=texels.shape[1], height=texels.shape[0],
+                          frame=frame, texels=texels)
+    except ValueError as exc:
+        raise ValueError(f"{args.env}: {exc}") from exc
     result = sg_fit(grid, args.lobes, SGFitOptions(max_iters=args.iters))
     vio.save_sg_env(args.out, result.environment)
     print(f"final objective {result.report.final_objective:.3e} "

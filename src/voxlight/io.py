@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .geometry import Camera, View, ViewBundle
-from .sg import SGEnvironment, SGLobe
+from .sg import SGEnvironment
 from .volume import CHANNEL_ORDER, Bounds, VSGVolume
 
 
@@ -57,7 +57,8 @@ def read_pfm(path) -> np.ndarray:
                 if not ch:
                     raise ValueError(f"{path}: unexpected end of PFM header")
                 if ch == b"\n":
-                    return out.decode("ascii").strip()
+                    # a non-ASCII byte fails the checks below, which name the file
+                    return out.decode("ascii", "replace").strip()
                 out += ch
         magic = line()
         if magic == "PF":
@@ -179,21 +180,19 @@ def load_camera(path) -> Camera:
     return _load_json(path, camera_from_dict)
 
 
+_SG_LOBE_KEYS = ("theta", "phi", "sharpness", "intensity")
+
+
 def save_sg_env(path, env: SGEnvironment) -> None:
-    doc = {
-        "lobes": [{"theta": lobe.axis_theta, "phi": lobe.axis_phi,
-                   "sharpness": lobe.sharpness,
-                   "intensity": list(lobe.intensity)} for lobe in env.lobes],
-        "visibility": list(env.visibility),
-    }
+    columns = (env.theta.tolist(), env.phi.tolist(), env.sharp.tolist(), env.intensity.tolist())
+    doc = {"lobes": [dict(zip(_SG_LOBE_KEYS, lobe)) for lobe in zip(*columns)],
+           "visibility": env.visibility.tolist()}
     Path(path).write_text(json.dumps(doc, indent=2))
 
 
 def _sg_env_from_dict(doc: dict) -> SGEnvironment:
-    lobes = tuple(SGLobe(axis_theta=float(l["theta"]), axis_phi=float(l["phi"]),
-                         sharpness=float(l["sharpness"]),
-                         intensity=tuple(l["intensity"])) for l in doc["lobes"])
-    return SGEnvironment(lobes=lobes, visibility=tuple(doc.get("visibility", ())))
+    columns = ([lobe[key] for lobe in doc["lobes"]] for key in _SG_LOBE_KEYS)
+    return SGEnvironment(*columns, visibility=doc.get("visibility") or None)
 
 
 def load_sg_env(path) -> SGEnvironment:
@@ -273,10 +272,8 @@ def save_surface_volume(path, volume) -> None:
 def load_surface_volume(path):
     from .surface import SurfaceVolume
     data, bounds = _load_sidecar_volume(Path(path), SURFACE_CHANNEL_ORDER)
-    # rho is recoverable: the stored normal block is rho * (unit normal)
-    rho = np.linalg.norm(data[..., 3:6], axis=-1)
     with _naming(path):
-        return SurfaceVolume(bounds=bounds, data=data, rho=rho)
+        return SurfaceVolume(bounds=bounds, data=data)
 
 
 # ---------------------------------------------------------------------------

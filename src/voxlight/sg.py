@@ -1,9 +1,10 @@
 """Spherical-Gaussian lobes, environments, hemispherical radiance grids,
 and gradient-based SG fitting.
 
-A lobe stores its axis as spherical angles (theta, phi) and is evaluated as a
-unit 3-vector, radiance eta * exp(lambda * (dot(l, axis) - 1)). Environments
-sum lobes scaled by per-lobe visibility in [0, 1]. Radiance grids discretize
+An environment holds S lobes as arrays. A lobe stores its axis as spherical
+angles (theta, phi) and is evaluated as a unit 3-vector, radiance
+eta * exp(lambda * (dot(l, axis) - 1)); environments sum lobes scaled by
+per-lobe visibility in [0, 1]. Radiance grids discretize
 the upper hemisphere around a local frame in equirectangular fashion
 (elevation rows x azimuth columns, texel directions at cell centers).
 """
@@ -89,61 +90,56 @@ def hemisphere_frames(normals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return t, np.cross(normals, t)
 
 
-@dataclass(frozen=True)
-class SGLobe:
-    """One spherical-Gaussian radiance lobe."""
-
-    axis_theta: float
-    axis_phi: float
-    sharpness: float
-    intensity: tuple[float, float, float]
-
-    def __post_init__(self):
-        if not (0.0 <= self.axis_theta <= math.pi):
-            raise ValueError(f"axis_theta must lie in [0, pi], got {self.axis_theta}")
-        if not (-math.pi <= self.axis_phi < math.pi):
-            raise ValueError(f"axis_phi must lie in [-pi, pi), got {self.axis_phi}")
-        if not (math.isfinite(self.sharpness) and self.sharpness >= 0.0):
-            raise ValueError(f"sharpness must be finite and >= 0, got {self.sharpness}")
-        intensity = tuple(float(c) for c in self.intensity)
-        if len(intensity) != 3 or any(not math.isfinite(c) or c < 0.0 for c in intensity):
-            raise ValueError(f"intensity must be 3 finite nonnegative values, got {self.intensity}")
-        object.__setattr__(self, "intensity", intensity)
-
-    def unit_axis(self) -> np.ndarray:
-        return _lobe_axes(self.axis_theta, self.axis_phi)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SGEnvironment:
-    """An ordered set of SG lobes with per-lobe visibility in [0, 1]."""
+    """S spherical-Gaussian lobes as read-only arrays: axis angles ``theta``
+    (S,) in [0, pi] and ``phi`` (S,) in [-pi, pi), ``sharp`` (S,) finite and
+    >= 0, RGB ``intensity`` (S, 3) finite and >= 0, and per-lobe
+    ``visibility`` (S,) in [0, 1], all ones when omitted. Each check is
+    written so that NaN fails it."""
 
-    lobes: tuple[SGLobe, ...]
-    visibility: tuple[float, ...] = ()
+    theta: np.ndarray
+    phi: np.ndarray
+    sharp: np.ndarray
+    intensity: np.ndarray
+    visibility: np.ndarray | None = None
 
     def __post_init__(self):
-        lobes = tuple(self.lobes)
-        if len(lobes) < 1:
+        s = np.size(self.theta)
+        if s < 1:
             raise ValueError("an environment needs at least one lobe")
-        vis = tuple(float(v) for v in self.visibility) if self.visibility else (1.0,) * len(lobes)
-        if len(vis) != len(lobes):
-            raise ValueError(f"{len(lobes)} lobes but {len(vis)} visibility values")
-        if any(not (0.0 <= v <= 1.0) for v in vis):
-            raise ValueError("every visibility value must lie in [0, 1]")
-        object.__setattr__(self, "lobes", lobes)
-        object.__setattr__(self, "visibility", vis)
+        vis = np.ones(s) if self.visibility is None else self.visibility
+        for name, value, shape in (("theta", self.theta, (s,)), ("phi", self.phi, (s,)),
+                                   ("sharp", self.sharp, (s,)),
+                                   ("intensity", self.intensity, (s, 3)),
+                                   ("visibility", vis, (s,))):
+            a = np.array(value, dtype=np.float64)
+            if a.shape != shape:
+                raise ValueError(f"{name} must have shape {shape}, got {a.shape}")
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
+        for name, ok, rule in (
+                ("theta", (self.theta >= 0.0) & (self.theta <= math.pi), "lie in [0, pi]"),
+                ("phi", (self.phi >= -math.pi) & (self.phi < math.pi), "lie in [-pi, pi)"),
+                ("sharp", np.isfinite(self.sharp) & (self.sharp >= 0.0), "be finite and >= 0"),
+                ("intensity", np.isfinite(self.intensity) & (self.intensity >= 0.0),
+                 "be finite and >= 0"),
+                ("visibility", (self.visibility >= 0.0) & (self.visibility <= 1.0),
+                 "lie in [0, 1]")):
+            if not np.all(ok):
+                raise ValueError(f"{name} must {rule}, got {getattr(self, name)}")
 
     def __len__(self) -> int:
-        return len(self.lobes)
+        return len(self.theta)
 
     def axes(self) -> np.ndarray:
-        return np.stack([lobe.unit_axis() for lobe in self.lobes])
+        return _lobe_axes(self.theta, self.phi)
 
     def sharpness(self) -> np.ndarray:
-        return np.array([lobe.sharpness for lobe in self.lobes])
+        return self.sharp
 
     def intensities(self) -> np.ndarray:
-        return np.array([lobe.intensity for lobe in self.lobes])
+        return self.intensity
 
 
 @dataclass(frozen=True)
@@ -283,13 +279,7 @@ class SGFitResult:
 
 
 def _env_to_params(env: SGEnvironment) -> np.ndarray:
-    params = np.empty((len(env), _PARAMS_PER_LOBE))
-    for s, lobe in enumerate(env.lobes):
-        params[s, 0] = lobe.axis_theta
-        params[s, 1] = lobe.axis_phi
-        params[s, 2] = math.log(lobe.sharpness)
-        params[s, 3:6] = np.log(lobe.intensity)
-    return params
+    return np.column_stack([env.theta, env.phi, np.log(env.sharp), np.log(env.intensity)])
 
 
 # export range for log parameters: coordinates with negligible objective
@@ -311,10 +301,7 @@ def export_lobe_params(theta, phi, log_params):
 
 def _params_to_env(params: np.ndarray) -> SGEnvironment:
     theta, phi, values = export_lobe_params(params[:, 0], params[:, 1], params[:, 2:6])
-    return SGEnvironment(lobes=tuple(
-        SGLobe(axis_theta=float(t), axis_phi=float(f), sharpness=float(v[0]),
-               intensity=tuple(v[1:4]))
-        for t, f, v in zip(theta, phi, values)))
+    return SGEnvironment(theta, phi, values[:, 0], values[:, 1:4])
 
 
 def _lobe_axes(theta, phi) -> np.ndarray:
@@ -336,20 +323,16 @@ def _angle_grad(d_axis: np.ndarray, theta: np.ndarray, phi: np.ndarray):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def sg_fit_objective(params: np.ndarray, target: np.ndarray, dirs: np.ndarray,
-                     log_target: np.ndarray | None = None):
-    """Scale-invariant log-space MSE (tau fixed to 1) and its gradient.
+def sg_fit_objective(params: np.ndarray, log_target: np.ndarray, dirs: np.ndarray):
+    """Scale-invariant log-space MSE (tau fixed to 1) and its gradient for B
+    fits at once.
 
-    ``params`` is (S, 6) internal lobe parameters, ``target`` (T, 3) texel
-    radiance, ``dirs`` (T, 3) texel-center directions. Returns the objective
-    mean((log(R+1) - log(target+1))^2) and d/dparams (S * 6,), both
-    analytic, or inf and zeros where either is not finite; ``log_target`` is
-    log1p(target) if the caller has it. A leading batch axis on all three
-    gives (B,) values and (B, S * 6) gradients, each row its own call's bits.
+    ``params`` is (B, S * 6) internal lobe parameters, ``log_target`` (B, T, 3)
+    log1p of the texel radiance, ``dirs`` (B, T, 3) texel-center directions.
+    Returns the objectives mean((log(R+1) - log(target+1))^2) (B,) and their
+    gradients d/dparams (B, S * 6), both analytic, or inf and zeros in a row
+    where either is not finite. Each row has the bits of its own batch of one.
     """
-    log_t = np.log1p(target) if log_target is None else log_target
-    single = log_t.ndim == 2
-    log_t, dirs = (log_t[None], dirs[None]) if single else (log_t, dirs)
     params = np.asarray(params, dtype=np.float64).reshape(len(dirs), -1, _PARAMS_PER_LOBE)
     axes = _lobe_axes(params[..., 0], params[..., 1])      # (B, S, 3)
     sharp, eta = np.exp(params[..., 2]), np.exp(params[..., 3:6])
@@ -357,7 +340,7 @@ def sg_fit_objective(params: np.ndarray, target: np.ndarray, dirs: np.ndarray,
     expo = np.exp(sharp[:, None, :] * dots_m1)
     radiance = expo @ eta                                  # (B, T, 3)
 
-    diff = np.log1p(radiance) - log_t
+    diff = np.log1p(radiance) - log_target
     n_elem = diff[0].size
     value = (diff * diff).reshape(len(diff), n_elem).sum(axis=1) / n_elem  # the mean
 
@@ -377,7 +360,7 @@ def sg_fit_objective(params: np.ndarray, target: np.ndarray, dirs: np.ndarray,
     if not (np.isfinite(value).all() and np.isfinite(grad).all()):
         bad = ~(np.isfinite(value) & np.isfinite(grad).all(axis=1))
         value[bad], grad[bad] = math.inf, 0.0
-    return (float(value[0]), grad[0]) if single else (value, grad)
+    return value, grad
 
 
 def default_sg_init(target: EnvMapGrid, num_lobes: int) -> SGEnvironment:
@@ -386,13 +369,10 @@ def default_sg_init(target: EnvMapGrid, num_lobes: int) -> SGEnvironment:
     local_axes = fibonacci_hemisphere(num_lobes)
     basis = np.stack([target.frame.tangent, target.frame.bitangent,
                       target.frame.normal])
-    mean = tuple(np.maximum(target.texels.reshape(-1, 3).mean(axis=0), 1e-6))
-    lobes = []
-    for axis_local in local_axes:
-        theta, phi = unit_to_spherical(axis_local @ basis)
-        lobes.append(SGLobe(axis_theta=theta, axis_phi=phi,
-                            sharpness=5.0, intensity=mean))
-    return SGEnvironment(lobes=tuple(lobes))
+    mean = np.maximum(target.texels.reshape(-1, 3).mean(axis=0), 1e-6)
+    # the scalar unit_to_spherical per lobe: math.acos keeps the fit's bits
+    theta, phi = np.array([unit_to_spherical(a @ basis) for a in local_axes]).T
+    return SGEnvironment(theta, phi, np.full(num_lobes, 5.0), np.tile(mean, (num_lobes, 1)))
 
 
 def sg_fit_batch(targets, num_lobes: int,
@@ -415,10 +395,9 @@ def sg_fit_batch(targets, num_lobes: int,
     params0 = np.stack([_env_to_params(default_sg_init(t, num_lobes)).ravel()
                         for t in targets])
     dirs = np.stack([t.directions().reshape(-1, 3) for t in targets])
-    flat_targets = np.stack([t.texels.reshape(-1, 3) for t in targets])
-    log_targets = np.log1p(flat_targets)
+    log_targets = np.log1p(np.stack([t.texels.reshape(-1, 3) for t in targets]))
     results = minimize_monotone(
-        lambda p: sg_fit_objective(p, flat_targets, dirs, log_targets), params0,
+        lambda p: sg_fit_objective(p, log_targets, dirs), params0,
         max_iters=options.max_iters, step=0.25)
     return [SGFitResult(environment=_params_to_env(res.x.reshape(-1, _PARAMS_PER_LOBE)),
                         report=res.report) for res in results]

@@ -23,7 +23,6 @@ SURFACE_CHANNELS = 10  # rho * [I rgb, N xyz, A rgb, R]
 class SurfaceVolume:
     bounds: Bounds
     data: np.ndarray  # (X, Y, Z, 10)
-    rho: np.ndarray   # (X, Y, Z) diagnostic weights; 0 outside the frustum
 
     def __post_init__(self):
         if self.data.ndim != 4 or self.data.shape[3] != SURFACE_CHANNELS:
@@ -73,6 +72,4 @@ def build_surface_volume(image: np.ndarray, normal: np.ndarray, albedo: np.ndarr
     record = samples[:, :SURFACE_CHANNELS] * rho[:, None]
     record[~valid] = 0.0
 
-    return SurfaceVolume(bounds=bounds,
-                         data=record.reshape(dims + (SURFACE_CHANNELS,)),
-                         rho=rho.reshape(dims))
+    return SurfaceVolume(bounds=bounds, data=record.reshape(dims + (SURFACE_CHANNELS,)))

@@ -320,11 +320,18 @@ def extract_env_map(volume: VSGVolume, point, frame: Frame, height: int,
 
 @dataclass(frozen=True)
 class EnvTarget:
-    """One supervision point: hemisphere env map observed at ``point``."""
+    """One supervision point: hemisphere env map observed at ``point``. The
+    fit marches rays in ``frame`` and scores ``grid``'s texels, laid out in
+    ``grid.frame``, so the two frames must have the same vectors."""
 
     point: np.ndarray
     frame: Frame
     grid: EnvMapGrid
+
+    def __post_init__(self):
+        if not all(np.array_equal(getattr(self.frame, k), getattr(self.grid.frame, k))
+                   for k in ("normal", "tangent", "bitangent")):
+            raise ValueError("target frame differs from its grid's frame")
 
 
 @dataclass

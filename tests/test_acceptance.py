@@ -15,7 +15,7 @@ from voxlight.geometry import (depth_to_normal, multiview_weights,
 from voxlight.metrics import entropy_reg, masked_l1_angular, masked_mse, si_mse
 from voxlight.pipeline import DemoConfig, pipeline_demo
 from voxlight.insertion import InsertedSphere, MirrorMaterial, insert_object
-from voxlight.sg import (EnvMapGrid, Frame, SGEnvironment, SGFitOptions, SGLobe,
+from voxlight.sg import (EnvMapGrid, Frame, SGEnvironment, SGFitOptions,
                          eval_env, rasterize_env, sg_fit,
                          sg_fit_objective, texel_directions)
 from voxlight.volume import (Bounds, EnvTarget, Ray, VSGFitOptions,
@@ -35,6 +35,11 @@ def report(num: int, name: str, passed: bool, detail: str = ""):
     status = "PASS" if passed else "FAIL"
     print(f"ACCEPTANCE {num:02d} {status}: {name}" + (f" ({detail})" if detail else ""))
     assert passed, f"criterion {num} failed: {name} {detail}"
+
+
+def env_of(*lobes, visibility=None) -> SGEnvironment:
+    """An SGEnvironment of (theta, phi, sharpness, (r, g, b)) lobes."""
+    return SGEnvironment(*zip(*lobes), visibility=visibility)
 
 
 def random_frame(rng) -> Frame:
@@ -60,21 +65,16 @@ def test_02_sg_identity_and_rasterize_agreement():
     rng = np.random.default_rng(101)
     identity_ok = True
     for _ in range(100):
-        lobe = SGLobe(axis_theta=rng.uniform(0, math.pi),
-                      axis_phi=rng.uniform(-math.pi, math.pi * 0.999),
-                      sharpness=rng.uniform(0, 40),
-                      intensity=tuple(rng.uniform(0, 3, 3)))
-        identity_ok &= bool(np.array_equal(eval_env(SGEnvironment((lobe,)), lobe.unit_axis()),
-                                           np.asarray(lobe.intensity)))
+        env = env_of((rng.uniform(0, math.pi), rng.uniform(-math.pi, math.pi * 0.999),
+                      rng.uniform(0, 40), rng.uniform(0, 3, 3)))
+        identity_ok &= bool(np.array_equal(eval_env(env, env.axes()[0]), env.intensity[0]))
     raster_ok = True
     for _ in range(100):
-        lobes = tuple(SGLobe(axis_theta=rng.uniform(0, math.pi),
-                             axis_phi=rng.uniform(-math.pi, math.pi * 0.999),
-                             sharpness=rng.uniform(0, 30),
-                             intensity=tuple(rng.uniform(0, 3, 3)))
-                      for _ in range(int(rng.integers(1, 5))))
+        lobes = [(rng.uniform(0, math.pi), rng.uniform(-math.pi, math.pi * 0.999),
+                  rng.uniform(0, 30), rng.uniform(0, 3, 3))
+                 for _ in range(int(rng.integers(1, 5)))]
         vis = tuple(rng.uniform(0, 1, len(lobes)))
-        env = SGEnvironment(lobes, visibility=vis)
+        env = env_of(*lobes, visibility=vis)
         frame = random_frame(rng)
         grid = rasterize_env(env, 4, 8, frame)
         dirs = texel_directions(4, 8, frame)
@@ -134,6 +134,11 @@ def test_04_gradient_correctness():
     target = rng.uniform(0, 2, (dirs.shape[0], 3))
     step = 1e-5
     worst_sg = 0.0
+
+    def sg_objective(params):   # a batch of one fit
+        values, grads = sg_fit_objective(params[None], np.log1p(target)[None], dirs[None])
+        return values[0], grads[0]
+
     for _ in range(20):
         params = np.stack([
             rng.uniform(0.2, math.pi - 0.2, 3),
@@ -143,13 +148,12 @@ def test_04_gradient_correctness():
             np.log(rng.uniform(0.2, 3.0, 3)),
             np.log(rng.uniform(0.2, 3.0, 3)),
         ], axis=-1).ravel()
-        _, grad = sg_fit_objective(params, target, dirs)
+        _, grad = sg_objective(params)
         fd = np.zeros_like(grad)
         for i in range(params.size):
             hi = params.copy(); hi[i] += step
             lo = params.copy(); lo[i] -= step
-            fd[i] = (sg_fit_objective(hi, target, dirs)[0]
-                     - sg_fit_objective(lo, target, dirs)[0]) / (2 * step)
+            fd[i] = (sg_objective(hi)[0] - sg_objective(lo)[0]) / (2 * step)
         worst_sg = max(worst_sg, np.linalg.norm(grad - fd)
                        / max(np.linalg.norm(fd), 1e-300))
 
@@ -181,13 +185,10 @@ def test_05_sg_recovery():
     t0 = time.time()
     rng = np.random.default_rng(104)
     while True:
-        lobes = tuple(SGLobe(axis_theta=rng.uniform(0.3, 1.1),
-                             axis_phi=-math.pi + (k + rng.uniform(0.3, 0.7))
-                             * (2 * math.pi / 3),
-                             sharpness=rng.uniform(4.0, 12.0),
-                             intensity=tuple(rng.uniform(0.5, 3.0, 3)))
-                      for k in range(3))
-        env = SGEnvironment(lobes)
+        env = env_of(*[(rng.uniform(0.3, 1.1),
+                        -math.pi + (k + rng.uniform(0.3, 0.7)) * (2 * math.pi / 3),
+                        rng.uniform(4.0, 12.0), rng.uniform(0.5, 3.0, 3))
+                       for k in range(3)])
         axes = env.axes()
         dots = axes @ axes.T
         np.fill_diagonal(dots, -1.0)

@@ -11,7 +11,7 @@ from voxlight.brdf import (F0_DEFAULT, MaterialSample, ggx_ndf, ggx_specular, ha
                            schlick, shade_env_maps, smith_g, spec_feature_batch,
                            spec_feature_inputs)
 from voxlight.scene import SceneSpec, generate_scene
-from voxlight.sg import (EnvMapGrid, Frame, SGEnvironment, SGLobe, hemisphere_frames,
+from voxlight.sg import (EnvMapGrid, Frame, SGEnvironment, hemisphere_frames,
                          texel_solid_angles)
 
 FRAME = Frame.from_normal([0.0, 0.0, 1.0])
@@ -21,6 +21,11 @@ NORMAL = np.array([0.0, 0.0, 1.0])
 def constant_env(value, height=16, width=32) -> EnvMapGrid:
     return EnvMapGrid(width=width, height=height, frame=FRAME,
                       texels=np.full((height, width, 3), value))
+
+
+def env_of(*lobes) -> SGEnvironment:
+    """An SGEnvironment of (theta, phi, sharpness, (r, g, b)) lobes."""
+    return SGEnvironment(*zip(*lobes))
 
 
 def unit(v):
@@ -241,27 +246,27 @@ class TestRerenderPixel:
 
 class TestSpecFeatures:
     def test_zero_intensity_masks_lobe(self):
-        env = SGEnvironment((SGLobe(0.4, 0.2, 3.0, (0.0, 0.0, 0.0)),))
+        env = env_of((0.4, 0.2, 3.0, (0.0, 0.0, 0.0)))
         feats = spec_feature_inputs(env, NORMAL, unit([0.1, 0.0, 0.99]))
         assert feats[0].mask == 0
 
     def test_backfacing_lobe_masked(self):
-        env = SGEnvironment((SGLobe(2.6, 0.0, 3.0, (1.0, 1.0, 1.0)),))
-        n_dot_xi = float(NORMAL @ env.lobes[0].unit_axis())
+        env = env_of((2.6, 0.0, 3.0, (1.0, 1.0, 1.0)))
+        n_dot_xi = float(NORMAL @ env.axes()[0])
         assert n_dot_xi < 0.0
         feats = spec_feature_inputs(env, NORMAL, unit([0.1, 0.0, 0.99]))
         assert feats[0].mask == 0
 
     def test_grazing_lobe_masked_by_strict_inequality(self):
         # axis (1, 0, ~0) against n = +y: the dot product is exactly zero
-        env = SGEnvironment((SGLobe(math.pi / 2, 0.0, 3.0, (1.0, 1.0, 1.0)),))
+        env = env_of((math.pi / 2, 0.0, 3.0, (1.0, 1.0, 1.0)))
         n = np.array([0.0, 1.0, 0.0])
         feats = spec_feature_inputs(env, n, unit([0.3, 0.9, 0.1]))
         assert feats[0].ndotxi == 0.0
         assert feats[0].mask == 0
 
     def test_aligned_case_fields(self):
-        env = SGEnvironment((SGLobe(0.0, 0.0, 5.0, (1.0, 1.0, 1.0)),))  # axis +z
+        env = env_of((0.0, 0.0, 5.0, (1.0, 1.0, 1.0)))  # axis +z
         feats = spec_feature_inputs(env, NORMAL, NORMAL)
         f = feats[0]
         assert f.mask == 1
@@ -272,8 +277,8 @@ class TestSpecFeatures:
         assert f.sharpness == 5.0
 
     def test_opposite_view_excluded(self):
-        env = SGEnvironment((SGLobe(math.pi / 2, 0.0, 3.0, (1.0, 1.0, 1.0)),))
-        v = -env.lobes[0].unit_axis()
+        env = env_of((math.pi / 2, 0.0, 3.0, (1.0, 1.0, 1.0)))
+        v = -env.axes()[0]
         feats = spec_feature_inputs(env, unit([0.0, 0.0, 1.0]), v)
         assert feats[0].mask == 0
 
@@ -281,9 +286,8 @@ class TestSpecFeatures:
         rng = np.random.default_rng(7)
         for _ in range(30):
             eta = tuple(rng.uniform(0.0, 2.0, 3) * (rng.random() > 0.3))
-            env = SGEnvironment((SGLobe(rng.uniform(0, math.pi),
-                                        rng.uniform(-math.pi, math.pi * 0.99),
-                                        rng.uniform(0, 10), eta),))
+            env = env_of((rng.uniform(0, math.pi), rng.uniform(-math.pi, math.pi * 0.99),
+                          rng.uniform(0, 10), eta))
             feats = spec_feature_inputs(env, NORMAL, unit([0.2, 0.1, 0.97]))
             assert feats[0].mask in (0, 1)
             expected = 1 if (sum(eta) * feats[0].ndotxi) > 0 else 0
@@ -304,21 +308,21 @@ class TestLobeMask:
 
 
 def old_spec_feature_inputs(env, n, v, f0=F0_DEFAULT):
-    """The scalar spec_feature_inputs before it became a batch of one."""
+    """The scalar spec_feature_inputs before it became a batch of one, over
+    the lobes' rows of ``env``."""
     ndotv = float(np.dot(n, v))
     features = []
-    for lobe in env.lobes:
-        xi = lobe.unit_axis()
+    for xi, sharpness, intensity in zip(env.axes(), env.sharp.tolist(), env.intensity):
         ndotxi = float(np.dot(n, xi))
         if np.linalg.norm(v + xi) < 1e-9:
-            features.append((0.0, 0.0, ndotxi, ndotv, lobe.sharpness, 0, *lobe.intensity))
+            features.append((0.0, 0.0, ndotxi, ndotv, sharpness, 0, *intensity))
             continue
         s = v + xi
         h = s / float(np.linalg.norm(s))
         fresnel = float(f0 + (1.0 - f0) * (1.0 - np.maximum(np.dot(v, h), 0.0)) ** 5)
-        mask = 1 if float(np.sum(np.abs(lobe.intensity))) * ndotxi > 0.0 else 0
-        features.append((fresnel, float(np.dot(n, h)) ** 2, ndotxi, ndotv, lobe.sharpness,
-                         mask, *lobe.intensity))
+        mask = 1 if float(np.sum(np.abs(intensity))) * ndotxi > 0.0 else 0
+        features.append((fresnel, float(np.dot(n, h)) ** 2, ndotxi, ndotv, sharpness,
+                         mask, *intensity))
     return np.array(features, dtype=np.float64)
 
 
@@ -330,19 +334,19 @@ class TestSpecFeatureBatch:
         rng = np.random.default_rng(11)
         envs, normals, views = [], [], []
         for p in range(4):
-            lobes = [SGLobe(rng.uniform(0.0, math.pi), rng.uniform(-math.pi, math.pi),
-                            rng.uniform(0.0, 30.0), tuple(rng.uniform(0.0, 2.0, 3)))
+            lobes = [(rng.uniform(0.0, math.pi), rng.uniform(-math.pi, math.pi),
+                      rng.uniform(0.0, 30.0), rng.uniform(0.0, 2.0, 3))
                      for _ in range(4)]
             n = unit(rng.normal(size=3) + [0.0, 0.0, 2.0])
             v = [unit(rng.normal(size=3) + 2.0 * n) for _ in range(3)]
             if p == 0:
-                v[1] = -lobes[2].unit_axis()
+                v[1] = -env_of(lobes[2]).axes()[0]
             if p == 1:
-                lobes[0] = SGLobe(0.3, 0.4, 5.0, (0.0, 0.0, 0.0))
+                lobes[0] = (0.3, 0.4, 5.0, (0.0, 0.0, 0.0))
             if p == 2:
                 n = np.array([0.0, 1.0, 0.0])
-                lobes[3] = SGLobe(math.pi / 2, 0.0, 3.0, (1.0, 1.0, 1.0))
-            envs.append(SGEnvironment(tuple(lobes)))
+                lobes[3] = (math.pi / 2, 0.0, 3.0, (1.0, 1.0, 1.0))
+            envs.append(env_of(*lobes))
             normals.append(n)
             views.append(v)
         normals, views = np.array(normals), np.array(views)

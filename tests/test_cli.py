@@ -60,6 +60,23 @@ class TestFitSg(object):
         env = vio.load_sg_env(out)
         assert len(env) == 2
 
+    @pytest.mark.parametrize("case, message", [
+        ("gray", "texels must have shape (1, 2, 3), got (1, 2)"),
+        ("nan", "texel values must be finite and >= 0"),
+        ("negative", "texel values must be finite and >= 0")], ids=["gray", "nan", "negative"])
+    def test_rejects_a_bad_env_map_naming_the_file(self, tmp_path, case, message):
+        env_file = tmp_path / "env.pfm"
+        if case == "gray":
+            vio.write_pfm(env_file, np.array([[0.5, 1.0]]))
+        elif case == "negative":
+            vio.write_pfm(env_file, np.array([[[0.5, 1.0, 1.0], [0.5, -1.0, 1.0]]]))
+        else:   # write_pfm refuses non-finite data, so the file is written by hand
+            env_file.write_bytes(b"PF\n2 1\n-1.0\n"
+                                 + np.array([0.5, 1, 1, 0.5, np.nan, 1], "<f4").tobytes())
+        with pytest.raises(ValueError, match=re.escape(f"{env_file}: {message}")):
+            main(["fit-sg", "--env", str(env_file), "--lobes", "1", "--iters", "5",
+                  "--out", str(tmp_path / "env.json")])
+
 
 class TestVolumeCommands:
     def test_fit_vsg_render_env_insert(self, scene_dir, tmp_path):

@@ -1,10 +1,12 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
+from voxlight import io as vio
 from voxlight.optim import minimize_monotone
-from voxlight.sg import (EnvMapGrid, Frame, SGEnvironment, SGFitOptions, SGLobe,
+from voxlight.sg import (EnvMapGrid, Frame, SGEnvironment, SGFitOptions,
                          _env_to_params, _params_to_env, default_sg_init, eval_env,
                          export_lobe_params, fibonacci_hemisphere,
                          hemisphere_frames, normalize, rasterize_env, sg_fit,
@@ -13,17 +15,31 @@ from voxlight.volume import (Bounds, EnvTarget, VSGFitOptions, VSGFitProblem,
                              _initial_params, _params_to_volume)
 
 FRAME = Frame.from_normal([0.0, 0.0, 1.0])
+ENV_FIELDS = ("theta", "phi", "sharp", "intensity", "visibility")
+
+
+def env_of(*lobes, visibility=None):
+    """An SGEnvironment of (theta, phi, sharpness, (r, g, b)) lobes."""
+    return SGEnvironment(*zip(*lobes), visibility=visibility)
+
+
+def env_bytes(env):
+    """Every field of ``env`` as bytes, to compare environments bitwise."""
+    return tuple(getattr(env, field).tobytes() for field in ENV_FIELDS)
+
+
+def sg_objective(params, target, dirs):
+    """``sg_fit_objective`` of one fit to ``target`` (T, 3): a batch of one."""
+    values, grads = sg_fit_objective(np.reshape(params, (1, -1)), np.log1p(target)[None],
+                                     dirs[None])
+    return values[0], grads[0]
 
 
 def random_env(rng, lobes=3, min_sep_deg=0.0):
     while True:
-        out = []
-        for _ in range(lobes):
-            out.append(SGLobe(axis_theta=rng.uniform(0.1, math.pi - 0.1),
-                              axis_phi=rng.uniform(-math.pi, math.pi * 0.999),
-                              sharpness=rng.uniform(0.0, 30.0),
-                              intensity=tuple(rng.uniform(0.0, 3.0, 3))))
-        env = SGEnvironment(tuple(out))
+        env = env_of(*[(rng.uniform(0.1, math.pi - 0.1), rng.uniform(-math.pi, math.pi * 0.999),
+                        rng.uniform(0.0, 30.0), rng.uniform(0.0, 3.0, 3))
+                       for _ in range(lobes)])
         if min_sep_deg == 0.0:
             return env
         axes = env.axes()
@@ -37,25 +53,37 @@ class TestTypes:
     def test_unit_axis_is_unit(self):
         rng = np.random.default_rng(1)
         for _ in range(50):
-            lobe = SGLobe(rng.uniform(0, math.pi), rng.uniform(-math.pi, math.pi * 0.99),
-                          rng.uniform(0, 50), (1.0, 1.0, 1.0))
-            assert abs(np.linalg.norm(lobe.unit_axis()) - 1.0) <= 1e-12
+            env = env_of((rng.uniform(0, math.pi), rng.uniform(-math.pi, math.pi * 0.99),
+                          rng.uniform(0, 50), (1.0, 1.0, 1.0)))
+            assert abs(np.linalg.norm(env.axes()[0]) - 1.0) <= 1e-12
 
     def test_invalid_lobe_rejected(self):
-        with pytest.raises(ValueError):
-            SGLobe(-0.1, 0.0, 1.0, (1, 1, 1))
-        with pytest.raises(ValueError):
-            SGLobe(0.5, 0.0, -1.0, (1, 1, 1))
-        with pytest.raises(ValueError):
-            SGLobe(0.5, 0.0, 1.0, (-1, 1, 1))
+        nan = math.nan
+        for lobe in ((-0.1, 0.0, 1.0, (1, 1, 1)), (0.5, 0.0, -1.0, (1, 1, 1)),
+                     (0.5, 0.0, 1.0, (-1, 1, 1)), (nan, 0.0, 1.0, (1, 1, 1)),
+                     (0.5, nan, 1.0, (1, 1, 1)), (0.5, 0.0, nan, (1, 1, 1)),
+                     (0.5, 0.0, math.inf, (1, 1, 1)), (0.5, 0.0, 1.0, (1, nan, 1)),
+                     (0.5, math.pi, 1.0, (1, 1, 1)), (0.5, 0.0, 1.0, (1, 1))):
+            with pytest.raises(ValueError):
+                env_of((0.4, 0.1, 2.0, (1, 1, 1)), lobe)
 
     def test_visibility_defaults_and_bounds(self):
-        env = SGEnvironment((SGLobe(0.5, 0.0, 1.0, (1, 1, 1)),))
-        assert env.visibility == (1.0,)
+        env = env_of((0.5, 0.0, 1.0, (1, 1, 1)))
+        assert env.visibility.tobytes() == np.ones(1).tobytes()
+        for vis in ((1.5,), (math.nan,), (-0.5,), (1.0, 1.0)):
+            with pytest.raises(ValueError):
+                env_of((0.5, 0.0, 1.0, (1, 1, 1)), visibility=vis)
         with pytest.raises(ValueError):
-            SGEnvironment((SGLobe(0.5, 0.0, 1.0, (1, 1, 1)),), visibility=(1.5,))
-        with pytest.raises(ValueError):
-            SGEnvironment(())
+            SGEnvironment((), (), (), ())
+
+    def test_arrays_are_read_only_copies(self):
+        theta = np.array([0.5, 1.0])
+        env = SGEnvironment(theta, [0.0, 1.0], [1.0, 2.0], np.ones((2, 3)))
+        theta[0] = 3.0
+        assert env.theta[0] == 0.5 and len(env) == 2
+        for field in ENV_FIELDS:
+            with pytest.raises(ValueError):
+                getattr(env, field)[0] = 0.0
 
     def test_envmap_invariants(self):
         with pytest.raises(ValueError):
@@ -66,8 +94,8 @@ class TestTypes:
 
 
 def frozen_spherical_to_unit(theta, phi):
-    """``sg.spherical_to_unit``, the scalar axis formula ``SGLobe.unit_axis``
-    used before it moved onto ``_lobe_axes``."""
+    """``sg.spherical_to_unit``, the scalar axis formula a one-lobe
+    ``unit_axis`` used before it moved onto ``_lobe_axes``."""
     st = math.sin(theta)
     return np.array([st * math.cos(phi), st * math.sin(phi), math.cos(theta)])
 
@@ -79,8 +107,9 @@ class TestUnitAxisBitwise:
                    for f in (-math.pi, 0.0, math.pi / 2)]
         angles = special + list(zip(rng.uniform(0.0, math.pi, 20000).tolist(),
                                     rng.uniform(-math.pi, math.pi, 20000).tolist()))
-        for theta, phi in angles:
-            got = SGLobe(theta, phi, 1.0, (1.0, 1.0, 1.0)).unit_axis()
+        theta, phi = np.array(angles).T
+        axes = SGEnvironment(theta, phi, np.ones(len(angles)), np.ones((len(angles), 3))).axes()
+        for (theta, phi), got in zip(angles, axes):
             want = frozen_spherical_to_unit(theta, phi)
             assert got.dtype == want.dtype and got.shape == want.shape == (3,)
             assert got.tobytes() == want.tobytes(), (theta, phi)
@@ -137,58 +166,57 @@ class TestEvalSG:
     """One lobe, evaluated as a one-lobe environment."""
 
     def test_axis_direction_returns_intensity(self):
-        lobe = SGLobe(0.7, 1.1, 12.0, (0.5, 1.5, 2.5))
-        np.testing.assert_array_equal(eval_env(SGEnvironment((lobe,)), lobe.unit_axis()),
-                                      np.array([0.5, 1.5, 2.5]))
+        env = env_of((0.7, 1.1, 12.0, (0.5, 1.5, 2.5)))
+        np.testing.assert_array_equal(eval_env(env, env.axes()[0]), np.array([0.5, 1.5, 2.5]))
 
     def test_zero_sharpness_is_constant(self):
-        lobe = SGLobe(0.7, 1.1, 0.0, (0.5, 1.5, 2.5))
+        env = env_of((0.7, 1.1, 0.0, (0.5, 1.5, 2.5)))
         rng = np.random.default_rng(2)
         for _ in range(10):
             d = rng.normal(size=3)
             d /= np.linalg.norm(d)
-            np.testing.assert_array_equal(eval_env(SGEnvironment((lobe,)), d), np.array([0.5, 1.5, 2.5]))
+            np.testing.assert_array_equal(eval_env(env, d), np.array([0.5, 1.5, 2.5]))
 
     def test_orthogonal_direction_analytic(self):
-        lobe = SGLobe(math.pi / 2, 0.0, 1.0, (1.0, 1.0, 1.0))  # axis +x
-        value = eval_env(SGEnvironment((lobe,)), [0.0, 0.0, 1.0])
+        env = env_of((math.pi / 2, 0.0, 1.0, (1.0, 1.0, 1.0)))  # axis +x
+        value = eval_env(env, [0.0, 0.0, 1.0])
         np.testing.assert_allclose(value, math.exp(-1.0), rtol=1e-15)
 
     def test_rejects_non_unit_direction(self):
-        lobe = SGLobe(0.5, 0.0, 1.0, (1, 1, 1))
+        env = env_of((0.5, 0.0, 1.0, (1, 1, 1)))
         with pytest.raises(ValueError):
-            eval_env(SGEnvironment((lobe,)), [1.0, 1.0, 0.0])
+            eval_env(env, [1.0, 1.0, 0.0])
 
     def test_monotone_in_angle(self):
-        lobe = SGLobe(0.0, 0.0, 7.5, (1.0, 1.0, 1.0))  # axis +z
+        env = env_of((0.0, 0.0, 7.5, (1.0, 1.0, 1.0)))  # axis +z
         angles = np.linspace(0.0, math.pi, 40)
-        values = [eval_env(SGEnvironment((lobe,)), [math.sin(a), 0.0, math.cos(a)])[0] for a in angles]
+        values = [eval_env(env, [math.sin(a), 0.0, math.cos(a)])[0] for a in angles]
         assert np.all(np.diff(values) <= 1e-15)
 
     def test_bounded_by_intensity(self):
         rng = np.random.default_rng(3)
-        lobe = SGLobe(1.0, 0.5, 9.0, (0.3, 0.6, 0.9))
+        env = env_of((1.0, 0.5, 9.0, (0.3, 0.6, 0.9)))
         for _ in range(20):
             d = rng.normal(size=3)
             d /= np.linalg.norm(d)
-            assert np.all(eval_env(SGEnvironment((lobe,)), d) <= np.array([0.3, 0.6, 0.9]) + 1e-15)
-            assert np.all(eval_env(SGEnvironment((lobe,)), d) >= 0.0)
+            assert np.all(eval_env(env, d) <= np.array([0.3, 0.6, 0.9]) + 1e-15)
+            assert np.all(eval_env(env, d) >= 0.0)
 
 
 class TestEvalEnv:
     def test_fully_occluded_is_black(self):
-        env = SGEnvironment((SGLobe(0.5, 0.0, 3.0, (1, 2, 3)),) * 2,
-                            visibility=(0.0, 0.0))
+        env = env_of(*[(0.5, 0.0, 3.0, (1, 2, 3))] * 2, visibility=(0.0, 0.0))
         np.testing.assert_array_equal(eval_env(env, [0, 0, 1.0]), np.zeros(3))
 
     def test_batch_bitwise_equal_to_per_row_calls(self):
         rng = np.random.default_rng(8)
         for lobes in (1, 2, 5):
-            env = SGEnvironment(random_env(rng, lobes).lobes,
-                                visibility=tuple(rng.uniform(0.0, 1.0, lobes)))
+            env = random_env(rng, lobes)
+            env = SGEnvironment(env.theta, env.phi, env.sharp, env.intensity,
+                                visibility=rng.uniform(0.0, 1.0, lobes))
             dirs = rng.normal(size=(6, 7, 3))
             dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
-            dirs[0, 0] = env.lobes[0].unit_axis()
+            dirs[0, 0] = env.axes()[0]
             batch = eval_env(env, dirs)
             assert batch.shape == (6, 7, 3)
             rows = np.stack([eval_env(env, d) for d in dirs.reshape(-1, 3)])
@@ -196,7 +224,7 @@ class TestEvalEnv:
             assert eval_env(env, dirs[2]).tobytes() == batch[2].tobytes()
 
     def test_batch_rejects_a_non_unit_row(self):
-        env = SGEnvironment((SGLobe(0.5, 0.0, 1.0, (1, 1, 1)),))
+        env = env_of((0.5, 0.0, 1.0, (1, 1, 1)))
         dirs = np.tile([0.0, 0.0, 1.0], (5, 1))
         eval_env(env, dirs)
         dirs[3] *= 1.0 + 2e-6
@@ -206,21 +234,20 @@ class TestEvalEnv:
             eval_env(env, np.zeros((4, 2)))
 
     def test_two_flat_lobes_visibility_sum(self):
-        env = SGEnvironment((SGLobe(0.5, 0.0, 0.0, (1, 0, 0)),
-                             SGLobe(1.0, 1.0, 0.0, (0, 2, 0))),
-                            visibility=(1.0, 0.5))
+        env = env_of((0.5, 0.0, 0.0, (1, 0, 0)), (1.0, 1.0, 0.0, (0, 2, 0)),
+                     visibility=(1.0, 0.5))
         np.testing.assert_allclose(eval_env(env, [0, 0, 1.0]),
                                    np.array([1.0, 1.0, 0.0]), rtol=1e-15)
 
 
 class TestRasterize:
     def test_flat_lobe_constant_grid(self):
-        env = SGEnvironment((SGLobe(0.3, 0.3, 0.0, (0.7, 0.7, 0.7)),))
+        env = env_of((0.3, 0.3, 0.0, (0.7, 0.7, 0.7)))
         grid = rasterize_env(env, 4, 8, FRAME)
         np.testing.assert_array_equal(grid.texels, np.full((4, 8, 3), 0.7))
 
     def test_occluded_env_all_zero(self):
-        env = SGEnvironment((SGLobe(0.3, 0.3, 5.0, (1, 1, 1)),), visibility=(0.0,))
+        env = env_of((0.3, 0.3, 5.0, (1, 1, 1)), visibility=(0.0,))
         grid = rasterize_env(env, 4, 8, FRAME)
         np.testing.assert_array_equal(grid.texels, np.zeros((4, 8, 3)))
 
@@ -290,8 +317,7 @@ class TestFibonacci:
 
         for count in (1, 3, 7, 64, 513):
             assert fibonacci_hemisphere(count).tobytes() == hemisphere(count).tobytes()
-        grid = rasterize_env(SGEnvironment((SGLobe(0.4, 0.1, 3.0, (1, 1, 1)),)),
-                             4, 8, FRAME)
+        grid = rasterize_env(env_of((0.4, 0.1, 3.0, (1, 1, 1))), 4, 8, FRAME)
         target = EnvTarget(point=np.full(3, 0.5), frame=FRAME, grid=grid)
         bounds = Bounds(lo=np.zeros(3), hi=np.ones(3))
         for dims in ((1, 1, 1), (2, 3, 4), (8, 8, 8)):
@@ -317,33 +343,33 @@ class TestGradient:
                 np.log(rng.uniform(0.2, 3.0, 3)),
                 np.log(rng.uniform(0.2, 3.0, 3)),
             ], axis=-1).ravel()
-            _, grad = sg_fit_objective(params, target, dirs)
+            _, grad = sg_objective(params, target, dirs)
             fd = np.zeros_like(grad)
             for i in range(params.size):
                 hi = params.copy(); hi[i] += step
                 lo = params.copy(); lo[i] -= step
-                fd[i] = (sg_fit_objective(hi, target, dirs)[0]
-                         - sg_fit_objective(lo, target, dirs)[0]) / (2 * step)
+                fd[i] = (sg_objective(hi, target, dirs)[0]
+                         - sg_objective(lo, target, dirs)[0]) / (2 * step)
             rel = np.linalg.norm(grad - fd) / max(np.linalg.norm(fd), 1e-300)
             assert rel <= 1e-4
 
 
 class TestFit:
     def test_rejects_bad_arguments(self):
-        env = SGEnvironment((SGLobe(0.4, 0.1, 3.0, (1, 1, 1)),))
+        env = env_of((0.4, 0.1, 3.0, (1, 1, 1)))
         grid = rasterize_env(env, 4, 8, FRAME)
         with pytest.raises(ValueError):
             sg_fit(grid, 0)
 
     def test_perturbed_single_lobe_recovers(self):
-        gen = SGLobe(0.7, 0.4, 8.0, (1.5, 1.0, 0.6))
-        target = rasterize_env(SGEnvironment((gen,)), 16, 32, FRAME)
-        init = SGEnvironment((SGLobe(0.7 * 1.1, 0.4 * 0.9, 8.0 * 1.1,
-                                     (1.5 * 0.9, 1.0 * 1.1, 0.6 * 0.95)),))
+        target = rasterize_env(env_of((0.7, 0.4, 8.0, (1.5, 1.0, 0.6))), 16, 32, FRAME)
+        init = env_of((0.7 * 1.1, 0.4 * 0.9, 8.0 * 1.1, (1.5 * 0.9, 1.0 * 1.1, 0.6 * 0.95)))
         # sg_fit's descent (step 0.25, 2000 iterations) from the perturbed lobe
-        texels, dirs = target.texels.reshape(-1, 3), target.directions().reshape(-1, 3)
-        result = minimize_monotone(lambda p: sg_fit_objective(p, texels, dirs),
-                                   _env_to_params(init).ravel(), max_iters=2000, step=0.25)
+        log_texels = np.log1p(target.texels.reshape(1, -1, 3))
+        dirs = target.directions().reshape(1, -1, 3)
+        result = minimize_monotone(lambda p: sg_fit_objective(p, log_texels, dirs),
+                                   _env_to_params(init).reshape(1, -1), max_iters=2000,
+                                   step=0.25)[0]
         assert result.report.final_objective <= 1e-4
 
     def test_constant_target_exact_fit_exists(self):
@@ -367,12 +393,12 @@ class TestFit:
         result = sg_fit(target, 2, SGFitOptions(max_iters=300))
         trace = np.array(result.report.objective_trace)
         assert np.all(np.diff(trace) <= 0.0)
-        for lobe, mu in zip(result.environment.lobes, result.environment.visibility):
-            assert lobe.sharpness >= 0.0
-            assert all(c >= 0.0 for c in lobe.intensity)
-            assert 0.0 <= lobe.axis_theta <= math.pi
-            assert -math.pi <= lobe.axis_phi < math.pi
-            assert mu == 1.0
+        env = result.environment
+        assert np.all(env.sharp >= 0.0)
+        assert np.all(env.intensity >= 0.0)
+        assert np.all((env.theta >= 0.0) & (env.theta <= math.pi))
+        assert np.all((env.phi >= -math.pi) & (env.phi < math.pi))
+        assert np.all(env.visibility == 1.0)
 
     def test_non_finite_target_rejected(self):
         texels = np.full((4, 8, 3), 1.0)
@@ -386,7 +412,7 @@ class TestFit:
                           texels=np.full((4, 8, 3), 0.5))
         a = default_sg_init(grid, 3)
         b = default_sg_init(grid, 3)
-        assert a == b
+        assert env_bytes(a) == env_bytes(b)
 
 
 # Frozen copies of the two export paths that export_lobe_params replaced: the
@@ -441,9 +467,9 @@ class TestExportLobeParams:
     def test_sg_export_bitwise_equal_to_scalar_fold(self):
         params = self.params(0)
         env = _params_to_env(params)
-        for lobe, (theta, phi, sharp, eta) in zip(env.lobes, _reference_sg_export(params)):
-            got = np.array([lobe.axis_theta, lobe.axis_phi, lobe.sharpness, *lobe.intensity])
-            assert got.tobytes() == np.array([theta, phi, sharp, *eta]).tobytes()
+        got = np.column_stack([env.theta, env.phi, env.sharp, env.intensity])
+        for row, (theta, phi, sharp, eta) in zip(got, _reference_sg_export(params)):
+            assert row.tobytes() == np.array([theta, phi, sharp, *eta]).tobytes()
 
     def test_volume_export_bitwise_equal_to_vectorized_fold(self):
         params = self.params(1, count=7 * 5 * 3)
@@ -485,7 +511,7 @@ class TestBatchFit:
         for grid, got in zip(grids, batch):
             own = sg_fit(grid, 3, options)
             assert got.report == own.report
-            assert got.environment == own.environment
+            assert env_bytes(got.environment) == env_bytes(own.environment)
         reasons = [r.report.stop_reason for r in batch]
         assert reasons[0] == reasons[-1] == "stalled"
         assert set(reasons[1:-1]) == {"max_iters"}
@@ -498,14 +524,13 @@ class TestBatchFit:
         targets = np.stack([g.texels.reshape(-1, 3) for g in grids])
         params = rng.normal(0.0, 1.5, (5, 18))
         params[2, 3] = 800.0          # an infinite intensity: this row only is not finite
-        values, grads = sg_fit_objective(params, targets, dirs)
-        with_log = sg_fit_objective(params, targets, dirs, np.log1p(targets))
-        assert values.tobytes() == with_log[0].tobytes()
-        assert grads.tobytes() == with_log[1].tobytes()
+        log_targets = np.log1p(targets)
+        values, grads = sg_fit_objective(params, log_targets, dirs)
+        assert values.shape == (5,) and grads.shape == (5, 18)
         for r in range(5):
-            value, grad = sg_fit_objective(params[r].reshape(3, 6), targets[r], dirs[r])
-            assert type(value) is float and grad.shape == (18,)
-            assert value == values[r] and grad.tobytes() == grads[r].tobytes()
+            value, grad = sg_fit_objective(params[r:r + 1], log_targets[r:r + 1], dirs[r:r + 1])
+            assert value.shape == (1,) and grad.shape == (1, 18)
+            assert value[0] == values[r] and grad.tobytes() == grads[r].tobytes()
         assert values[2] == math.inf and not grads[2].any()
         assert np.all(np.isfinite(np.delete(values, 2)))
 
@@ -528,3 +553,153 @@ class TestBatchFit:
                 sg_fit_batch(grids, lobes)
         with pytest.raises(ValueError):
             sg_fit_batch([], 3)
+
+
+# Frozen copies of the per-lobe environment the arrays replaced: a scalar lobe
+# type, the environment of lobes, and the init, converters, evaluator and SG
+# JSON writer that read it.
+
+
+class FrozenLobe:
+    def __init__(self, axis_theta, axis_phi, sharpness, intensity):
+        self.axis_theta, self.axis_phi, self.sharpness = axis_theta, axis_phi, sharpness
+        self.intensity = tuple(float(c) for c in intensity)
+
+    def unit_axis(self):
+        st = np.sin(self.axis_theta)
+        axes = np.empty(np.shape(self.axis_theta) + (3,))
+        axes[..., 0], axes[..., 1], axes[..., 2] = (st * np.cos(self.axis_phi),
+                                                    st * np.sin(self.axis_phi),
+                                                    np.cos(self.axis_theta))
+        return axes
+
+
+class FrozenEnvironment:
+    def __init__(self, lobes, visibility=()):
+        self.lobes = tuple(lobes)
+        self.visibility = (tuple(float(v) for v in visibility) if visibility
+                           else (1.0,) * len(self.lobes))
+
+    def axes(self):
+        return np.stack([lobe.unit_axis() for lobe in self.lobes])
+
+    def sharpness(self):
+        return np.array([lobe.sharpness for lobe in self.lobes])
+
+    def intensities(self):
+        return np.array([lobe.intensity for lobe in self.lobes])
+
+
+def frozen_env_to_params(env):
+    params = np.empty((len(env.lobes), 6))
+    for s, lobe in enumerate(env.lobes):
+        params[s, 0] = lobe.axis_theta
+        params[s, 1] = lobe.axis_phi
+        params[s, 2] = math.log(lobe.sharpness)
+        params[s, 3:6] = np.log(lobe.intensity)
+    return params
+
+
+def frozen_params_to_env(params):
+    theta, phi, values = export_lobe_params(params[:, 0], params[:, 1], params[:, 2:6])
+    return FrozenEnvironment(FrozenLobe(float(t), float(f), float(v[0]), tuple(v[1:4]))
+                             for t, f, v in zip(theta, phi, values))
+
+
+def frozen_default_sg_init(target, num_lobes):
+    basis = np.stack([target.frame.tangent, target.frame.bitangent, target.frame.normal])
+    mean = tuple(np.maximum(target.texels.reshape(-1, 3).mean(axis=0), 1e-6))
+    lobes = []
+    for axis_local in fibonacci_hemisphere(num_lobes):
+        d = axis_local @ basis
+        theta = math.acos(min(1.0, max(-1.0, float(d[2]))))
+        phi = math.atan2(float(d[1]), float(d[0]))
+        if phi >= math.pi:
+            phi -= 2.0 * math.pi
+        lobes.append(FrozenLobe(theta, phi, 5.0, mean))
+    return FrozenEnvironment(lobes)
+
+
+def frozen_eval_env(env, directions):
+    d = np.asarray(directions, dtype=np.float64)
+    out = np.zeros(d.shape)
+    for axis, sharp, vis, eta in zip(env.axes(), env.sharpness(), env.visibility,
+                                     env.intensities()):
+        delta = d - axis
+        sq = (delta[..., 0] * delta[..., 0] + delta[..., 1] * delta[..., 1]
+              + delta[..., 2] * delta[..., 2])
+        out += (vis * np.exp(sharp * (-0.5 * sq)))[..., None] * eta
+    return out
+
+
+def frozen_sg_env_json(env):
+    return json.dumps({
+        "lobes": [{"theta": lobe.axis_theta, "phi": lobe.axis_phi,
+                   "sharpness": lobe.sharpness,
+                   "intensity": list(lobe.intensity)} for lobe in env.lobes],
+        "visibility": list(env.visibility)}, indent=2)
+
+
+def random_lobe_rows(rng, count):
+    """(theta, phi, sharpness, intensity) of ``count`` random lobes, exact
+    range ends among them."""
+    rows = [(float(rng.uniform(0.0, math.pi)), float(rng.uniform(-math.pi, math.pi)),
+             float(rng.uniform(0.0, 40.0)), tuple(rng.uniform(0.0, 3.0, 3).tolist()))
+            for _ in range(count)]
+    rows[0] = (0.0, -math.pi, 0.0, (0.0, 0.0, 0.0))
+    rows[-1] = (math.pi, 0.0, 1e-300, (1e300, 1.0, 5e-324))
+    return rows
+
+
+class TestArraysEqualFrozenLobes:
+    def test_init_params_equal_frozen(self):
+        rng = np.random.default_rng(21)
+        for trial in range(60):
+            h, w = int(rng.integers(1, 9)), int(rng.integers(1, 17))
+            frame = Frame.from_normal(rng.normal(size=3) if trial else [0.0, 0.0, 1.0])
+            texels = rng.uniform(0.0, 3.0, (h, w, 3)) * (rng.random((h, w, 1)) < 0.4)
+            grid = EnvMapGrid(width=w, height=h, frame=frame, texels=texels)
+            lobes = int(rng.integers(1, 9))
+            got = _env_to_params(default_sg_init(grid, lobes))
+            want = frozen_env_to_params(frozen_default_sg_init(grid, lobes))
+            assert got.shape == want.shape == (lobes, 6)
+            assert got.tobytes() == want.tobytes()
+
+    def test_params_to_env_equal_frozen(self):
+        params = TestExportLobeParams().params(22)
+        got, want = _params_to_env(params), frozen_params_to_env(params)
+        rows = np.array([[lobe.axis_theta, lobe.axis_phi, lobe.sharpness, *lobe.intensity]
+                         for lobe in want.lobes])
+        assert np.column_stack([got.theta, got.phi, got.sharp,
+                                got.intensity]).tobytes() == rows.tobytes()
+        assert got.visibility.tobytes() == np.array(want.visibility).tobytes()
+        for method in ("axes", "sharpness", "intensities"):
+            assert getattr(got, method)().tobytes() == getattr(want, method)().tobytes()
+
+    def test_eval_env_equal_frozen(self):
+        rng = np.random.default_rng(23)
+        for lobes in (1, 2, 3, 8):
+            rows = random_lobe_rows(rng, lobes)
+            vis = rng.uniform(0.0, 1.0, lobes).tolist()
+            dirs = rng.normal(size=(9, 11, 3))
+            dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
+            got = eval_env(env_of(*rows, visibility=vis), dirs)
+            want = frozen_eval_env(FrozenEnvironment([FrozenLobe(*r) for r in rows], vis), dirs)
+            assert got.tobytes() == want.tobytes()
+
+    def test_sg_env_json_equal_frozen(self, tmp_path):
+        rng = np.random.default_rng(24)
+        path = tmp_path / "env.json"
+        params = TestExportLobeParams().params(25, count=40)
+        cases = [(_params_to_env(params), frozen_params_to_env(params))]
+        grid = cluster_like_grids(rng, 1)[0]
+        cases.append((default_sg_init(grid, 5), frozen_default_sg_init(grid, 5)))
+        for lobes in (1, 3):
+            rows, vis = random_lobe_rows(rng, lobes), rng.uniform(0.0, 1.0, lobes).tolist()
+            cases.append((env_of(*rows, visibility=vis),
+                          FrozenEnvironment([FrozenLobe(*r) for r in rows], vis)))
+        for env, frozen in cases:
+            vio.save_sg_env(path, env)
+            assert path.read_text() == frozen_sg_env_json(frozen)
+            vio.save_sg_env(path, vio.load_sg_env(path))
+            assert path.read_text() == frozen_sg_env_json(frozen)

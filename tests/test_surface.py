@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from voxlight.geometry import Camera, bilinear_sample
-from voxlight.surface import SurfaceVolume, build_surface_volume
+from voxlight.surface import build_surface_volume
 from voxlight.volume import Bounds
 
 
@@ -24,7 +24,7 @@ def plane_inputs(h=24, w=32, depth_value=2.0, confidence=1.0):
 def frozen_build_surface_volume(image, normal, albedo, roughness, depth, confidence,
                                 camera, dims, bounds):
     """Frozen copy of ``build_surface_volume`` when it sampled each of the six
-    maps on its own."""
+    maps on its own: its data (X, Y, Z, 10) and weights rho (X, Y, Z)."""
     h, w = depth.shape
     axes = [bounds.lo[a] + (np.arange(dims[a]) + 0.5) * (bounds.extent[a] / dims[a])
             for a in range(3)]
@@ -44,8 +44,13 @@ def frozen_build_surface_volume(image, normal, albedo, roughness, depth, confide
     record = np.concatenate([img, nrm, alb, rgh[:, None]], axis=-1)
     record *= rho[:, None]
     record[~valid] = 0.0
-    return SurfaceVolume(bounds=bounds, data=record.reshape(tuple(dims) + (10,)),
-                         rho=rho.reshape(dims))
+    return record.reshape(tuple(dims) + (10,)), rho.reshape(dims)
+
+
+def rho_of(sv):
+    """The weights rho of a surface volume of ``plane_inputs``: its normal
+    channel z is rho * -1."""
+    return -sv.data[..., 5]
 
 
 class TestOneSampleBitwise:
@@ -67,12 +72,11 @@ class TestOneSampleBitwise:
         # a box around the camera: voxels behind it, outside the frame and seen
         bounds = Bounds(lo=cam.center - 4.0, hi=cam.center + 4.0)
         got = build_surface_volume(*maps, cam, dims, bounds)
-        want = frozen_build_surface_volume(*maps, cam, dims, bounds)
-        seen = want.rho > 0.0
+        want, want_rho = frozen_build_surface_volume(*maps, cam, dims, bounds)
+        seen = want_rho > 0.0
         if dims == (6, 5, 7):
             assert 0 < seen.sum() < seen.size
-        assert got.data.tobytes() == want.data.tobytes()
-        assert got.rho.tobytes() == want.rho.tobytes()
+        assert got.data.tobytes() == want.tobytes()
 
 
 class TestBuildSurfaceVolume:
@@ -83,7 +87,7 @@ class TestBuildSurfaceVolume:
                         hi=np.array([0.4, 0.3, 2.5]))
         sv = build_surface_volume(image, normal, albedo, rough, depth, conf,
                                   cam, (8, 6, 1), bounds)
-        assert np.all(sv.rho > 0.999999)
+        assert np.all(rho_of(sv) > 0.999999)
         # channels equal the sampled maps at rho = 1
         u, v, _ = cam.project(sv.bounds.lo + (np.array([0.5, 0.5, 0.5])
                                               * sv.bounds.extent))
@@ -98,9 +102,9 @@ class TestBuildSurfaceVolume:
                         hi=np.array([0.3, 0.2, 3.5]))
         sv = build_surface_volume(image, normal, albedo, rough, depth, conf,
                                   cam, (4, 4, 8), bounds)
-        in_frustum = sv.rho > 0.0
+        in_frustum = rho_of(sv) > 0.0
         assert in_frustum.any()
-        np.testing.assert_array_equal(sv.rho[in_frustum],
+        np.testing.assert_array_equal(rho_of(sv)[in_frustum],
                                       np.ones(int(in_frustum.sum())))
 
     def test_one_meter_offset_analytic_rho(self):
@@ -110,7 +114,7 @@ class TestBuildSurfaceVolume:
                         hi=np.array([0.3, 0.2, 1.5]))
         sv = build_surface_volume(image, normal, albedo, rough, depth, conf,
                                   cam, (3, 3, 1), bounds)
-        np.testing.assert_allclose(sv.rho, math.exp(-1.0), rtol=1e-9)
+        np.testing.assert_allclose(rho_of(sv), math.exp(-1.0), rtol=1e-9)
 
     def test_out_of_frustum_voxels_zero(self):
         image, normal, albedo, rough, depth, conf, cam = plane_inputs()
@@ -118,8 +122,8 @@ class TestBuildSurfaceVolume:
                         hi=np.array([50.0, 50.0, 5.0]))
         sv = build_surface_volume(image, normal, albedo, rough, depth, conf,
                                   cam, (10, 10, 10), bounds)
-        behind = sv.rho[:, :, :4]  # z < 0 plane slabs sit behind the camera
-        outside = sv.rho == 0.0
+        behind = rho_of(sv)[:, :, :4]  # z < 0 plane slabs sit behind the camera
+        outside = rho_of(sv) == 0.0
         assert outside.any()
         np.testing.assert_array_equal(sv.data[outside],
                                       np.zeros((int(outside.sum()), 10)))
@@ -130,7 +134,7 @@ class TestBuildSurfaceVolume:
                         hi=np.array([0.2, 0.2, 3.75]))
         sv = build_surface_volume(image, normal, albedo, rough, depth, conf,
                                   cam, (1, 1, 14), bounds)
-        rho = sv.rho[0, 0]
+        rho = rho_of(sv)[0, 0]
         centers = 0.25 + (np.arange(14) + 0.5) * 3.5 / 14
         gaps = np.abs(centers - 2.0)
         order = np.argsort(gaps)

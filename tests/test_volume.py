@@ -51,6 +51,18 @@ class TestTypes:
         with pytest.raises(ValueError):
             Ray(origin=np.zeros(3), direction=np.array([1.0, 0.0, 0.0]), t_max=0.0)
 
+    def test_env_target_frame_must_be_its_grids(self):
+        grid = EnvMapGrid(width=4, height=2, frame=FRAME, texels=np.ones((2, 4, 3)))
+        same = Frame(normal=FRAME.normal.copy(), tangent=FRAME.tangent.copy(),
+                     bitangent=FRAME.bitangent.copy())
+        EnvTarget(point=np.zeros(3), frame=same, grid=grid)
+        # the same normal with the tangent turned by 90 degrees
+        turned = Frame(normal=FRAME.normal, tangent=FRAME.bitangent, bitangent=-FRAME.tangent)
+        tilted = Frame.from_normal([0.0, np.nextafter(0.0, 1.0), 1.0])
+        for frame in (turned, tilted, Frame.from_normal([0.2, -0.3, 1.0])):
+            with pytest.raises(ValueError, match="target frame differs from its grid's frame"):
+                EnvTarget(point=np.zeros(3), frame=frame, grid=grid)
+
 
 def march(volume: VSGVolume, ray: Ray, n_samples: int):
     """The march ``composite_rays`` runs, on one ray: its sample parameters
