@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 import zlib
 from contextlib import contextmanager
@@ -82,10 +83,11 @@ def read_pfm(path) -> np.ndarray:
             raise ValueError(f"{path}: malformed PFM scale {scale_line!r}") from None
         dtype = "<f4" if scale < 0.0 else ">f4"
         need = 4 * w * h * channels
+        # check the size before reading, so a bogus header allocates nothing
+        left = os.fstat(f.fileno()).st_size - f.tell()
+        if left < need:
+            raise ValueError(f"{path}: truncated PFM payload, {left} of {need} bytes")
         payload = f.read(need)
-    if len(payload) < need:
-        raise ValueError(f"{path}: truncated PFM payload, {len(payload)} of "
-                         f"{need} bytes")
     data = np.frombuffer(payload, dtype=dtype).reshape(h, w, channels)
     data = data[::-1].astype(np.float64)
     return data[..., 0] if channels == 1 else data

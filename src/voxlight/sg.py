@@ -147,7 +147,8 @@ class EnvMapGrid:
     """Discrete radiance map over the upper hemisphere of ``frame``.
 
     Rows index elevation from the normal (row 0 nearest the pole), columns
-    index azimuth in [-pi, pi); texels hold RGB radiance at cell centers.
+    index azimuth in [-pi, pi); texels hold RGB radiance at cell centers, as
+    a read-only copy, so their finite, nonnegative check holds for good.
     """
 
     width: int
@@ -158,12 +159,13 @@ class EnvMapGrid:
     def __post_init__(self):
         if self.width < 1 or self.height < 1:
             raise ValueError("resolution must be at least 1x1")
-        texels = np.asarray(self.texels, dtype=np.float64)
+        texels = np.array(self.texels, dtype=np.float64)
         if texels.shape != (self.height, self.width, 3):
             raise ValueError(
                 f"texels must have shape ({self.height}, {self.width}, 3), got {texels.shape}")
         if not np.all(np.isfinite(texels)) or np.any(texels < 0.0):
             raise ValueError("texel values must be finite and >= 0")
+        texels.flags.writeable = False
         object.__setattr__(self, "texels", texels)
 
     def directions(self) -> np.ndarray:
@@ -389,8 +391,6 @@ def sg_fit_batch(targets, num_lobes: int,
         if target.texels.shape != targets[0].texels.shape:
             raise ValueError(f"target {r} has a {target.height}x{target.width} grid, "
                              f"target 0 {targets[0].height}x{targets[0].width}")
-        if not np.all(np.isfinite(target.texels)):
-            raise ValueError(f"target {r} has non-finite texels")
     options = options or SGFitOptions()
     params0 = np.stack([_env_to_params(default_sg_init(t, num_lobes)).ravel()
                         for t in targets])

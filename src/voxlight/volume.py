@@ -16,11 +16,8 @@ offsets and 8 weights per sample) of their stratified samples, ray-major;
 intermediates the fit's backward pass reads. ``composite_rays`` runs that
 path on chunks of ~16k samples, bitwise equal to marching rays alone. The fit
 builds its stencil once and groups whole targets into chunks of at most
-``_CHUNK_SAMPLES`` samples; its objective runs gather, composite, loss and
-backward pass chunk by chunk, then scatters the gradient with one
-``bincount`` per field over all (sample, corner) keys. The scatter stays
-global because a voxel's bin adds its terms in (ray, sample, corner) order;
-adding per-chunk bins would regroup those sums and change the bits.
+``_CHUNK_SAMPLES`` samples; its objective runs gather, composite, loss,
+backward pass and gradient scatter chunk by chunk.
 """
 
 from __future__ import annotations
@@ -60,6 +57,8 @@ class Bounds:
         hi = np.asarray(self.hi, dtype=np.float64)
         if lo.shape != (3,) or hi.shape != (3,):
             raise ValueError("bounds need 3-vector corners")
+        if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+            raise ValueError("bounds corners must be finite")
         if not np.all(hi > lo):
             raise ValueError("bounds must have strictly positive extent on all axes")
         object.__setattr__(self, "lo", lo)
@@ -390,10 +389,7 @@ class VSGFitProblem:
             dir_list.append(dirs[0])
             self.slices.append(slice(start, start + dirs.shape[1]))
             start += dirs.shape[1]
-            flat = grid.texels.reshape(-1, 3)
-            if not np.all(np.isfinite(flat)):
-                raise ValueError("target texels must all be finite")
-            self.target_flat.append(flat)
+            self.target_flat.append(grid.texels.reshape(-1, 3))
 
         self.directions = np.concatenate(dir_list)
         _, _, self.stencil = _ray_stencil(template, np.concatenate(origin_list),
@@ -426,8 +422,7 @@ def _g4_and_grad(target: np.ndarray, rendered: np.ndarray):
     the rendered values is differentiated through (no envelope shortcut,
     since the scale is optimal in linear space but the loss is in log space).
     """
-    with np.errstate(over="ignore"):
-        sbb = float(np.sum(rendered * rendered))
+    sbb = float(np.sum(rendered * rendered))
     if not math.isfinite(sbb):  # exploded proposal; let the driver reject it
         return math.inf, np.zeros_like(rendered)
     if sbb < 1e-300:
@@ -446,18 +441,11 @@ def _g4_and_grad(target: np.ndarray, rendered: np.ndarray):
     return value, grad
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def vsg_fit_objective(params: np.ndarray, problem: VSGFitProblem):
     """Fit objective beta1 * sum_targets g4 + beta2 * mean_vox(-alpha ln alpha)
     and its analytic gradient with respect to the raw parameters; (beta1,
     beta2) are the first two of ``DEFAULT_BETAS["svl"]``, as in L_SVL."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        value, grad = _vsg_objective_impl(params, problem)
-    if not math.isfinite(value) or not np.all(np.isfinite(grad)):
-        return math.inf, np.zeros_like(np.asarray(params, dtype=np.float64))
-    return value, grad
-
-
-def _vsg_objective_impl(params: np.ndarray, problem: VSGFitProblem):
     beta_fit, beta_entropy = DEFAULT_BETAS["svl"][:2]
     nvox = problem.n_voxels
     p, alpha_v, axis_v, sharp_v, eta_v = _split_params(params, nvox)
@@ -468,7 +456,7 @@ def _vsg_objective_impl(params: np.ndarray, problem: VSGFitProblem):
     # sharp, eta, each channel-major (R, N) over the ray-major samples
     table = np.concatenate([alpha_v[None], axis_v.T, sharp_v[None], eta_v.T])
     value = 0.0
-    d_fields = np.empty((8, base.shape[0]))   # per-sample gradient of each field
+    accum = np.zeros((8, nvox))   # gradient of each field per voxel
     for rays, chunk_targets in problem.chunks:
         samples = slice(rays.start * n, rays.stop * n)
         n_rays = rays.stop - rays.start
@@ -506,8 +494,12 @@ def _vsg_objective_impl(params: np.ndarray, problem: VSGFitProblem):
         q = axis * d_axis
         d_u = (d_axis - axis * ((q[0] + q[1]) + q[2])) / safe
         d_u = np.where(live, d_u, 0.0)
+        # an in-order add per chunk continues each voxel's running sum in
+        # (ray, sample, corner) order, whatever the chunk plan
+        keys = problem.corner_keys[samples.start * 8:samples.stop * 8]
+        corner_weights = problem.corner_weights[samples]
         for f, g in enumerate((d_alpha, *d_u, d_sharp, *d_eta)):
-            d_fields[f, samples] = g.ravel()
+            np.add.at(accum[f], keys, (corner_weights * g.reshape(-1, 1)).ravel())
 
     # entropy regularizer -alpha ln alpha, mean over voxels
     tiny = alpha_v > 1e-290
@@ -516,25 +508,13 @@ def _vsg_objective_impl(params: np.ndarray, problem: VSGFitProblem):
     d_alpha_reg = beta_entropy / nvox * np.where(
         tiny, -np.log(np.where(tiny, alpha_v, 1.0)) - 1.0, 0.0)
 
-    # one scatter per field over all (sample, corner) keys, so each voxel's
-    # bin adds its terms in (ray, sample, corner) order; a bincount per chunk
-    # summed afterwards would regroup those adds and change the bits
-    weighted = np.empty(problem.corner_weights.shape)
-    accum = np.empty((8, nvox))
-    for f, g in enumerate(d_fields):
-        np.multiply(problem.corner_weights, g.reshape(-1, 1), out=weighted)
-        accum[f] = np.bincount(problem.corner_keys, weights=weighted.ravel(),
-                               minlength=nvox)
-    d_alpha_vox = d_alpha_reg + accum[0]
-    d_axis_vox = accum[1:4].T
-    d_sharp_vox = accum[4]
-    d_eta_vox = accum[5:8].T
-
     grad = np.empty_like(p)
-    grad[:, 0] = d_alpha_vox * alpha_v * (1.0 - alpha_v)
-    grad[:, 1], grad[:, 2] = _angle_grad(d_axis_vox, p[:, 1], p[:, 2])
-    grad[:, 3] = d_sharp_vox * sharp_v
-    grad[:, 4:7] = d_eta_vox * eta_v
+    grad[:, 0] = (d_alpha_reg + accum[0]) * alpha_v * (1.0 - alpha_v)
+    grad[:, 1], grad[:, 2] = _angle_grad(accum[1:4].T, p[:, 1], p[:, 2])
+    grad[:, 3] = accum[4] * sharp_v
+    grad[:, 4:7] = accum[5:8].T * eta_v
+    if not math.isfinite(value) or not np.all(np.isfinite(grad)):
+        return math.inf, np.zeros_like(grad.ravel())
     return value, grad.ravel()
 
 

@@ -1,7 +1,10 @@
 """No dead code in the package: every module uses the names it imports
-(``__init__`` only re-exports), and every module-level private name is read
-somewhere in the package. Moving a function between modules tends to leave
-either an import or the old private copy behind; this scan catches both."""
+(``__init__`` only re-exports), every module-level private name is read
+somewhere in the package, and every ``self.<attr>`` that a method assigns is
+read as an attribute somewhere in the package. Moving a function between
+modules tends to leave either an import or the old private copy behind, and
+a rewritten method tends to leave a stored array nothing reads; this scan
+catches all three."""
 
 import ast
 from pathlib import Path
@@ -82,3 +85,21 @@ def test_every_import_is_used(module):
 def test_every_private_name_is_read(module):
     unread = [name for name in private_definitions(TREES[module]) if name not in READ]
     assert not unread, f"voxlight.{module} defines private names nothing reads: {unread}"
+
+
+def self_attributes_assigned(tree) -> set[str]:
+    """Attributes that ``tree`` assigns on ``self``, augmented and annotated
+    assignments included."""
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+            and isinstance(node.value, ast.Name) and node.value.id == "self"}
+
+
+ATTRIBUTES_READ = {node.attr for tree in TREES.values() for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_self_attribute_is_read(module):
+    unread = sorted(self_attributes_assigned(TREES[module]) - ATTRIBUTES_READ)
+    assert not unread, f"voxlight.{module} stores attributes nothing reads: {unread}"

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -40,6 +41,21 @@ class TestPfm:
         path.write_bytes(path.read_bytes()[:-7])
         with pytest.raises(ValueError, match="cut.pfm.*truncated"):
             vio.read_pfm(path)
+
+    def test_huge_claimed_size_fails_before_allocating(self, tmp_path):
+        # a 23-byte file whose header claims 5000 x 5000 RGB (300 MB)
+        path = tmp_path / "huge.pfm"
+        path.write_bytes(b"PF\n5000 5000\n-1.0\n" + bytes(5))
+        assert path.stat().st_size == 23
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=re.escape(str(path))
+                               + r": truncated PFM payload, 5 of 300000000 bytes"):
+                vio.read_pfm(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     @pytest.mark.parametrize("size", [b"0 4", b"3 0", b"-2 4"])
     def test_non_positive_dimensions_rejected(self, tmp_path, size):
@@ -215,6 +231,20 @@ class TestSidecarChecks:
         header["data"] = str(outside) if where == "absolute" else "../v.bin"
         path.write_text(json.dumps(header))
         with pytest.raises(ValueError, match=r"v\.json.*outside"):
+            load(path)
+
+
+    @pytest.mark.parametrize("corner, axis, bad", [
+        ("lo", 0, -math.inf), ("hi", 2, math.inf), ("lo", 1, math.nan)],
+        ids=["-inf", "inf", "nan"])
+    def test_bounds_must_be_finite(self, tmp_path, kind, corner, axis, bad):
+        path = tmp_path / "v.json"
+        load = _saved_volume(kind, path)
+        header = json.loads(path.read_text())
+        header["bounds"][corner][axis] = bad
+        path.write_text(json.dumps(header))   # json writes -Infinity, Infinity, NaN
+        with pytest.raises(ValueError, match=re.escape(str(path))
+                           + ": bounds corners must be finite"):
             load(path)
 
 

@@ -85,6 +85,14 @@ class TestTypes:
             with pytest.raises(ValueError):
                 getattr(env, field)[0] = 0.0
 
+    def test_envmap_texels_are_read_only_copies(self):
+        texels = np.ones((2, 4, 3))
+        grid = EnvMapGrid(width=4, height=2, frame=FRAME, texels=texels)
+        texels[1, 2, 0] = np.inf
+        assert grid.texels.dtype == np.float64 and np.all(grid.texels == 1.0)
+        with pytest.raises(ValueError, match="read-only"):
+            grid.texels[0, 0, 0] = 2.0
+
     def test_envmap_invariants(self):
         with pytest.raises(ValueError):
             EnvMapGrid(width=4, height=2, frame=FRAME, texels=-np.ones((2, 4, 3)))
@@ -541,10 +549,11 @@ class TestBatchFit:
             sg_fit_batch(grids, 3)
 
     def test_rejects_non_finite_texels(self):
+        # texels are read-only, so a built grid cannot take an infinity
         grids = cluster_like_grids(np.random.default_rng(6), 3)
-        grids[1].texels[2, 5, 0] = np.inf
-        with pytest.raises(ValueError, match="target 1 has non-finite texels"):
-            sg_fit_batch(grids, 3)
+        with pytest.raises(ValueError, match="read-only"):
+            grids[1].texels[2, 5, 0] = np.inf
+        assert np.all(np.isfinite(grids[1].texels))
 
     def test_rejects_lobe_count_below_one(self):
         grids = cluster_like_grids(np.random.default_rng(7), 2)

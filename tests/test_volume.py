@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -39,6 +40,14 @@ class TestTypes:
             VSGVolume(bounds=BOUNDS, voxels=vox)
         with pytest.raises(ValueError):
             Bounds(lo=np.zeros(3), hi=np.array([1.0, 0.0, 1.0]))
+
+    @pytest.mark.parametrize("corner", ["lo", "hi"])
+    @pytest.mark.parametrize("bad", [-math.inf, math.inf, math.nan], ids=["-inf", "inf", "nan"])
+    def test_bounds_corners_must_be_finite(self, corner, bad):
+        corners = {"lo": np.zeros(3), "hi": np.ones(3)}
+        corners[corner][1] = bad
+        with pytest.raises(ValueError, match="bounds corners must be finite"):
+            Bounds(**corners)
 
     @pytest.mark.parametrize("dims", [(0, 2, 2), (2, 0, 2), (2, 2, 0)])
     def test_volume_rejects_empty_axis(self, dims):
@@ -661,8 +670,9 @@ CHUNK_PLANS = [(_CHUNK_SAMPLES, [[0, 1, 2, 3]]),   # the default: one chunk
 
 
 class TestChunkedObjective:
-    """The objective runs chunk by chunk but scatters once, so its bits do
-    not depend on the chunk plan."""
+    """The objective scatters each chunk's gradient in order as soon as the
+    chunk's backward pass ends, so its bits do not depend on the chunk plan
+    and its transient memory does not grow with the problem."""
 
     @pytest.mark.parametrize("chunk_samples, groups", CHUNK_PLANS)
     def test_objective_bitwise_equal_to_reference(self, chunk_samples, groups,
@@ -699,6 +709,26 @@ class TestChunkedObjective:
             result = vsg_fit(targets, dims, BOUNDS, opts)
             assert result.report.objective_trace == ref.report.objective_trace
             assert result.volume.voxels.tobytes() == ref_voxels
+
+    def test_transient_memory_is_bounded_by_one_chunk(self):
+        # 8 x 16 texels at 32 samples: 8 targets fill 2 chunks, 16 fill 4
+        rng = np.random.default_rng(47)
+        frames = [FRAME, TILTED] * 8
+        points = rng.uniform(0.2, 1.8, (16, 3))
+        targets = env_targets(rng, points, frames, height=8, width=16)
+        peaks = []
+        for count, n_chunks in ((8, 2), (16, 4)):
+            problem = VSGFitProblem(targets[:count], (8, 8, 8), BOUNDS,
+                                    VSGFitOptions(n_samples=32))
+            assert len(problem.chunks) == n_chunks
+            params = _initial_params(problem)
+            tracemalloc.start()
+            try:
+                vsg_fit_objective(params, problem)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.05 * peaks[0], peaks
 
 
 def params_volume(params, dims, bounds):
