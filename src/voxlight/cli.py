@@ -43,10 +43,13 @@ def _build_config(doc, cls):
 def _parse_material(text: str):
     if text == "mirror":
         return MirrorMaterial()
-    if text.startswith("diffuse:"):
-        _, rgb, rough = text.split(":")
-        return DiffuseMaterial(albedo=tuple(float(c) for c in rgb.split(",")),
-                               roughness=float(rough))
+    try:
+        kind, rgb, rough = text.split(":")
+        if kind == "diffuse":
+            return DiffuseMaterial(albedo=tuple(float(c) for c in rgb.split(",")),
+                                   roughness=float(rough))
+    except ValueError:   # wrong field count, a non-number, or a value out of range
+        pass
     raise SystemExit(f"bad material {text!r}; use mirror or diffuse:r,g,b:rough")
 
 

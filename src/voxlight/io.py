@@ -246,12 +246,11 @@ def _load_sidecar_volume(path: Path, channel_order) -> tuple[np.ndarray, Bounds]
     if data.is_absolute() or not binary.is_relative_to(base):
         raise ValueError(f"{path}: sidecar {str(data)!r} lies outside "
                          f"the header's directory")
-    payload = binary.read_bytes()
-    need = 4 * math.prod(dims) * len(channel_order)
-    if len(payload) != need:
-        raise ValueError(f"{path}: sidecar {binary.name} holds {len(payload)} "
+    need, size = 4 * math.prod(dims) * len(channel_order), binary.stat().st_size
+    if size != need:  # checked before reading, so a padded sidecar is never loaded
+        raise ValueError(f"{path}: sidecar {binary.name} holds {size} "
                          f"bytes, dims {list(dims)} need {need}")
-    voxels = np.frombuffer(payload, dtype="<f4").reshape(dims + (len(channel_order),))
+    voxels = np.frombuffer(binary.read_bytes(), dtype="<f4").reshape(dims + (len(channel_order),))
     return voxels.astype(np.float64), bounds
 
 

@@ -1,16 +1,16 @@
 """Monotone first-order minimizer shared by the SG and VSG fitters.
 
 Gradient descent with an RMS diagonal preconditioner, momentum, and an
-accept/reject step-size schedule: a proposal is accepted only if it strictly
-decreases the objective, so the accepted-step objective trace is
-non-increasing by construction. Rejections shrink the step and fade the
-momentum; if the step underflows, the moment state is rebuilt once from the
-current gradient before the run is declared stuck. Everything is
-deterministic. Independent problems run as the rows of one (B, n) iterate:
-each row keeps its own step, moments, accept decision, restart counter,
-trace, iteration count and stop reason, and gets its own ``FitReport``. A
-row's result is bitwise the same alone or in any batch if the objective
-computes each row independently of the others.
+accept/reject step-size schedule: a proposal is accepted only if its value
+is finite and strictly lower and its gradient all finite, so the accepted
+objective trace is non-increasing and objectives need not mask non-finite
+results; a start that is not finite raises. Rejections shrink the step and
+fade the momentum; if the step underflows, the moments are rebuilt once from
+the current gradient before the run is declared stuck. It is deterministic.
+Independent problems run as the rows of one (B, n) iterate, each with its
+own step, moments, accept decision, restart counter, trace, iteration count,
+stop reason and ``FitReport``; a row's result is bitwise the same alone or
+in any batch if the objective computes each row independently.
 """
 
 from __future__ import annotations
@@ -69,9 +69,9 @@ def minimize_monotone(fun: Callable, x0: np.ndarray, max_iters: int = 2000, step
             return np.array([value], dtype=np.float64), grad[None]
     batch = x.shape[0]
     value, grad = fun(x)
-    bad = np.flatnonzero(~np.isfinite(value))
+    bad = np.flatnonzero(~(np.isfinite(value) & np.isfinite(grad).all(axis=1)))
     if bad.size:
-        raise ValueError(f"objective is not finite at the initial point (row {bad[0]})")
+        raise ValueError(f"objective or gradient is not finite at the start (row {bad[0]})")
     steps, first_moment = np.full((batch, 1), step), np.zeros_like(grad)
     second_moment = grad * grad
     traces = [[v] for v in value.tolist()]   # accepted values per row
@@ -86,7 +86,7 @@ def minimize_monotone(fun: Callable, x0: np.ndarray, max_iters: int = 2000, step
         direction = blend / (np.sqrt(second_moment) + _RMS_EPS)
         candidate = x - steps * direction
         cand_value, cand_grad = fun(candidate)
-        ok = np.isfinite(cand_value) & (cand_value < value)
+        ok = np.isfinite(cand_value) & (cand_value < value) & np.isfinite(cand_grad).all(axis=1)
         if n_active < batch:
             ok &= active
         n_ok = np.count_nonzero(ok)

@@ -168,6 +168,14 @@ def _vsg_targets(points: np.ndarray, normals: np.ndarray, envs: np.ndarray,
     return pixels, targets
 
 
+def _g4_over_black(refs: np.ndarray, preds: np.ndarray) -> list[float]:
+    """Each target's g4 of its prediction over the g4 of an all-zero one, so
+    1.0 reads "no better than black"; a black reference reads 1.0 too."""
+    blacks = [si_log_mse(ref, np.zeros_like(ref)) for ref in refs]
+    return [si_log_mse(ref, pred) / black if black > 0.0 else 1.0
+            for ref, pred, black in zip(refs, preds, blacks)]
+
+
 def _fit_volume(scene: GeneratedScene, config: DemoConfig, targets: list):
     """Fit the spatially-varying lighting volume against ``targets`` in a
     box around the surface and the light."""
@@ -279,6 +287,7 @@ def pipeline_demo(config: DemoConfig | None = None) -> PipelineReport:
     vsg_telemetry = {k: getattr(vol_result.report, k) for k in (
         "iterations", "accepted_steps", "stop_reason", "initial_objective",
         "final_objective")}
+    vsg_telemetry["target_g4_over_black"] = _g4_over_black(env_svl_ref, env_svl_pred)
     report = PipelineReport(metrics=metrics, normal_map=normal_map,
                             fitted_envs=fitted_envs, rerendered=rerendered,
                             inserted=inserted, volume=vol_result.volume,

@@ -21,12 +21,12 @@ from .optim import FitReport, minimize_monotone
 UNIT_NORM_TOL = 1e-6
 
 
-def _as_unit(vector, tol: float = UNIT_NORM_TOL) -> np.ndarray:
+def _as_unit(vector) -> np.ndarray:
     v = np.asarray(vector, dtype=np.float64)
     if v.shape != (3,):
         raise ValueError(f"expected a 3-vector, got shape {v.shape}")
     norm = float(np.linalg.norm(v))
-    if abs(norm - 1.0) > tol:
+    if abs(norm - 1.0) > UNIT_NORM_TOL:
         raise ValueError(f"direction must have unit norm, got {norm!r}")
     return v
 
@@ -332,8 +332,8 @@ def sg_fit_objective(params: np.ndarray, log_target: np.ndarray, dirs: np.ndarra
     ``params`` is (B, S * 6) internal lobe parameters, ``log_target`` (B, T, 3)
     log1p of the texel radiance, ``dirs`` (B, T, 3) texel-center directions.
     Returns the objectives mean((log(R+1) - log(target+1))^2) (B,) and their
-    gradients d/dparams (B, S * 6), both analytic, or inf and zeros in a row
-    where either is not finite. Each row has the bits of its own batch of one.
+    gradients d/dparams (B, S * 6), both analytic. Each row has the bits of
+    its own batch of one, but for the sign of a NaN.
     """
     params = np.asarray(params, dtype=np.float64).reshape(len(dirs), -1, _PARAMS_PER_LOBE)
     axes = _lobe_axes(params[..., 0], params[..., 1])      # (B, S, 3)
@@ -358,11 +358,7 @@ def sg_fit_objective(params: np.ndarray, log_target: np.ndarray, dirs: np.ndarra
     grad[..., 0], grad[..., 1] = _angle_grad(d_axis, params[..., 0], params[..., 1])
     grad[..., 2] = d_sharp * sharp        # chain through log-parameterization
     grad[..., 3:6] = d_eta * eta
-    grad = grad.reshape(len(grad), -1)
-    if not (np.isfinite(value).all() and np.isfinite(grad).all()):
-        bad = ~(np.isfinite(value) & np.isfinite(grad).all(axis=1))
-        value[bad], grad[bad] = math.inf, 0.0
-    return value, grad
+    return value, grad.reshape(len(grad), -1)
 
 
 def default_sg_init(target: EnvMapGrid, num_lobes: int) -> SGEnvironment:
@@ -377,6 +373,14 @@ def default_sg_init(target: EnvMapGrid, num_lobes: int) -> SGEnvironment:
     return SGEnvironment(theta, phi, np.full(num_lobes, 5.0), np.tile(mean, (num_lobes, 1)))
 
 
+def _one_grid_shape(grids) -> None:
+    """Raise a ValueError naming the first grid whose shape is not grid 0's."""
+    for r, grid in enumerate(grids):
+        if grid.texels.shape != grids[0].texels.shape:
+            raise ValueError(f"target {r} has a {grid.height}x{grid.width} grid, "
+                             f"target 0 {grids[0].height}x{grids[0].width}")
+
+
 def sg_fit_batch(targets, num_lobes: int,
                  options: SGFitOptions | None = None) -> list[SGFitResult]:
     """Fit ``num_lobes`` SG lobes to each of ``targets``, EnvMapGrids of one
@@ -387,10 +391,7 @@ def sg_fit_batch(targets, num_lobes: int,
     returned, flagged via ``report.converged``."""
     if num_lobes < 1:
         raise ValueError(f"num_lobes must be >= 1, got {num_lobes}")
-    for r, target in enumerate(targets):
-        if target.texels.shape != targets[0].texels.shape:
-            raise ValueError(f"target {r} has a {target.height}x{target.width} grid, "
-                             f"target 0 {targets[0].height}x{targets[0].width}")
+    _one_grid_shape(targets)
     options = options or SGFitOptions()
     params0 = np.stack([_env_to_params(default_sg_init(t, num_lobes)).ravel()
                         for t in targets])

@@ -15,9 +15,9 @@ offsets and 8 weights per sample) of their stratified samples, ray-major;
 ``_composite`` composites the channels (C, R, N) and returns the
 intermediates the fit's backward pass reads. ``composite_rays`` runs that
 path on chunks of ~16k samples, bitwise equal to marching rays alone. The fit
-builds its stencil once and groups whole targets into chunks of at most
-``_CHUNK_SAMPLES`` samples; its objective runs gather, composite, loss,
-backward pass and gradient scatter chunk by chunk.
+builds its stencil once over targets of one grid shape and groups whole
+targets into chunks of at most ``_CHUNK_SAMPLES`` samples; its objective runs
+gather, composite, loss, backward pass and gradient scatter chunk by chunk.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import numpy as np
 from .metrics import DEFAULT_BETAS
 from .optim import FitReport, minimize_monotone
 from .sg import (UNIT_NORM_TOL, EnvMapGrid, Frame, _angle_grad, _as_unit, _lobe_axes,
-                 export_lobe_params, frame_directions, golden_spiral,
+                 _one_grid_shape, export_lobe_params, frame_directions, golden_spiral,
                  texel_local_directions)
 
 ENV_EPS_FACTOR = 1e-3  # surface offset, in units of mean voxel size
@@ -350,14 +350,15 @@ class VSGFitResult:
 
 
 class VSGFitProblem:
-    """Precomputed geometry for the fit objective: the texel rays of every
-    target (``env_rays``), their ``_ray_stencil``, the voxel key of every
+    """Precomputed geometry for the fit objective over targets whose grids
+    share one shape of D texels: the texel rays of all targets from one
+    ``env_rays`` call, their ``_ray_stencil``, the voxel key of every
     (sample, corner) pair and its weight as a contiguous (P, 8) array for the
-    per-field gradient scatter, and flattened target radiance.
+    per-field gradient scatter, and the target radiance as one (T, D, 3)
+    ``target_flat``.
 
-    ``chunks`` groups whole targets, in order, into runs of at most
-    ``_CHUNK_SAMPLES`` samples (one target per chunk if a target alone is
-    larger): each entry is the chunk's ray slice and its target indices. The
+    ``chunks`` splits the targets, in order, into ranges of
+    ``_CHUNK_SAMPLES // (D * n_samples)`` targets, at least one. The
     objective works chunk by chunk so its (R, N) temporaries stay
     cache-sized."""
 
@@ -376,36 +377,25 @@ class VSGFitProblem:
         self.bounds = bounds
         self.options = options
         self.n_voxels = int(np.prod(dims))
+        _one_grid_shape([t.grid for t in targets])
 
         template = VSGVolume.uniform(dims, bounds)
-        origin_list, dir_list, self.slices, self.target_flat = [], [], [], []
-        start = 0
-        for target in targets:
-            grid, frame = target.grid, target.frame
-            origins, dirs = env_rays(template, np.asarray(target.point, dtype=np.float64)[None],
-                                     frame.normal[None], frame.tangent[None],
-                                     frame.bitangent[None], (grid.height, grid.width))
-            origin_list.append(origins[0])
-            dir_list.append(dirs[0])
-            self.slices.append(slice(start, start + dirs.shape[1]))
-            start += dirs.shape[1]
-            self.target_flat.append(grid.texels.reshape(-1, 3))
-
-        self.directions = np.concatenate(dir_list)
-        _, _, self.stencil = _ray_stencil(template, np.concatenate(origin_list),
+        points = np.array([t.point for t in targets], dtype=np.float64)
+        frames = np.array([(t.frame.normal, t.frame.tangent, t.frame.bitangent) for t in targets])
+        origins, dirs = env_rays(template, points, frames[:, 0], frames[:, 1], frames[:, 2],
+                                 targets[0].grid.texels.shape[:2])
+        self.target_flat = np.stack([t.grid.texels.reshape(-1, 3) for t in targets])
+        self.directions = dirs.reshape(-1, 3)
+        _, _, self.stencil = _ray_stencil(template, origins.reshape(-1, 3),
                                           self.directions, bounds.diagonal,
                                           options.n_samples)
         base, offsets, weights = self.stencil
         # voxel index and weight of every (sample, corner) pair, in that order
         self.corner_keys = (base[:, None] + offsets).ravel()
         self.corner_weights = np.ascontiguousarray(weights.T)
-        n, self.chunks = options.n_samples, []
-        for k, sl in enumerate(self.slices):
-            if self.chunks and (sl.stop - self.chunks[-1][0].start) * n <= _CHUNK_SAMPLES:
-                rays, members = self.chunks[-1]
-                self.chunks[-1] = (slice(rays.start, sl.stop), members + [k])
-            else:
-                self.chunks.append((sl, [k]))
+        per_chunk = max(1, _CHUNK_SAMPLES // (dirs.shape[1] * options.n_samples))
+        self.chunks = [range(k, min(k + per_chunk, len(targets)))
+                       for k in range(0, len(targets), per_chunk)]
 
 
 def _split_params(params: np.ndarray, n_voxels: int):
@@ -423,7 +413,7 @@ def _g4_and_grad(target: np.ndarray, rendered: np.ndarray):
     since the scale is optimal in linear space but the loss is in log space).
     """
     sbb = float(np.sum(rendered * rendered))
-    if not math.isfinite(sbb):  # exploded proposal; let the driver reject it
+    if not math.isfinite(sbb):  # else tau = sab / inf = 0 scores a finite black value
         return math.inf, np.zeros_like(rendered)
     if sbb < 1e-300:
         log_a = np.log1p(target)
@@ -449,7 +439,7 @@ def vsg_fit_objective(params: np.ndarray, problem: VSGFitProblem):
     beta_fit, beta_entropy = DEFAULT_BETAS["svl"][:2]
     nvox = problem.n_voxels
     p, alpha_v, axis_v, sharp_v, eta_v = _split_params(params, nvox)
-    n = problem.options.n_samples
+    n, d = problem.options.n_samples, problem.target_flat.shape[1]
     base, offsets, weights = problem.stencil
 
     # per chunk, one gather for all 8 interpolated fields: alpha, axis xyz,
@@ -457,7 +447,8 @@ def vsg_fit_objective(params: np.ndarray, problem: VSGFitProblem):
     table = np.concatenate([alpha_v[None], axis_v.T, sharp_v[None], eta_v.T])
     value = 0.0
     accum = np.zeros((8, nvox))   # gradient of each field per voxel
-    for rays, chunk_targets in problem.chunks:
+    for chunk in problem.chunks:
+        rays = slice(chunk.start * d, chunk.stop * d)
         samples = slice(rays.start * n, rays.stop * n)
         n_rays = rays.stop - rays.start
         interp = _trilinear(table, (base[samples], offsets, weights[:, samples]))
@@ -465,22 +456,20 @@ def vsg_fit_objective(params: np.ndarray, problem: VSGFitProblem):
         sharp, eta = interp[4], interp[5:8]
         rendered, (axis, nd, live, safe, dots, expo, emit, trans, excl, wgt,
                    contrib) = _composite(interp, problem.directions[rays])
-        rendered = np.ascontiguousarray(rendered)
+        rendered = np.ascontiguousarray(rendered).reshape(len(chunk), d, 3)
 
         d_rendered = np.empty_like(rendered)
-        for t in chunk_targets:
-            sl = slice(problem.slices[t].start - rays.start,
-                       problem.slices[t].stop - rays.start)
-            v, g = _g4_and_grad(problem.target_flat[t], rendered[sl])
+        for k, t in enumerate(chunk):
+            v, g = _g4_and_grad(problem.target_flat[t], rendered[k])
             value += beta_fit * v
-            d_rendered[sl] = beta_fit * g
+            d_rendered[k] = beta_fit * g
 
         # tail_n = radiance composited from samples > n, non-recursive suffix form
         suffix = np.cumsum(contrib[..., ::-1], axis=-1)[..., ::-1]
         tail_next = np.concatenate([suffix[..., 1:], np.zeros((3, n_rays, 1))], axis=-1)
         tsafe = np.where(trans > 1e-290, trans, 1.0)
         tail = np.where(trans > 1e-290, tail_next / tsafe, 0.0)
-        d_r = d_rendered.T[..., None]                            # (3, R, 1)
+        d_r = d_rendered.reshape(n_rays, 3).T[..., None]         # (3, R, 1)
         d_emit = wgt * d_r
         q = d_r * excl * (emit - tail)
         d_alpha = (q[0] + q[1]) + q[2]
@@ -513,14 +502,12 @@ def vsg_fit_objective(params: np.ndarray, problem: VSGFitProblem):
     grad[:, 1], grad[:, 2] = _angle_grad(accum[1:4].T, p[:, 1], p[:, 2])
     grad[:, 3] = accum[4] * sharp_v
     grad[:, 4:7] = accum[5:8].T * eta_v
-    if not math.isfinite(value) or not np.all(np.isfinite(grad)):
-        return math.inf, np.zeros_like(grad.ravel())
     return value, grad.ravel()
 
 
 def _initial_params(problem: VSGFitProblem) -> np.ndarray:
     nvox = problem.n_voxels
-    mean = np.concatenate(problem.target_flat).mean(axis=0)
+    mean = problem.target_flat.reshape(-1, 3).mean(axis=0)
     axes = golden_spiral(1.0 - (2.0 * np.arange(nvox) + 1.0) / nvox)  # whole sphere
     p = np.empty((nvox, 7))
     p[:, 0] = math.log(_INIT_ALPHA / (1.0 - _INIT_ALPHA))

@@ -109,10 +109,12 @@ class TestVolumeCommands:
         assert png_out.read_bytes().startswith(b"\x89PNG")
 
     def test_bad_material_rejected(self, scene_dir, tmp_path):
-        with pytest.raises(SystemExit):
-            main(["insert", "--scene", str(scene_dir), "--volume", "nope.json",
-                  "--center", "0,0,0", "--radius", "0.1", "--material",
-                  "chrome", "--out", str(tmp_path / "x.pfm")])
+        for material in ("chrome", "diffuse:0.8,0.8,0.8", "diffuse:a,b,c:0.5",
+                         "diffuse:0.8,0.8,0.8:0.5:1"):
+            with pytest.raises(SystemExit, match="use mirror or diffuse:r,g,b:rough"):
+                main(["insert", "--scene", str(scene_dir), "--volume", "nope.json",
+                      "--center", "0,0,0", "--radius", "0.1", "--material",
+                      material, "--out", str(tmp_path / "x.pfm")])
 
 
 class TestRerenderAndMetrics:

@@ -476,6 +476,7 @@ class TestOneEnvRayBuilder:
                              grid=EnvMapGrid(width=w, height=h, frame=f, texels=np.ones((h, w, 3))))
                    for p, f in zip(points, BUILDER_FRAMES)]
         problem = VSGFitProblem(targets, (3, 3, 3), BOUNDS, VSGFitOptions(n_samples=4))
-        for sl, frame, want in zip(problem.slices, BUILDER_FRAMES, dirs):
+        got = problem.directions.reshape(len(targets), -1, 3)
+        for target_dirs, frame, want in zip(got, BUILDER_FRAMES, dirs):
             texel = texel_directions(h, w, frame).reshape(-1, 3)
-            assert problem.directions[sl].tobytes() == texel.tobytes() == want.tobytes()
+            assert target_dirs.tobytes() == texel.tobytes() == want.tobytes()

@@ -233,6 +233,21 @@ class TestSidecarChecks:
         with pytest.raises(ValueError, match=r"v\.json.*outside"):
             load(path)
 
+    def test_padded_sidecar_fails_before_reading(self, tmp_path, kind):
+        # a 2x3x1 header whose sidecar is padded (sparsely) to 20 MB
+        path = tmp_path / "v.json"
+        load = _saved_volume(kind, path)
+        with open(tmp_path / "v.bin", "r+b") as f:
+            f.truncate(20_000_000)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=re.escape(str(path))
+                               + r": sidecar v\.bin holds 20000000 bytes"):
+                load(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     @pytest.mark.parametrize("corner, axis, bad", [
         ("lo", 0, -math.inf), ("hi", 2, math.inf), ("lo", 1, math.nan)],

@@ -237,13 +237,38 @@ class TestRows:
             assert_same_run(got, frozen_minimize_monotone(f, start, **options))
 
     def test_non_finite_start_names_the_row(self):
-        def rows_fun(xs):
-            values = np.sum(xs * xs, axis=1)
-            values[1] = np.nan
-            return values, 2.0 * xs
+        for where in ("value", "gradient"):
+            def rows_fun(xs):
+                values, grads = np.sum(xs * xs, axis=1), 2.0 * xs
+                if where == "value":
+                    values[1] = np.nan
+                else:
+                    grads[1, 1] = np.nan
+                return values, grads
 
-        with pytest.raises(ValueError, match=r"row 1\b"):
-            minimize_monotone(rows_fun, np.ones((3, 2)))
+            with pytest.raises(ValueError, match=r"row 1\b"):
+                minimize_monotone(rows_fun, np.ones((3, 2)), max_iters=5)
+
+    def test_rejects_a_lower_value_with_a_non_finite_gradient(self):
+        # past |x| = 1.5 the value drops to -1, but with a NaN gradient: the
+        # driver must reject that step, alone and as the row of a mixed batch
+        def cliff(x):
+            if np.any(np.abs(x) > 1.5):
+                return -1.0, np.full_like(x, np.nan)
+            return float(np.sum(x * x)), 2.0 * x
+
+        options = dict(max_iters=200, step=50.0)   # the first proposal is -3.6
+        alone = minimize_monotone(cliff, np.array([1.4]), **options)
+        assert alone.objective < 1e-6 and np.all(np.isfinite(alone.gradient))
+        assert_same_run(alone, minimize_monotone(touchy, np.array([1.4]), **options))
+
+        def rows_fun(xs):
+            (v0, g0), (v1, g1) = cliff(xs[0]), quadratic(xs[1])
+            return np.array([v0, v1]), np.stack([g0, g1])
+
+        rows = minimize_monotone(rows_fun, np.array([[1.4], [0.3]]), **options)
+        assert_same_run(rows[0], alone)
+        assert_same_run(rows[1], minimize_monotone(quadratic, np.array([0.3]), **options))
 
 
 class TestFitsAsRows:

@@ -7,8 +7,8 @@ import pytest
 from voxlight import cli
 from voxlight import pipeline as pipeline_module
 from voxlight.geometry import bilinear_sample
-from voxlight.pipeline import (DemoConfig, _cluster_env_fit, _multiview_probe,
-                               _resample_view, pipeline_demo)
+from voxlight.pipeline import (DemoConfig, _cluster_env_fit, _g4_over_black,
+                               _multiview_probe, _resample_view, pipeline_demo)
 from voxlight.scene import SceneSpec, generate_scene
 from voxlight.sg import sg_fit
 
@@ -73,7 +73,9 @@ class TestTelemetry:
         t = tiny_report.telemetry
         fit = t["vsg_fit"]
         assert set(fit) == {"iterations", "accepted_steps", "stop_reason",
-                            "initial_objective", "final_objective"}
+                            "initial_objective", "final_objective", "target_g4_over_black"}
+        ratios = fit["target_g4_over_black"]
+        assert len(ratios) == 4 and all(0.0 <= r < math.inf for r in ratios)
         assert 0 < fit["accepted_steps"] <= fit["iterations"] <= 120
         assert fit["stop_reason"] in ("max_iters", "stalled")
         assert fit["final_objective"] == tiny_report.metrics["vsg_objective"]
@@ -81,6 +83,14 @@ class TestTelemetry:
         rss = [t["peak_rss_mb"][name] for name in STAGES]
         assert set(t["peak_rss_mb"]) == set(tiny_report.metrics["timings"]) == set(STAGES)
         assert rss[0] > 0.0 and rss == sorted(rss)   # a peak never falls
+
+    def test_g4_over_black_oracles(self):
+        rng = np.random.default_rng(8)
+        refs = rng.uniform(0.0, 3.0, (3, 4, 8, 3))
+        assert _g4_over_black(refs, np.zeros_like(refs)) == [1.0, 1.0, 1.0]
+        scaled = refs * np.array([0.3, 1.0, 7.5])[:, None, None, None]
+        assert max(_g4_over_black(refs, scaled)) <= 1e-12
+        assert _g4_over_black(np.zeros((1, 4, 8, 3)), refs[:1]) == [1.0]
 
     def test_sg_fit_summary(self, tiny_report):
         fits = tiny_report.telemetry["sg_fit"]

@@ -310,6 +310,23 @@ class TestFitObjective:
             VSGFitProblem(fit_targets(np.random.default_rng(0)), dims, BOUNDS,
                           VSGFitOptions())
 
+    def test_overflowed_scale_is_not_a_finite_black_score(self):
+        # each square is finite but their sum overflows, so tau = sab / sbb
+        # would read 0 and score the black value with a zero gradient; the
+        # objective must hand the driver a value it rejects instead
+        target = np.random.default_rng(9).uniform(0.0, 3.0, (4, 3))
+        rendered = np.full((4, 3), 1e154)
+        assert np.all(np.isfinite(rendered * rendered))
+        with np.errstate(over="ignore", invalid="ignore"):   # as the objective runs it
+            value, _ = _g4_and_grad(target, rendered)
+        assert not math.isfinite(value)
+
+    def test_rejects_mixed_grid_shapes(self):
+        rng = np.random.default_rng(0)
+        targets = fit_targets(rng) + outside_targets(rng)[:1]
+        with pytest.raises(ValueError, match="target 2 has a 3x6 grid, target 0 4x8"):
+            VSGFitProblem(targets, (4, 4, 4), BOUNDS, VSGFitOptions())
+
     def test_desk_scale_cap(self):
         with pytest.raises(ValueError):
             VSGFitProblem([EnvTarget(np.zeros(3), FRAME,
@@ -651,22 +668,22 @@ class TestCornerMajorCore:
             assert batch[i].tobytes() == single.tobytes()
 
 
-def uneven_targets(rng):
-    """Targets of 3x6 and 4x8 texels in turn; the first two lie outside the
-    box, so some of their texel rays miss it."""
-    small = env_targets(rng, [(1.0, 1.0, -0.4), (1.3, 0.6, 0.5)], [FRAME, TILTED],
-                        height=3, width=6)
-    large = env_targets(rng, [(-0.5, 1.2, 1.0), (0.7, 0.9, 0.3)],
-                        [Frame.from_normal([1.0, 0.0, 0.0]), FRAME], height=4, width=8)
-    return [small[0], large[0], small[1], large[1]]
+def chunked_targets(rng):
+    """Four targets of 3x6 texels; the first two lie outside the box, so some
+    of their texel rays miss it."""
+    return env_targets(rng, [(1.0, 1.0, -0.4), (-0.5, 1.2, 1.0), (1.3, 0.6, 0.5),
+                             (0.7, 0.9, 0.3)],
+                       [FRAME, Frame.from_normal([1.0, 0.0, 0.0]), TILTED, FRAME],
+                       height=3, width=6)
 
 
-UNEVEN_SAMPLES = 9   # 162 samples per 3x6 target, 288 per 4x8 target
+CHUNKED_SAMPLES = 9   # 162 samples per 3x6 target
 # values of _CHUNK_SAMPLES and the target groups the fit problem plans for them
 CHUNK_PLANS = [(_CHUNK_SAMPLES, [[0, 1, 2, 3]]),   # the default: one chunk
-               (162 + 288, [[0, 1], [2, 3]]),      # two unequal targets
-               (162, [[0], [1], [2], [3]]),        # exactly one 3x6 target
-               (100, [[0], [1], [2], [3]])]        # fewer than any target
+               (450, [[0, 1], [2, 3]]),            # two targets per chunk
+               (162, [[0], [1], [2], [3]]),        # exactly one target
+               (100, [[0], [1], [2], [3]]),        # fewer than any target
+               (3 * 162, [[0, 1, 2], [3]])]        # a shorter last chunk
 
 
 class TestChunkedObjective:
@@ -679,14 +696,14 @@ class TestChunkedObjective:
                                                   monkeypatch):
         monkeypatch.setattr(volume_module, "_CHUNK_SAMPLES", chunk_samples)
         rng = np.random.default_rng(45)
-        targets = uneven_targets(rng)
-        dims, opts = (3, 4, 2), VSGFitOptions(n_samples=UNEVEN_SAMPLES)
+        targets = chunked_targets(rng)
+        dims, opts = (3, 4, 2), VSGFitOptions(n_samples=CHUNKED_SAMPLES)
         origins, dirs = _reference_rays(targets, dims, BOUNDS)
         _, valid = _reference_samples(BOUNDS, origins, dirs, BOUNDS.diagonal,
-                                      UNEVEN_SAMPLES)
+                                      CHUNKED_SAMPLES)
         assert 0.0 < valid.mean() < 1.0
         problem = VSGFitProblem(targets, dims, BOUNDS, opts)
-        assert [t for _, t in problem.chunks] == groups
+        assert [list(chunk) for chunk in problem.chunks] == groups
         for _ in range(3):
             params = _initial_params(problem) + rng.normal(0.0, 0.5, problem.n_voxels * 7)
             value, grad = vsg_fit_objective(params, problem)
@@ -695,9 +712,9 @@ class TestChunkedObjective:
             assert grad.tobytes() == ref_grad.tobytes()
 
     def test_fit_bitwise_equal_at_every_chunk_size(self, monkeypatch):
-        targets = uneven_targets(np.random.default_rng(46))
+        targets = chunked_targets(np.random.default_rng(46))
         dims = (3, 4, 2)
-        opts = VSGFitOptions(max_iters=25, n_samples=UNEVEN_SAMPLES)
+        opts = VSGFitOptions(max_iters=25, n_samples=CHUNKED_SAMPLES)
         problem = VSGFitProblem(targets, dims, BOUNDS, opts)
         ref = minimize_monotone(
             lambda p: _reference_objective(p, targets, dims, BOUNDS, opts),
@@ -761,7 +778,8 @@ class TestObjectiveScoresRenderer:
     @pytest.mark.parametrize("dims", [(8, 8, 8), (3, 1, 5)])
     def test_value_equals_renderer_score(self, dims):
         rng = np.random.default_rng(45)
-        targets = outside_targets(rng) + fit_targets(rng)[:1]
+        targets = outside_targets(rng) + env_targets(rng, [(0.7, 0.9, 0.3)], [FRAME],
+                                                     height=3, width=6)
         opts = VSGFitOptions(n_samples=10)
         problem = VSGFitProblem(targets, dims, BOUNDS, opts)
         _, valid = _reference_samples(BOUNDS, *_reference_rays(targets, dims, BOUNDS),
