@@ -135,15 +135,23 @@ class ViewBundle:
 
 def bilinear_sample(grid: np.ndarray, u, v) -> np.ndarray:
     """Sample ``grid`` (H, W[, C]) at continuous (u, v), clamping at borders."""
-    h, w = grid.shape[:2]
+    return _bilinear(grid, _bilinear_corners(grid.shape[:2], u, v))
+
+
+def _bilinear_corners(shape, u, v):
+    """Corner rows v0, v1, columns u0, u1 and fractions fu, fv of bilinear
+    samples of an (H, W) grid at continuous (u, v), clamped at its borders."""
+    h, w = shape
     u = np.clip(np.asarray(u, dtype=np.float64), 0.0, w - 1.0)
     v = np.clip(np.asarray(v, dtype=np.float64), 0.0, h - 1.0)
     u0 = np.minimum(np.floor(u).astype(int), max(w - 2, 0))
     v0 = np.minimum(np.floor(v).astype(int), max(h - 2, 0))
-    u1 = np.minimum(u0 + 1, w - 1)
-    v1 = np.minimum(v0 + 1, h - 1)
-    fu = u - u0
-    fv = v - v0
+    return v0, np.minimum(v0 + 1, h - 1), u0, np.minimum(u0 + 1, w - 1), u - u0, v - v0
+
+
+def _bilinear(grid: np.ndarray, corners) -> np.ndarray:
+    """``grid`` (H, W[, C]) sampled through ``_bilinear_corners``."""
+    v0, v1, u0, u1, fu, fv = corners
     if grid.ndim == 3:
         fu = fu[..., None]
         fv = fv[..., None]
@@ -193,16 +201,17 @@ class Reprojection(NamedTuple):
     image: np.ndarray    # (K, P, 3) the view's image, bilinear at (u, v); 0 where invalid
 
 
-def sample_view(camera: Camera, maps: np.ndarray, points):
-    """Project (P, 3) world points through ``camera`` and sample ``maps``
-    (H, W[, C]) bilinearly there: (u, v, z, valid, samples). A point is valid
-    in front of the camera (z > 0) and inside its frame; an invalid point
-    samples pixel (0, 0)."""
+def sample_view(camera: Camera, maps, points):
+    """Project (P, 3) world points through ``camera`` and sample each of
+    ``maps``, arrays (H, W[, C]) of one size, bilinearly there with one set
+    of weights: (u, v, z, valid, samples), one sample array per map. A point
+    is valid in front of the camera (z > 0) and inside its frame; an invalid
+    point samples pixel (0, 0)."""
     u, v, z = camera.project(points)
-    h, w = maps.shape[:2]
+    h, w = maps[0].shape[:2]
     valid = (z > 0.0) & (u >= 0.0) & (u <= w - 1.0) & (v >= 0.0) & (v <= h - 1.0)
-    return u, v, z, valid, bilinear_sample(maps, np.where(valid, u, 0.0),
-                                           np.where(valid, v, 0.0))
+    corners = _bilinear_corners((h, w), np.where(valid, u, 0.0), np.where(valid, v, 0.0))
+    return u, v, z, valid, [_bilinear(m, corners) for m in maps]
 
 
 def reproject(points, views) -> Reprojection:
@@ -214,11 +223,10 @@ def reproject(points, views) -> Reprojection:
     points = np.asarray(points, dtype=np.float64)
     rows = []
     for view in views:
-        # bilinear weights act per channel: depth keeps the bits of a lone sample
-        maps = np.concatenate([view.depth[..., None], view.image], axis=-1)
-        u, v, z, ok, s = sample_view(view.camera, maps, points)
-        rows.append((u, v, z, ok, np.where(ok, s[:, 0], np.nan),
-                     np.where(ok[:, None], s[:, 1:], 0.0)))
+        u, v, z, ok, (depth, image) = sample_view(view.camera, (view.depth, view.image),
+                                                  points)
+        rows.append((u, v, z, ok, np.where(ok, depth, np.nan),
+                     np.where(ok[:, None], image, 0.0)))
     return Reprojection(*(np.stack(field) for field in zip(*rows)))
 
 

@@ -61,15 +61,12 @@ def build_surface_volume(image: np.ndarray, normal: np.ndarray, albedo: np.ndarr
     gx, gy, gz = np.meshgrid(*axes, indexing="ij")
     centers = np.stack([gx, gy, gz], axis=-1)
 
-    # bilinear weights act per channel: each map keeps the bits of a lone sample
-    maps = np.concatenate([image, normal, albedo, roughness[..., None],
-                           depth[..., None], confidence[..., None]], axis=-1)
-    _, _, z, valid, samples = sample_view(camera, maps, centers.reshape(-1, 3))
-    dpt, cnf = samples[:, SURFACE_CHANNELS], samples[:, SURFACE_CHANNELS + 1]
+    _, _, z, valid, (img, nrm, alb, rgh, dpt, cnf) = sample_view(
+        camera, (image, normal, albedo, roughness, depth, confidence), centers.reshape(-1, 3))
 
     rho = np.exp(-cnf * np.square(z - dpt))
     rho = np.where(valid, rho, 0.0)
-    record = samples[:, :SURFACE_CHANNELS] * rho[:, None]
+    record = np.column_stack([img, nrm, alb, rgh]) * rho[:, None]
     record[~valid] = 0.0
 
     return SurfaceVolume(bounds=bounds, data=record.reshape(dims + (SURFACE_CHANNELS,)))

@@ -17,7 +17,13 @@ intermediates the fit's backward pass reads. ``composite_rays`` runs that
 path on chunks of ~16k samples, bitwise equal to marching rays alone. The fit
 builds its stencil once over targets of one grid shape and groups whole
 targets into chunks of at most ``_CHUNK_SAMPLES`` samples; its objective runs
-gather, composite, loss, backward pass and gradient scatter chunk by chunk.
+gather, composite, loss, backward pass and gradient sum chunk by chunk. For
+the gradient sum the fit also lays the stencil out by cell once, one target
+at a time: each target's samples sorted by base cell and cut into blocks of
+``_BLOCK`` that share one cell's 8 corner voxels. A batched matmul reduces
+each block to (field, corner) sums, and a bincount per field adds them to
+the voxels in block order, so each voxel's sum does not depend on the chunk
+plan.
 """
 
 from __future__ import annotations
@@ -40,6 +46,11 @@ CHANNEL_ORDER = ("alpha", "theta", "phi", "sharpness", "r", "g", "b")
 # composite_rays marches rays in chunks of about this many samples (256 rays
 # at 64 samples), so the per-chunk arrays stay cache-sized
 _CHUNK_SAMPLES = 16384
+
+# the fit sums its gradient over blocks of this many samples of one target
+# that share a base cell, one (8 x _BLOCK) @ (_BLOCK x 8) product per block;
+# 8 ran as fast as 16 and pads fewer slots
+_BLOCK = 8
 
 # trilinear corners (dx, dy, dz) in x-major order
 _CORNERS = np.array([(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)])
@@ -352,15 +363,19 @@ class VSGFitResult:
 class VSGFitProblem:
     """Precomputed geometry for the fit objective over targets whose grids
     share one shape of D texels: the texel rays of all targets from one
-    ``env_rays`` call, their ``_ray_stencil``, the voxel key of every
-    (sample, corner) pair and its weight as a contiguous (P, 8) array for the
-    per-field gradient scatter, and the target radiance as one (T, D, 3)
-    ``target_flat``.
+    ``env_rays`` call, their ``_ray_stencil``, and the target radiance as one
+    (T, D, 3) ``target_flat``.
 
     ``chunks`` splits the targets, in order, into ranges of
     ``_CHUNK_SAMPLES // (D * n_samples)`` targets, at least one. The
     objective works chunk by chunk so its (R, N) temporaries stay
-    cache-sized."""
+    cache-sized.
+
+    For the gradient sum, ``_cell_blocks`` lays the stencil out by cell, one
+    target at a time: ``block_weights`` (B, _BLOCK, 8), ``block_voxels``
+    (B, 8), ``block_rows`` (B, _BLOCK), and ``chunk_blocks``, the slice of
+    blocks of each chunk. Blocks follow target order, then cell order, and
+    never cross a target."""
 
     def __init__(self, targets, dims, bounds: Bounds, options: VSGFitOptions):
         if len(targets) == 0:
@@ -389,13 +404,45 @@ class VSGFitProblem:
         _, _, self.stencil = _ray_stencil(template, origins.reshape(-1, 3),
                                           self.directions, bounds.diagonal,
                                           options.n_samples)
-        base, offsets, weights = self.stencil
-        # voxel index and weight of every (sample, corner) pair, in that order
-        self.corner_keys = (base[:, None] + offsets).ravel()
-        self.corner_weights = np.ascontiguousarray(weights.T)
-        per_chunk = max(1, _CHUNK_SAMPLES // (dirs.shape[1] * options.n_samples))
+        per_target = dirs.shape[1] * options.n_samples
+        per_chunk = max(1, _CHUNK_SAMPLES // per_target)
         self.chunks = [range(k, min(k + per_chunk, len(targets)))
                        for k in range(0, len(targets), per_chunk)]
+        (self.block_weights, self.block_voxels, self.block_rows,
+         self.chunk_blocks) = _cell_blocks(self.stencil, self.n_voxels, per_target,
+                                          per_chunk)
+
+
+def _cell_blocks(stencil, n_voxels: int, per_target: int, per_chunk: int):
+    """The fit stencil laid out by cell, one target at a time. Each target's
+    samples are stable-sorted by base cell, and each cell's run is cut into
+    blocks of ``_BLOCK`` samples, the last one padded. Returns the block
+    weights (B, _BLOCK, 8) with zeros in the pads, each block's 8 corner
+    voxels (B, 8), each slot's column (B, _BLOCK) in its chunk's gradient
+    table, where column 0 is zero for the pads and column 1 + s holds the
+    chunk's sample s, and the slice of blocks of each chunk of ``per_chunk``
+    targets."""
+    base, offsets, weights = stencil
+    chunk_samples = per_chunk * per_target
+    cell = np.arange(base.size) // per_target * n_voxels + base   # (target, cell)
+    order = np.argsort(cell, kind="stable")
+    cell = cell[order]
+    new_run = np.concatenate([[True], cell[1:] != cell[:-1]])
+    rank = np.arange(base.size) - np.flatnonzero(new_run)[np.cumsum(new_run) - 1]
+    new_block = rank % _BLOCK == 0
+    slot = (np.cumsum(new_block) - 1) * _BLOCK + rank % _BLOCK
+    n_blocks = int(new_block.sum())
+    block_weights = np.zeros((n_blocks * _BLOCK, 8))
+    for k in range(8):   # corner by corner, with no (P, 8) copy of the weights
+        block_weights[slot, k] = weights[k, order]
+    rows = np.zeros(n_blocks * _BLOCK, dtype=np.intp)
+    rows[slot] = order % chunk_samples + 1
+    first = order[new_block]
+    chunk = first // chunk_samples
+    ends = np.searchsorted(chunk, np.arange(chunk[-1] + 2))
+    return (block_weights.reshape(n_blocks, _BLOCK, 8), base[first][:, None] + offsets,
+            rows.reshape(n_blocks, _BLOCK),
+            [slice(i, j) for i, j in zip(ends[:-1], ends[1:])])
 
 
 def _split_params(params: np.ndarray, n_voxels: int):
@@ -431,6 +478,65 @@ def _g4_and_grad(target: np.ndarray, rendered: np.ndarray):
     return value, grad
 
 
+def _chunk_field_grads(table: np.ndarray, stencil, directions: np.ndarray,
+                       target: np.ndarray, beta: float, out: np.ndarray) -> list:
+    """One chunk of the fit objective: the g4 of each of its targets (k, D, 3)
+    against the rays (k * D, 3) composited through ``stencil``, and, written
+    into ``out`` (8, R, N), the gradient of beta * sum g4 with respect to the
+    8 interpolated fields at every sample."""
+    n_rays, n = out.shape[1:]
+    interp = _trilinear(table, stencil).reshape(8, n_rays, n)
+    sharp, eta = interp[4], interp[5:8]
+    rendered, (axis, nd, live, safe, dots, expo, emit, trans, excl, wgt,
+               contrib) = _composite(interp, directions)
+    rendered = np.ascontiguousarray(rendered).reshape(target.shape)
+
+    values, d_rendered = [], np.empty_like(rendered)
+    for k in range(len(target)):
+        v, g = _g4_and_grad(target[k], rendered[k])
+        values.append(v)
+        d_rendered[k] = beta * g
+
+    # tail_n = radiance composited from samples > n, non-recursive suffix form
+    suffix = np.cumsum(contrib[..., ::-1], axis=-1)[..., ::-1]
+    tail_next = np.concatenate([suffix[..., 1:], np.zeros((3, n_rays, 1))], axis=-1)
+    tsafe = np.where(trans > 1e-290, trans, 1.0)
+    tail = np.where(trans > 1e-290, tail_next / tsafe, 0.0)
+    d_r = d_rendered.reshape(n_rays, 3).T[..., None]         # (3, R, 1)
+    d_emit = wgt * d_r
+    q = d_r * excl * (emit - tail)
+    np.add(q[0] + q[1], q[2], out=out[0])                   # alpha
+
+    q = d_emit * eta
+    d_expo = (q[0] + q[1]) + q[2]
+    np.multiply(d_emit, expo, out=out[5:8])                 # eta
+    np.multiply(d_expo * expo, dots - 1.0, out=out[4])      # sharpness
+    d_dots = d_expo * expo * sharp
+    d_axis = d_dots * nd
+    q = axis * d_axis
+    np.divide(d_axis - axis * ((q[0] + q[1]) + q[2]), safe, out=out[1:4])  # axis
+    np.copyto(out[1:4], 0.0, where=~live)
+    return values
+
+
+def _add_cell_sums(accum: np.ndarray, grads: np.ndarray, problem: VSGFitProblem,
+                   blocks: slice) -> None:
+    """Add to ``accum`` (8, V) one chunk's sum, per field and voxel, of corner
+    weight * field gradient over the chunk's (sample, corner) pairs. ``grads``
+    (8, 1 + P) holds the field gradients of the chunk's P samples after a
+    zero column that the pad slots read. One batched matmul reduces each
+    block to (field, corner) sums; a bincount per field adds them to the
+    voxels in block order after accum's own value, so each voxel sums its
+    blocks in problem order whatever the chunk plan."""
+    g = grads.take(problem.block_rows[blocks], axis=1)      # (8, b, _BLOCK)
+    sums = np.matmul(g.transpose(1, 0, 2), problem.block_weights[blocks])
+    nvox = accum.shape[1]
+    keys = np.concatenate([np.arange(nvox), problem.block_voxels[blocks].ravel()])
+    for f in range(8):
+        accum[f] = np.bincount(keys, np.concatenate([accum[f], sums[:, f].ravel()]),
+                               minlength=nvox)
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def vsg_fit_objective(params: np.ndarray, problem: VSGFitProblem):
     """Fit objective beta1 * sum_targets g4 + beta2 * mean_vox(-alpha ln alpha)
@@ -447,48 +553,17 @@ def vsg_fit_objective(params: np.ndarray, problem: VSGFitProblem):
     table = np.concatenate([alpha_v[None], axis_v.T, sharp_v[None], eta_v.T])
     value = 0.0
     accum = np.zeros((8, nvox))   # gradient of each field per voxel
-    for chunk in problem.chunks:
+    for chunk, blocks in zip(problem.chunks, problem.chunk_blocks):
         rays = slice(chunk.start * d, chunk.stop * d)
         samples = slice(rays.start * n, rays.stop * n)
-        n_rays = rays.stop - rays.start
-        interp = _trilinear(table, (base[samples], offsets, weights[:, samples]))
-        interp = interp.reshape(8, n_rays, n)
-        sharp, eta = interp[4], interp[5:8]
-        rendered, (axis, nd, live, safe, dots, expo, emit, trans, excl, wgt,
-                   contrib) = _composite(interp, problem.directions[rays])
-        rendered = np.ascontiguousarray(rendered).reshape(len(chunk), d, 3)
-
-        d_rendered = np.empty_like(rendered)
-        for k, t in enumerate(chunk):
-            v, g = _g4_and_grad(problem.target_flat[t], rendered[k])
+        grads = np.empty((8, 1 + samples.stop - samples.start))
+        grads[:, 0] = 0.0
+        for v in _chunk_field_grads(table, (base[samples], offsets, weights[:, samples]),
+                                    problem.directions[rays],
+                                    problem.target_flat[chunk.start:chunk.stop],
+                                    beta_fit, grads[:, 1:].reshape(8, -1, n)):
             value += beta_fit * v
-            d_rendered[k] = beta_fit * g
-
-        # tail_n = radiance composited from samples > n, non-recursive suffix form
-        suffix = np.cumsum(contrib[..., ::-1], axis=-1)[..., ::-1]
-        tail_next = np.concatenate([suffix[..., 1:], np.zeros((3, n_rays, 1))], axis=-1)
-        tsafe = np.where(trans > 1e-290, trans, 1.0)
-        tail = np.where(trans > 1e-290, tail_next / tsafe, 0.0)
-        d_r = d_rendered.reshape(n_rays, 3).T[..., None]         # (3, R, 1)
-        d_emit = wgt * d_r
-        q = d_r * excl * (emit - tail)
-        d_alpha = (q[0] + q[1]) + q[2]
-
-        q = d_emit * eta
-        d_expo = (q[0] + q[1]) + q[2]
-        d_eta = d_emit * expo
-        d_sharp = d_expo * expo * (dots - 1.0)
-        d_dots = d_expo * expo * sharp
-        d_axis = d_dots * nd
-        q = axis * d_axis
-        d_u = (d_axis - axis * ((q[0] + q[1]) + q[2])) / safe
-        d_u = np.where(live, d_u, 0.0)
-        # an in-order add per chunk continues each voxel's running sum in
-        # (ray, sample, corner) order, whatever the chunk plan
-        keys = problem.corner_keys[samples.start * 8:samples.stop * 8]
-        corner_weights = problem.corner_weights[samples]
-        for f, g in enumerate((d_alpha, *d_u, d_sharp, *d_eta)):
-            np.add.at(accum[f], keys, (corner_weights * g.reshape(-1, 1)).ravel())
+        _add_cell_sums(accum, grads, problem, blocks)
 
     # entropy regularizer -alpha ln alpha, mean over voxels
     tiny = alpha_v > 1e-290

@@ -28,7 +28,7 @@ FRAME = Frame.from_normal([0.0, 0.0, 1.0])
 BOUNDS = Bounds(lo=np.zeros(3), hi=np.full(3, 2.0))
 
 # digest of pipeline_demo(DemoConfig()); the same with OpenBLAS at 1 or 2 threads
-DEMO_DIGEST = "d50d49f0f8fd5b856c2cc26f52cb46e7c87b08fb21149e7abed9e593d6717ce8"
+DEMO_DIGEST = "d723b3f6a4a4f9f3e7c046e37d69dfd8571fb5017eb90a1d6dc7e23dbf38c94a"
 
 
 def report(num: int, name: str, passed: bool, detail: str = ""):

@@ -47,13 +47,19 @@ def test_failure_is_reported_not_raised():
 
 
 def test_rejects_non_finite_proposals():
-    def touchy(x):
-        if np.any(np.abs(x) > 1.5):
-            return float("inf"), np.zeros_like(x)
-        return float(np.sum(x * x)), 2.0 * x
+    values = []
 
-    result = minimize_monotone(touchy, np.array([1.4]), max_iters=200, step=5.0)
+    def touchy(x):
+        value, grad = ((float("inf"), np.zeros_like(x)) if np.any(np.abs(x) > 1.5)
+                       else (float(np.sum(x * x)), 2.0 * x))
+        values.append(value)
+        return value, grad
+
+    # at step 50 the first proposal is -3.6, past the cliff
+    result = minimize_monotone(touchy, np.array([1.4]), max_iters=200, step=50.0)
     assert result.objective < 1e-6
+    assert not all(map(math.isfinite, values))
+    assert all(map(math.isfinite, result.report.objective_trace))
 
 
 class TestStopReason:
@@ -170,7 +176,7 @@ SCALAR_PROBLEMS = [
     (quartic, np.random.default_rng(0).normal(size=10), dict(max_iters=300)),
     (flat, [1.0, 1.0, 1.0], dict(max_iters=50)),
     (flat, [1.0, 1.0, 1.0], dict(max_iters=500)),
-    (touchy, [1.4], dict(max_iters=200, step=5.0)),
+    (touchy, [1.4], dict(max_iters=200, step=50.0)),
     (quadratic, [3.0, -2.0], dict(max_iters=5)),
     (quadratic, [3.0, -2.0], dict(max_iters=500, step=0.5)),
     (kinked, [3.0, -2.0, 0.5], dict(max_iters=600)),
@@ -196,13 +202,22 @@ class TestRows:
         funs = [quadratic, steep, flat, lifted, touchy, lifted]
         starts = np.array([[3.0, -2.0, 0.5], [1.0, 0.7, -0.2], [1.0, 1.0, 1.0],
                            [1.5, 0.5, -0.5], [1.4, 0.3, -0.9], [0.5, 0.5, 0.5]])
-        options = dict(max_iters=310)
+        options = dict(max_iters=310, step=50.0)   # touchy proposes past its cliff
 
         def rows_fun(xs):
             values, grads = zip(*(f(x) for f, x in zip(funs, xs)))
             return np.array(values), np.stack(grads)
 
-        batch = minimize_monotone(rows_fun, starts, **options)
+        touchy_values = []
+
+        def logged_rows_fun(xs):
+            values, grads = rows_fun(xs)
+            touchy_values.append(values[4])
+            return values, grads
+
+        batch = minimize_monotone(logged_rows_fun, starts, **options)
+        assert not all(map(math.isfinite, touchy_values))
+        assert all(map(math.isfinite, batch[4].report.objective_trace))
         restarts = []
         for f, x0, got in zip(funs, starts, batch):
             restarts.append([])

@@ -23,7 +23,7 @@ def tiny_config():
 
 
 # digest of pipeline_demo(tiny_config()); the same with OpenBLAS at 1 or 2 threads
-TINY_DIGEST = "83760c36e6cae6b3770bab5701420420bb26d8aa0b146cc9c0b9ac257d4c396c"
+TINY_DIGEST = "853a43ecc0dcade2e7335770d524292d3db9059e401fe63695efb0ae9886506c"
 
 
 @pytest.fixture(scope="module")
