@@ -170,8 +170,7 @@ class StageLossBundle:
     mask_object: np.ndarray      # M_o, for the other stages
     normal_ref: np.ndarray
     normal_pred: np.ndarray
-    env_dl_ref: np.ndarray       # per-pixel direct-light env maps
-    env_dl_pred: np.ndarray
+    g4_dl: float                 # si_log_mse of the per-pixel direct-light env maps
     visibility: np.ndarray       # per-lobe mu, for the g5 report
     alpha_dl: np.ndarray         # exitant-volume opacity
     albedo_ref: np.ndarray
@@ -239,16 +238,17 @@ def stage_losses(bundle: StageLossBundle) -> dict[str, float]:
     """The per-stage training losses of a bundle, weighted by
     ``DEFAULT_BETAS``: the main loss per stage, the g5 regularizer terms
     reported separately (keys ending in ``_reg``), and the re-render scales.
-    L_InDL and L_ExDL share one direct-light g4.
+    L_InDL and L_ExDL share the bundle's direct-light g4.
     """
     b_in, b_ex, b_svl = DEFAULT_BETAS["in_dl"], DEFAULT_BETAS["ex_dl"], DEFAULT_BETAS["svl"]
-    g4_dl = si_log_mse(bundle.env_dl_ref, bundle.env_dl_pred, bundle.mask_object)
     rerender, tau_diff, tau_spec = rerender_residual(
         bundle.images, bundle.diffuse_render, bundle.specular_renders,
         bundle.view_weights, bundle.target_index, bundle.mask_object)
     return {"L_normal": normal_loss(bundle.normal_ref, bundle.normal_pred, bundle.mask_light),
-            "L_InDL": b_in[0] * g4_dl, "L_InDL_reg": b_in[1] * entropy_reg(bundle.visibility),
-            "L_ExDL": b_ex[0] * g4_dl, "L_ExDL_reg": b_ex[1] * entropy_reg(bundle.alpha_dl),
+            "L_InDL": b_in[0] * bundle.g4_dl,
+            "L_InDL_reg": b_in[1] * entropy_reg(bundle.visibility),
+            "L_ExDL": b_ex[0] * bundle.g4_dl,
+            "L_ExDL_reg": b_ex[1] * entropy_reg(bundle.alpha_dl),
             "L_BRDF": brdf_loss(bundle.albedo_ref, bundle.albedo_pred, bundle.rough_ref,
                                 bundle.rough_pred, bundle.mask_object),
             "L_SVL": b_svl[0] * si_log_mse(bundle.env_svl_ref, bundle.env_svl_pred,

@@ -263,8 +263,7 @@ def pipeline_demo(config: DemoConfig | None = None) -> PipelineReport:
         loss_bundle = StageLossBundle(
             mask_light=scene.mask, mask_object=scene.mask,
             normal_ref=scene.gt_normal[0], normal_pred=normal_map,
-            env_dl_ref=scene.gt_env, env_dl_pred=fitted_envs,
-            visibility=np.ones(config.sg_lobes),
+            g4_dl=lighting_g4, visibility=np.ones(config.sg_lobes),
             alpha_dl=vol_result.volume.voxels[..., 0],
             albedo_ref=scene.gt_albedo[0], albedo_pred=scene.gt_albedo[0],
             rough_ref=scene.gt_rough[0], rough_pred=scene.gt_rough[0],

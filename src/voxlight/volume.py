@@ -8,22 +8,24 @@ interpolation of unit vectors, (0, 0, 1) where the interpolation vanishes).
 A ray composites front to back:
 radiance = sum_n prod_{m<n}(1 - alpha_m) alpha_n G(-l; sample_n).
 
-Rendering and fitting share one ray path. ``_ray_stencil`` clips rays to the
-box and builds the trilinear stencil (a base voxel index, 8 constant corner
-offsets and 8 weights per sample) of their stratified samples, ray-major;
-``_trilinear`` gathers the channels through it from a channel-major table;
-``_composite`` composites the channels (C, R, N) and returns the
-intermediates the fit's backward pass reads. ``composite_rays`` runs that
-path on chunks of ~16k samples, bitwise equal to marching rays alone. The fit
-builds its stencil once over targets of one grid shape and groups whole
-targets into chunks of at most ``_CHUNK_SAMPLES`` samples; its objective runs
-gather, composite, loss, backward pass and gradient sum chunk by chunk. For
-the gradient sum the fit also lays the stencil out by cell once, one target
-at a time: each target's samples sorted by base cell and cut into blocks of
-``_BLOCK`` that share one cell's 8 corner voxels. A batched matmul reduces
-each block to (field, corner) sums, and a bincount per field adds them to
-the voxels in block order, so each voxel's sum does not depend on the chunk
-plan.
+Rendering and fitting share the stencil and the compositing.
+``_ray_stencil`` clips rays to the box and builds the trilinear stencil (a
+base voxel index, 8 constant corner offsets and 8 weights per sample) of
+their stratified samples, ray-major; ``_composite`` composites the channels
+(C, R, N) and returns the intermediates the fit's backward pass reads. The
+renderer, ``composite_rays``, gathers the channels through the stencil with
+``_trilinear`` from a channel-major table, on chunks of ~16k samples, bitwise
+equal to marching rays alone. The fit builds its stencil once over targets
+of one grid shape, groups whole targets into chunks of at most
+``_CHUNK_SAMPLES`` samples, and lays the stencil out by cell, one target at a
+time: each target's samples sorted by base cell and cut into blocks of
+``_BLOCK`` that share one cell's 8 corner voxels. Its objective interpolates
+and sums through these blocks chunk by chunk. Forward, one gather takes each
+block's 8 corner rows and a batched matmul weights them into its slots,
+which the samples read back in ray-major order. Backward, the transpose: a
+batched matmul reduces each block to (field, corner) sums, and a bincount
+per field adds them to the voxels in block order, so each voxel's sum does
+not depend on the chunk plan.
 """
 
 from __future__ import annotations
@@ -371,11 +373,14 @@ class VSGFitProblem:
     objective works chunk by chunk so its (R, N) temporaries stay
     cache-sized.
 
-    For the gradient sum, ``_cell_blocks`` lays the stencil out by cell, one
-    target at a time: ``block_weights`` (B, _BLOCK, 8), ``block_voxels``
-    (B, 8), ``block_rows`` (B, _BLOCK), and ``chunk_blocks``, the slice of
-    blocks of each chunk. Blocks follow target order, then cell order, and
-    never cross a target."""
+    ``_cell_blocks`` lays the stencil out by cell, one target at a time:
+    ``block_weights`` (B, _BLOCK, 8), ``block_voxels`` (B, 8),
+    ``block_rows`` (B, _BLOCK), each slot's sample; ``sample_slots`` (P,),
+    its inverse, each sample's slot; and ``chunk_blocks``, the slice of
+    blocks of each chunk. Rows and slots count from their chunk's start.
+    Blocks follow target order, then cell order, and never cross a target.
+    The objective interpolates and sums through these blocks, so no
+    per-sample stencil is kept."""
 
     def __init__(self, targets, dims, bounds: Bounds, options: VSGFitOptions):
         if len(targets) == 0:
@@ -401,16 +406,14 @@ class VSGFitProblem:
                                  targets[0].grid.texels.shape[:2])
         self.target_flat = np.stack([t.grid.texels.reshape(-1, 3) for t in targets])
         self.directions = dirs.reshape(-1, 3)
-        _, _, self.stencil = _ray_stencil(template, origins.reshape(-1, 3),
-                                          self.directions, bounds.diagonal,
-                                          options.n_samples)
+        _, _, stencil = _ray_stencil(template, origins.reshape(-1, 3), self.directions,
+                                     bounds.diagonal, options.n_samples)
         per_target = dirs.shape[1] * options.n_samples
         per_chunk = max(1, _CHUNK_SAMPLES // per_target)
         self.chunks = [range(k, min(k + per_chunk, len(targets)))
                        for k in range(0, len(targets), per_chunk)]
-        (self.block_weights, self.block_voxels, self.block_rows,
-         self.chunk_blocks) = _cell_blocks(self.stencil, self.n_voxels, per_target,
-                                          per_chunk)
+        (self.block_weights, self.block_voxels, self.block_rows, self.sample_slots,
+         self.chunk_blocks) = _cell_blocks(stencil, self.n_voxels, per_target, per_chunk)
 
 
 def _cell_blocks(stencil, n_voxels: int, per_target: int, per_chunk: int):
@@ -420,8 +423,8 @@ def _cell_blocks(stencil, n_voxels: int, per_target: int, per_chunk: int):
     weights (B, _BLOCK, 8) with zeros in the pads, each block's 8 corner
     voxels (B, 8), each slot's column (B, _BLOCK) in its chunk's gradient
     table, where column 0 is zero for the pads and column 1 + s holds the
-    chunk's sample s, and the slice of blocks of each chunk of ``per_chunk``
-    targets."""
+    chunk's sample s, each sample's slot (P,) counted from its chunk's first
+    block, and the slice of blocks of each chunk of ``per_chunk`` targets."""
     base, offsets, weights = stencil
     chunk_samples = per_chunk * per_target
     cell = np.arange(base.size) // per_target * n_voxels + base   # (target, cell)
@@ -440,8 +443,10 @@ def _cell_blocks(stencil, n_voxels: int, per_target: int, per_chunk: int):
     first = order[new_block]
     chunk = first // chunk_samples
     ends = np.searchsorted(chunk, np.arange(chunk[-1] + 2))
+    slots = np.empty(base.size, dtype=np.intp)
+    slots[order] = slot - ends[order // chunk_samples] * _BLOCK
     return (block_weights.reshape(n_blocks, _BLOCK, 8), base[first][:, None] + offsets,
-            rows.reshape(n_blocks, _BLOCK),
+            rows.reshape(n_blocks, _BLOCK), slots,
             [slice(i, j) for i, j in zip(ends[:-1], ends[1:])])
 
 
@@ -478,14 +483,25 @@ def _g4_and_grad(target: np.ndarray, rendered: np.ndarray):
     return value, grad
 
 
-def _chunk_field_grads(table: np.ndarray, stencil, directions: np.ndarray,
+def _block_fields(table: np.ndarray, problem: VSGFitProblem, blocks: slice,
+                  samples: slice) -> np.ndarray:
+    """Voxel rows ``table`` (V, 8) interpolated at one chunk's samples, (8, P)
+    in sample order: one batched matmul weights each block's 8 corner rows
+    into its slots, written field-major, and each sample reads its slot."""
+    weights = problem.block_weights[blocks]
+    fields = np.empty((8,) + weights.shape[:2])             # (field, block, slot)
+    np.matmul(table.take(problem.block_voxels[blocks], axis=0).transpose(0, 2, 1),
+              weights.transpose(0, 2, 1), out=fields.transpose(1, 0, 2))
+    return fields.reshape(8, -1).take(problem.sample_slots[samples], axis=1)
+
+
+def _chunk_field_grads(interp: np.ndarray, directions: np.ndarray,
                        target: np.ndarray, beta: float, out: np.ndarray) -> list:
     """One chunk of the fit objective: the g4 of each of its targets (k, D, 3)
-    against the rays (k * D, 3) composited through ``stencil``, and, written
-    into ``out`` (8, R, N), the gradient of beta * sum g4 with respect to the
-    8 interpolated fields at every sample."""
+    against the rays (k * D, 3) composited from the 8 fields ``interp``
+    (8, R, N), and, written into ``out`` (8, R, N), the gradient of
+    beta * sum g4 with respect to those fields at every sample."""
     n_rays, n = out.shape[1:]
-    interp = _trilinear(table, stencil).reshape(8, n_rays, n)
     sharp, eta = interp[4], interp[5:8]
     rendered, (axis, nd, live, safe, dots, expo, emit, trans, excl, wgt,
                contrib) = _composite(interp, directions)
@@ -546,11 +562,9 @@ def vsg_fit_objective(params: np.ndarray, problem: VSGFitProblem):
     nvox = problem.n_voxels
     p, alpha_v, axis_v, sharp_v, eta_v = _split_params(params, nvox)
     n, d = problem.options.n_samples, problem.target_flat.shape[1]
-    base, offsets, weights = problem.stencil
 
-    # per chunk, one gather for all 8 interpolated fields: alpha, axis xyz,
-    # sharp, eta, each channel-major (R, N) over the ray-major samples
-    table = np.concatenate([alpha_v[None], axis_v.T, sharp_v[None], eta_v.T])
+    # voxel rows (V, 8) of the 8 interpolated fields: alpha, axis xyz, sharp, eta
+    table = np.column_stack([alpha_v, axis_v, sharp_v, eta_v])
     value = 0.0
     accum = np.zeros((8, nvox))   # gradient of each field per voxel
     for chunk, blocks in zip(problem.chunks, problem.chunk_blocks):
@@ -558,8 +572,8 @@ def vsg_fit_objective(params: np.ndarray, problem: VSGFitProblem):
         samples = slice(rays.start * n, rays.stop * n)
         grads = np.empty((8, 1 + samples.stop - samples.start))
         grads[:, 0] = 0.0
-        for v in _chunk_field_grads(table, (base[samples], offsets, weights[:, samples]),
-                                    problem.directions[rays],
+        for v in _chunk_field_grads(_block_fields(table, problem, blocks, samples)
+                                    .reshape(8, -1, n), problem.directions[rays],
                                     problem.target_flat[chunk.start:chunk.stop],
                                     beta_fit, grads[:, 1:].reshape(8, -1, n)):
             value += beta_fit * v

@@ -28,7 +28,7 @@ FRAME = Frame.from_normal([0.0, 0.0, 1.0])
 BOUNDS = Bounds(lo=np.zeros(3), hi=np.full(3, 2.0))
 
 # digest of pipeline_demo(DemoConfig()); the same with OpenBLAS at 1 or 2 threads
-DEMO_DIGEST = "d723b3f6a4a4f9f3e7c046e37d69dfd8571fb5017eb90a1d6dc7e23dbf38c94a"
+DEMO_DIGEST = "93aa1ab743c0ef30d94f603049fad471a186aa8dcd5ddcab13e16c26cb379889"
 
 
 def report(num: int, name: str, passed: bool, detail: str = ""):

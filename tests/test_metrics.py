@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -195,7 +196,7 @@ class TestStageLosses:
         return StageLossBundle(
             mask_light=np.ones((h, w)), mask_object=np.ones((h, w)),
             normal_ref=normals, normal_pred=normals.copy(),
-            env_dl_ref=envs, env_dl_pred=envs.copy(),
+            g4_dl=frozen_si_log_mse(envs, envs.copy(), np.ones((h, w))),
             visibility=np.array([1.0, 1.0, 1.0]),
             alpha_dl=np.array([0.0, 1.0]),
             albedo_ref=albedo, albedo_pred=albedo.copy(),
@@ -254,6 +255,11 @@ class TestStageLosses:
         with pytest.raises(TypeError, match="normal_pred"):
             StageLossBundle(mask_light=np.ones((2, 2)), mask_object=np.ones((2, 2)),
                             normal_ref=np.zeros((2, 2, 3)))
+        bundle = self.base_bundle(np.random.default_rng(13))
+        fields = {f.name: getattr(bundle, f.name) for f in dataclasses.fields(bundle)
+                  if f.name != "g4_dl"}
+        with pytest.raises(TypeError, match="g4_dl"):
+            StageLossBundle(**fields)
 
     def test_paper_beta_defaults(self):
         assert DEFAULT_BETAS["normal"] == (1.0, 1.0)
@@ -265,6 +271,8 @@ class TestStageLosses:
 
 # Frozen copies of the whole-array reductions and of stage_losses before the
 # reductions ran block by block, with the independent re-render scale fits.
+# The bundles carry the direct-light g4 of frozen_si_log_mse, which
+# stage_losses weights as given.
 def frozen_mask_weights(a, mask):
     if mask is None:
         return np.ones(a.shape)
@@ -312,12 +320,10 @@ def frozen_stage_losses(bundle):
                        + b[1] * frozen_masked_mse(bundle.normal_ref, bundle.normal_pred,
                                                   bundle.mask_light))
     b = DEFAULT_BETAS["in_dl"]
-    out["L_InDL"] = b[0] * frozen_si_log_mse(bundle.env_dl_ref, bundle.env_dl_pred,
-                                             bundle.mask_object)
+    out["L_InDL"] = b[0] * bundle.g4_dl
     out["L_InDL_reg"] = b[1] * entropy_reg(bundle.visibility)
     b = DEFAULT_BETAS["ex_dl"]
-    out["L_ExDL"] = b[0] * frozen_si_log_mse(bundle.env_dl_ref, bundle.env_dl_pred,
-                                             bundle.mask_object)
+    out["L_ExDL"] = b[0] * bundle.g4_dl
     out["L_ExDL_reg"] = b[1] * entropy_reg(bundle.alpha_dl)
     b = DEFAULT_BETAS["brdf"]
     tau = frozen_ls_scale(bundle.albedo_ref, bundle.albedo_pred, bundle.mask_object)[0]
@@ -390,7 +396,8 @@ class TestBlockwiseReductionsBitwise:
     def test_stage_losses_equal_frozen_copy(self, mask_kind):
         rng = np.random.default_rng(21)
         bundle = TestStageLosses().base_bundle(rng)
-        bundle.env_dl_pred = bundle.env_dl_pred * rng.uniform(0.5, 1.5, bundle.env_dl_pred.shape)
+        env_dl_ref = bundle.env_svl_ref
+        env_dl_pred = env_dl_ref * rng.uniform(0.5, 1.5, env_dl_ref.shape)
         bundle.env_svl_pred = bundle.env_svl_ref * rng.uniform(0.5, 1.5, bundle.env_svl_ref.shape)
         bundle.albedo_pred = rng.uniform(0.0, 1.0, bundle.albedo_ref.shape)
         bundle.specular_renders = rng.uniform(0.0, 1.0, bundle.specular_renders.shape)
@@ -400,9 +407,11 @@ class TestBlockwiseReductionsBitwise:
         elif mask_kind == "zeros":
             bundle.mask_object = bundle.mask_light = bundle.mask_svl_env = np.zeros((6, 8))
         elif mask_kind == "zero_inputs":
-            for name in ("env_dl_ref", "env_dl_pred", "env_svl_ref", "env_svl_pred",
-                         "albedo_pred", "diffuse_render", "specular_renders"):
+            env_dl_ref, env_dl_pred = np.zeros_like(env_dl_ref), np.zeros_like(env_dl_pred)
+            for name in ("env_svl_ref", "env_svl_pred", "albedo_pred", "diffuse_render",
+                         "specular_renders"):
                 setattr(bundle, name, np.zeros_like(getattr(bundle, name)))
+        bundle.g4_dl = frozen_si_log_mse(env_dl_ref, env_dl_pred, bundle.mask_object)
         got, want = stage_losses(bundle), frozen_stage_losses(bundle)
         assert list(got) == list(want)
         for key in set(want) - RERENDER_KEYS:

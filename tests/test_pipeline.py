@@ -23,7 +23,7 @@ def tiny_config():
 
 
 # digest of pipeline_demo(tiny_config()); the same with OpenBLAS at 1 or 2 threads
-TINY_DIGEST = "853a43ecc0dcade2e7335770d524292d3db9059e401fe63695efb0ae9886506c"
+TINY_DIGEST = "2bcd16c4456ce165677f843fd6e280a7cd1d03fffbc1618efbaf2f9399af3ac9"
 
 
 @pytest.fixture(scope="module")
