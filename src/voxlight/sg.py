@@ -324,10 +324,21 @@ def _angle_grad(d_axis: np.ndarray, theta: np.ndarray, phi: np.ndarray):
             -d_axis[..., 0] * st * sp + d_axis[..., 1] * st * cp)
 
 
+def _log1p_mse(log_target: np.ndarray, rendered: np.ndarray):
+    """Log-space MSE at scale 1 of B rows: each row's mean((log1p(rendered) -
+    log_target)^2) (B,), with ``log_target`` log1p of the target radiance,
+    and its gradient d/d rendered, shaped as ``rendered`` (B, ...). The SG and
+    VSG fits both score their renders with it."""
+    diff = np.log1p(rendered) - log_target
+    n_elem = diff[0].size
+    value = (diff * diff).reshape(len(diff), n_elem).sum(axis=1) / n_elem  # the mean
+    return value, (2.0 / n_elem) * diff / (1.0 + rendered)
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def sg_fit_objective(params: np.ndarray, log_target: np.ndarray, dirs: np.ndarray):
-    """Scale-invariant log-space MSE (tau fixed to 1) and its gradient for B
-    fits at once.
+    """Log-space MSE at scale 1 (``_log1p_mse``) and its gradient for B fits
+    at once.
 
     ``params`` is (B, S * 6) internal lobe parameters, ``log_target`` (B, T, 3)
     log1p of the texel radiance, ``dirs`` (B, T, 3) texel-center directions.
@@ -342,12 +353,7 @@ def sg_fit_objective(params: np.ndarray, log_target: np.ndarray, dirs: np.ndarra
     expo = np.exp(sharp[:, None, :] * dots_m1)
     radiance = expo @ eta                                  # (B, T, 3)
 
-    diff = np.log1p(radiance) - log_target
-    n_elem = diff[0].size
-    value = (diff * diff).reshape(len(diff), n_elem).sum(axis=1) / n_elem  # the mean
-
-    # d value / d radiance
-    g_rad = (2.0 / n_elem) * diff / (1.0 + radiance)     # (B, T, 3)
+    value, g_rad = _log1p_mse(log_target, radiance)      # g_rad (B, T, 3)
     d_eta = expo.transpose(0, 2, 1) @ g_rad                # (B, S, 3)
     w = g_rad @ eta.transpose(0, 2, 1)                     # (B, T, S) sum_c g*eta
     we = w * expo
@@ -384,8 +390,8 @@ def _one_grid_shape(grids) -> None:
 def sg_fit_batch(targets, num_lobes: int,
                  options: SGFitOptions | None = None) -> list[SGFitResult]:
     """Fit ``num_lobes`` SG lobes to each of ``targets``, EnvMapGrids of one
-    grid shape, by monotone gradient descent on the scale-invariant log-space
-    MSE (scale 1, all-ones mask) as rows of one ``minimize_monotone`` run,
+    grid shape, by monotone gradient descent on the log-space MSE at scale 1
+    (``_log1p_mse``, all-ones mask) as rows of one ``minimize_monotone`` run,
     each from ``default_sg_init``. A row's result is bitwise its own
     ``sg_fit``'s; a row not reduced below its initial objective is still
     returned, flagged via ``report.converged``."""

@@ -38,8 +38,8 @@ import numpy as np
 from .metrics import DEFAULT_BETAS
 from .optim import FitReport, minimize_monotone
 from .sg import (UNIT_NORM_TOL, EnvMapGrid, Frame, _angle_grad, _as_unit, _lobe_axes,
-                 _one_grid_shape, export_lobe_params, frame_directions, golden_spiral,
-                 texel_local_directions)
+                 _log1p_mse, _one_grid_shape, export_lobe_params, frame_directions,
+                 golden_spiral, texel_local_directions)
 
 ENV_EPS_FACTOR = 1e-3  # surface offset, in units of mean voxel size
 
@@ -365,8 +365,8 @@ class VSGFitResult:
 class VSGFitProblem:
     """Precomputed geometry for the fit objective over targets whose grids
     share one shape of D texels: the texel rays of all targets from one
-    ``env_rays`` call, their ``_ray_stencil``, and the target radiance as one
-    (T, D, 3) ``target_flat``.
+    ``env_rays`` call, their ``_ray_stencil``, log1p of the target radiance
+    as one (T, D, 3) ``log_target``, and its mean (3,) ``mean_radiance``.
 
     ``chunks`` splits the targets, in order, into ranges of
     ``_CHUNK_SAMPLES // (D * n_samples)`` targets, at least one. The
@@ -404,7 +404,9 @@ class VSGFitProblem:
         frames = np.array([(t.frame.normal, t.frame.tangent, t.frame.bitangent) for t in targets])
         origins, dirs = env_rays(template, points, frames[:, 0], frames[:, 1], frames[:, 2],
                                  targets[0].grid.texels.shape[:2])
-        self.target_flat = np.stack([t.grid.texels.reshape(-1, 3) for t in targets])
+        texels = np.stack([t.grid.texels.reshape(-1, 3) for t in targets])
+        self.log_target = np.log1p(texels)
+        self.mean_radiance = texels.reshape(-1, 3).mean(axis=0)
         self.directions = dirs.reshape(-1, 3)
         _, _, stencil = _ray_stencil(template, origins.reshape(-1, 3), self.directions,
                                      bounds.diagonal, options.n_samples)
@@ -457,32 +459,6 @@ def _split_params(params: np.ndarray, n_voxels: int):
     return p, alpha, _lobe_axes(p[:, 1], p[:, 2]), np.exp(p[:, 3]), np.exp(p[:, 4:7])
 
 
-def _g4_and_grad(target: np.ndarray, rendered: np.ndarray):
-    """Scale-invariant log-space MSE of (target, rendered) and d/d rendered.
-
-    The least-squares scale multiplies the rendered side; its dependence on
-    the rendered values is differentiated through (no envelope shortcut,
-    since the scale is optimal in linear space but the loss is in log space).
-    """
-    sbb = float(np.sum(rendered * rendered))
-    if not math.isfinite(sbb):  # else tau = sab / inf = 0 scores a finite black value
-        return math.inf, np.zeros_like(rendered)
-    if sbb < 1e-300:
-        log_a = np.log1p(target)
-        return float(np.mean(log_a * log_a)), np.zeros_like(rendered)
-    sab = float(np.sum(target * rendered))
-    tau = sab / sbb
-    scaled = tau * rendered + 1.0
-    diff = np.log1p(target) - np.log(scaled)
-    n = diff.size
-    value = float(np.mean(diff * diff))
-    base = (-2.0 / n) * diff / scaled
-    grad = base * tau
-    dtau = float(np.sum(base * rendered))
-    grad = grad + dtau * (target - 2.0 * tau * rendered) / sbb
-    return value, grad
-
-
 def _block_fields(table: np.ndarray, problem: VSGFitProblem, blocks: slice,
                   samples: slice) -> np.ndarray:
     """Voxel rows ``table`` (V, 8) interpolated at one chunk's samples, (8, P)
@@ -496,22 +472,20 @@ def _block_fields(table: np.ndarray, problem: VSGFitProblem, blocks: slice,
 
 
 def _chunk_field_grads(interp: np.ndarray, directions: np.ndarray,
-                       target: np.ndarray, beta: float, out: np.ndarray) -> list:
-    """One chunk of the fit objective: the g4 of each of its targets (k, D, 3)
-    against the rays (k * D, 3) composited from the 8 fields ``interp``
-    (8, R, N), and, written into ``out`` (8, R, N), the gradient of
-    beta * sum g4 with respect to those fields at every sample."""
+                       log_target: np.ndarray, beta: float, out: np.ndarray) -> list:
+    """One chunk of the fit objective: the ``_log1p_mse`` of each of its
+    targets, given as log1p radiance (k, D, 3), against the rays (k * D, 3)
+    composited from the 8 fields ``interp`` (8, R, N), and, written into
+    ``out`` (8, R, N), the gradient of beta * sum loss with respect to those
+    fields at every sample."""
     n_rays, n = out.shape[1:]
     sharp, eta = interp[4], interp[5:8]
     rendered, (axis, nd, live, safe, dots, expo, emit, trans, excl, wgt,
                contrib) = _composite(interp, directions)
-    rendered = np.ascontiguousarray(rendered).reshape(target.shape)
-
-    values, d_rendered = [], np.empty_like(rendered)
-    for k in range(len(target)):
-        v, g = _g4_and_grad(target[k], rendered[k])
-        values.append(v)
-        d_rendered[k] = beta * g
+    # a copy, so the (3, R, N) running sum that ``rendered`` views is freed
+    rendered = np.ascontiguousarray(rendered).reshape(log_target.shape)
+    values, d_rendered = _log1p_mse(log_target, rendered)
+    d_rendered *= beta
 
     # tail_n = radiance composited from samples > n, non-recursive suffix form
     suffix = np.cumsum(contrib[..., ::-1], axis=-1)[..., ::-1]
@@ -532,7 +506,7 @@ def _chunk_field_grads(interp: np.ndarray, directions: np.ndarray,
     q = axis * d_axis
     np.divide(d_axis - axis * ((q[0] + q[1]) + q[2]), safe, out=out[1:4])  # axis
     np.copyto(out[1:4], 0.0, where=~live)
-    return values
+    return values.tolist()
 
 
 def _add_cell_sums(accum: np.ndarray, grads: np.ndarray, problem: VSGFitProblem,
@@ -555,13 +529,16 @@ def _add_cell_sums(accum: np.ndarray, grads: np.ndarray, problem: VSGFitProblem,
 
 @np.errstate(over="ignore", invalid="ignore")
 def vsg_fit_objective(params: np.ndarray, problem: VSGFitProblem):
-    """Fit objective beta1 * sum_targets g4 + beta2 * mean_vox(-alpha ln alpha)
-    and its analytic gradient with respect to the raw parameters; (beta1,
-    beta2) are the first two of ``DEFAULT_BETAS["svl"]``, as in L_SVL."""
+    """Fit objective beta1 * sum_targets loss + beta2 * mean_vox(-alpha ln alpha)
+    and its analytic gradient with respect to the raw parameters. Each
+    target's loss is its ``_log1p_mse`` at scale 1: the targets are env maps
+    in absolute units, so no scale is fitted, unlike the scale-invariant g4
+    that L_SVL scores. (beta1, beta2) are the first two of
+    ``DEFAULT_BETAS["svl"]``, L_SVL's weights."""
     beta_fit, beta_entropy = DEFAULT_BETAS["svl"][:2]
     nvox = problem.n_voxels
     p, alpha_v, axis_v, sharp_v, eta_v = _split_params(params, nvox)
-    n, d = problem.options.n_samples, problem.target_flat.shape[1]
+    n, d = problem.options.n_samples, problem.log_target.shape[1]
 
     # voxel rows (V, 8) of the 8 interpolated fields: alpha, axis xyz, sharp, eta
     table = np.column_stack([alpha_v, axis_v, sharp_v, eta_v])
@@ -574,7 +551,7 @@ def vsg_fit_objective(params: np.ndarray, problem: VSGFitProblem):
         grads[:, 0] = 0.0
         for v in _chunk_field_grads(_block_fields(table, problem, blocks, samples)
                                     .reshape(8, -1, n), problem.directions[rays],
-                                    problem.target_flat[chunk.start:chunk.stop],
+                                    problem.log_target[chunk.start:chunk.stop],
                                     beta_fit, grads[:, 1:].reshape(8, -1, n)):
             value += beta_fit * v
         _add_cell_sums(accum, grads, problem, blocks)
@@ -596,14 +573,13 @@ def vsg_fit_objective(params: np.ndarray, problem: VSGFitProblem):
 
 def _initial_params(problem: VSGFitProblem) -> np.ndarray:
     nvox = problem.n_voxels
-    mean = problem.target_flat.reshape(-1, 3).mean(axis=0)
     axes = golden_spiral(1.0 - (2.0 * np.arange(nvox) + 1.0) / nvox)  # whole sphere
     p = np.empty((nvox, 7))
     p[:, 0] = math.log(_INIT_ALPHA / (1.0 - _INIT_ALPHA))
     p[:, 1] = np.arccos(np.clip(axes[:, 2], -1.0, 1.0))
     p[:, 2] = np.arctan2(axes[:, 1], axes[:, 0])
     p[:, 3] = math.log(_INIT_SHARPNESS)
-    p[:, 4:7] = np.log(np.maximum(mean, 1e-4))
+    p[:, 4:7] = np.log(np.maximum(problem.mean_radiance, 1e-4))
     return p.ravel()
 
 
@@ -620,9 +596,10 @@ def vsg_fit(targets, dims, bounds: Bounds,
     """Fit a VSG volume to hemispherical env-map targets by monotone gradient
     descent through the compositing chain.
 
-    ``targets`` is a sequence of EnvTarget. The objective (``vsg_fit_objective``) is 10 * g4 per target plus
-    1e-2 times the opacity entropy, which pushes alpha toward {0, 1}. A run that
-    fails to improve on the initialization is returned with
+    ``targets`` is a sequence of EnvTarget. The objective
+    (``vsg_fit_objective``) is 10 times each target's log-space MSE at scale
+    1 plus 1e-2 times the opacity entropy, which pushes alpha toward {0, 1}.
+    A run that fails to improve on the initialization is returned with
     ``report.converged`` False.
     """
     options = options or VSGFitOptions()

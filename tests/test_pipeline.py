@@ -7,10 +7,12 @@ import pytest
 from voxlight import cli
 from voxlight import pipeline as pipeline_module
 from voxlight.geometry import bilinear_sample
-from voxlight.pipeline import (DemoConfig, _cluster_env_fit, _g4_over_black,
-                               _multiview_probe, _resample_view, pipeline_demo)
+from voxlight.pipeline import (DemoConfig, _cluster_env_fit, _fit_volume, _g4_over_black,
+                               _multiview_probe, _resample_view, _vsg_targets,
+                               pipeline_demo)
 from voxlight.scene import SceneSpec, generate_scene
-from voxlight.sg import sg_fit
+from voxlight.sg import _LOG_PARAM_LIMIT, sg_fit
+from voxlight.volume import extract_env_map
 
 
 def tiny_config():
@@ -23,7 +25,7 @@ def tiny_config():
 
 
 # digest of pipeline_demo(tiny_config()); the same with OpenBLAS at 1 or 2 threads
-TINY_DIGEST = "2bcd16c4456ce165677f843fd6e280a7cd1d03fffbc1618efbaf2f9399af3ac9"
+TINY_DIGEST = "382204095131cc04be3d71d8e88ac211fa5d7300dfcce0e96ca65219bbbae792"
 
 
 @pytest.fixture(scope="module")
@@ -200,3 +202,26 @@ class TestMultiviewProbe:
         _, scene, _, _ = default_probe
         for view in scene.bundle.views:
             assert _resample_view(scene, view).tobytes() == old_resample_view(scene, view).tobytes()
+
+
+# the default light and three moves of it, in meters; a fit that gives up on
+# a target stalls on its black value, as the first two moves once did
+LIGHT_MOVES = [(0.0, 0.0, 0.0), (0.05, -0.03, 0.0), (0.1, 0.1, 0.0), (0.0, 0.1, 0.05)]
+
+
+@pytest.mark.parametrize("move", LIGHT_MOVES)
+def test_vsg_fit_lights_every_target_of_a_moved_light(move):
+    # the demo's VSG fit at 200 iterations: every supervision target ends
+    # far below its black value, and no voxel exports at the log clip
+    config = DemoConfig(scene=SceneSpec(light_center=tuple(
+        np.add(SceneSpec().light_center, move))), vsg_iters=200)
+    scene = generate_scene(config.scene)
+    _, targets = _vsg_targets(scene.surface_points, scene.surface_normals, scene.gt_env,
+                              config.vsg_grid)
+    result, _ = _fit_volume(scene, config, targets)
+    preds = np.stack([extract_env_map(result.volume, t.point, t.frame, t.grid.height,
+                                      t.grid.width, config.vsg_samples).texels
+                      for t in targets])
+    ratios = _g4_over_black(np.stack([t.grid.texels for t in targets]), preds)
+    assert max(ratios) <= 1e-3, ratios
+    assert result.volume.voxels[..., 3:].max() < math.exp(_LOG_PARAM_LIMIT)
