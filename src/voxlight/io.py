@@ -49,18 +49,15 @@ def write_pfm(path, data: np.ndarray) -> None:
 
 def read_pfm(path) -> np.ndarray:
     """Read a PFM file into float64 (H, W) or (H, W, 3). A malformed or
-    truncated file raises ValueError naming it."""
+    truncated file, or a header line of more than 256 bytes, raises
+    ValueError naming it."""
     with open(path, "rb") as f:
         def line():
-            out = b""
-            while True:
-                ch = f.read(1)
-                if not ch:
-                    raise ValueError(f"{path}: unexpected end of PFM header")
-                if ch == b"\n":
-                    # a non-ASCII byte fails the checks below, which name the file
-                    return out.decode("ascii", "replace").strip()
-                out += ch
+            out = f.readline(256)
+            if not out.endswith(b"\n"):
+                raise ValueError(f"{path}: unexpected end of PFM header line")
+            # a non-ASCII byte fails the checks below, which name the file
+            return out.decode("ascii", "replace").strip()
         magic = line()
         if magic == "PF":
             channels = 3

@@ -85,7 +85,7 @@ class PipelineReport:
         h = hashlib.sha256()
         for arr in (self.normal_map, self.fitted_envs, self.rerendered,
                     self.inserted, self.volume.voxels, self.surface_volume.data):
-            h.update(np.ascontiguousarray(arr).tobytes())
+            h.update(np.ascontiguousarray(arr))   # hashes the buffer, no copy
         for key in sorted(self.metrics):
             h.update(key.encode())
             h.update(np.float64(self.metrics[key]).tobytes())

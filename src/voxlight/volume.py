@@ -17,15 +17,17 @@ renderer, ``composite_rays``, gathers the channels through the stencil with
 ``_trilinear`` from a channel-major table, on chunks of ~16k samples, bitwise
 equal to marching rays alone. The fit builds its stencil once over targets
 of one grid shape, groups whole targets into chunks of at most
-``_CHUNK_SAMPLES`` samples, and lays the stencil out by cell, one target at a
-time: each target's samples sorted by base cell and cut into blocks of
-``_BLOCK`` that share one cell's 8 corner voxels. Its objective interpolates
-and sums through these blocks chunk by chunk. Forward, one gather takes each
-block's 8 corner rows and a batched matmul weights them into its slots,
-which the samples read back in ray-major order. Backward, the transpose: a
-batched matmul reduces each block to (field, corner) sums, and a bincount
-per field adds them to the voxels in block order, so each voxel's sum does
-not depend on the chunk plan.
+``_CHUNK_SAMPLES`` samples, and lays each chunk's stencil out by cell, one
+target at a time: each target's samples sorted by base cell and cut into
+blocks of ``_BLOCK`` that share one cell's 8 corner voxels, and each sample
+given one slot in them. Its objective interpolates and sums through these
+blocks chunk by chunk, both passes through the same slots. Forward, one
+gather takes each block's 8 corner rows and a batched matmul weights them
+into its slots, which the samples read back in ray-major order. Backward,
+the transpose: the samples' gradients go to their slots, a batched matmul
+reduces each block to (field, corner) sums, and a bincount per field adds
+them to the voxels in block order, so each voxel's sum does not depend on
+the chunk plan.
 """
 
 from __future__ import annotations
@@ -369,18 +371,11 @@ class VSGFitProblem:
     as one (T, D, 3) ``log_target``, and its mean (3,) ``mean_radiance``.
 
     ``chunks`` splits the targets, in order, into ranges of
-    ``_CHUNK_SAMPLES // (D * n_samples)`` targets, at least one. The
-    objective works chunk by chunk so its (R, N) temporaries stay
-    cache-sized.
-
-    ``_cell_blocks`` lays the stencil out by cell, one target at a time:
-    ``block_weights`` (B, _BLOCK, 8), ``block_voxels`` (B, 8),
-    ``block_rows`` (B, _BLOCK), each slot's sample; ``sample_slots`` (P,),
-    its inverse, each sample's slot; and ``chunk_blocks``, the slice of
-    blocks of each chunk. Rows and slots count from their chunk's start.
-    Blocks follow target order, then cell order, and never cross a target.
-    The objective interpolates and sums through these blocks, so no
-    per-sample stencil is kept."""
+    ``_CHUNK_SAMPLES // (D * n_samples)`` targets, at least one, and holds
+    each range with its samples' ``_cell_blocks`` layout. The objective
+    works chunk by chunk so its (R, N) temporaries stay cache-sized, and
+    interpolates and sums through the blocks, so no per-sample stencil is
+    kept."""
 
     def __init__(self, targets, dims, bounds: Bounds, options: VSGFitOptions):
         if len(targets) == 0:
@@ -408,27 +403,27 @@ class VSGFitProblem:
         self.log_target = np.log1p(texels)
         self.mean_radiance = texels.reshape(-1, 3).mean(axis=0)
         self.directions = dirs.reshape(-1, 3)
-        _, _, stencil = _ray_stencil(template, origins.reshape(-1, 3), self.directions,
-                                     bounds.diagonal, options.n_samples)
+        _, _, (base, offsets, weights) = _ray_stencil(
+            template, origins.reshape(-1, 3), self.directions, bounds.diagonal, options.n_samples)
         per_target = dirs.shape[1] * options.n_samples
         per_chunk = max(1, _CHUNK_SAMPLES // per_target)
-        self.chunks = [range(k, min(k + per_chunk, len(targets)))
-                       for k in range(0, len(targets), per_chunk)]
-        (self.block_weights, self.block_voxels, self.block_rows, self.sample_slots,
-         self.chunk_blocks) = _cell_blocks(stencil, self.n_voxels, per_target, per_chunk)
+        self.chunks = []
+        for k in range(0, len(targets), per_chunk):
+            chunk = range(k, min(k + per_chunk, len(targets)))
+            samples = slice(chunk.start * per_target, chunk.stop * per_target)
+            self.chunks.append((chunk, _cell_blocks(base[samples], offsets, weights[:, samples],
+                                                    self.n_voxels, per_target)))
 
 
-def _cell_blocks(stencil, n_voxels: int, per_target: int, per_chunk: int):
-    """The fit stencil laid out by cell, one target at a time. Each target's
-    samples are stable-sorted by base cell, and each cell's run is cut into
-    blocks of ``_BLOCK`` samples, the last one padded. Returns the block
-    weights (B, _BLOCK, 8) with zeros in the pads, each block's 8 corner
-    voxels (B, 8), each slot's column (B, _BLOCK) in its chunk's gradient
-    table, where column 0 is zero for the pads and column 1 + s holds the
-    chunk's sample s, each sample's slot (P,) counted from its chunk's first
-    block, and the slice of blocks of each chunk of ``per_chunk`` targets."""
-    base, offsets, weights = stencil
-    chunk_samples = per_chunk * per_target
+def _cell_blocks(base: np.ndarray, offsets: np.ndarray, weights: np.ndarray,
+                 n_voxels: int, per_target: int):
+    """One chunk's stencil laid out by cell, one target at a time. Each
+    target's samples are stable-sorted by base cell, and each cell's run is
+    cut into blocks of ``_BLOCK`` samples, the last one padded. Returns the
+    block weights (B, _BLOCK, 8) with zeros in the pads, each block's 8
+    corner voxels (B, 8), and each sample's slot (P,) in the blocks: the one
+    map that both passes of the objective read. Blocks follow target order,
+    then cell order, and never cross a target."""
     cell = np.arange(base.size) // per_target * n_voxels + base   # (target, cell)
     order = np.argsort(cell, kind="stable")
     cell = cell[order]
@@ -436,20 +431,13 @@ def _cell_blocks(stencil, n_voxels: int, per_target: int, per_chunk: int):
     rank = np.arange(base.size) - np.flatnonzero(new_run)[np.cumsum(new_run) - 1]
     new_block = rank % _BLOCK == 0
     slot = (np.cumsum(new_block) - 1) * _BLOCK + rank % _BLOCK
-    n_blocks = int(new_block.sum())
-    block_weights = np.zeros((n_blocks * _BLOCK, 8))
+    block_weights = np.zeros((int(new_block.sum()) * _BLOCK, 8))
     for k in range(8):   # corner by corner, with no (P, 8) copy of the weights
         block_weights[slot, k] = weights[k, order]
-    rows = np.zeros(n_blocks * _BLOCK, dtype=np.intp)
-    rows[slot] = order % chunk_samples + 1
-    first = order[new_block]
-    chunk = first // chunk_samples
-    ends = np.searchsorted(chunk, np.arange(chunk[-1] + 2))
     slots = np.empty(base.size, dtype=np.intp)
-    slots[order] = slot - ends[order // chunk_samples] * _BLOCK
-    return (block_weights.reshape(n_blocks, _BLOCK, 8), base[first][:, None] + offsets,
-            rows.reshape(n_blocks, _BLOCK), slots,
-            [slice(i, j) for i, j in zip(ends[:-1], ends[1:])])
+    slots[order] = slot
+    return (block_weights.reshape(-1, _BLOCK, 8), base[order[new_block]][:, None] + offsets,
+            slots)
 
 
 def _split_params(params: np.ndarray, n_voxels: int):
@@ -459,16 +447,16 @@ def _split_params(params: np.ndarray, n_voxels: int):
     return p, alpha, _lobe_axes(p[:, 1], p[:, 2]), np.exp(p[:, 3]), np.exp(p[:, 4:7])
 
 
-def _block_fields(table: np.ndarray, problem: VSGFitProblem, blocks: slice,
-                  samples: slice) -> np.ndarray:
+def _block_fields(table: np.ndarray, blocks) -> np.ndarray:
     """Voxel rows ``table`` (V, 8) interpolated at one chunk's samples, (8, P)
-    in sample order: one batched matmul weights each block's 8 corner rows
-    into its slots, written field-major, and each sample reads its slot."""
-    weights = problem.block_weights[blocks]
+    in sample order, through the chunk's ``_cell_blocks``: one batched matmul
+    weights each block's 8 corner rows into its slots, written field-major,
+    and each sample reads its slot."""
+    weights, voxels, slots = blocks
     fields = np.empty((8,) + weights.shape[:2])             # (field, block, slot)
-    np.matmul(table.take(problem.block_voxels[blocks], axis=0).transpose(0, 2, 1),
+    np.matmul(table.take(voxels, axis=0).transpose(0, 2, 1),
               weights.transpose(0, 2, 1), out=fields.transpose(1, 0, 2))
-    return fields.reshape(8, -1).take(problem.sample_slots[samples], axis=1)
+    return fields.reshape(8, -1).take(slots, axis=1)
 
 
 def _chunk_field_grads(interp: np.ndarray, directions: np.ndarray,
@@ -509,19 +497,20 @@ def _chunk_field_grads(interp: np.ndarray, directions: np.ndarray,
     return values.tolist()
 
 
-def _add_cell_sums(accum: np.ndarray, grads: np.ndarray, problem: VSGFitProblem,
-                   blocks: slice) -> None:
+def _add_cell_sums(accum: np.ndarray, grads: np.ndarray, blocks) -> None:
     """Add to ``accum`` (8, V) one chunk's sum, per field and voxel, of corner
-    weight * field gradient over the chunk's (sample, corner) pairs. ``grads``
-    (8, 1 + P) holds the field gradients of the chunk's P samples after a
-    zero column that the pad slots read. One batched matmul reduces each
-    block to (field, corner) sums; a bincount per field adds them to the
-    voxels in block order after accum's own value, so each voxel sums its
-    blocks in problem order whatever the chunk plan."""
-    g = grads.take(problem.block_rows[blocks], axis=1)      # (8, b, _BLOCK)
-    sums = np.matmul(g.transpose(1, 0, 2), problem.block_weights[blocks])
+    weight * field gradient over the chunk's (sample, corner) pairs. The
+    field gradients ``grads`` (8, P) of the chunk's samples go to their
+    slots of the chunk's ``_cell_blocks``, the pads left 0. One batched
+    matmul reduces each block to (field, corner) sums; a bincount per field
+    adds them to the voxels in block order after accum's own value, so each
+    voxel sums its blocks in problem order whatever the chunk plan."""
+    weights, voxels, slots = blocks
+    g = np.zeros((8, weights.shape[0], _BLOCK))
+    g.reshape(8, -1)[:, slots] = grads
+    sums = np.matmul(g.transpose(1, 0, 2), weights)
     nvox = accum.shape[1]
-    keys = np.concatenate([np.arange(nvox), problem.block_voxels[blocks].ravel()])
+    keys = np.concatenate([np.arange(nvox), voxels.ravel()])
     for f in range(8):
         accum[f] = np.bincount(keys, np.concatenate([accum[f], sums[:, f].ravel()]),
                                minlength=nvox)
@@ -544,17 +533,15 @@ def vsg_fit_objective(params: np.ndarray, problem: VSGFitProblem):
     table = np.column_stack([alpha_v, axis_v, sharp_v, eta_v])
     value = 0.0
     accum = np.zeros((8, nvox))   # gradient of each field per voxel
-    for chunk, blocks in zip(problem.chunks, problem.chunk_blocks):
+    for chunk, blocks in problem.chunks:
         rays = slice(chunk.start * d, chunk.stop * d)
-        samples = slice(rays.start * n, rays.stop * n)
-        grads = np.empty((8, 1 + samples.stop - samples.start))
-        grads[:, 0] = 0.0
-        for v in _chunk_field_grads(_block_fields(table, problem, blocks, samples)
-                                    .reshape(8, -1, n), problem.directions[rays],
+        grads = np.empty((8, rays.stop - rays.start, n))
+        for v in _chunk_field_grads(_block_fields(table, blocks).reshape(8, -1, n),
+                                    problem.directions[rays],
                                     problem.log_target[chunk.start:chunk.stop],
-                                    beta_fit, grads[:, 1:].reshape(8, -1, n)):
+                                    beta_fit, grads):
             value += beta_fit * v
-        _add_cell_sums(accum, grads, problem, blocks)
+        _add_cell_sums(accum, grads.reshape(8, -1), blocks)
 
     # entropy regularizer -alpha ln alpha, mean over voxels
     tiny = alpha_v > 1e-290

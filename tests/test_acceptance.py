@@ -28,6 +28,8 @@ FRAME = Frame.from_normal([0.0, 0.0, 1.0])
 BOUNDS = Bounds(lo=np.zeros(3), hi=np.full(3, 2.0))
 
 # digest of pipeline_demo(DemoConfig()); the same with OpenBLAS at 1 or 2 threads
+# and under its Haswell, SkylakeX and Zen kernels (OPENBLAS_CORETYPE), but
+# not under Sandybridge or Prescott, whose BLAS products round differently
 DEMO_DIGEST = "c1aa9e98fb49a6c973087b21402cd2d7449594a72671299e287be714595e8252"
 
 

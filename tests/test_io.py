@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import time
 import tracemalloc
 
 import numpy as np
@@ -81,6 +82,14 @@ class TestPfm:
         path.write_bytes(header + b"\n" + bytes(48))
         with pytest.raises(ValueError, match=re.escape(str(path)) + f": .*{what}"):
             vio.read_pfm(path)
+
+    def test_long_unterminated_header_line_rejected_quickly(self, tmp_path):
+        path = tmp_path / "long.pfm"
+        path.write_bytes(b"P" * (2 << 20))
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=re.escape(str(path)) + ": .*PFM header"):
+            vio.read_pfm(path)
+        assert time.perf_counter() - start < 1.0
 
     def test_rejects_bad_shape(self, tmp_path):
         with pytest.raises(ValueError):

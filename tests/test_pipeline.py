@@ -1,5 +1,7 @@
 import json
 import math
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ import pytest
 from voxlight import cli
 from voxlight import pipeline as pipeline_module
 from voxlight.geometry import bilinear_sample
-from voxlight.pipeline import (DemoConfig, _cluster_env_fit, _fit_volume, _g4_over_black,
+from voxlight.pipeline import (DemoConfig, PipelineReport, _cluster_env_fit, _fit_volume, _g4_over_black,
                                _multiview_probe, _resample_view, _vsg_targets,
                                pipeline_demo)
 from voxlight.scene import SceneSpec, generate_scene
@@ -25,6 +27,8 @@ def tiny_config():
 
 
 # digest of pipeline_demo(tiny_config()); the same with OpenBLAS at 1 or 2 threads
+# and under its Haswell, SkylakeX and Zen kernels (OPENBLAS_CORETYPE), but
+# not under Sandybridge or Prescott, whose BLAS products round differently
 TINY_DIGEST = "382204095131cc04be3d71d8e88ac211fa5d7300dfcce0e96ca65219bbbae792"
 
 
@@ -64,6 +68,23 @@ class TestPipelineDemo:
         assert again.digest == tiny_report.digest
         for key in ("normal_g1", "lighting_g4", "rerender_g3"):
             assert again.metrics[key] == tiny_report.metrics[key]
+
+
+def test_fingerprint_copies_no_array():
+    # a 4 MB fitted_envs; hashing it through a bytes copy would peak above 4 MB
+    small = np.ones((2, 3, 3))
+    report = PipelineReport(metrics={"normal_g1": 0.5}, normal_map=small,
+                            fitted_envs=np.ones((64, 64, 8, 16, 1)), rerendered=small,
+                            inserted=small, volume=SimpleNamespace(voxels=np.ones((2, 2, 2, 7))),
+                            surface_volume=SimpleNamespace(data=np.ones((2, 2, 2, 3))))
+    assert report.fitted_envs.nbytes >= 4 << 20
+    tracemalloc.start()
+    try:
+        report.fingerprint()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
 
 
 STAGES = ("scene", "normals", "sg_fit", "aggregation", "rerender", "vsg_fit",

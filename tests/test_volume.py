@@ -755,7 +755,7 @@ class TestChunkedObjective:
                                       CHUNKED_SAMPLES)
         assert 0.0 < valid.mean() < 1.0
         problem = VSGFitProblem(targets, dims, BOUNDS, opts)
-        assert [list(chunk) for chunk in problem.chunks] == groups
+        assert [list(chunk) for chunk, _ in problem.chunks] == groups
         for _ in range(3):
             params = _initial_params(problem) + rng.normal(0.0, 0.5, problem.n_voxels * 7)
             value, grad = vsg_fit_objective(params, problem)
@@ -854,6 +854,19 @@ def fit_stencil(targets, dims, n_samples):
                         BOUNDS.diagonal, n_samples)[2]
 
 
+def assert_slots_name_each_sample_once(blocks):
+    """A chunk's ``_cell_blocks`` slots name every non-pad slot exactly once:
+    each block's named slots are its leading ones, and every pad slot left
+    over has weight exactly 0. Returns the number of pads."""
+    block_weights, _, slots = blocks
+    named = np.zeros(block_weights.shape[:2], dtype=bool)
+    named.reshape(-1)[slots] = True
+    assert named.sum() == slots.size
+    assert np.all(named[:, 0]) and np.all(named[:, :-1] >= named[:, 1:])
+    assert np.all(block_weights[~named] == 0.0)
+    return int((~named).sum())
+
+
 class TestCellBlockedSum:
     """``_block_fields`` and ``_add_cell_sums`` against exact per-sample and
     per-voxel sums of the (sample, corner) products they replace."""
@@ -882,15 +895,15 @@ class TestCellBlockedSum:
         assert len(problem.chunks) == len(groups)
         table = rng.normal(size=(problem.n_voxels, 8))
         eps = np.finfo(np.float64).eps
-        for chunk, blocks in zip(problem.chunks, problem.chunk_blocks):
+        for chunk, blocks in problem.chunks:
             samples = slice(chunk.start * per_target, chunk.stop * per_target)
-            # the chunk's slots name every non-pad slot exactly once and no pad
-            slots = problem.sample_slots[samples]
-            rows = problem.block_rows[blocks].ravel()
-            assert np.array_equal(np.sort(slots), np.flatnonzero(rows))
-            assert np.array_equal(rows[slots], np.arange(1, slots.size + 1))
+            assert_slots_name_each_sample_once(blocks)
+            _, block_voxels, slots = blocks
+            # every sample's slot lies in a block of its own base cell
+            assert np.array_equal(block_voxels[slots // _BLOCK],
+                                  base[samples, None] + offsets)
 
-            fields = _block_fields(table, problem, blocks, samples)
+            fields = _block_fields(table, blocks)
             assert fields.shape == (8, slots.size)
             for s in range(samples.start, samples.stop):
                 corners = table[base[s] + offsets]                 # (8 corners, 8 fields)
@@ -905,17 +918,14 @@ class TestCellBlockedSum:
         monkeypatch.setattr(volume_module, "_CHUNK_SAMPLES", chunk_samples)
         rng = np.random.default_rng(48)
         problem, (base, offsets, weights), per_target = self.blocked_problem(rng)
-        # every pad slot reads the zero column with weight exactly 0
-        pads = problem.block_rows == 0
-        assert pads.any() and np.all(problem.block_weights[pads] == 0.0)
-
         field_grads = rng.normal(size=(8, base.size))
         accum = np.zeros((8, problem.n_voxels))
-        for chunk, blocks in zip(problem.chunks, problem.chunk_blocks):
+        pads = 0
+        for chunk, blocks in problem.chunks:
             samples = slice(chunk.start * per_target, chunk.stop * per_target)
-            grads = np.zeros((8, 1 + samples.stop - samples.start))
-            grads[:, 1:] = field_grads[:, samples]
-            _add_cell_sums(accum, grads, problem, blocks)
+            pads += assert_slots_name_each_sample_once(blocks)
+            _add_cell_sums(accum, field_grads[:, samples], blocks)
+        assert pads > 0
 
         keys = (base[:, None] + offsets).ravel()
         eps = np.finfo(np.float64).eps
