@@ -78,6 +78,8 @@ def read_pfm(path) -> np.ndarray:
             scale = float(scale_line)
         except ValueError:
             raise ValueError(f"{path}: malformed PFM scale {scale_line!r}") from None
+        if scale == 0.0 or not math.isfinite(scale):   # its sign picks the byte order
+            raise ValueError(f"{path}: PFM scale must be finite and nonzero, got {scale_line!r}")
         dtype = "<f4" if scale < 0.0 else ">f4"
         need = 4 * w * h * channels
         # check the size before reading, so a bogus header allocates nothing

@@ -254,8 +254,9 @@ def pipeline_demo(config: DemoConfig | None = None) -> PipelineReport:
                             config.vsg_samples).texels for t in vsg_targets])
         env_svl_ref = np.stack([scene.gt_env[i, j] for i, j in svl_pixels])
 
-        images_k = np.stack([_resample_view(scene, view)
-                             for view in bundle.views])
+        # every view's image at the target view's surface points, 0 where unseen
+        images_k = reproject(scene.surface_points.reshape(-1, 3), bundle.views).image.reshape(
+            (len(bundle.views),) + scene.surface_points.shape)
         # the target view's specular is the rerender stage's
         spec_k = np.stack([specular if k == bundle.target_index
                            else render_images(*render_args, view.camera.center)[1]
@@ -299,9 +300,3 @@ def pipeline_demo(config: DemoConfig | None = None) -> PipelineReport:
     report.metrics["feature_digest"] = feature_digest
     return report
 
-
-def _resample_view(scene: GeneratedScene, view) -> np.ndarray:
-    """The view's image sampled at the target view's surface points; 0 where
-    the view does not see them."""
-    pts = scene.surface_points.reshape(-1, 3)
-    return reproject(pts, [view]).image[0].reshape(scene.surface_points.shape[:2] + (3,))

@@ -65,7 +65,6 @@ def build_surface_volume(image: np.ndarray, normal: np.ndarray, albedo: np.ndarr
         camera, (image, normal, albedo, roughness, depth, confidence), centers.reshape(-1, 3))
 
     rho = np.exp(-cnf * np.square(z - dpt))
-    rho = np.where(valid, rho, 0.0)
     record = np.column_stack([img, nrm, alb, rgh]) * rho[:, None]
     record[~valid] = 0.0
 

@@ -17,17 +17,17 @@ renderer, ``composite_rays``, gathers the channels through the stencil with
 ``_trilinear`` from a channel-major table, on chunks of ~16k samples, bitwise
 equal to marching rays alone. The fit builds its stencil once over targets
 of one grid shape, groups whole targets into chunks of at most
-``_CHUNK_SAMPLES`` samples, and lays each chunk's stencil out by cell, one
-target at a time: each target's samples sorted by base cell and cut into
-blocks of ``_BLOCK`` that share one cell's 8 corner voxels, and each sample
-given one slot in them. Its objective interpolates and sums through these
-blocks chunk by chunk, both passes through the same slots. Forward, one
-gather takes each block's 8 corner rows and a batched matmul weights them
-into its slots, which the samples read back in ray-major order. Backward,
-the transpose: the samples' gradients go to their slots, a batched matmul
-reduces each block to (field, corner) sums, and a bincount per field adds
-them to the voxels in block order, so each voxel's sum does not depend on
-the chunk plan.
+``_CHUNK_SAMPLES`` samples, and lays each chunk's stencil out by cell: the
+chunk's samples sorted by base cell and cut into blocks of ``_BLOCK`` that
+share one cell's 8 corner voxels, and each sample given one slot in them.
+Its objective interpolates and sums through these blocks chunk by chunk,
+both passes through the same slots. Forward, one gather takes each block's
+8 corner rows and a batched matmul weights them into its slots, which the
+samples read back in ray-major order. Backward, the transpose: the samples'
+gradients go to their slots, a batched matmul reduces each block to
+(field, corner) sums, and one bincount adds them up per voxel. The chunk
+plan, which ``_CHUNK_SAMPLES`` fixes, sets the gradient's summation order
+and so its bits.
 """
 
 from __future__ import annotations
@@ -51,9 +51,9 @@ CHANNEL_ORDER = ("alpha", "theta", "phi", "sharpness", "r", "g", "b")
 # at 64 samples), so the per-chunk arrays stay cache-sized
 _CHUNK_SAMPLES = 16384
 
-# the fit sums its gradient over blocks of this many samples of one target
-# that share a base cell, one (8 x _BLOCK) @ (_BLOCK x 8) product per block;
-# 8 ran as fast as 16 and pads fewer slots
+# the fit sums its gradient over blocks of this many samples that share a
+# base cell, one (8 x _BLOCK) @ (_BLOCK x 8) product per block; 8 ran as
+# fast as 16 and pads fewer slots
 _BLOCK = 8
 
 # trilinear corners (dx, dy, dz) in x-major order
@@ -292,7 +292,7 @@ def composite_rays(volume: VSGVolume, origins: np.ndarray, directions: np.ndarra
         interp = _trilinear(table, stencil).reshape(8, -1, n_samples)
         np.minimum(interp[0], 1.0, out=interp[0])
         out[sl] = _composite(interp, directions[sl])[0]
-    return np.maximum(out, 0.0)
+    return out
 
 
 def env_offset(volume: VSGVolume) -> float:
@@ -411,22 +411,19 @@ class VSGFitProblem:
         for k in range(0, len(targets), per_chunk):
             chunk = range(k, min(k + per_chunk, len(targets)))
             samples = slice(chunk.start * per_target, chunk.stop * per_target)
-            self.chunks.append((chunk, _cell_blocks(base[samples], offsets, weights[:, samples],
-                                                    self.n_voxels, per_target)))
+            self.chunks.append((chunk, _cell_blocks(base[samples], offsets, weights[:, samples])))
 
 
-def _cell_blocks(base: np.ndarray, offsets: np.ndarray, weights: np.ndarray,
-                 n_voxels: int, per_target: int):
-    """One chunk's stencil laid out by cell, one target at a time. Each
-    target's samples are stable-sorted by base cell, and each cell's run is
-    cut into blocks of ``_BLOCK`` samples, the last one padded. Returns the
-    block weights (B, _BLOCK, 8) with zeros in the pads, each block's 8
-    corner voxels (B, 8), and each sample's slot (P,) in the blocks: the one
-    map that both passes of the objective read. Blocks follow target order,
-    then cell order, and never cross a target."""
-    cell = np.arange(base.size) // per_target * n_voxels + base   # (target, cell)
-    order = np.argsort(cell, kind="stable")
-    cell = cell[order]
+def _cell_blocks(base: np.ndarray, offsets: np.ndarray, weights: np.ndarray):
+    """One chunk's stencil laid out by cell. The chunk's samples are
+    stable-sorted by base cell, and each cell's run is cut into blocks of
+    ``_BLOCK`` samples, the last one padded, so a block may hold samples of
+    several of the chunk's targets. Returns the block weights (B, _BLOCK, 8)
+    with zeros in the pads, each block's 8 corner voxels (B, 8), and each
+    sample's slot (P,) in the blocks: the one map that both passes of the
+    objective read. Blocks follow cell order."""
+    order = np.argsort(base, kind="stable")
+    cell = base[order]
     new_run = np.concatenate([[True], cell[1:] != cell[:-1]])
     rank = np.arange(base.size) - np.flatnonzero(new_run)[np.cumsum(new_run) - 1]
     new_block = rank % _BLOCK == 0
@@ -502,18 +499,14 @@ def _add_cell_sums(accum: np.ndarray, grads: np.ndarray, blocks) -> None:
     weight * field gradient over the chunk's (sample, corner) pairs. The
     field gradients ``grads`` (8, P) of the chunk's samples go to their
     slots of the chunk's ``_cell_blocks``, the pads left 0. One batched
-    matmul reduces each block to (field, corner) sums; a bincount per field
-    adds them to the voxels in block order after accum's own value, so each
-    voxel sums its blocks in problem order whatever the chunk plan."""
+    matmul reduces each block to (field, corner) sums, and one bincount over
+    (field, voxel) keys sums them in block order, which accum adds."""
     weights, voxels, slots = blocks
     g = np.zeros((8, weights.shape[0], _BLOCK))
     g.reshape(8, -1)[:, slots] = grads
-    sums = np.matmul(g.transpose(1, 0, 2), weights)
-    nvox = accum.shape[1]
-    keys = np.concatenate([np.arange(nvox), voxels.ravel()])
-    for f in range(8):
-        accum[f] = np.bincount(keys, np.concatenate([accum[f], sums[:, f].ravel()]),
-                               minlength=nvox)
+    sums = np.matmul(g.transpose(1, 0, 2), weights)               # (block, field, corner)
+    keys = voxels[:, None, :] + accum.shape[1] * np.arange(8)[:, None]
+    accum += np.bincount(keys.ravel(), sums.ravel(), minlength=accum.size).reshape(accum.shape)
 
 
 @np.errstate(over="ignore", invalid="ignore")

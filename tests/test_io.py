@@ -83,6 +83,14 @@ class TestPfm:
         with pytest.raises(ValueError, match=re.escape(str(path)) + f": .*{what}"):
             vio.read_pfm(path)
 
+    @pytest.mark.parametrize("scale", [b"0", b"-0.0", b"nan", b"inf", b"-inf"])
+    def test_zero_or_non_finite_scale_rejected(self, tmp_path, scale):
+        # the scale's sign is the byte order; 0, nan and inf name none
+        path = tmp_path / "scale.pfm"
+        path.write_bytes(b"Pf\n2 1\n" + scale + b"\n" + np.array([1.5, 2.5], "<f4").tobytes())
+        with pytest.raises(ValueError, match=re.escape(str(path)) + ": PFM scale must be"):
+            vio.read_pfm(path)
+
     def test_long_unterminated_header_line_rejected_quickly(self, tmp_path):
         path = tmp_path / "long.pfm"
         path.write_bytes(b"P" * (2 << 20))
