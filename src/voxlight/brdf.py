@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sg import (UNIT_NORM_TOL, EnvMapGrid, SGEnvironment, _as_unit, cosine_weights,
+from .sg import (UNIT_NORM_TOL, EnvMapGrid, SGEnvironment, _as_unit, _dot, cosine_weights,
                  frame_directions, texel_local_directions)
 
 F0_DEFAULT = 0.05
@@ -67,12 +67,12 @@ class SpecFeatureInput:
 
 
 def half_vectors(v, l) -> tuple[np.ndarray, np.ndarray]:
-    """Normalized bisectors (v + l) / ||v + l|| of (..., 3) unit vectors with
-    ``np.vecdot`` norms, and where they are defined: ||v + l|| >= 1e-9 (v + l
-    itself where not)."""
+    """Normalized bisectors (v + l) / ||v + l|| of (..., 3) unit vectors,
+    broadcast, with ``_dot`` norms, and where they are defined: ||v + l|| >
+    1e-9 (v + l itself where not)."""
     s = v + l
-    norm = np.sqrt(np.vecdot(s, s))
-    defined = norm >= 1e-9
+    norm = np.sqrt(_dot(s, s))
+    defined = norm > 1e-9
     return s / np.where(defined, norm, 1.0)[..., None], defined
 
 
@@ -101,12 +101,6 @@ def smith_g(ndotv, ndotl, roughness):
     return np.where(denom > 0.0, 2.0 * nl * nv / np.where(denom > 0.0, denom, 1.0), 0.0)
 
 
-def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dot product over the last axis as (a0 b0 + a1 b1) + a2 b2: the bits of
-    ``np.sum(a * b, axis=-1)`` without a length-3 reduction per element."""
-    return (a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]) + a[..., 2] * b[..., 2]
-
-
 def ggx_specular(v: np.ndarray, dirs: np.ndarray, n: np.ndarray,
                  roughness) -> np.ndarray:
     """Microfacet specular BRDF D * F * G / (4 (n.l)(n.v)) over pixels and
@@ -114,21 +108,19 @@ def ggx_specular(v: np.ndarray, dirs: np.ndarray, n: np.ndarray,
 
     ``v``/``n`` are (P, 3) unit vectors, ``dirs`` (P, T, 3), ``roughness``
     (P,). Returns the (P, T) BRDF values; a term is 0 where the light or
-    view is below the surface, where v + l vanishes, or where 4 (n.l)(n.v)
-    underflows to 0.
+    view is below the surface, where the half vector is undefined, or where
+    4 (n.l)(n.v) underflows to 0.
     """
     n_row, v_row = n[:, None, :], v[:, None, :]
     ndotl = _dot(dirs, n_row)
     ndotv = _dot(n, v)[:, None]
-    s = dirs + v_row
-    s_norm = np.sqrt(_dot(s, s))
-    h = s / np.where(s_norm > 1e-9, s_norm, 1.0)[..., None]
+    h, defined = half_vectors(v_row, dirs)
     r = np.asarray(roughness)[:, None]
     d = ggx_ndf(_dot(h, n_row), r)
     f = schlick(_dot(h, v_row))
     g = smith_g(ndotv, ndotl, r)
     denom = 4.0 * ndotl * ndotv
-    ok = (ndotl > 0.0) & (ndotv > 0.0) & (s_norm > 1e-9) & (denom > 0.0)
+    ok = (ndotl > 0.0) & (ndotv > 0.0) & defined & (denom > 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(ok, d * f * g / denom, 0.0)
 
@@ -212,13 +204,13 @@ def spec_feature_batch(axes: np.ndarray, intensity: np.ndarray, sharpness: np.nd
     lambda (P, L), at unit normals ``n`` (P, 3) seen along unit directions
     ``v`` (P, K, 3): (P, K, L, 9) rows [F(v, h), (n.h)^2, n.xi, n.v, lambda,
     mask, eta] with h = half(v, xi). A lobe opposite to v (undefined half
-    vector) has F = (n.h)^2 = 0 and mask 0. Dot products are ``np.vecdot``,
-    so every pair has the bits of scalar ``np.dot`` arithmetic."""
+    vector) has F = (n.h)^2 = 0 and mask 0. Dot products are ``_dot``, so a
+    pair's bits do not depend on its batch or on the BLAS kernel."""
     n, v, xi = n[:, None, None], v[:, :, None], axes[:, None]
     h, defined = half_vectors(v, xi)
-    ndotxi = np.vecdot(n, xi)
-    rows = (np.where(defined, schlick(np.vecdot(v, h)), 0.0),
-            np.where(defined, np.vecdot(n, h) ** 2, 0.0), ndotxi, np.vecdot(n, v),
+    ndotxi = _dot(n, xi)
+    rows = (np.where(defined, schlick(_dot(v, h)), 0.0),
+            np.where(defined, _dot(n, h) ** 2, 0.0), ndotxi, _dot(n, v),
             sharpness[:, None], np.where(defined, lobe_mask(intensity[:, None], ndotxi), 0),
             *np.moveaxis(intensity[:, None], -1, 0))
     return np.stack(np.broadcast_arrays(*rows), axis=-1)

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-PROJECTION_ERROR_CAP = 30.0  # e_k when |d - z| underflows to 0
+PROJECTION_ERROR_CAP = 30.0  # e_k when |d - z| <= e^-30, about 9.4e-14
 
 
 @dataclass(frozen=True)
@@ -231,17 +231,17 @@ def reproject(points, views) -> Reprojection:
 
 
 def projection_error(sampled_depth, z):
-    """Depth-projection error e = max(-ln|d - z|, 0) of a view's sampled
-    depth d against the point's z, both camera-z in that view; capped where
-    |d - z| = 0, and 0 where d is nan (no sample).
+    """Depth-projection error e = -ln|d - z| of a view's sampled depth d
+    against the point's z, both camera-z in that view, clipped to [0,
+    ``PROJECTION_ERROR_CAP``], so every gap below e^-cap, an exact hit
+    included, reads the cap; 0 where d is nan (no sample).
 
     Natural log; any other base rescales every e_k by the same constant and
     the normalized multi-view weights are invariant to that.
     """
     gap = np.abs(np.asarray(sampled_depth, dtype=np.float64) - np.asarray(z, dtype=np.float64))
     with np.errstate(divide="ignore"):
-        err = np.where(gap == 0.0, PROJECTION_ERROR_CAP, -np.log(gap))
-    return np.fmax(err, 0.0)
+        return np.minimum(np.fmax(-np.log(gap), 0.0), PROJECTION_ERROR_CAP)
 
 
 def multiview_weights(errors, valid=None) -> np.ndarray:

@@ -200,10 +200,10 @@ def rerender_residual(images, diffuse, speculars, view_weights, target_index,
     The two scales are fit jointly against the target-view image I: they
     minimize the masked ||I - tau_diff * d - tau_spec * s||^2 over
     nonnegative scales, with d the (H, W, 3) diffuse render and s the target
-    view's specular render, by the 2x2 normal equations; where those give a
-    negative scale, the convex problem's constrained minimum is the better
-    one-scale fit. When they are singular (d or s masked to zero, or d and
-    s collinear) each scale is fit alone by ``ls_scale``. The residual is
+    view's specular render, by the 2x2 normal equations. Where those give a
+    negative scale, or are singular (d or s masked to zero, or d and s
+    collinear), the constrained minimum is the better nonnegative one-scale
+    fit; a render that is zero under the mask fits nothing. The residual is
     sum_k w_k^2 * masked mean of (I_k - tau_diff * d - tau_spec * S_k)^2 over
     the (K, H, W, 3) ``images`` I and ``speculars`` S.
     """
@@ -216,16 +216,13 @@ def rerender_residual(images, diffuse, speculars, view_weights, target_index,
     dd, ds, ss, di, si = (_blockwise_sum(_weighted_product, w, x, y) for x, y in (
         (d, d), (d, s), (s, s), (d, target), (s, target)))
     det = dd * ss - ds * ds
-    if det > _SINGULAR_RTOL * dd * ss:
+    singular = not det > _SINGULAR_RTOL * dd * ss
+    if not singular:
         tau_diff, tau_spec = (ss * di - ds * si) / det, (dd * si - ds * di) / det
-        if tau_diff < 0.0 or tau_spec < 0.0:
-            # the one-scale fit t = max(x.I, 0) / x.x removes t^2 * x.x
-            di, si = max(di, 0.0), max(si, 0.0)
-            tau_diff, tau_spec = ((di / dd, 0.0) if di * di / dd >= si * si / ss
-                                  else (0.0, si / ss))
-    else:
-        tau_diff = ls_scale(target, d, mask)
-        tau_spec = ls_scale(target, s, mask)
+    if singular or tau_diff < 0.0 or tau_spec < 0.0:
+        # the one-scale fit t = max(x.I, 0) / x.x, or 0 where x.x = 0, removes t * x.I
+        t_d, t_s = (max(xi, 0.0) / xx if xx > 0.0 else 0.0 for xi, xx in ((di, dd), (si, ss)))
+        tau_diff, tau_spec = (t_d, 0.0) if t_d * di >= t_s * si else (0.0, t_s)
     total = 0.0
     for k in range(images.shape[0]):
         residual = images[k] - tau_diff * diffuse - tau_spec * speculars[k]

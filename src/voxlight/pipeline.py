@@ -25,7 +25,7 @@ from .insertion import InsertedSphere, MirrorMaterial, insert_object
 from .metrics import (StageLossBundle, masked_l1_angular, si_log_mse, si_mse,
                       stage_losses)
 from .scene import GeneratedScene, SceneSpec, generate_scene, render_images
-from .sg import EnvMapGrid, Frame, SGFitOptions, rasterize_env, sg_fit_batch
+from .sg import EnvMapGrid, Frame, SGFitOptions, _dot, rasterize_env, sg_fit_batch
 from .surface import build_surface_volume
 from .volume import Bounds, EnvTarget, VSGFitOptions, extract_env_map, vsg_fit
 
@@ -135,7 +135,7 @@ def _multiview_probe(scene: GeneratedScene, block_envs: list, config: DemoConfig
     weights = multiview_weights(projection_error(seen.depth, seen.z).T, seen.valid.T)
     centers = np.stack([view.camera.center for view in bundle.views])
     to_camera = centers - points[:, None]                                   # (P, K, 3)
-    view_dirs = to_camera / np.sqrt(np.vecdot(to_camera, to_camera))[..., None]
+    view_dirs = to_camera / np.sqrt(_dot(to_camera, to_camera))[..., None]
     blocks = ii // size * len(range(0, w, size)) + jj // size
     axes = np.stack([env.axes() for env in block_envs])[blocks]
     intensity = np.stack([env.intensities() for env in block_envs])[blocks]

@@ -3,8 +3,9 @@ and gradient-based SG fitting.
 
 An environment holds S lobes as arrays. A lobe stores its axis as spherical
 angles (theta, phi) and is evaluated as a unit 3-vector, radiance
-eta * exp(lambda * (dot(l, axis) - 1)); environments sum lobes scaled by
-per-lobe visibility in [0, 1]. Radiance grids discretize
+eta * exp(lambda * (dot(l, axis) - 1)), the one SG exponent of the package;
+environments sum lobes scaled by per-lobe visibility in [0, 1]. ``_dot`` is
+the package's one per-direction dot product. Radiance grids discretize
 the upper hemisphere around a local frame in equirectangular fashion
 (elevation rows x azimuth columns, texel directions at cell centers).
 """
@@ -211,15 +212,21 @@ def frame_directions(local: np.ndarray, normals: np.ndarray, tangents: np.ndarra
             + local[..., 2:3] * normals)
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot product over the last axis as (a0 b0 + a1 b1) + a2 b2, broadcast:
+    elementwise, so a row's bits do not depend on its batch or on the BLAS
+    kernel."""
+    return (a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]) + a[..., 2] * b[..., 2]
+
+
 def eval_env(env: SGEnvironment, directions) -> np.ndarray:
     """Visibility-scaled sum of all lobe radiances at unit ``directions``
     (..., 3); returns (..., 3).
 
-    The exponent uses dot - 1 = -|direction - axis|^2 / 2 (exact for unit
-    vectors), which avoids cancellation near the axis and returns eta
-    bitwise when a direction equals the axis. Every step is elementwise and
-    the lobes are summed in a fixed order, so a direction gets the same
-    bits alone or inside any batch.
+    The exponent is lambda * (``_dot``(direction, axis) - 1), the form the
+    SG and VSG fits use. Every step is elementwise and the lobes are summed
+    in a fixed order, so a direction gets the same bits alone or inside any
+    batch.
     """
     d = np.asarray(directions, dtype=np.float64)
     if d.ndim == 0 or d.shape[-1] != 3:
@@ -229,10 +236,7 @@ def eval_env(env: SGEnvironment, directions) -> np.ndarray:
     out = np.zeros(d.shape)
     for axis, sharp, vis, eta in zip(env.axes(), env.sharpness(), env.visibility,
                                      env.intensities()):
-        delta = d - axis
-        sq = (delta[..., 0] * delta[..., 0] + delta[..., 1] * delta[..., 1]
-              + delta[..., 2] * delta[..., 2])
-        out += (vis * np.exp(sharp * (-0.5 * sq)))[..., None] * eta
+        out += (vis * np.exp(sharp * (_dot(d, axis) - 1.0)))[..., None] * eta
     return out
 
 

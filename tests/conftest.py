@@ -6,11 +6,9 @@ import numpy as np
 import pytest
 
 
-@pytest.fixture(scope="session")
-def blas_core() -> str:
+def openblas_core() -> str:
     """The kernel numpy's bundled OpenBLAS runs in this process, as the library
-    reports it (``OPENBLAS_CORETYPE`` overrides it), or "unknown". The digest pins
-    depend on it; ``np.show_config()`` names the build's target instead."""
+    reports it (``OPENBLAS_CORETYPE`` overrides it), or "unknown"."""
     libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
                                   "libscipy_openblas64_*.so"))
     try:
@@ -19,3 +17,10 @@ def blas_core() -> str:
         return "unknown"
     corename.argtypes, corename.restype = [], ctypes.c_char_p
     return corename().decode()
+
+
+@pytest.fixture(scope="session")
+def blas_core() -> str:
+    """``openblas_core`` of the test process. The digest pins depend on it;
+    ``np.show_config()`` names the build's target instead."""
+    return openblas_core()

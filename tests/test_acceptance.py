@@ -29,9 +29,10 @@ BOUNDS = Bounds(lo=np.zeros(3), hi=np.full(3, 2.0))
 
 # digest of pipeline_demo(DemoConfig()); the same with OpenBLAS at 1 or 2 threads
 # and under its Haswell, SkylakeX and Zen kernels (OPENBLAS_CORETYPE), but
-# not under Sandybridge or Prescott, whose BLAS products round differently;
-# a failing pin names the kernel OpenBLAS runs (Zen's reads Haswell)
-DEMO_DIGEST = "dfb2ec7bb863084fbdbcb44fb8412ca4ad0a6961baa62715c425570924969b78"
+# not under Sandybridge (eca6b13e…) or Prescott (bd39d90f…), whose BLAS products
+# round differently; a failing pin names the kernel OpenBLAS runs (Zen's reads
+# Haswell, Prescott's Katmai)
+DEMO_DIGEST = "5b9ac40b691c32475f55a827a062f6a20215e1ccdbddaed60ee3249af5a83c59"
 
 
 def report(num: int, name: str, passed: bool, detail: str = ""):
@@ -65,12 +66,17 @@ def test_01_furnace():
 
 
 def test_02_sg_identity_and_rasterize_agreement():
+    # at its own axis a lobe reads eta: dot(axis, axis) - 1 is within 2 eps of
+    # 0, so exp(lambda (dot - 1)) is within about 2 lambda eps of 1
     rng = np.random.default_rng(101)
     identity_ok = True
+    eps = np.finfo(float).eps
     for _ in range(100):
         env = env_of((rng.uniform(0, math.pi), rng.uniform(-math.pi, math.pi * 0.999),
                       rng.uniform(0, 40), rng.uniform(0, 3, 3)))
-        identity_ok &= bool(np.array_equal(eval_env(env, env.axes()[0]), env.intensity[0]))
+        error = np.abs(eval_env(env, env.axes()[0]) - env.intensity[0])
+        identity_ok &= bool(np.all(error <= (2.0 * env.sharp[0] + 1.0) * eps
+                                   * env.intensity[0]))
     raster_ok = True
     for _ in range(100):
         lobes = [(rng.uniform(0, math.pi), rng.uniform(-math.pi, math.pi * 0.999),
@@ -85,7 +91,8 @@ def test_02_sg_identity_and_rasterize_agreement():
             for j in range(8):
                 raster_ok &= bool(np.array_equal(grid.texels[i, j],
                                                  eval_env(env, dirs[i, j])))
-    report(2, "SG identity exact and rasterize/eval bitwise on 100 envs",
+    report(2, "SG peak within (2 lambda + 1) eps of eta and rasterize/eval bitwise "
+              "on 100 envs",
            identity_ok and raster_ok)
 
 

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -307,21 +311,29 @@ class TestLobeMask:
         np.testing.assert_array_equal(masks, [0, 0, 0, 1])
 
 
-def old_spec_feature_inputs(env, n, v, f0=F0_DEFAULT):
+def three_term_dot(a, b):
+    """A 3-vector dot product in ``_dot``'s order, (a0 b0 + a1 b1) + a2 b2."""
+    return float((a[0] * b[0] + a[1] * b[1]) + a[2] * b[2])
+
+
+def old_spec_feature_inputs(env, n, v, f0=F0_DEFAULT, dot=three_term_dot):
     """The scalar spec_feature_inputs before it became a batch of one, over
-    the lobes' rows of ``env``."""
-    ndotv = float(np.dot(n, v))
+    the lobes' rows of ``env``, with its dot products and norms in ``dot``.
+    With ``dot=np.dot`` it is the frozen copy itself, bits of BLAS included
+    (``np.linalg.norm`` of a vector is the root of its ``np.dot``)."""
+    ndotv = float(dot(n, v))
     features = []
     for xi, sharpness, intensity in zip(env.axes(), env.sharp.tolist(), env.intensity):
-        ndotxi = float(np.dot(n, xi))
-        if np.linalg.norm(v + xi) < 1e-9:
+        ndotxi = float(dot(n, xi))
+        s = v + xi
+        norm = math.sqrt(dot(s, s))
+        if norm < 1e-9:
             features.append((0.0, 0.0, ndotxi, ndotv, sharpness, 0, *intensity))
             continue
-        s = v + xi
-        h = s / float(np.linalg.norm(s))
-        fresnel = float(f0 + (1.0 - f0) * (1.0 - np.maximum(np.dot(v, h), 0.0)) ** 5)
+        h = s / norm
+        fresnel = float(f0 + (1.0 - f0) * (1.0 - np.maximum(dot(v, h), 0.0)) ** 5)
         mask = 1 if float(np.sum(np.abs(intensity))) * ndotxi > 0.0 else 0
-        features.append((fresnel, float(np.dot(n, h)) ** 2, ndotxi, ndotv, sharpness,
+        features.append((fresnel, float(dot(n, h)) ** 2, ndotxi, ndotv, sharpness,
                          mask, *intensity))
     return np.array(features, dtype=np.float64)
 
@@ -374,6 +386,19 @@ class TestSpecFeatureBatch:
                 old = old_spec_feature_inputs(envs[p], normals[p], views[p, k])
                 assert old[:, 1:].tobytes() == batch[p, k, :, 1:].tobytes()
                 np.testing.assert_array_max_ulp(old[:, 0], batch[p, k, :, 0], maxulp=1)
+
+    def test_frozen_dot_order_near_the_blas_dot_copy(self):
+        # the frozen copy's dot order against its BLAS np.dot original: the dot
+        # products n.xi and n.v move by at most an ulp; F and (n.h)^2, in [0, 1],
+        # by at most 2 eps, since (n.h)^2 can cancel to far below 1
+        envs, normals, views, _ = self.features()
+        for p in range(4):
+            for k in range(3):
+                ours = old_spec_feature_inputs(envs[p], normals[p], views[p, k])
+                blas = old_spec_feature_inputs(envs[p], normals[p], views[p, k], dot=np.dot)
+                np.testing.assert_array_max_ulp(ours[:, 2:4], blas[:, 2:4], maxulp=1)
+                assert np.max(np.abs(ours[:, :2] - blas[:, :2])) <= 2.0 * np.finfo(float).eps
+                assert ours[:, 4:].tobytes() == blas[:, 4:].tobytes()
 
     def test_special_lobes(self):
         _, _, _, batch = self.features()
@@ -663,3 +688,41 @@ class TestSpecularBatchProperties:
            roughness=st.floats(0.05, 1.0))
     def test_finite_and_nonnegative_at_the_horizon(self, v, l, roughness):
         check_against_frozen(v, l, NORMAL, roughness)
+
+
+class TestKernelIndependence:
+    def test_features_bytes_equal_under_haswell_and_skylakex(self):
+        # a per-row BLAS dot (np.vecdot, np.dot) rounds as the kernel does, an
+        # elementwise one does not; each run prints its kernel and an output hash
+        script = "\n".join([
+            "import hashlib",
+            "import numpy as np",
+            "from conftest import openblas_core",
+            "from voxlight.brdf import half_vectors, spec_feature_batch",
+            "rng = np.random.default_rng(61)",
+            "def units(*shape):",
+            "    x = rng.normal(size=shape + (3,))",
+            "    return x / np.sqrt((x * x).sum(axis=-1, keepdims=True))",
+            "v, l = units(10000), units(10000)",
+            "l[::100] = -v[::100]   # undefined half vectors",
+            "h, defined = half_vectors(v, l)",
+            "feats = spec_feature_batch(units(2500, 2), rng.uniform(0.0, 2.0, (2500, 2, 3)),",
+            "                           rng.uniform(0.0, 30.0, (2500, 2)), units(2500),",
+            "                           units(2500, 2))",
+            "digest = hashlib.sha256(h.tobytes() + defined.tobytes() + feats.tobytes())",
+            "print(openblas_core(), digest.hexdigest())"])
+        src = str(Path(voxlight.brdf.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, str(Path(__file__).parent),
+                                             os.environ.get("PYTHONPATH")]))
+        digests = set()
+        for core in ("Haswell", "SkylakeX"):
+            env = dict(os.environ, OPENBLAS_CORETYPE=core, OPENBLAS_NUM_THREADS="1",
+                       PYTHONPATH=path)
+            run = subprocess.run([sys.executable, "-c", script], env=env,
+                                 capture_output=True, text=True, timeout=60)
+            assert run.returncode == 0, run.stderr
+            running, digest = run.stdout.split()
+            if running != core:
+                pytest.skip(f"OpenBLAS runs {running} where {core} was requested")
+            digests.add(digest)
+        assert len(digests) == 1

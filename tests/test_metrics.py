@@ -418,13 +418,23 @@ class TestBlockwiseReductionsBitwise:
             assert same_bits(got[key], want[key]), key
 
     def test_stage_losses_equal_frozen_copy_with_collinear_renders(self):
-        # diffuse and the target's specular are the same image: the joint
-        # re-render system is singular and falls back to the independent fits
+        # diffuse and the target's specular are the same image, half the target
+        # image: the joint re-render system is singular. The frozen copy fits
+        # each scale alone and uses both (2, 2), counting the image twice; the
+        # one-scale fit (2, 0) explains the target view exactly
         bundle = TestStageLosses().base_bundle(np.random.default_rng(22))
         got, want = stage_losses(bundle), frozen_stage_losses(bundle)
         assert list(got) == list(want)
-        for key in want:
+        for key in set(want) - RERENDER_KEYS:
             assert same_bits(got[key], want[key]), key
+        assert abs(want["tau_diff"] - 2.0) <= 1e-12 and abs(want["tau_spec"] - 2.0) <= 1e-12
+        assert abs(got["tau_diff"] - 2.0) <= 1e-12 and got["tau_spec"] == 0.0
+        view_1 = bundle.images[1] - got["tau_diff"] * bundle.diffuse_render
+        rerender = 0.25 * masked_mse(view_1, np.zeros_like(view_1))
+        assert abs(got["L_SVL_rerender"] - rerender) <= 1e-12 * rerender
+        b = DEFAULT_BETAS["svl"]
+        svl_g4 = frozen_si_log_mse(bundle.env_svl_ref, bundle.env_svl_pred, bundle.mask_svl_env)
+        assert same_bits(got["L_SVL"], b[0] * svl_g4 + b[2] * got["L_SVL_rerender"])
 
 
 class TestReductionMemory:
@@ -491,6 +501,20 @@ class TestJointRerenderScales:
             td, ts = max(tau_diff + dd, 0.0), max(tau_spec + ds, 0.0)
             residual = images[0] - td * diffuse - ts * spec[0]
             assert best <= masked_mse(residual, np.zeros_like(residual), mask)
+
+    @pytest.mark.parametrize("case", ["s=d", "s=2d", "d=0", "s=0"])
+    def test_collinear_renders_fit_exactly(self, case):
+        # a singular system: the one nonnegative scale that explains I removes
+        # it all; the two scales fit alone and used together would count it twice
+        rng = np.random.default_rng(26)
+        x = rng.uniform(0.2, 1.0, (6, 8, 3))
+        diffuse, spec = {"s=d": (x, x), "s=2d": (x, 2.0 * x),
+                         "d=0": (np.zeros_like(x), x), "s=0": (x, np.zeros_like(x))}[case]
+        images = (0.7 * x)[None]
+        residual, tau_diff, tau_spec = rerender_residual(images, diffuse, spec[None],
+                                                         np.ones(1), 0)
+        assert residual <= 1e-28 * np.sum(images * images)
+        assert tau_diff >= 0.0 and tau_spec >= 0.0
 
     def test_renders_must_match_the_images(self):
         with pytest.raises(ValueError, match="shape"):

@@ -8,7 +8,7 @@ import pytest
 
 from voxlight import cli
 from voxlight import pipeline as pipeline_module
-from voxlight.geometry import bilinear_sample, reproject
+from voxlight.geometry import PROJECTION_ERROR_CAP, bilinear_sample, reproject
 from voxlight.pipeline import (DemoConfig, PipelineReport, _cluster_env_fit, _fit_volume, _g4_over_black,
                                _multiview_probe, _vsg_targets, pipeline_demo)
 from voxlight.scene import SceneSpec, generate_scene
@@ -27,9 +27,10 @@ def tiny_config():
 
 # digest of pipeline_demo(tiny_config()); the same with OpenBLAS at 1 or 2 threads
 # and under its Haswell, SkylakeX and Zen kernels (OPENBLAS_CORETYPE), but
-# not under Sandybridge or Prescott, whose BLAS products round differently;
-# a failing pin names the kernel OpenBLAS runs (Zen's reads Haswell)
-TINY_DIGEST = "3e92995a33024400f5849d1943d417e0cc9ee85452c5270f51d7f0bc46d7b49c"
+# not under Sandybridge (c933d041…) or Prescott (20b89066…), whose BLAS products
+# round differently; a failing pin names the kernel OpenBLAS runs (Zen's reads
+# Haswell, Prescott's Katmai)
+TINY_DIGEST = "829a5d1f07232e5a4d81da71f28c41d133e1377c20de79c3ccfa2c91d3bf2c63"
 
 
 @pytest.fixture(scope="module")
@@ -196,6 +197,22 @@ class TestMultiviewProbe:
         sampled = np.isfinite(d)
         assert np.count_nonzero(sampled) == np.count_nonzero(seen) == 163
         assert np.max(np.abs(d[sampled] - z[sampled])) <= 1e-3
+
+    def test_target_view_reads_the_cap_at_every_probe_pixel(self, default_probe, monkeypatch):
+        # each probe point is the target view's own surface point, so its gap
+        # there is 0 or a few ulps of round-off: every one reads the cap,
+        # and no error anywhere exceeds it
+        config, scene, envs, _ = default_probe
+        errors = []
+        projection_error = pipeline_module.projection_error
+        monkeypatch.setattr(pipeline_module, "projection_error",
+                            lambda d, z: errors.append(projection_error(d, z)) or errors[-1])
+        _multiview_probe(scene, envs, config)
+        (errors,) = errors                                                  # (K, P)
+        target = errors[scene.bundle.target_index]
+        assert target.shape == (20,)
+        np.testing.assert_array_equal(target, PROJECTION_ERROR_CAP)
+        assert errors.max() == PROJECTION_ERROR_CAP
 
     def test_occluded_view_gets_the_least_weight(self, default_probe, monkeypatch):
         # an occluder 20% in front of the surface in view k: its error is at

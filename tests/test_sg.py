@@ -632,15 +632,22 @@ def frozen_default_sg_init(target, num_lobes):
     return FrozenEnvironment(lobes)
 
 
-def frozen_eval_env(env, directions):
+def frozen_eval_env(env, directions, chord=False):
+    """The lobe sum with exponent lambda * (dot(d, axis) - 1), the dot summed as
+    (d0 a0 + d1 a1) + d2 a2; with ``chord``, the form eval_env had before,
+    -lambda |d - axis|^2 / 2, equal for unit vectors but for round-off."""
     d = np.asarray(directions, dtype=np.float64)
     out = np.zeros(d.shape)
     for axis, sharp, vis, eta in zip(env.axes(), env.sharpness(), env.visibility,
                                      env.intensities()):
-        delta = d - axis
-        sq = (delta[..., 0] * delta[..., 0] + delta[..., 1] * delta[..., 1]
-              + delta[..., 2] * delta[..., 2])
-        out += (vis * np.exp(sharp * (-0.5 * sq)))[..., None] * eta
+        if chord:
+            delta = d - axis
+            sq = (delta[..., 0] * delta[..., 0] + delta[..., 1] * delta[..., 1]
+                  + delta[..., 2] * delta[..., 2])
+            exponent = -0.5 * sq
+        else:
+            exponent = (d[..., 0] * axis[0] + d[..., 1] * axis[1]) + d[..., 2] * axis[2] - 1.0
+        out += (vis * np.exp(sharp * exponent))[..., None] * eta
     return out
 
 
@@ -696,8 +703,10 @@ class TestArraysEqualFrozenLobes:
             dirs = rng.normal(size=(9, 11, 3))
             dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
             got = eval_env(env_of(*rows, visibility=vis), dirs)
-            want = frozen_eval_env(FrozenEnvironment([FrozenLobe(*r) for r in rows], vis), dirs)
-            assert got.tobytes() == want.tobytes()
+            frozen = FrozenEnvironment([FrozenLobe(*r) for r in rows], vis)
+            assert got.tobytes() == frozen_eval_env(frozen, dirs).tobytes()
+            np.testing.assert_allclose(got, frozen_eval_env(frozen, dirs, chord=True),
+                                       rtol=1e-12, atol=0.0)
 
     def test_sg_env_json_equal_frozen(self, tmp_path):
         rng = np.random.default_rng(24)
