@@ -105,7 +105,7 @@ def cmd_fit_vsg(args):
     hi = points.reshape(-1, 3).max(axis=0) + 0.2
     hi[2] = max(hi[2], lo[2] + 3.0)  # leave head room for lights above
     bounds = Bounds(lo=lo, hi=hi)
-    _, targets = _vsg_targets(points, normals_world, gt["env"], args.grid)
+    targets = _vsg_targets(points, normals_world, gt["env"], args.grid)
     result = vsg_fit(targets, (args.dims,) * 3, bounds,
                      VSGFitOptions(max_iters=args.iters))
     vio.save_volume(args.out, result.volume)
@@ -182,11 +182,14 @@ def cmd_metrics(args):
         env = read("env_target.pfm", (hw[0] * ha, hw[1] * wa, 3))
         if env is not None:
             env = vio.untile_env_maps(env, ha, wa)
-            report["g4_lighting"] = si_log_mse(gt["env"], env, mask)
+            # load_scene checked the true env maps, so a negative texel is this file's
+            with vio._naming(Path(args.pred) / "env_target.pfm"):
+                report["g4_lighting"] = si_log_mse(gt["env"], env, mask)
             report["tau_lighting"] = ls_scale(gt["env"], env, mask)
     alpha = read("alpha.pfm", None)
     if alpha is not None:
-        report["g5_alpha"] = entropy_reg(alpha)
+        with vio._naming(Path(args.pred) / "alpha.pfm"):  # a value outside [0, 1] fails
+            report["g5_alpha"] = entropy_reg(alpha)
     image = read(f"rerender_{t}.pfm", hw + (3,))
     if image is not None:
         report["g3_rerender"] = si_mse(bundle.target.image, image, mask)

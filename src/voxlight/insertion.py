@@ -18,7 +18,7 @@ import numpy as np
 
 from .brdf import shade_env_maps
 from .geometry import View, depth_to_normal
-from .sg import cosine_weights, hemisphere_frames
+from .sg import _dot, cosine_weights, hemisphere_frames
 from .volume import VSGVolume, composite_rays, env_rays
 
 DEFAULT_ENV_RES = (16, 32)   # (height, width), matching test-time env maps
@@ -67,8 +67,8 @@ def _ray_sphere_t(origins: np.ndarray, directions: np.ndarray, center: np.ndarra
     """Nearest hit parameter t > 1e-9 of each ray (R, 3) origins and unit
     directions with the sphere; inf where the sphere is missed."""
     oc = origins - center
-    b = np.sum(oc * directions, axis=-1)
-    c = np.sum(oc * oc, axis=-1) - radius * radius
+    b = _dot(oc, directions)
+    c = _dot(oc, oc) - radius * radius
     disc = b * b - c
     sq = np.sqrt(np.maximum(disc, 0.0))
     t_near = -b - sq
@@ -83,8 +83,8 @@ def _mirror_radiance(volume: VSGVolume, points: np.ndarray, view_dirs: np.ndarra
     """Radiance (P, 3) a mirror reflects toward the viewer: the volume
     composited from hit points (P, 3) along the reflections of the unit
     camera-to-surface directions (P, 3) about the unit normals (P, 3)."""
-    refl = view_dirs - 2.0 * np.sum(view_dirs * normals, axis=-1, keepdims=True) * normals
-    refl /= np.linalg.norm(refl, axis=-1, keepdims=True)
+    refl = view_dirs - 2.0 * _dot(view_dirs, normals)[..., None] * normals
+    refl /= np.sqrt(_dot(refl, refl))[..., None]
     return composite_rays(volume, points, refl, volume.bounds.diagonal, n_samples)
 
 
@@ -100,7 +100,7 @@ def _diffuse_radiance(material: DiffuseMaterial, volume: VSGVolume, points: np.n
     radiance = composite_rays(volume, origins.reshape(-1, 3), dirs.reshape(-1, 3),
                               volume.bounds.diagonal, n_samples)
     envs = np.concatenate([radiance, np.ones((radiance.shape[0], 1))], axis=-1)
-    v = -view_dirs / np.linalg.norm(view_dirs, axis=-1, keepdims=True)
+    v = -view_dirs / np.sqrt(_dot(view_dirs, view_dirs))[..., None]
     diffuse, specular = shade_env_maps(
         envs.reshape((p,) + DEFAULT_ENV_RES + (4,)), normals, *frames, v,
         np.broadcast_to(material.albedo + (0.0,), (p, 4)), np.full(p, material.roughness))

@@ -367,4 +367,6 @@ def load_scene(path) -> tuple[ViewBundle, dict]:
             raise ValueError(f"{path / 'scene.json'}: missing key 'env_angular'")
         ha, wa = env_angular
         gt["env"] = untile_env_maps(read_map(env_file, (hw[0] * ha, hw[1] * wa, 3)), ha, wa)
+        if gt["env"].min() < 0.0:
+            raise ValueError(f"{env_file}: env radiance must be nonnegative")
     return bundle, gt

@@ -1,10 +1,10 @@
 """Masked losses and metrics for inverse-rendering stages.
 
 g1 masked L1 angular error, g2 masked MSE, g3 scale-invariant MSE, g4
-scale-invariant log-space MSE, g5 entropy regularizer, plus the per-stage
-losses assembled from them with their published default weights. All
-metrics are means over masked elements (not sums), so values are comparable
-across mask sizes; an empty mask yields 0.
+scale-invariant log-space MSE, g5 entropy regularizer, and the normal, BRDF
+and spatially-varying lighting (SVL) losses built from them with their
+published default weights. All metrics are means over masked elements (not
+sums), so values are comparable across mask sizes; an empty mask yields 0.
 """
 
 from __future__ import annotations
@@ -18,8 +18,6 @@ import numpy as np
 # default (beta1, beta2[, beta3]) per training stage
 DEFAULT_BETAS = {
     "normal": (1.0, 1.0),
-    "in_dl": (1.0, 1e-3),
-    "ex_dl": (1.0, 1e-4),
     "brdf": (3.0, 1.0),
     "svl": (10.0, 1e-2, 1.0),
 }
@@ -164,28 +162,17 @@ def brdf_loss(albedo_ref, albedo_pred, rough_ref, rough_pred, mask) -> float:
 
 @dataclass
 class StageLossBundle:
-    """Predictions, references, and masks consumed by ``stage_losses``."""
+    """The SVL stage's predictions and references, for ``stage_losses``."""
 
-    mask_light: np.ndarray       # M_l, for the normal stage
-    mask_object: np.ndarray      # M_o, for the other stages
-    normal_ref: np.ndarray
-    normal_pred: np.ndarray
-    g4_dl: float                 # si_log_mse of the per-pixel direct-light env maps
-    visibility: np.ndarray       # per-lobe mu, for the g5 report
-    alpha_dl: np.ndarray         # exitant-volume opacity
-    albedo_ref: np.ndarray
-    albedo_pred: np.ndarray
-    rough_ref: np.ndarray
-    rough_pred: np.ndarray
-    env_svl_ref: np.ndarray
-    env_svl_pred: np.ndarray
-    mask_svl_env: np.ndarray     # over the leading axes of the SVL env maps
-    alpha_svl: np.ndarray
+    mask: np.ndarray             # (H, W) binary, over the re-render images
+    env_svl_ref: np.ndarray      # (T, h, w, 3) env maps at the supervision targets
+    env_svl_pred: np.ndarray     # the volume's env maps at the same targets
+    alpha_svl: np.ndarray        # the volume's opacity
     images: np.ndarray           # (K, H, W, 3) per-view HDR
     view_weights: np.ndarray     # (K,) multi-view weights
     diffuse_render: np.ndarray   # (H, W, 3), view-independent
     specular_renders: np.ndarray  # (K, H, W, 3)
-    target_index: int = 0
+    target_index: int
 
 
 # The joint re-render system is singular when its Gram determinant is within
@@ -232,23 +219,15 @@ def rerender_residual(images, diffuse, speculars, view_weights, target_index,
 
 
 def stage_losses(bundle: StageLossBundle) -> dict[str, float]:
-    """The per-stage training losses of a bundle, weighted by
-    ``DEFAULT_BETAS``: the main loss per stage, the g5 regularizer terms
-    reported separately (keys ending in ``_reg``), and the re-render scales.
-    L_InDL and L_ExDL share the bundle's direct-light g4.
-    """
-    b_in, b_ex, b_svl = DEFAULT_BETAS["in_dl"], DEFAULT_BETAS["ex_dl"], DEFAULT_BETAS["svl"]
+    """The SVL stage's losses, weighted by ``DEFAULT_BETAS["svl"]``: L_SVL,
+    the env maps' g4 plus the masked multi-view re-render term; L_SVL_reg,
+    the opacity's g5 term, reported separately; and the re-render term and
+    its two scales on their own."""
+    b = DEFAULT_BETAS["svl"]
     rerender, tau_diff, tau_spec = rerender_residual(
         bundle.images, bundle.diffuse_render, bundle.specular_renders,
-        bundle.view_weights, bundle.target_index, bundle.mask_object)
-    return {"L_normal": normal_loss(bundle.normal_ref, bundle.normal_pred, bundle.mask_light),
-            "L_InDL": b_in[0] * bundle.g4_dl,
-            "L_InDL_reg": b_in[1] * entropy_reg(bundle.visibility),
-            "L_ExDL": b_ex[0] * bundle.g4_dl,
-            "L_ExDL_reg": b_ex[1] * entropy_reg(bundle.alpha_dl),
-            "L_BRDF": brdf_loss(bundle.albedo_ref, bundle.albedo_pred, bundle.rough_ref,
-                                bundle.rough_pred, bundle.mask_object),
-            "L_SVL": b_svl[0] * si_log_mse(bundle.env_svl_ref, bundle.env_svl_pred,
-                                           bundle.mask_svl_env) + b_svl[2] * rerender,
-            "L_SVL_reg": b_svl[1] * entropy_reg(bundle.alpha_svl),
+        bundle.view_weights, bundle.target_index, bundle.mask)
+    return {"L_SVL": b[0] * si_log_mse(bundle.env_svl_ref, bundle.env_svl_pred)
+            + b[2] * rerender,
+            "L_SVL_reg": b[1] * entropy_reg(bundle.alpha_svl),
             "L_SVL_rerender": rerender, "tau_diff": tau_diff, "tau_spec": tau_spec}

@@ -4,8 +4,8 @@ Deterministic stand-ins replace the learned stages: normals come from the
 depth map, per-pixel incident lighting from SG fits over pixel clusters,
 spatially-varying lighting from a VSG volume fit, and the result is
 exercised through feature aggregation, surface-volume construction, and
-sphere insertion. The report carries the g-metrics and stage losses against
-the generated ground truth.
+sphere insertion. The report carries the g-metrics against the generated
+ground truth and the SVL stage's losses, each quantity once.
 """
 
 from __future__ import annotations
@@ -152,10 +152,10 @@ def _multiview_probe(scene: GeneratedScene, block_envs: list, config: DemoConfig
 
 
 def _vsg_targets(points: np.ndarray, normals: np.ndarray, envs: np.ndarray,
-                 grid: int) -> tuple[list, list]:
-    """Pixels (i, j) of a ``grid`` x ``grid`` supervision grid over a view,
-    and the EnvTarget at each: from the view's world points and unit normals
-    (H, W, 3) and its env maps (H, W, h, w, 3)."""
+                 grid: int) -> list:
+    """The EnvTargets at the pixels of a ``grid`` x ``grid`` supervision grid
+    over a view: from the view's world points and unit normals (H, W, 3)
+    and its env maps (H, W, h, w, 3)."""
     h, w = points.shape[:2]
     pixels = [(int((a + 0.5) * h / grid), int((b + 0.5) * w / grid))
               for a in range(grid) for b in range(grid)]
@@ -165,7 +165,7 @@ def _vsg_targets(points: np.ndarray, normals: np.ndarray, envs: np.ndarray,
         env = EnvMapGrid(width=envs.shape[3], height=envs.shape[2], frame=frame,
                          texels=envs[i, j])
         targets.append(EnvTarget(point=points[i, j], frame=frame, grid=env))
-    return pixels, targets
+    return targets
 
 
 def _g4_over_black(refs: np.ndarray, preds: np.ndarray) -> list[float]:
@@ -225,9 +225,8 @@ def pipeline_demo(config: DemoConfig | None = None) -> PipelineReport:
         rerender_g3 = si_mse(target.image, rerendered, scene.mask)
 
     with _stage("vsg_fit", timings, peak_rss_mb):
-        svl_pixels, vsg_targets = _vsg_targets(scene.surface_points,
-                                               scene.surface_normals, scene.gt_env,
-                                               config.vsg_grid)
+        vsg_targets = _vsg_targets(scene.surface_points, scene.surface_normals,
+                                   scene.gt_env, config.vsg_grid)
         vol_result, bounds = _fit_volume(scene, config, vsg_targets)
 
     with _stage("surface_volume", timings, peak_rss_mb):
@@ -252,7 +251,7 @@ def pipeline_demo(config: DemoConfig | None = None) -> PipelineReport:
             extract_env_map(vol_result.volume, t.point, t.frame,
                             config.scene.env_height, config.scene.env_width,
                             config.vsg_samples).texels for t in vsg_targets])
-        env_svl_ref = np.stack([scene.gt_env[i, j] for i, j in svl_pixels])
+        env_svl_ref = np.stack([t.grid.texels for t in vsg_targets])
 
         # every view's image at the target view's surface points, 0 where unseen
         images_k = reproject(scene.surface_points.reshape(-1, 3), bundle.views).image.reshape(
@@ -261,20 +260,11 @@ def pipeline_demo(config: DemoConfig | None = None) -> PipelineReport:
         spec_k = np.stack([specular if k == bundle.target_index
                            else render_images(*render_args, view.camera.center)[1]
                            for k, view in enumerate(bundle.views)])
-        loss_bundle = StageLossBundle(
-            mask_light=scene.mask, mask_object=scene.mask,
-            normal_ref=scene.gt_normal[0], normal_pred=normal_map,
-            g4_dl=lighting_g4, visibility=np.ones(config.sg_lobes),
-            alpha_dl=vol_result.volume.voxels[..., 0],
-            albedo_ref=scene.gt_albedo[0], albedo_pred=scene.gt_albedo[0],
-            rough_ref=scene.gt_rough[0], rough_pred=scene.gt_rough[0],
-            env_svl_ref=env_svl_ref, env_svl_pred=env_svl_pred,
-            mask_svl_env=np.ones(env_svl_ref.shape[0]),
-            alpha_svl=vol_result.volume.voxels[..., 0],
-            images=images_k, view_weights=mean_weights,
-            diffuse_render=diffuse, specular_renders=spec_k,
-            target_index=bundle.target_index)
-        losses = stage_losses(loss_bundle)
+        losses = stage_losses(StageLossBundle(
+            mask=scene.mask, env_svl_ref=env_svl_ref, env_svl_pred=env_svl_pred,
+            alpha_svl=vol_result.volume.voxels[..., 0], images=images_k,
+            view_weights=mean_weights, diffuse_render=diffuse, specular_renders=spec_k,
+            target_index=bundle.target_index))
 
     metrics = {
         "normal_g1": normal_g1,

@@ -24,7 +24,7 @@ import numpy as np
 
 from .brdf import shade_env_maps
 from .geometry import Camera, View, ViewBundle
-from .sg import hemisphere_frames, texel_local_directions
+from .sg import _dot, hemisphere_frames, texel_local_directions
 from .volume import Bounds, _clip_rays
 
 GRID_OFFSETS = (  # target first, then the eight neighbors
@@ -182,13 +182,12 @@ def per_pixel_env_maps(spec: SceneSpec, points: np.ndarray,
     # the parallel); keep the pair when the centre is within beta + delta_i,
     # and keep every texel of an origin inside the bounding sphere
     v = center - origins
-    dist = np.linalg.norm(v, axis=-1)
+    dist = np.sqrt(_dot(v, v))
     r = float(np.linalg.norm(half))
     outside = dist > r
     dist = np.where(outside, dist, 1.0)          # no 0/0 at the centre
     beta = np.arcsin(np.where(outside, r / dist, 0.0))
-    v_local = np.stack([np.sum(tang * v, axis=-1), np.sum(bit * v, axis=-1),
-                        np.sum(flat_n * v, axis=-1)], axis=-1) / dist[:, None]
+    v_local = np.stack([_dot(tang, v), _dot(bit, v), _dot(flat_n, v)], axis=-1) / dist[:, None]
     delta = np.repeat(dth / 2.0 + np.sin((np.arange(ha) + 1) * dth) * dph / 2.0, wa)
     angle = np.arccos(np.clip(v_local @ texel_local_directions(ha, wa).T, -1.0, 1.0))
     keep = (angle <= beta[:, None] + delta[None, :] + 1e-6) | ~outside[:, None]
@@ -220,7 +219,7 @@ def render_images(points: np.ndarray, normals: np.ndarray, albedo: np.ndarray,
     h, w = points.shape[:2]
     flat_n = normals.reshape(-1, 3)
     v = cam_center[None, :] - points.reshape(-1, 3)
-    v /= np.linalg.norm(v, axis=-1, keepdims=True)
+    v /= np.sqrt(_dot(v, v))[..., None]
     diffuse, specular = shade_env_maps(envs.reshape((h * w,) + envs.shape[2:]), flat_n,
                                        *hemisphere_frames(flat_n), v,
                                        albedo.reshape(-1, 3), rough.reshape(-1))

@@ -29,10 +29,10 @@ BOUNDS = Bounds(lo=np.zeros(3), hi=np.full(3, 2.0))
 
 # digest of pipeline_demo(DemoConfig()); the same with OpenBLAS at 1 or 2 threads
 # and under its Haswell, SkylakeX and Zen kernels (OPENBLAS_CORETYPE), but
-# not under Sandybridge (eca6b13e…) or Prescott (bd39d90f…), whose BLAS products
+# not under Sandybridge (4361dc37…) or Prescott (3bbfce25…), whose BLAS products
 # round differently; a failing pin names the kernel OpenBLAS runs (Zen's reads
 # Haswell, Prescott's Katmai)
-DEMO_DIGEST = "5b9ac40b691c32475f55a827a062f6a20215e1ccdbddaed60ee3249af5a83c59"
+DEMO_DIGEST = "18e60d96ee9da171ae03fc0ee91bb2cfed1d84a4de45017f2664ffd744045d67"
 
 
 def report(num: int, name: str, passed: bool, detail: str = ""):

@@ -170,7 +170,7 @@ class TestRerenderAndMetrics:
                            gt["rough"][0], vio.read_pfm(pred / "rough_0.pfm"), mask)
         assert report["L_normal"] == l_normal > 0.0
         assert report["L_BRDF"] == l_brdf > 0.0
-        for key in ("L_InDL", "L_SVL", "L_SVL_reg"):
+        for key in ("L_SVL", "L_SVL_reg", "L_SVL_rerender"):
             assert key not in report
 
     @pytest.mark.parametrize("name, data", [
@@ -181,7 +181,10 @@ class TestRerenderAndMetrics:
         ("env_target.pfm", np.ones((18, 24, 3))),
         ("mask.pfm", np.ones((3, 3))),
         ("mask.pfm", np.full((18, 24), 0.5)),
-    ], ids=["normal", "albedo", "rough", "rerender", "env", "mask_shape", "mask_binary"])
+        ("env_target.pfm", np.full((72, 192, 3), -1.0)),
+        ("alpha.pfm", np.full((2, 2), 1.5)),
+    ], ids=["normal", "albedo", "rough", "rerender", "env", "mask_shape", "mask_binary",
+            "env_negative", "alpha_above_one"])
     def test_metrics_names_the_rejected_file(self, scene_dir, tmp_path, name, data):
         pred = tmp_path / "pred"
         pred.mkdir()

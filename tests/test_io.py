@@ -431,6 +431,8 @@ MALFORMED_SCENES = {
         root / "gt_env_target.pfm", np.ones((3 * 2 + 1, 4 * 4, 3)))),
     "env_gray": ("gt_env_target.pfm", lambda root: vio.write_pfm(
         root / "gt_env_target.pfm", np.ones((3 * 2, 4 * 4)))),
+    "env_negative": ("gt_env_target.pfm", lambda root: vio.write_pfm(
+        root / "gt_env_target.pfm", np.full((3 * 2, 4 * 4, 3), -1.0))),
     "env_angular_zero": ("scene.json", lambda root: _set_meta(root, env_angular=[0, 4])),
     "env_angular_three": ("scene.json", lambda root: _set_meta(root, env_angular=[2, 4, 1])),
     "no_views": ("scene.json", lambda root: _set_meta(root, num_views=0)),

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from voxlight.metrics import (DEFAULT_BETAS, StageLossBundle, entropy_reg,
+from voxlight.metrics import (DEFAULT_BETAS, StageLossBundle, brdf_loss, entropy_reg,
                               ls_scale, masked_l1_angular, masked_mse,
                               normal_loss, rerender_residual, si_log_mse, si_mse,
                               stage_losses)
@@ -186,22 +186,18 @@ class TestMaskIgnoresUnmasked:
 
 
 class TestStageLosses:
-    def base_bundle(self, rng):
+    def base_maps(self, rng):
+        """Normals, env maps, albedo, roughness and two views' images of a
+        6 x 8 view, drawn in that order."""
         h, w = 6, 8
-        normals = unit_field(rng, (h, w))
-        envs = rng.uniform(0.0, 2.0, (h, w, 4, 8, 3))
-        albedo = rng.uniform(0.0, 1.0, (h, w, 3))
-        rough = rng.uniform(0.0, 1.0, (h, w))
-        images = rng.uniform(0.0, 1.0, (2, h, w, 3))
+        return (unit_field(rng, (h, w)), rng.uniform(0.0, 2.0, (h, w, 4, 8, 3)),
+                rng.uniform(0.0, 1.0, (h, w, 3)), rng.uniform(0.0, 1.0, (h, w)),
+                rng.uniform(0.0, 1.0, (2, h, w, 3)))
+
+    def base_bundle(self, rng):
+        _, envs, _, _, images = self.base_maps(rng)
         return StageLossBundle(
-            mask_light=np.ones((h, w)), mask_object=np.ones((h, w)),
-            normal_ref=normals, normal_pred=normals.copy(),
-            g4_dl=frozen_si_log_mse(envs, envs.copy(), np.ones((h, w))),
-            visibility=np.array([1.0, 1.0, 1.0]),
-            alpha_dl=np.array([0.0, 1.0]),
-            albedo_ref=albedo, albedo_pred=albedo.copy(),
-            rough_ref=rough, rough_pred=rough.copy(),
-            env_svl_ref=envs, env_svl_pred=envs.copy(), mask_svl_env=np.ones((h, w)),
+            mask=np.ones(images.shape[1:3]), env_svl_ref=envs, env_svl_pred=envs.copy(),
             alpha_svl=np.array([0.0, 1.0]),
             images=images, view_weights=np.array([0.5, 0.5]),
             diffuse_render=images[0] / 2.0,
@@ -209,19 +205,16 @@ class TestStageLosses:
             target_index=0)
 
     def test_perfect_predictions_zero_losses(self):
-        rng = np.random.default_rng(11)
-        bundle = self.base_bundle(rng)
-        losses = stage_losses(bundle)
-        # I_0 = 0.5 * diffuse*2 ... construct: diffuse = I0/2, spec_0 = I0/2,
-        # taus land such that the residual for view 0 is zero; view 1 checked
-        # separately in the decomposition test
-        assert losses["L_normal"] <= 1e-7  # arccos noise on identical fields
-        assert losses["L_InDL"] == 0.0
-        assert losses["L_ExDL"] == 0.0
-        assert losses["L_BRDF"] == 0.0
-        # g5 terms are reported separately and computed on the provided values
-        assert losses["L_InDL_reg"] == 0.0  # visibility all ones
-        assert losses["L_ExDL_reg"] == 0.0  # alpha in {0, 1}
+        normals, _, albedo, rough, _ = self.base_maps(np.random.default_rng(11))
+        mask = np.ones(rough.shape)
+        assert normal_loss(normals, normals.copy(), mask) <= 1e-7  # arccos noise
+        assert brdf_loss(albedo, albedo.copy(), rough, rough.copy(), mask) == 0.0
+        # diffuse = spec_0 = I_0 / 2: the fit explains view 0 and leaves view
+        # 1's residual, which the decomposition test checks on its own
+        losses = stage_losses(self.base_bundle(np.random.default_rng(11)))
+        assert losses["L_SVL"] == losses["L_SVL_rerender"]  # g4 of equal env maps is 0
+        # the g5 term is reported separately and computed on the provided values
+        assert losses["L_SVL_reg"] == 0.0  # alpha in {0, 1}
 
     def test_normal_stage_hand_case(self):
         # 90-degree angular error everywhere plus a g2 part of exactly 2
@@ -252,27 +245,23 @@ class TestStageLosses:
         assert residual <= 1e-24
 
     def test_missing_field_named(self):
-        with pytest.raises(TypeError, match="normal_pred"):
-            StageLossBundle(mask_light=np.ones((2, 2)), mask_object=np.ones((2, 2)),
-                            normal_ref=np.zeros((2, 2, 3)))
+        with pytest.raises(TypeError, match="env_svl_pred"):
+            StageLossBundle(mask=np.ones((2, 2)), env_svl_ref=np.zeros((1, 2, 2, 3)))
         bundle = self.base_bundle(np.random.default_rng(13))
         fields = {f.name: getattr(bundle, f.name) for f in dataclasses.fields(bundle)
-                  if f.name != "g4_dl"}
-        with pytest.raises(TypeError, match="g4_dl"):
+                  if f.name != "target_index"}
+        with pytest.raises(TypeError, match="target_index"):
             StageLossBundle(**fields)
 
     def test_paper_beta_defaults(self):
+        assert list(DEFAULT_BETAS) == ["normal", "brdf", "svl"]
         assert DEFAULT_BETAS["normal"] == (1.0, 1.0)
-        assert DEFAULT_BETAS["in_dl"] == (1.0, 1e-3)
-        assert DEFAULT_BETAS["ex_dl"] == (1.0, 1e-4)
         assert DEFAULT_BETAS["brdf"] == (3.0, 1.0)
         assert DEFAULT_BETAS["svl"] == (10.0, 1e-2, 1.0)
 
 
 # Frozen copies of the whole-array reductions and of stage_losses before the
 # reductions ran block by block, with the independent re-render scale fits.
-# The bundles carry the direct-light g4 of frozen_si_log_mse, which
-# stage_losses weights as given.
 def frozen_mask_weights(a, mask):
     if mask is None:
         return np.ones(a.shape)
@@ -314,25 +303,8 @@ def frozen_si_log_mse(a, b, mask=None):
 
 def frozen_stage_losses(bundle):
     out = {}
-    b = DEFAULT_BETAS["normal"]
-    out["L_normal"] = (b[0] * masked_l1_angular(bundle.normal_ref, bundle.normal_pred,
-                                                bundle.mask_light)
-                       + b[1] * frozen_masked_mse(bundle.normal_ref, bundle.normal_pred,
-                                                  bundle.mask_light))
-    b = DEFAULT_BETAS["in_dl"]
-    out["L_InDL"] = b[0] * bundle.g4_dl
-    out["L_InDL_reg"] = b[1] * entropy_reg(bundle.visibility)
-    b = DEFAULT_BETAS["ex_dl"]
-    out["L_ExDL"] = b[0] * bundle.g4_dl
-    out["L_ExDL_reg"] = b[1] * entropy_reg(bundle.alpha_dl)
-    b = DEFAULT_BETAS["brdf"]
-    tau = frozen_ls_scale(bundle.albedo_ref, bundle.albedo_pred, bundle.mask_object)[0]
-    out["L_BRDF"] = (b[0] * frozen_masked_mse(bundle.albedo_ref, tau * bundle.albedo_pred,
-                                              bundle.mask_object)
-                     + b[1] * frozen_masked_mse(bundle.rough_ref, bundle.rough_pred,
-                                                bundle.mask_object))
     b = DEFAULT_BETAS["svl"]
-    mask = bundle.mask_object
+    mask = bundle.mask
     target = bundle.images[bundle.target_index]
     tau_diff = frozen_ls_scale(target, bundle.diffuse_render, mask)[0]
     tau_spec = frozen_ls_scale(target, bundle.specular_renders[bundle.target_index],
@@ -343,9 +315,8 @@ def frozen_stage_losses(bundle):
                     - tau_spec * bundle.specular_renders[k])
         rerender += float(bundle.view_weights[k]) ** 2 * frozen_masked_mse(
             residual, np.zeros_like(residual), mask)
-    env_mask = bundle.mask_svl_env if bundle.mask_svl_env is not None else mask
-    out["L_SVL"] = (b[0] * frozen_si_log_mse(bundle.env_svl_ref, bundle.env_svl_pred,
-                                             env_mask) + b[2] * rerender)
+    out["L_SVL"] = (b[0] * frozen_si_log_mse(bundle.env_svl_ref, bundle.env_svl_pred)
+                    + b[2] * rerender)
     out["L_SVL_reg"] = b[1] * entropy_reg(bundle.alpha_svl)
     out["L_SVL_rerender"] = rerender
     out["tau_diff"] = tau_diff
@@ -396,22 +367,15 @@ class TestBlockwiseReductionsBitwise:
     def test_stage_losses_equal_frozen_copy(self, mask_kind):
         rng = np.random.default_rng(21)
         bundle = TestStageLosses().base_bundle(rng)
-        env_dl_ref = bundle.env_svl_ref
-        env_dl_pred = env_dl_ref * rng.uniform(0.5, 1.5, env_dl_ref.shape)
         bundle.env_svl_pred = bundle.env_svl_ref * rng.uniform(0.5, 1.5, bundle.env_svl_ref.shape)
-        bundle.albedo_pred = rng.uniform(0.0, 1.0, bundle.albedo_ref.shape)
         bundle.specular_renders = rng.uniform(0.0, 1.0, bundle.specular_renders.shape)
         if mask_kind == "random":
-            bundle.mask_object = (rng.random((6, 8)) > 0.4).astype(float)
-            bundle.mask_light = bundle.mask_svl_env = bundle.mask_object
+            bundle.mask = (rng.random((6, 8)) > 0.4).astype(float)
         elif mask_kind == "zeros":
-            bundle.mask_object = bundle.mask_light = bundle.mask_svl_env = np.zeros((6, 8))
+            bundle.mask = np.zeros((6, 8))
         elif mask_kind == "zero_inputs":
-            env_dl_ref, env_dl_pred = np.zeros_like(env_dl_ref), np.zeros_like(env_dl_pred)
-            for name in ("env_svl_ref", "env_svl_pred", "albedo_pred", "diffuse_render",
-                         "specular_renders"):
+            for name in ("env_svl_ref", "env_svl_pred", "diffuse_render", "specular_renders"):
                 setattr(bundle, name, np.zeros_like(getattr(bundle, name)))
-        bundle.g4_dl = frozen_si_log_mse(env_dl_ref, env_dl_pred, bundle.mask_object)
         got, want = stage_losses(bundle), frozen_stage_losses(bundle)
         assert list(got) == list(want)
         for key in set(want) - RERENDER_KEYS:
@@ -433,7 +397,7 @@ class TestBlockwiseReductionsBitwise:
         rerender = 0.25 * masked_mse(view_1, np.zeros_like(view_1))
         assert abs(got["L_SVL_rerender"] - rerender) <= 1e-12 * rerender
         b = DEFAULT_BETAS["svl"]
-        svl_g4 = frozen_si_log_mse(bundle.env_svl_ref, bundle.env_svl_pred, bundle.mask_svl_env)
+        svl_g4 = frozen_si_log_mse(bundle.env_svl_ref, bundle.env_svl_pred)
         assert same_bits(got["L_SVL"], b[0] * svl_g4 + b[2] * got["L_SVL_rerender"])
 
 

@@ -1,6 +1,8 @@
 import json
 import math
+import re
 import tracemalloc
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -27,10 +29,10 @@ def tiny_config():
 
 # digest of pipeline_demo(tiny_config()); the same with OpenBLAS at 1 or 2 threads
 # and under its Haswell, SkylakeX and Zen kernels (OPENBLAS_CORETYPE), but
-# not under Sandybridge (c933d041…) or Prescott (20b89066…), whose BLAS products
+# not under Sandybridge (cb0af554…) or Prescott (e97bbd36…), whose BLAS products
 # round differently; a failing pin names the kernel OpenBLAS runs (Zen's reads
 # Haswell, Prescott's Katmai)
-TINY_DIGEST = "829a5d1f07232e5a4d81da71f28c41d133e1377c20de79c3ccfa2c91d3bf2c63"
+TINY_DIGEST = "f6bab322ec405ff73bb4828f37636cf36fa4519c10ae3f678e3ec53301c04c97"
 
 
 @pytest.fixture(scope="module")
@@ -41,10 +43,19 @@ def tiny_report():
 class TestPipelineDemo:
     def test_metrics_present_and_finite(self, tiny_report):
         m = tiny_report.metrics
-        for key in ("normal_g1", "lighting_g4", "rerender_g3", "vsg_objective",
-                    "L_normal", "L_InDL", "L_BRDF", "L_SVL", "tau_diff"):
-            assert key in m
-            assert np.isfinite(float(m[key]))
+        # each quantity once: the scalars, then the two entries outside the digest
+        scalars = ["normal_g1", "lighting_g4", "rerender_g3", "vsg_objective",
+                   "mean_view_weight_target", "L_SVL", "L_SVL_reg", "L_SVL_rerender",
+                   "tau_diff", "tau_spec"]
+        assert list(m) == scalars + ["timings", "feature_digest"]
+        for key in scalars:
+            assert np.isfinite(float(m[key])), key
+
+    def test_readme_lists_every_report_key_once(self, tiny_report):
+        text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        start = text.index("The demo's keys are:")
+        section = text[start:text.index("\n\n", start)]
+        assert re.findall(r"^- `(\w+)`:", section, re.M) == list(tiny_report.metrics)
 
     def test_normals_accurate_on_analytic_plane(self, tiny_report):
         assert tiny_report.metrics["normal_g1"] <= 0.01
@@ -259,8 +270,8 @@ def test_vsg_fit_lights_every_target_of_a_moved_light(move):
     config = DemoConfig(scene=SceneSpec(light_center=tuple(
         np.add(SceneSpec().light_center, move))), vsg_iters=200)
     scene = generate_scene(config.scene)
-    _, targets = _vsg_targets(scene.surface_points, scene.surface_normals, scene.gt_env,
-                              config.vsg_grid)
+    targets = _vsg_targets(scene.surface_points, scene.surface_normals, scene.gt_env,
+                           config.vsg_grid)
     result, _ = _fit_volume(scene, config, targets)
     preds = np.stack([extract_env_map(result.volume, t.point, t.frame, t.grid.height,
                                       t.grid.width, config.vsg_samples).texels
