@@ -66,6 +66,22 @@ def _stage(name: str, timings: dict, peak_rss_mb: dict):
         peak_rss_mb[name] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
+def openblas_core() -> str:
+    """The kernel numpy's bundled OpenBLAS runs in this process, as the library
+    reports it (``OPENBLAS_CORETYPE`` overrides it), or "unknown"."""
+    import ctypes  # imported here: at module level they slow ``import voxlight``
+    import glob
+    import os
+    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
+                                  "libscipy_openblas64_*.so"))
+    try:
+        corename = ctypes.CDLL(libs[0]).scipy_openblas_get_corename64_
+    except (IndexError, OSError, AttributeError):
+        return "unknown"
+    corename.argtypes, corename.restype = [], ctypes.c_char_p
+    return corename().decode()
+
+
 @dataclass
 class PipelineReport:
     metrics: dict
@@ -77,7 +93,8 @@ class PipelineReport:
     surface_volume: object
     digest: str = ""
     # run telemetry outside the fingerprint: the SG cluster fits' summary
-    # ("sg_fit"), the VSG fit's report ("vsg_fit"), peak RSS in MB by stage
+    # ("sg_fit"), the VSG fit's report ("vsg_fit"), peak RSS in MB by stage,
+    # and the OpenBLAS kernel ("blas_core")
     telemetry: dict = field(default_factory=dict)
 
     def fingerprint(self) -> str:
@@ -284,7 +301,8 @@ def pipeline_demo(config: DemoConfig | None = None) -> PipelineReport:
                             surface_volume=surf,
                             telemetry={"sg_fit": sg_telemetry,
                                        "vsg_fit": vsg_telemetry,
-                                       "peak_rss_mb": peak_rss_mb})
+                                       "peak_rss_mb": peak_rss_mb,
+                                       "blas_core": openblas_core()})
     report.digest = report.fingerprint()
     report.metrics["timings"] = timings
     report.metrics["feature_digest"] = feature_digest

@@ -11,8 +11,9 @@ by those maps, so the ground truth is self-consistent by construction.
 Env maps trace only the texels whose angular cell can meet the light box's
 bounding sphere (a few percent of them on the default scene); the other
 texels are exact zeros, so the maps equal a scan of every texel bitwise.
-Sub-rays meet the light box through ``volume._clip_rays``, the ray/box
-clip the volume renderer uses.
+The cull and the coverage run in blocks of pixels and of sub-rays, so a
+call holds its output and one block. Sub-rays meet the light box through
+``volume._clip_rays``, the ray/box clip the volume renderer uses.
 """
 
 from __future__ import annotations
@@ -132,9 +133,9 @@ def _scene_intersect(spec: SceneSpec, origins: np.ndarray, dirs: np.ndarray):
     return np.minimum(t_ground, t_wall), which
 
 
-# Sub-rays traced per chunk of kept (pixel, texel) pairs; a chunk's array of
-# one float per sub-ray is 256 kB.
-_CHUNK_SUB_RAYS = 32768
+# Sub-rays traced per chunk of kept (pixel, texel) pairs, and (pixel, texel)
+# pairs culled per block of pixels; an array of one float each is 128 kB.
+_CHUNK_SUB_RAYS = 16384
 
 
 def per_pixel_env_maps(spec: SceneSpec, points: np.ndarray,
@@ -145,7 +146,9 @@ def per_pixel_env_maps(spec: SceneSpec, points: np.ndarray,
 
     Only (pixel, texel) pairs whose angular cell can meet the light box's
     bounding sphere are traced; every other texel is exactly zero, so the
-    result equals tracing all of them.
+    result equals tracing all of them. The cull runs over blocks of pixels
+    and the coverage over chunks of sub-rays, each written straight into
+    the output, so the call holds its output plus one block.
     """
     h, w = points.shape[:2]
     ha, wa = spec.env_height, spec.env_width
@@ -189,25 +192,29 @@ def per_pixel_env_maps(spec: SceneSpec, points: np.ndarray,
     beta = np.arcsin(np.where(outside, r / dist, 0.0))
     v_local = np.stack([_dot(tang, v), _dot(bit, v), _dot(flat_n, v)], axis=-1) / dist[:, None]
     delta = np.repeat(dth / 2.0 + np.sin((np.arange(ha) + 1) * dth) * dph / 2.0, wa)
-    angle = np.arccos(np.clip(v_local @ texel_local_directions(ha, wa).T, -1.0, 1.0))
-    keep = (angle <= beta[:, None] + delta[None, :] + 1e-6) | ~outside[:, None]
-    pix, tex = np.nonzero(keep)
+    texel_dirs = texel_local_directions(ha, wa).T
 
-    coverage = np.zeros((h * w, ha * wa))
+    out = np.zeros((h * w, ha * wa, 3))
+    block = max(_CHUNK_SUB_RAYS // (ha * wa), 1)
     step = max(_CHUNK_SUB_RAYS // (s * s), 1)
-    for start in range(0, pix.size, step):
-        p, t = pix[start:start + step], tex[start:start + step]
-        gx, gy, gz = lx[t], ly[t], lz[t]
-        dirs = np.empty((3, t.size, s * s))                    # component-major
-        for a, (ta, ba, na) in enumerate(zip(tang[p].T, bit[p].T, flat_n[p].T)):
-            dirs[a] = gx * ta[:, None] + gy * ba[:, None] + gz * na[:, None]
-        dirs = np.moveaxis(dirs, 0, -1)
-        o = origins[p, None, :]
-        t_light, _, hit = _clip_rays(light, o, dirs, np.inf)
-        t_occ, _ = _scene_intersect(spec, o, dirs)
-        visible = hit & (t_light < t_occ)
-        coverage[p, t] = visible.mean(axis=-1)
-    return (coverage[..., None] * radiance).reshape(h, w, ha, wa, 3)
+    for b in range(0, h * w, block):
+        angle = np.arccos(np.clip(v_local[b:b + block] @ texel_dirs, -1.0, 1.0))
+        keep = (angle <= beta[b:b + block, None] + delta + 1e-6) | ~outside[b:b + block, None]
+        pix, tex = np.nonzero(keep)
+        pix += b
+        for start in range(0, pix.size, step):
+            p, t = pix[start:start + step], tex[start:start + step]
+            gx, gy, gz = lx[t], ly[t], lz[t]
+            dirs = np.empty((3, t.size, s * s))                # component-major
+            for a, (ta, ba, na) in enumerate(zip(tang[p].T, bit[p].T, flat_n[p].T)):
+                dirs[a] = gx * ta[:, None] + gy * ba[:, None] + gz * na[:, None]
+            dirs = np.moveaxis(dirs, 0, -1)
+            o = origins[p, None, :]
+            t_light, _, hit = _clip_rays(light, o, dirs, np.inf)
+            t_occ, _ = _scene_intersect(spec, o, dirs)
+            visible = hit & (t_light < t_occ)
+            out[p, t] = visible.mean(axis=-1)[:, None] * radiance
+    return out.reshape(h, w, ha, wa, 3)
 
 
 def render_images(points: np.ndarray, normals: np.ndarray, albedo: np.ndarray,

@@ -697,8 +697,8 @@ class TestKernelIndependence:
         script = "\n".join([
             "import hashlib",
             "import numpy as np",
-            "from conftest import openblas_core",
             "from voxlight.brdf import half_vectors, spec_feature_batch",
+            "from voxlight.pipeline import openblas_core",
             "rng = np.random.default_rng(61)",
             "def units(*shape):",
             "    x = rng.normal(size=shape + (3,))",
@@ -712,8 +712,7 @@ class TestKernelIndependence:
             "digest = hashlib.sha256(h.tobytes() + defined.tobytes() + feats.tobytes())",
             "print(openblas_core(), digest.hexdigest())"])
         src = str(Path(voxlight.brdf.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, str(Path(__file__).parent),
-                                             os.environ.get("PYTHONPATH")]))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         digests = set()
         for core in ("Haswell", "SkylakeX"):
             env = dict(os.environ, OPENBLAS_CORETYPE=core, OPENBLAS_NUM_THREADS="1",

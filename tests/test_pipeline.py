@@ -1,6 +1,10 @@
+import glob
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
@@ -12,7 +16,7 @@ from voxlight import cli
 from voxlight import pipeline as pipeline_module
 from voxlight.geometry import PROJECTION_ERROR_CAP, bilinear_sample, reproject
 from voxlight.pipeline import (DemoConfig, PipelineReport, _cluster_env_fit, _fit_volume, _g4_over_black,
-                               _multiview_probe, _vsg_targets, pipeline_demo)
+                               _multiview_probe, _vsg_targets, openblas_core, pipeline_demo)
 from voxlight.scene import SceneSpec, generate_scene
 from voxlight.sg import _LOG_PARAM_LIMIT, sg_fit
 from voxlight.volume import extract_env_map
@@ -119,6 +123,26 @@ class TestTelemetry:
         rss = [t["peak_rss_mb"][name] for name in STAGES]
         assert set(t["peak_rss_mb"]) == set(tiny_report.metrics["timings"]) == set(STAGES)
         assert rss[0] > 0.0 and rss == sorted(rss)   # a peak never falls
+
+    def test_report_records_blas_core(self, tiny_report):
+        assert tiny_report.telemetry["blas_core"] == openblas_core()
+        assert "blas_core" not in tiny_report.metrics
+
+    def test_blas_core_reads_coretype_override(self):
+        if openblas_core() == "unknown":
+            pytest.skip("numpy bundles no OpenBLAS that names its kernel")
+        src = str(Path(pipeline_module.__file__).resolve().parents[1])
+        env = dict(os.environ, OPENBLAS_CORETYPE="Haswell",
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        run = subprocess.run([sys.executable, "-c", "from voxlight.pipeline import openblas_core; "
+                              "print(openblas_core())"], env=env, capture_output=True,
+                             text=True, timeout=60)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.strip() == "Haswell"
+
+    def test_blas_core_unknown_without_library(self, monkeypatch):
+        monkeypatch.setattr(glob, "glob", lambda pattern: [])
+        assert openblas_core() == "unknown"
 
     def test_g4_over_black_oracles(self):
         rng = np.random.default_rng(8)
